@@ -46,6 +46,14 @@ def parse_rate(text: str, gamma0: float) -> float:
         raise UsageError(f"cannot parse rate {text!r}") from None
 
 
+def positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _base_config(args) -> SystemConfig:
     path = getattr(args, "config", None) or os.environ.get(ENV_CONFIG)
     if path:
@@ -67,6 +75,11 @@ def _resolve_config(args) -> SystemConfig:
             raise UsageError("give at most one of --kappa/--upsilon")
         squeeze = Squeezing("degenerate", parse_rate(args.upsilon, g0))
 
+    drives = [f"--{name}" for name in ("k0", "power", "n0")
+              if getattr(args, name, None) is not None]
+    if len(drives) > 1:
+        raise UsageError(f"give at most one of --k0/--power/--n0, "
+                         f"got {' and '.join(drives)}")
     drive = DriveConfig(K0=base.derived.K0)
     if getattr(args, "k0", None) is not None:
         drive = DriveConfig(K0=parse_rate(args.k0, g0))
@@ -258,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", required=True, choices=spectra.CASES)
     p.add_argument("--omega-min", help="grid start (rad/s or g0 units)")
     p.add_argument("--omega-max", help="grid end (rad/s or g0 units)")
-    p.add_argument("--points", type=int, default=400)
+    p.add_argument("--points", type=positive_int, default=400)
     p.add_argument("--budget", action="store_true",
                    help="add per-channel noise columns")
     p.add_argument("--sql-ratio", action="store_true",
@@ -268,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figure", help="reproduce a published-figure dataset")
     p.add_argument("id", choices=sorted(spectra.FIGURES))
-    p.add_argument("--points", type=int, default=400)
+    p.add_argument("--points", type=positive_int, default=400)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_figure)
 

@@ -18,6 +18,16 @@ is kept for cross-checking.  Noise conventions match the spectra module:
 vacuum channels have unit single-sided PSD (delta correlation strength 1/2),
 the bath channel 2*n_T + 1.
 
+For every family and squeeze kind the drift, and hence the one-step
+propagator, is lower-triangular in the cascade order driving pair ->
+mechanics -> measured pair.  The state recursion is therefore three scalar
+first-order recurrences run in turn, each fed by the states upstream of it,
+and each is evaluated as a blocked prefix scan (lower-triangular Toeplitz
+matmuls within blocks, a carried state between them; Blelloch 1990) over all
+segments at once.  A propagator with an entry against that order is
+rejected.  Time is processed in chunks, so the working memory does not grow
+with the record length.
+
 Randomness is counter-based and parallel-safe: each (seed, segment,
 component) triple owns a Philox stream, so results are reproducible and
 independent of batching.
@@ -42,6 +52,7 @@ CHANNELS = ("alpha_sum", "alpha_diff", "eps_sum", "eps_diff", "thermal")
 DT_SAFETY = 0.05          # dt <= DT_SAFETY / fastest rate
 MIN_SEGMENTS = 32
 MIN_CORRELATION_TIMES = 100.0
+_SCAN_BLOCK = 64          # steps per Toeplitz block of the state scan
 
 
 class SimulationError(ValueError):
@@ -223,6 +234,57 @@ def _discretize(ss: StateSpace, dt: float, channel_scale=None):
     return phi[:3, :3], phi[3:5, :3], m_sig[:5], factor
 
 
+def _step_model(ss: StateSpace, dt: float, method: str, channel_scale=None):
+    """One-step update (phi_xx, phi_zx, m_sig, factor) of ``method``.
+
+    "exact" is the Van Loan discretization; "euler" is first order, with the
+    output integral zeta = x*dt and its noise part omitted.
+    """
+    if method == "exact":
+        return _discretize(ss, dt, channel_scale)
+    if method != "euler":
+        raise ValueError(f"unknown method {method!r}")
+    phi_xx = np.eye(3) + ss.drift * dt
+    phi_zx = np.hstack([np.eye(2), np.zeros((2, 1))]) * dt
+    m_sig = np.concatenate([ss.signal_gain * dt, np.zeros(2)])
+    scale = np.ones(5) if channel_scale is None else np.asarray(channel_scale)
+    amp = np.sqrt(ss.channel_psd * scale**2 / 2.0 * dt)
+    factor = np.zeros((7, 7))
+    factor[:3, :5] = ss.noise_gain * amp[None, :]
+    factor[5, 0] = amp[0]
+    factor[6, 1] = amp[1]
+    return phi_xx, phi_zx, m_sig, factor
+
+
+def _scan(a: float, u: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """States of x[k+1] = a*x[k] + u[..., k] from x[..., 0] = x0.
+
+    Returns x[..., 0..n] for u of length n along its last axis.  Each block
+    of _SCAN_BLOCK steps is one matmul with the lower-triangular Toeplitz
+    matrix a**(i-j); the state entering a block is then added with weights
+    a**(1..L).
+    """
+    L = _SCAN_BLOCK
+    lead, n = u.shape[:-1], u.shape[-1]
+    blocks = -(-n // L)
+    padded = np.zeros(lead + (blocks * L,))
+    padded[..., :n] = u
+    lag = np.subtract.outer(np.arange(L), np.arange(L))
+    toeplitz = np.tril(a ** np.abs(lag))
+    y = (padded.reshape(-1, L) @ toeplitz.T).reshape(lead + (blocks, L))
+    powers = a ** np.arange(1, L + 1)
+    entering = np.empty(lead + (blocks,))
+    carry = x0
+    for b in range(blocks):
+        entering[..., b] = carry
+        carry = powers[-1] * carry + y[..., b, -1]
+    y += entering[..., None] * powers
+    x = np.empty(lead + (n + 1,))
+    x[..., 0] = x0
+    x[..., 1:] = y.reshape(lead + (blocks * L,))[..., :n]
+    return x
+
+
 @dataclass
 class SimulationResult:
     """Output samples of a batch of independent segments."""
@@ -256,7 +318,17 @@ def simulate(config: SystemConfig, family: str = AMPLITUDE, *,
     by absolute segment index).  Output samples are step averages of
     b = -a + sqrt(2*gamma0)*g built from the same increments that drove the
     state.  ``signal`` is an optional callable f(t) added to the mechanical
-    equation.  ``method`` is "exact" (default) or "euler".
+    equation.  ``method`` is "exact" (default) or "euler"; both run the same
+    recursion.
+
+    The state update is a triangular cascade: the driving pair, then the
+    mechanics, then the measured pair, each a scalar first-order recurrence
+    (see _scan) whose input is its own noise, the upstream states through
+    the off-diagonal propagator entries, and the signal.  SimulationError is
+    raised when the propagator has an entry against that order.  Time runs
+    in chunks of about 2**19 steps summed over segments, so the working
+    memory besides the returned arrays stays near 120 MB whatever the record
+    length: the noise of a whole segment is never held at once.
     """
     ss = build_state_space(config, family, squeeze_rate=squeeze_rate,
                            coupling=coupling)
@@ -277,21 +349,15 @@ def simulate(config: SystemConfig, family: str = AMPLITUDE, *,
         burn_in = int(math.ceil(10.0 / (min(abs(optical.real)) * dt))) \
             if np.all(np.abs(optical.real) > 0) else 0
 
-    if method == "exact":
-        phi_xx, phi_zx, m_sig, factor = _discretize(ss, dt, channel_scale)
-    elif method == "euler":
-        phi_xx = np.eye(3) + ss.drift * dt
-        phi_zx = np.hstack([np.eye(2), np.zeros((2, 1))]) * dt
-        m_sig = np.concatenate([ss.signal_gain * dt, np.zeros(2)])
-        scale = np.ones(5) if channel_scale is None else np.asarray(channel_scale)
-        amp = np.sqrt(ss.channel_psd * scale**2 / 2.0 * dt)
-        factor = np.zeros((7, 7))
-        factor[:3, :5] = ss.noise_gain * amp[None, :]
-        factor[5, 0] = amp[0]
-        factor[6, 1] = amp[1]
-        # Euler output integral: zeta = x*dt, noise part omitted (first order).
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    phi_xx, phi_zx, m_sig, factor = _step_model(ss, dt, method, channel_scale)
+    order = (1 - ss.measured_port, 2, ss.measured_port)
+    against = np.triu(phi_xx[np.ix_(order, order)], 1)
+    # The Van Loan solve leaves rounding of ~1e-21 of the largest entry where
+    # the propagator is structurally zero; the cascade drops it.
+    if np.any(np.abs(against) > 1e-12 * np.abs(phi_xx).max()):
+        raise SimulationError(
+            "propagator couples against the cascade order driving pair -> "
+            "mechanics -> measured pair")
 
     sqrt_2g0 = math.sqrt(2.0 * config.cavity.gamma0)
     total = burn_in + samples
@@ -302,30 +368,37 @@ def simulate(config: SystemConfig, family: str = AMPLITUDE, *,
 
     all_gens = [_segment_generators(seed, segment_offset + s, 7)
                 for s in range(segments)]
-    x = np.zeros((3, segments))
-    chunk = max(1, (8 << 20) // (16 * segments))   # ~ 2 x 64 MB of draws
+    x_start = np.zeros((3, segments))
+    chunk = max(1, (8 << 20) // (16 * segments))   # 2**19 segment-steps
     z = np.empty((7, segments, chunk))
     for start in range(0, total, chunk):
         size = min(chunk, total - start)
         for s, gens in enumerate(all_gens):
             for comp, gen in enumerate(gens):
-                z[comp, s, :size] = gen.standard_normal(size)
-        noise = np.einsum("ij,jsk->isk", factor, z[:, :, :size])
-        for k in range(size):
-            idx = start + k
-            zeta = phi_zx @ x + noise[3:5, :, k]
-            x_next = phi_xx @ x + noise[:3, :, k]
-            if f_vals is not None:
-                f = f_vals[idx]
-                zeta = zeta + m_sig[3:5, None] * f
-                x_next = x_next + m_sig[:3, None] * f
-            if idx >= burn_in:
-                j = idx - burn_in
-                out[:, j, 0] = (-noise[5, :, k] + sqrt_2g0 * zeta[0]) / dt
-                out[:, j, 1] = (-noise[6, :, k] + sqrt_2g0 * zeta[1]) / dt
-                if keep_states:
-                    states[:, j, :] = x.T
-            x = x_next
+                gen.standard_normal(out=z[comp, s, :size])
+        noise = (factor @ z[:, :, :size].reshape(7, -1)).reshape(7, segments, size)
+        if f_vals is not None:
+            noise[:5] += m_sig[:, None, None] * f_vals[start:start + size]
+        # x[:, :, k] is the state entering step start + k; x[:, :, size] the
+        # state handed to the next chunk.
+        x = np.empty((3, segments, size + 1))
+        for i, row in enumerate(order):
+            u = noise[row]
+            for col in order[:i]:
+                u += phi_xx[row, col] * x[col, :, :-1]
+            x[row] = _scan(phi_xx[row, row], u, x_start[row])
+        x_start = x[:, :, -1].copy()
+
+        first = max(0, burn_in - start)
+        if first >= size:
+            continue
+        keep = slice(start + first - burn_in, start + size - burn_in)
+        x_kept = x[:, :, first:-1]
+        zeta = np.einsum("pj,jsk->psk", phi_zx, x_kept) + noise[3:5, :, first:]
+        out[:, keep, :] = ((sqrt_2g0 * zeta - noise[5:7, :, first:]) / dt
+                           ).transpose(1, 2, 0)
+        if keep_states:
+            states[:, keep, :] = x_kept.transpose(1, 2, 0)
     return SimulationResult(out, dt, seed, segment_offset, states)
 
 
@@ -509,6 +582,8 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
         per_sum += per.sum(axis=0)
         per_sq += (per**2).sum(axis=0)
         done += todo
+        # Free this batch before the next simulate call allocates its own.
+        del sim, ffts, combined, per
 
     est = per_sum / segments
     var = (per_sq - segments * est**2) / (segments - 1)

@@ -84,6 +84,35 @@ def test_stability_error_exits_2(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["spectrum", "--case", "baseline", "--out", "x.csv"],
+    ["figure", "fig4"],
+])
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_points_below_one_exits_2(tmp_path, monkeypatch, capsys, command, points):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        cli.main(command + ["--points", points])
+    assert err.value.code == 2
+    assert "--points" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("drives", [
+    ["--k0", "1g0", "--power", "1e-3"],
+    ["--k0", "1g0", "--n0", "1g0"],
+    ["--power", "1e-3", "--n0", "1g0"],
+])
+def test_conflicting_drive_options_exit_2(tmp_path, capsys, drives):
+    out = tmp_path / "x.csv"
+    code = cli.main(["spectrum", "--case", "baseline", "--out", str(out)]
+                    + drives)
+    assert code == 2
+    assert "at most one of --k0/--power/--n0" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    assert cli.main(["threshold"] + drives) == 2
+
+
 def test_env_var_config(tmp_path, monkeypatch):
     cfg_path = write_config(tmp_path, lossless=True)
     monkeypatch.setenv(cli.ENV_CONFIG, str(cfg_path))

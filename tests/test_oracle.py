@@ -1,5 +1,6 @@
 """Time-domain integrator: calibration, statistics, cross-validation."""
 
+import dataclasses
 import math
 import warnings
 
@@ -10,7 +11,7 @@ from trimova import model, oracle, spectra, transfer
 from trimova.model import RegimeWarning, Squeezing
 from trimova.oracle import (SimulationError, build_state_space, estimate_psd,
                             simulate, validate)
-from trimova.transfer import AMPLITUDE, Channel, MeasurementCase
+from trimova.transfer import AMPLITUDE, PHASE, Channel, MeasurementCase
 
 G0, GE = model.reference_rates()
 
@@ -223,6 +224,115 @@ def test_deterministic_pulse_matches_transfer():
     predicted = np.fft.irfft(np.conj(sig) * np.fft.rfft(f_vals), samples)
     scale = np.max(np.abs(predicted))
     assert np.max(np.abs(y - predicted)) < 0.01 * scale
+
+
+# --- cascade recursion against the per-step loop -----------------------------------
+
+def loop_simulate(cfg, family, *, segments, samples, dt, burn_in, seed=0,
+                  segment_offset=0, channel_scale=None, signal=None,
+                  method="exact"):
+    """Reference integrator: the full 3x3 update applied one step at a time."""
+    ss = build_state_space(cfg, family)
+    phi_xx, phi_zx, m_sig, factor = oracle._step_model(ss, dt, method,
+                                                       channel_scale)
+    sqrt_2g0 = math.sqrt(2.0 * cfg.cavity.gamma0)
+    total = burn_in + samples
+    out = np.empty((segments, samples, 2))
+    states = np.empty((segments, samples, 3))
+    times = (np.arange(total) + 0.5) * dt
+    f_vals = np.asarray([signal(t) for t in times]) if signal is not None else None
+    all_gens = [oracle._segment_generators(seed, segment_offset + s, 7)
+                for s in range(segments)]
+    x = np.zeros((3, segments))
+    chunk = max(1, (8 << 20) // (16 * segments))
+    z = np.empty((7, segments, chunk))
+    for start in range(0, total, chunk):
+        size = min(chunk, total - start)
+        for s, gens in enumerate(all_gens):
+            for comp, gen in enumerate(gens):
+                z[comp, s, :size] = gen.standard_normal(size)
+        noise = np.einsum("ij,jsk->isk", factor, z[:, :, :size])
+        for k in range(size):
+            idx = start + k
+            zeta = phi_zx @ x + noise[3:5, :, k]
+            x_next = phi_xx @ x + noise[:3, :, k]
+            if f_vals is not None:
+                f = f_vals[idx]
+                zeta = zeta + m_sig[3:5, None] * f
+                x_next = x_next + m_sig[:3, None] * f
+            if idx >= burn_in:
+                j = idx - burn_in
+                out[:, j, 0] = (-noise[5, :, k] + sqrt_2g0 * zeta[0]) / dt
+                out[:, j, 1] = (-noise[6, :, k] + sqrt_2g0 * zeta[1]) / dt
+                states[:, j, :] = x.T
+            x = x_next
+    return out, states
+
+
+def assert_matches_loop(cfg, family, **options):
+    # 250 segments make the time chunk 2097 steps; 37 + 2393 steps end in a
+    # partial second chunk, and neither chunk is a whole number of blocks.
+    ss = build_state_space(cfg, family)
+    dt = oracle.DT_SAFETY / oracle.max_rate(ss)
+    shape = dict(segments=250, samples=2393, dt=dt, burn_in=37, seed=7)
+    sim = simulate(cfg, family, keep_states=True, **shape, **options)
+    out, states = loop_simulate(cfg, family, **shape, **options)
+    for got, want in ((sim.outputs, out), (sim.states, states)):
+        scale = np.max(np.abs(want), axis=(0, 1))
+        assert scale.max() > 0
+        err = np.max(np.abs(got - want), axis=(0, 1))
+        assert np.all(err <= 1e-12 * scale), err / scale
+
+
+@pytest.mark.parametrize("family", [AMPLITUDE, PHASE])
+@pytest.mark.parametrize("kind", ["none", "two_photon", "degenerate"])
+def test_cascade_matches_step_loop(kind, family):
+    assert_matches_loop(config(kind, 0.5), family)
+
+
+def test_cascade_matches_step_loop_damped_mechanics():
+    # gamma_m > 0: the mechanical factor is below 1, and the Van Loan
+    # propagator carries rounding where the cascade order has zeros.
+    assert_matches_loop(config("two_photon", 0.5, gamma_m=G0 / 20.0), AMPLITUDE)
+
+
+@pytest.mark.parametrize("options", [
+    {"signal": lambda t: math.sin(0.3 * G0 * t), "channel_scale": np.zeros(5)},
+    {"signal": lambda t: 1e3 * math.cos(2.0 * G0 * t)},
+    {"channel_scale": np.array([1.0, 0.0, 2.0, 0.5, 3.0])},
+    {"segment_offset": 5},
+    {"method": "euler"},
+], ids=["signal-only", "signal-and-noise", "channel-scale", "offset", "euler"])
+def test_cascade_matches_step_loop_options(options):
+    assert_matches_loop(config("two_photon", 0.3), PHASE, **options)
+
+
+@pytest.mark.parametrize("a", [0.97, 1.0, -0.5])
+@pytest.mark.parametrize("n", [1, oracle._SCAN_BLOCK - 1, oracle._SCAN_BLOCK,
+                               oracle._SCAN_BLOCK + 1, 3 * oracle._SCAN_BLOCK + 5])
+def test_scan_matches_recurrence(n, a):
+    rng = np.random.default_rng(n)
+    u = rng.standard_normal((4, n))
+    x0 = 10.0 * rng.standard_normal(4)
+    expected = np.empty((4, n + 1))
+    expected[:, 0] = x0
+    for k in range(n):
+        expected[:, k + 1] = a * expected[:, k] + u[:, k]
+    got = oracle._scan(a, u, x0)
+    assert got.shape == expected.shape
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_cascade_rejects_upstream_coupling(monkeypatch):
+    # A measured-pair term in the driving-pair equation breaks the cascade.
+    cfg = config("two_photon", 0.5)
+    ss = build_state_space(cfg)
+    drift = ss.drift.copy()
+    drift[1 - ss.measured_port, ss.measured_port] = 0.01 * G0
+    monkeypatch.setattr(oracle, "build_state_space",
+                        lambda *a, **k: dataclasses.replace(ss, drift=drift))
+    with pytest.raises(SimulationError, match="cascade order"):
+        simulate(cfg, segments=2, samples=4096, seed=1)
 
 
 # --- validation harness ------------------------------------------------------------

@@ -229,7 +229,7 @@ def test_loss_residual_scaling():
         ba = cfg.derived.K0 * cav.gamma * (cav.gamma0 - cav.gamma_e) / np.abs(d_m) ** 2
         xi_p2 = np.abs(cav.gamma0 - cav.gamma_e + kappa + 1j * w) ** 2 \
             / np.abs(cav.gamma - kappa - 1j * w) ** 2
-        return float(ba * cav.gamma_e / (cav.gamma0 * xi_p2))
+        return (ba * cav.gamma_e / (cav.gamma0 * xi_p2)).item()
 
     assert r2 / r1 == pytest.approx(expected(cfg2) / expected(cfg1), rel=1e-6)
     assert r2 / r1 == pytest.approx(2.0, rel=0.03)   # linear in the loss share
