@@ -86,9 +86,8 @@ def _resolve_config(args) -> SystemConfig:
     if getattr(args, "power", None) is not None:
         drive = DriveConfig(input_power=float(args.power))
     if getattr(args, "n0", None) is not None:
-        n0 = parse_rate(args.n0, g0)
-        cav = base.cavity
-        drive = DriveConfig(K0=n0 * cav.gamma / (cav.gamma0 - cav.gamma_e))
+        drive = DriveConfig(K0=model.k0_for_n0(parse_rate(args.n0, g0), g0,
+                                               base.cavity.gamma_e))
 
     mech = base.mechanical
     if getattr(args, "gamma_m", None) is not None:
@@ -166,7 +165,7 @@ def cmd_figure(args, argv) -> int:
             "rates_of_gamma0": list(spec.rates),
             "drive": spec.drive,
             "drive_pi_over_tau": spec.drive_units,
-            "tau_s": {"table1": 28e-6, "fig3": 0.28e-3}[spec.tau_preset],
+            "tau_s": model.TAU_PRESETS[spec.tau_preset],
             "gamma_m": 0.0,
             "note": spec.note,
             "curves": {label: f"{args.id}_{label}.csv" for label in curves},
@@ -181,16 +180,9 @@ def cmd_figure(args, argv) -> int:
 def cmd_threshold(args, argv) -> int:
     config = _resolve_config(args)
     report = spectra.detection_threshold_time_domain(config)
-    kind = config.squeeze.kind
-    raw_case, sub_case = {
-        "none": ("baseline", "baseline-sub"),
-        "two_photon": ("nondeg-raw", "nondeg-sub"),
-        "degenerate": ("deg-raw", "deg-sub"),
-    }[kind]
-    spectral = {
-        raw_case: spectra.detection_threshold_spectral(config, raw_case),
-        sub_case: spectra.detection_threshold_spectral(config, sub_case),
-    }
+    spectral = {case: spectra.detection_threshold_spectral(config, case)
+                for case, kind in spectra.CASE_KIND.items()
+                if kind == config.squeeze.kind}
     if args.json:
         payload = report.to_json_dict()
         payload["spectral_f"] = {k: float(v) for k, v in spectral.items()}
@@ -244,7 +236,7 @@ def cmd_replay(args, argv) -> int:
 def _add_config_options(p: argparse.ArgumentParser, drive: bool = True):
     p.add_argument("--config", "-c", help="JSON configuration file "
                    f"(default: ${ENV_CONFIG} or built-in membrane preset)")
-    p.add_argument("--tau-preset", choices=("table1", "fig3"),
+    p.add_argument("--tau-preset", choices=tuple(model.TAU_PRESETS),
                    help="pulse-length preset for the built-in configuration: "
                         "table1 = 28 us (default), fig3 = 0.28 ms")
     p.add_argument("--kappa", help="two-photon squeeze rate (rad/s or '0.9g0')")

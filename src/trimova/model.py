@@ -20,7 +20,12 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-from scipy.constants import hbar, k as k_B
+# Exact SI 2019 values of the reduced Planck and the Boltzmann constants.
+HBAR = 6.62607015e-34 / (2 * math.pi)   # J s
+K_B = 1.380649e-23                      # J/K
+
+# Pulse-length presets, s: table1 is the default, fig3 the long-pulse figure.
+TAU_PRESETS = {"table1": 28e-6, "fig3": 0.28e-3}
 
 
 class ConfigError(ValueError):
@@ -54,7 +59,7 @@ def thermal_occupancy(omega_m: float, temperature: float) -> float:
         raise ConfigError("temperature must be nonnegative")
     if temperature == 0:
         return 0.0
-    return 1.0 / math.expm1(hbar * omega_m / (k_B * temperature))
+    return 1.0 / math.expm1(HBAR * omega_m / (K_B * temperature))
 
 
 def braginsky_factor(n_T: float, omega_m: float, tau: float, quality: float) -> float:
@@ -80,6 +85,11 @@ def dimensionless_power(cavity: "OpticalCavity", mech: "MechanicalOscillator",
     g = cavity.gamma
     return (4.0 * g0 * cavity.omega0 * input_power
             / (mech.mass * mech.omega_m * cavity.length**2 * g**2 * (g0 - ge)))
+
+
+def k0_for_n0(N0: float, gamma0: float, gamma_e: float) -> float:
+    """Normalized pump K0 whose degenerate normalization K0*(g0-ge)/g is N0."""
+    return N0 * (gamma0 + gamma_e) / (gamma0 - gamma_e)
 
 
 def power_for_pump(cavity: "OpticalCavity", mech: "MechanicalOscillator",
@@ -295,7 +305,8 @@ class SystemConfig:
     cavity: OpticalCavity
     squeeze: Squeezing = field(default_factory=Squeezing)
     drive: DriveConfig = field(default_factory=lambda: DriveConfig(K0=1.0))
-    signal: SignalPulse = field(default_factory=lambda: SignalPulse(tau=28e-6))
+    signal: SignalPulse = field(
+        default_factory=lambda: SignalPulse(tau=TAU_PRESETS["table1"]))
     derived: DerivedQuantities = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -307,12 +318,12 @@ class SystemConfig:
         else:
             power = self.drive.input_power
             K0 = dimensionless_power(cav, mech, power)
-        x0 = math.sqrt(hbar / (2.0 * mech.mass * mech.omega_m))
+        x0 = math.sqrt(HBAR / (2.0 * mech.mass * mech.omega_m))
         eta = x0 * cav.omega0 / cav.length
         n_T = mech.occupancy
         f_s0 = self.signal.f_s0
         F_s0 = self.signal.F_s0
-        scale = math.sqrt(2.0 * hbar * mech.omega_m * mech.mass)
+        scale = math.sqrt(2.0 * HBAR * mech.omega_m * mech.mass)
         if F_s0 is not None:
             f_s0 = F_s0 / scale
         elif f_s0 is not None:
@@ -342,10 +353,6 @@ class SystemConfig:
             out.append(f"omega_m*tau = {wm_tau:.3g} is below {MIN_PULSE_CYCLES}; "
                        "the pulse is not many-cycle resonant")
         return out
-
-    @property
-    def squeeze_rate(self) -> float:
-        return self.squeeze.rate
 
 
 def validate_regime(config: SystemConfig) -> list[str]:
@@ -390,7 +397,7 @@ def parse_config(data: dict) -> SystemConfig:
     except KeyError as exc:
         raise ConfigError(f"missing section {exc}") from None
     squeeze_d = dict(data.get("squeeze", {"type": "none"}))
-    signal_d = dict(data.get("signal", {"tau": 28e-6}))
+    signal_d = dict(data.get("signal", {"tau": TAU_PRESETS["table1"]}))
     for name, d in [("mechanical", mech_d), ("cavity", cav_d), ("drive", drive_d),
                     ("squeeze", squeeze_d), ("signal", signal_d)]:
         _reject_unknown(name, d)
@@ -465,8 +472,6 @@ def config_snapshot(config: SystemConfig) -> dict:
 
 
 # --- reference parameter set --------------------------------------------------
-
-TAU_PRESETS = {"table1": 28e-6, "fig3": 0.28e-3}
 
 # SiN membrane in a 10 cm cavity.  36 kHz total half-bandwidth split between
 # input coupler and internal loss according to the power transmittances

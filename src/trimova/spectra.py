@@ -26,36 +26,34 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import hbar
 
-from .model import (RegimeWarning, Squeezing, SystemConfig, config_snapshot,
+from .model import (HBAR, TAU_PRESETS, RegimeWarning, Squeezing, SystemConfig,
+                    braginsky_factor, config_snapshot, k0_for_n0,
                     reference_config, reference_rates)
-from .transfer import (AMPLITUDE, Channel, MeasurementCase, TransferVector,
-                       VACUUM_CHANNELS, measured_port_name,
-                       transfer_coefficients)
+from .transfer import (AMPLITUDE, Channel, MeasurementCase, VACUUM_CHANNELS,
+                       measured_port_name, transfer_coefficients)
 
-CASES = ("baseline", "baseline-sub", "nondeg-raw", "nondeg-sub",
-         "deg-raw", "deg-sub")
-
-_CASE_KIND = {
+# Measured case -> squeeze kind it belongs to; raw cases precede their
+# subtracted partners.
+CASE_KIND = {
     "baseline": "none", "baseline-sub": "none",
     "nondeg-raw": "two_photon", "nondeg-sub": "two_photon",
     "deg-raw": "degenerate", "deg-sub": "degenerate",
 }
+CASES = tuple(CASE_KIND)
 
 
 def measurement_for_case(case: str) -> MeasurementCase:
     """Amplitude-family measurement matching a named spectrum case."""
-    if case not in CASES:
+    if case not in CASE_KIND:
         raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
     port = "subtracted" if case.endswith("-sub") else "difference"
     return MeasurementCase(AMPLITUDE, port)
 
 
 def _check_case(config: SystemConfig, case: str) -> None:
-    if case not in CASES:
-        raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
-    kind = _CASE_KIND[case]
+    measurement_for_case(case)   # rejects unknown case names
+    kind = CASE_KIND[case]
     actual = config.squeeze.kind
     if kind == "none" and actual != "none":
         raise ValueError(f"case {case!r} requires no squeezing, config has {actual!r}")
@@ -84,7 +82,8 @@ def closed_form_psd(case: str, config: SystemConfig, omega,
 
     ``constant_pump=True`` freezes the pump-response magnitude at its
     Omega = 0 value (the flat-pump approximation); default keeps the full
-    frequency dependence.
+    frequency dependence.  The unsqueezed cases are the two-photon forms at
+    rate 0, internal-loss residual included.
     """
     _check_case(config, case)
     w = np.asarray(omega, dtype=float)
@@ -96,18 +95,7 @@ def closed_form_psd(case: str, config: SystemConfig, omega,
     mech2 = gm**2 + w**2
     K0 = config.derived.K0
 
-    if case in ("baseline", "baseline-sub"):
-        if constant_pump:
-            # |pump response| at Omega = 0 collapses to K0 exactly.
-            pump_mag = K0 * np.ones_like(w)
-        else:
-            pump_mag = K0 * g * (g0 - ge) / np.abs(g0**2 - (ge - 1j * w) ** 2)
-        out = thermal + mech2 / pump_mag
-        if case == "baseline":
-            out = out + pump_mag
-        return out
-
-    if case in ("nondeg-raw", "nondeg-sub"):
+    if CASE_KIND[case] != "degenerate":
         d_minus = g + rate - 1j * w          # squeezed-pair response
         d_plus = g - rate - 1j * w           # antisqueezed-pair response
         xi_minus = np.abs(g0 - ge - rate + 1j * w) / np.abs(d_minus)
@@ -119,7 +107,7 @@ def closed_form_psd(case: str, config: SystemConfig, omega,
                 * np.ones_like(w)
         ba_mag = xi_minus * pump_mag
         out = thermal + mech2 / pump_mag * (xi_minus + mu_minus2 / xi_minus)
-        if case == "nondeg-raw":
+        if not case.endswith("-sub"):
             return out + ba_mag * (1.0 + ge / g0)
         return out + ba_mag * ge / (g0 * xi_plus2)
 
@@ -137,24 +125,6 @@ def closed_form_psd(case: str, config: SystemConfig, omega,
 
 
 # --- channel assembly ----------------------------------------------------------
-
-def assemble_psd(tv: TransferVector, n_T: float, gamma_m: float) -> float:
-    """Total PSD from a signal-referenced TransferVector.
-
-    Vacuum channels contribute |c|^2, the thermal channel |c|^2*(2*n_T + 1);
-    the signal slot is the reference and carries no noise.  The stored
-    thermal coefficient must equal sqrt(2*gamma_m) (referenced), which is
-    verified here.
-    """
-    if not tv.referenced:
-        raise ValueError("assemble_psd requires a signal-referenced vector")
-    c_th = tv.coeffs[Channel.THERMAL]
-    expect = math.sqrt(2.0 * gamma_m)
-    if abs(abs(c_th) - expect) > 1e-10 * max(expect, 1.0):
-        raise ValueError("thermal coefficient inconsistent with sqrt(2*gamma_m)")
-    total = sum(abs(tv.coeffs[ch]) ** 2 for ch in VACUUM_CHANNELS)
-    return float(total + abs(c_th) ** 2 * (2.0 * n_T + 1.0))
-
 
 def _assemble_budget(config: SystemConfig, case: str, grid: np.ndarray):
     coeffs = transfer_coefficients(config, measurement_for_case(case), grid,
@@ -313,14 +283,13 @@ def detection_threshold_time_domain(config: SystemConfig,
     thermal_rate = 2.0 * gm * (2.0 * n_T + 1.0) / tau
     band_f2 = 2.0 * (thermal_rate + 2.0 * k_star / tau)      # f_s0^2
     sqlform_f2 = 2.0 * (thermal_rate + 4.0 * math.pi / tau**2)
-    scale2 = 2.0 * hbar * mech.omega_m * mech.mass            # F^2 = f^2 * scale2
-    f_sql = (4.0 / tau) * math.sqrt(math.pi * hbar * mech.mass * mech.omega_m
+    scale2 = 2.0 * HBAR * mech.omega_m * mech.mass            # F^2 = f^2 * scale2
+    f_sql = (4.0 / tau) * math.sqrt(math.pi * HBAR * mech.mass * mech.omega_m
                                     / math.sqrt(3.0))
     return ThresholdReport(
         tau=tau,
         n_T=n_T,
-        braginsky=n_T * mech.omega_m * tau / mech.quality_factor
-        if mech.quality_factor != math.inf else 0.0,
+        braginsky=braginsky_factor(n_T, mech.omega_m, tau, mech.quality_factor),
         pump_optimum=k_star,
         band_integrated_force=math.sqrt(band_f2 * scale2),
         sql_form_force=math.sqrt(sqlform_f2 * scale2),
@@ -367,16 +336,11 @@ def figure_config(figure_id: str, rate_fraction: float) -> SystemConfig:
     """Reference configuration for one curve of a published-figure preset."""
     spec = FIGURES[figure_id]
     g0, ge = reference_rates()
-    kind = _CASE_KIND[spec.case]
+    kind = CASE_KIND[spec.case]
     squeeze = Squeezing() if kind == "none" \
         else Squeezing(kind, rate_fraction * g0)
-    tau = {"table1": 28e-6, "fig3": 0.28e-3}[spec.tau_preset]
-    pump = spec.drive_units * math.pi / tau
-    if spec.drive == "N0":
-        # N0 = K0*(g0-ge)/g: convert the requested degenerate pump scale.
-        K0 = pump * (g0 + ge) / (g0 - ge)
-    else:
-        K0 = pump
+    pump = spec.drive_units * math.pi / TAU_PRESETS[spec.tau_preset]
+    K0 = k0_for_n0(pump, g0, ge) if spec.drive == "N0" else pump
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)
         return reference_config(tau_preset=spec.tau_preset, squeeze=squeeze,
@@ -389,7 +353,7 @@ def figure_curves(figure_id: str, points: int = 400) -> dict:
         raise ValueError(f"unknown figure id {figure_id!r}")
     spec = FIGURES[figure_id]
     param = {"two_photon": "kappa", "degenerate": "upsilon",
-             "none": "baseline"}[_CASE_KIND[spec.case]]
+             "none": "baseline"}[CASE_KIND[spec.case]]
     curves = {}
     for frac in spec.rates:
         config = figure_config(figure_id, frac)

@@ -4,7 +4,8 @@ The two side-mode outputs are detected separately; sums and differences of
 their quadratures form the working ports.  For each spectral frequency Omega
 this module gives the complex coefficient with which every input channel
 (input-port vacuum, internal-loss vacuum, mechanical thermal force, signal
-force) appears in a chosen output combination:
+force) appears in a chosen output combination of the amplitude or the phase
+quadrature family:
 
 * raw ports ("sum"/"difference" of the selected quadrature family), and
 * the "subtracted" combination: the measured port plus a filtered copy of the
@@ -21,8 +22,10 @@ D(r_own) and the reference port through D(r_ref), with
                                     r_own = r_ref = -upsilon  (phase)
 
 and the back-action/measurement strength K0*gamma*(gamma0-gamma_e)/D(r_own)^2.
-Two-photon squeezing keeps its coefficients under the amplitude<->phase swap;
-only the roles of the lab ports exchange.
+The amplitude family measures at the difference port, the phase family at
+the sum port.  Under two-photon squeezing the two families therefore have the
+same coefficients with the sum/difference labels of ports and channels
+exchanged.
 
 Conventions: Fourier kernel exp(-i*Omega*t), so every coefficient obeys
 c(-Omega) = conj(c(Omega)).  Square roots take the principal branch (the
@@ -34,12 +37,12 @@ spectral densities, so the branch affects no observable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .model import OpticalCavity, SystemConfig
+from .model import SystemConfig
 
 
 class PoleError(ArithmeticError):
@@ -63,59 +66,24 @@ VACUUM_CHANNELS = (Channel.ALPHA_PLUS, Channel.ALPHA_MINUS,
 AMPLITUDE = "amplitude"
 PHASE = "phase"
 
-_SWAP = {
-    Channel.ALPHA_PLUS: Channel.ALPHA_MINUS,
-    Channel.ALPHA_MINUS: Channel.ALPHA_PLUS,
-    Channel.EPS_PLUS: Channel.EPS_MINUS,
-    Channel.EPS_MINUS: Channel.EPS_PLUS,
-    Channel.THERMAL: Channel.THERMAL,
-    Channel.SIGNAL: Channel.SIGNAL,
-}
-
-
-def swap_channels(coeffs: dict) -> dict:
-    """Exchange sum/difference channel labels (thermal and signal fixed)."""
-    return {_SWAP[ch]: v for ch, v in coeffs.items()}
-
 
 @dataclass(frozen=True)
 class MeasurementCase:
     """Which output combination is measured.
 
-    family: "amplitude", "phase", or a homodyne angle in radians (0 is
-    amplitude, pi/2 is phase).  port: "sum", "difference", or "subtracted";
-    subtraction always acts on the mechanically coupled port (the difference
-    port for the amplitude family, the sum port for phase).
+    family: "amplitude" or "phase".  port: "sum", "difference", or
+    "subtracted"; subtraction always acts on the mechanically coupled port
+    (the difference port for the amplitude family, the sum port for phase).
     """
 
-    family: object = AMPLITUDE
+    family: str = AMPLITUDE
     port: str = "difference"
 
     def __post_init__(self):
-        if isinstance(self.family, str):
-            if self.family not in (AMPLITUDE, PHASE):
-                raise ValueError(f"unknown quadrature family {self.family!r}")
-        else:
-            float(self.family)
+        if self.family not in (AMPLITUDE, PHASE):
+            raise ValueError(f"unknown quadrature family {self.family!r}")
         if self.port not in ("sum", "difference", "subtracted"):
             raise ValueError(f"unknown port {self.port!r}")
-
-
-@dataclass
-class TransferVector:
-    """Coefficients of all channels at one spectral frequency."""
-
-    omega: float
-    coeffs: dict
-    referenced: bool = False
-
-    def signal_referenced(self) -> "TransferVector":
-        sig = self.coeffs[Channel.SIGNAL]
-        if sig == 0:
-            raise ValueError("port carries no signal; cannot signal-reference")
-        coeffs = {ch: v / sig for ch, v in self.coeffs.items()}
-        coeffs[Channel.SIGNAL] = 1.0 + 0.0j
-        return replace(self, coeffs=coeffs, referenced=True)
 
 
 def _guard(denom, scale, what: str):
@@ -128,96 +96,6 @@ def _shaped(value, omega):
     shape = np.shape(omega)
     arr = np.asarray(value, dtype=complex)
     return arr.reshape(shape) if shape else complex(arr.item())
-
-
-def reflection_gain(cavity: OpticalCavity, rate: float, omega, sign: int):
-    """Cavity reflection of the two-photon sum (+) / difference (-) quadrature.
-
-    +: (g0 - ge + k + iW)/(g0 + ge - k - iW)   (antisqueezed, gain >= 1)
-    -: (g0 - ge - k + iW)/(g0 + ge + k - iW)   (squeezed, gain <= 1)
-    """
-    w = np.atleast_1d(np.asarray(omega, dtype=float))
-    g0, ge = cavity.gamma0, cavity.gamma_e
-    s = 1 if sign > 0 else -1
-    denom = g0 + ge - s * rate - 1j * w
-    _guard(denom, g0, "reflection gain")
-    return _shaped((g0 - ge + s * rate + 1j * w) / denom, omega)
-
-
-def loss_leakage(cavity: OpticalCavity, rate: float, omega, sign: int):
-    """Loss-port admixture 2*sqrt(g0*ge)/(g0 + ge -/+ k - iW) of the same pair."""
-    w = np.atleast_1d(np.asarray(omega, dtype=float))
-    g0, ge = cavity.gamma0, cavity.gamma_e
-    s = 1 if sign > 0 else -1
-    denom = g0 + ge - s * rate - 1j * w
-    _guard(denom, g0, "loss leakage")
-    return _shaped(2.0 * math.sqrt(g0 * ge) / denom, omega)
-
-
-def optomechanical_gain(config: SystemConfig, omega, rate: float | None = None):
-    """Normalized pump response K0*g*(g0-ge)/(g0^2 - (k + ge - iW)^2).
-
-    The two-photon measurement-strength factor; its on-resonance magnitude
-    grows with the parametric rate (pump enhancement).
-    """
-    if config.squeeze.kind == "degenerate":
-        raise ValueError("two-photon gain undefined for degenerate squeezing")
-    w = np.atleast_1d(np.asarray(omega, dtype=float))
-    cav = config.cavity
-    k = config.squeeze.rate if rate is None else rate
-    denom = cav.gamma0**2 - (k + cav.gamma_e - 1j * w) ** 2
-    _guard(denom, cav.gamma0**2, "optomechanical gain")
-    return _shaped(config.derived.K0 * cav.gamma * (cav.gamma0 - cav.gamma_e) / denom,
-                   omega)
-
-
-def degenerate_response(config: SystemConfig, omega, rate: float | None = None):
-    """Degenerate-squeezing coefficients (zeta, sigma, strength) at Omega.
-
-    zeta:     (g0 - ge - u + iW)/(g0 + ge + u - iW), reflection of the damped
-              quadratures (both ports share it);
-    sigma:    2*g0/(g0 + ge + u - iW); the loss channel enters outputs as
-              sigma*sqrt(ge/g0), i.e. with weight 4*g0*ge/|g + u - iW|^2;
-    strength: K0*g*(g0-ge)/(g + u - iW)^2, the back-action/measurement gain.
-    """
-    if config.squeeze.kind == "two_photon":
-        raise ValueError("degenerate response undefined for two-photon squeezing")
-    w = np.atleast_1d(np.asarray(omega, dtype=float))
-    cav = config.cavity
-    u = config.squeeze.rate if rate is None else rate
-    denom = cav.gamma0 + cav.gamma_e + u - 1j * w
-    _guard(denom, cav.gamma0, "degenerate response")
-    zeta = (cav.gamma0 - cav.gamma_e - u + 1j * w) / denom
-    sigma = 2.0 * cav.gamma0 / denom
-    strength = config.derived.K0 * cav.gamma * (cav.gamma0 - cav.gamma_e) / denom**2
-    return _shaped(zeta, omega), _shaped(sigma, omega), _shaped(strength, omega)
-
-
-def _resolve_family(config: SystemConfig, family) -> tuple[str, str]:
-    """Collapse a family spec to (dynamics family, labelling family).
-
-    A homodyne angle keeps the amplitude-family port names and channel
-    labels: its six channels are the rotated unit-variance combinations,
-    indexed by their amplitude-family constituents, and for two-photon
-    squeezing every angle shares one coefficient map on them (the amplitude
-    and phase maps coincide under the label swap).  Degenerate squeezing
-    damps the two families at different rates, so a mixed angle has no
-    six-channel form and is rejected; pure multiples of pi/2 select the
-    corresponding family dynamics.
-    """
-    if isinstance(family, str):
-        return family, family
-    phi = float(family)
-    c, s = math.cos(phi), math.sin(phi)
-    if abs(s) <= 1e-12:
-        return AMPLITUDE, AMPLITUDE
-    if abs(c) <= 1e-12:
-        return PHASE, AMPLITUDE
-    if config.squeeze.kind == "degenerate":
-        raise ValueError(
-            "general-angle ports mix the oppositely squeezed quadrature "
-            "families under degenerate squeezing; measure amplitude or phase")
-    return AMPLITUDE, AMPLITUDE
 
 
 def _family_rates(config: SystemConfig, family: str) -> tuple[float, float]:
@@ -269,20 +147,12 @@ def _measured_channel_map(family: str):
     if family == PHASE:
         return (Channel.ALPHA_PLUS, Channel.EPS_PLUS,
                 Channel.ALPHA_MINUS, Channel.EPS_MINUS)
-    # Amplitude family; general angles collapse onto rotated unit-variance
-    # channels labelled by their amplitude-family constituents.
     return (Channel.ALPHA_MINUS, Channel.EPS_MINUS,
             Channel.ALPHA_PLUS, Channel.EPS_PLUS)
 
 
-def measured_port_name(family) -> str:
-    """Lab port ("sum"/"difference") that carries the mechanical signal.
-
-    Homodyne angles keep the amplitude-family convention: the rotation flips
-    the sign of the second mode's phase quadrature, so the lab difference of
-    rotated quadratures stays the mechanically coupled combination at every
-    angle.
-    """
+def measured_port_name(family: str) -> str:
+    """Lab port ("sum"/"difference") that carries the mechanical signal."""
     return "sum" if family == PHASE else "difference"
 
 
@@ -295,12 +165,11 @@ def transfer_coefficients(config: SystemConfig, case: MeasurementCase, omega,
     (mechanically coupled ports only), leaving exactly 1 in the signal slot.
     """
     w = np.atleast_1d(np.asarray(omega, dtype=float))
-    dyn_family, label_family = _resolve_family(config, case.family)
-    roles = _role_coefficients(config, w, dyn_family)
-    own_v, own_l, ba_v, ba_l = _measured_channel_map(label_family)
+    roles = _role_coefficients(config, w, case.family)
+    own_v, own_l, ba_v, ba_l = _measured_channel_map(case.family)
 
     coeffs = {ch: np.zeros_like(w, dtype=complex) for ch in Channel}
-    measured = measured_port_name(label_family)
+    measured = measured_port_name(case.family)
     if case.port == "subtracted" or case.port == measured:
         coeffs[own_v] = roles["own_vac"].copy()
         coeffs[own_l] = roles["own_loss"].copy()
@@ -330,42 +199,3 @@ def transfer_coefficients(config: SystemConfig, case: MeasurementCase, omega,
             coeffs[ch] = coeffs[ch] / sig
         coeffs[Channel.SIGNAL] = np.ones_like(w, dtype=complex)
     return {ch: _shaped(v, omega) for ch, v in coeffs.items()}
-
-
-def output_transfer(config: SystemConfig, case: MeasurementCase,
-                    omega: float) -> TransferVector:
-    """TransferVector at a single spectral frequency."""
-    coeffs = transfer_coefficients(config, case, omega)
-    return TransferVector(float(omega), coeffs)
-
-
-def subtracted_transfer(config: SystemConfig, omega,
-                        family=AMPLITUDE) -> TransferVector:
-    """Back-action-subtracted combination of the mechanically coupled port."""
-    return output_transfer(config, MeasurementCase(family, "subtracted"), omega)
-
-
-def subtraction_weight(config: SystemConfig, omega, family=AMPLITUDE):
-    """Filter applied to the reference port in the subtracted combination."""
-    w = np.atleast_1d(np.asarray(omega, dtype=float))
-    dyn_family, _ = _resolve_family(config, family)
-    roles = _role_coefficients(config, w, dyn_family)
-    return _shaped(-roles["ba_vac"] / roles["ref_vac"], omega)
-
-
-def general_angle_parts(config: SystemConfig, omega, phi: float,
-                        port: str = "difference"):
-    """Underlying-family decomposition of a general-angle measurement.
-
-    The measured combination at homodyne angle phi is cos(phi) times the
-    amplitude-family port plus sin(phi) times the phase-family partner port
-    (acting on the other quadratures' channels).  Returns
-    (amplitude_part, phase_part); per rotated channel the two parts add in
-    quadrature to the collapsed general-angle coefficient.
-    """
-    amp = transfer_coefficients(config, MeasurementCase(AMPLITUDE, port), omega)
-    partner = {"difference": "sum", "sum": "difference"}.get(port, port)
-    ph = transfer_coefficients(config, MeasurementCase(PHASE, partner), omega)
-    c, s = math.cos(phi), math.sin(phi)
-    return ({ch: c * v for ch, v in amp.items()},
-            {ch: s * v for ch, v in ph.items()})

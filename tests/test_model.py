@@ -15,6 +15,12 @@ from trimova.model import (ConfigError, DriveConfig, MechanicalOscillator,
 OMEGA_M = 2 * math.pi * 350e3
 
 
+def test_physical_constants_are_exact_si_values():
+    # The literals must equal scipy's CODATA values bit for bit.
+    assert model.HBAR == hbar
+    assert model.K_B == k_B
+
+
 def test_thermal_occupancy_reference_value():
     n = model.thermal_occupancy(OMEGA_M, 20.0)
     assert abs(n - 1.2e6) / 1.2e6 < 0.03

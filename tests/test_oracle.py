@@ -31,15 +31,15 @@ def test_state_space_matches_analytic_coefficients():
     ss = build_state_space(cfg)
     w = np.geomspace(1e-3 * G0, 10 * G0, 15)
     h = ss.frequency_response(w)
-    assert np.allclose(h[:, 0, 0],
-                       transfer.reflection_gain(cfg.cavity, cfg.squeeze.rate, w, +1),
-                       rtol=1e-12)
-    assert np.allclose(h[:, 0, 2],
-                       transfer.loss_leakage(cfg.cavity, cfg.squeeze.rate, w, +1),
-                       rtol=1e-12)
-    assert np.allclose(h[:, 1, 1],
-                       transfer.reflection_gain(cfg.cavity, cfg.squeeze.rate, w, -1),
-                       rtol=1e-12)
+    k = cfg.squeeze.rate
+    # Reflection of the antisqueezed (sum) and squeezed (difference) pairs,
+    # and the loss admixture of the sum pair, by literal arithmetic.
+    reflect_plus = (G0 - GE + k + 1j * w) / (G0 + GE - k - 1j * w)
+    leak_plus = 2 * math.sqrt(G0 * GE) / (G0 + GE - k - 1j * w)
+    reflect_minus = (G0 - GE - k + 1j * w) / (G0 + GE + k - 1j * w)
+    assert np.allclose(h[:, 0, 0], reflect_plus, rtol=1e-12)
+    assert np.allclose(h[:, 0, 2], leak_plus, rtol=1e-12)
+    assert np.allclose(h[:, 1, 1], reflect_minus, rtol=1e-12)
     sig = transfer.transfer_coefficients(
         cfg, MeasurementCase(AMPLITUDE, "difference"), w)[Channel.SIGNAL]
     assert np.allclose(ss.signal_response(w)[:, 1], sig, rtol=1e-12)

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from trimova import model, spectra, transfer
+from trimova import model, spectra
 from trimova.model import RegimeWarning, Squeezing
 from trimova.spectra import closed_form_psd, spectrum_series, sql_psd
-from trimova.transfer import AMPLITUDE, Channel, MeasurementCase
+from trimova.transfer import Channel
 
 G0, GE = model.reference_rates()
 
@@ -61,7 +61,9 @@ def test_baseline_quantum_only():
 
 # --- dual-path equality -------------------------------------------------------------
 
-CASE_MATRIX = [("baseline", "none", 0.0, True), ("baseline-sub", "none", 0.0, True)] \
+CASE_MATRIX = [(case, "none", 0.0, lossless)
+               for case in ("baseline", "baseline-sub")
+               for lossless in (True, False)] \
     + [(case, kind, frac, False)
        for case, kind in [("nondeg-raw", "two_photon"),
                           ("nondeg-sub", "two_photon"),
@@ -78,18 +80,6 @@ def test_dual_path(case, kind, frac, lossless):
     closed = closed_form_psd(case, cfg, w)
     assert np.max(np.abs(assembled - closed) / closed) < 1e-10
     assert np.all(assembled >= 0) and np.all(np.isfinite(assembled))
-
-
-def test_assemble_psd_scalar_api():
-    cfg = config("two_photon", 0.5)
-    w = 0.2 * G0
-    tv = transfer.output_transfer(cfg, MeasurementCase(AMPLITUDE, "difference"), w)
-    with pytest.raises(ValueError):
-        spectra.assemble_psd(tv, cfg.derived.n_T, cfg.mechanical.gamma_m)
-    value = spectra.assemble_psd(tv.signal_referenced(), cfg.derived.n_T,
-                                 cfg.mechanical.gamma_m)
-    assert value == pytest.approx(float(closed_form_psd("nondeg-raw", cfg, w)),
-                                  rel=1e-12)
 
 
 def test_case_requires_matching_squeezing():
@@ -169,12 +159,20 @@ def test_ratio_to_sql_series():
 
 
 def test_subtracted_thermal_floor():
-    # At overwhelming pump the subtracted spectrum drops to the thermal term.
-    cfg = config(K0=1e12)
+    # At overwhelming pump the lossless subtracted spectrum drops to the
+    # thermal term.
+    cfg = config(K0=1e12, lossless=True)
     w = spectra.default_grid(cfg, points=20, hi=0.1)
     thermal = 2 * cfg.mechanical.gamma_m * (2 * cfg.derived.n_T + 1)
     values = closed_form_psd("baseline-sub", cfg, w)
     assert np.allclose(values, thermal, rtol=1e-3)
+    # With internal loss the loss-vacuum back action survives subtraction:
+    # the excess over thermal is K0*gamma_e/gamma0, the loss limit on back
+    # action evasion.
+    lossy = config(K0=1e12)
+    w = spectra.default_grid(lossy, points=20, hi=0.1)
+    excess = closed_form_psd("baseline-sub", lossy, w) - thermal
+    assert np.allclose(excess / (1e12 * GE / G0), 1.0, rtol=1e-2)
 
 
 def test_subtracted_never_above_raw_two_photon():
