@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, model, oracle, spectra
 from .model import (ConfigError, DriveConfig, SignalPulse, Squeezing,
                     StabilityError, SystemConfig, config_snapshot,
-                    load_config, reference_config)
+                    json_text, load_config, reference_config)
 
 ENV_CONFIG = "TRIMOVA_CONFIG"
 
@@ -119,9 +119,7 @@ def _write_manifest(stem: Path, argv: list[str], config: SystemConfig | None,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     path = stem.with_suffix(stem.suffix + ".manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    path.write_text(json_text(manifest), encoding="utf-8")
     return path
 
 
@@ -158,19 +156,17 @@ def cmd_figure(args, argv) -> int:
         series.write_csv(path)
         outputs.append(path)
     sidecar = outdir / f"{args.id}_preset.json"
-    with open(sidecar, "w", encoding="utf-8") as fh:
-        json.dump({
-            "figure": args.id,
-            "case": spec.case,
-            "rates_of_gamma0": list(spec.rates),
-            "drive": spec.drive,
-            "drive_pi_over_tau": spec.drive_units,
-            "tau_s": model.TAU_PRESETS[spec.tau_preset],
-            "gamma_m": 0.0,
-            "note": spec.note,
-            "curves": {label: f"{args.id}_{label}.csv" for label in curves},
-        }, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    sidecar.write_text(json_text({
+        "figure": args.id,
+        "case": spec.case,
+        "rates_of_gamma0": list(spec.rates),
+        "drive": spec.drive,
+        "drive_pi_over_tau": spec.drive_units,
+        "tau_s": model.TAU_PRESETS[spec.tau_preset],
+        "gamma_m": 0.0,
+        "note": spec.note,
+        "curves": {label: f"{args.id}_{label}.csv" for label in curves},
+    }), encoding="utf-8")
     outputs.append(sidecar)
     _write_manifest(outdir / args.id, argv, None, outputs)
     print(f"wrote {len(curves)} curves for {args.id} into {outdir}")
@@ -186,7 +182,7 @@ def cmd_threshold(args, argv) -> int:
     if args.json:
         payload = report.to_json_dict()
         payload["spectral_f"] = {k: float(v) for k, v in spectral.items()}
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        sys.stdout.write(json_text(payload))
         return 0
     print(f"pulse length tau         : {report.tau:.6g} s")
     print(f"thermal occupancy n_T    : {report.n_T:.6g}")

@@ -448,6 +448,15 @@ def load_config(path) -> SystemConfig:
     return parse_config(data)
 
 
+def json_text(doc) -> str:
+    """Indented, key-sorted JSON text of ``doc`` with a trailing newline.
+
+    Non-finite numbers raise ValueError (NaN and Infinity are not JSON), so
+    callers serialize before opening a file and a failure writes nothing.
+    """
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def config_snapshot(config: SystemConfig) -> dict:
     """JSON-serializable snapshot, round-trippable through parse_config."""
     mech, cav = config.mechanical, config.cavity

@@ -26,7 +26,9 @@ and each is evaluated as a blocked prefix scan (lower-triangular Toeplitz
 matmuls within blocks, a carried state between them; Blelloch 1990) over all
 segments at once.  A propagator with an entry against that order is
 rejected.  Time is processed in chunks, so the working memory does not grow
-with the record length.
+with the record length.  scipy is imported on the first discretization
+only, so importing this module (and the frequency-domain commands) loads no
+scipy module.
 
 Randomness is counter-based and parallel-safe: each (seed, segment,
 component) triple owns a Philox stream, so results are reproducible and
@@ -35,14 +37,12 @@ independent of batching.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .model import SystemConfig
+from .model import SystemConfig, json_text
 from .spectra import closed_form_psd, measurement_for_case
 from .transfer import (AMPLITUDE, PHASE, Channel, MeasurementCase,
                        measured_port_name, transfer_coefficients)
@@ -112,11 +112,6 @@ class StateSpace:
             ref = 1 - self.measured_port
             row = h[:, self.measured_port, :] + ref_weight[:, None] * h[:, ref, :]
         return np.einsum("fc,c->f", np.abs(row) ** 2, self.channel_psd).real
-
-    def steady_covariance(self) -> np.ndarray:
-        """Stationary state covariance (Lyapunov solution)."""
-        forcing = self.noise_gain @ np.diag(self.channel_psd / 2.0) @ self.noise_gain.T
-        return scipy.linalg.solve_continuous_lyapunov(self.drift, -forcing)
 
 
 def build_state_space(config: SystemConfig, family: str = AMPLITUDE,
@@ -198,6 +193,8 @@ def _discretize(ss: StateSpace, dt: float, channel_scale=None):
         dW   = n[5:7]                              (alpha increments)
     and n = factor @ iid standard normals (7).
     """
+    import scipy.linalg   # here, not at module level: only simulation needs it
+
     scale = np.ones(5) if channel_scale is None else np.asarray(channel_scale,
                                                                 dtype=float)
     n_aug = 7
@@ -516,9 +513,9 @@ class ValidationReport:
         return out
 
     def write_json(self, path) -> None:
+        text = json_text(self.to_json_dict())
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
 
 
 def validate(config: SystemConfig, case: str, *, segments: int = 200,

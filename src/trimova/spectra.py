@@ -20,7 +20,6 @@ The two agree to floating-point accuracy; tests enforce 1e-10.
 from __future__ import annotations
 
 import io
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (HBAR, TAU_PRESETS, RegimeWarning, Squeezing, SystemConfig,
-                    braginsky_factor, config_snapshot, k0_for_n0,
+                    braginsky_factor, config_snapshot, json_text, k0_for_n0,
                     reference_config, reference_rates)
 from .transfer import (AMPLITUDE, Channel, MeasurementCase, VACUUM_CHANNELS,
                        measured_port_name, transfer_coefficients)
@@ -96,17 +95,23 @@ def closed_form_psd(case: str, config: SystemConfig, omega,
     K0 = config.derived.K0
 
     if CASE_KIND[case] != "degenerate":
+        n = g0 - ge - rate + 1j * w          # squeezed-pair reflection numerator
         d_minus = g + rate - 1j * w          # squeezed-pair response
         d_plus = g - rate - 1j * w           # antisqueezed-pair response
-        xi_minus = np.abs(g0 - ge - rate + 1j * w) / np.abs(d_minus)
         xi_plus2 = np.abs(g0 - ge + rate + 1j * w) ** 2 / np.abs(d_plus) ** 2
-        mu_minus2 = 4.0 * g0 * ge / np.abs(d_minus) ** 2
-        pump_mag = np.abs(K0 * g * (g0 - ge) / (g0**2 - (rate + ge - 1j * w) ** 2))
+        pump = K0 * g * (g0 - ge)
         if constant_pump:
-            pump_mag = np.abs(K0 * g * (g0 - ge) / (g0**2 - (rate + ge) ** 2)) \
-                * np.ones_like(w)
-        ba_mag = xi_minus * pump_mag
-        out = thermal + mech2 / pump_mag * (xi_minus + mu_minus2 / xi_minus)
+            xi_minus = np.abs(n) / np.abs(d_minus)
+            mu_minus2 = 4.0 * g0 * ge / np.abs(d_minus) ** 2
+            pump_mag = np.abs(pump / (g0**2 - (rate + ge) ** 2)) * np.ones_like(w)
+            ba_mag = xi_minus * pump_mag
+            out = thermal + mech2 / pump_mag * (xi_minus + mu_minus2 / xi_minus)
+        else:
+            # The pump magnitude pump/(|n| |d_minus|) carries the factor |n|
+            # of xi_minus = |n|/|d_minus|; cancelled here, so the removable
+            # singularity at rate = gamma0 - gamma_e, Omega = 0 stays finite.
+            ba_mag = pump / np.abs(d_minus) ** 2
+            out = thermal + mech2 * (np.abs(n) ** 2 + 4.0 * g0 * ge) / pump
         if not case.endswith("-sub"):
             return out + ba_mag * (1.0 + ge / g0)
         return out + ba_mag * ge / (g0 * xi_plus2)
@@ -164,9 +169,9 @@ class SpectrumSeries:
         return out
 
     def write_json(self, path) -> None:
+        text = json_text(self.to_json_dict())
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
 
     def csv_text(self) -> str:
         cols = ["omega_rad_s", "value"]

@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from trimova import cli, model, spectra
+from trimova import cli, model, oracle, spectra
 
 G0, GE = model.reference_rates()
 
@@ -140,6 +144,63 @@ def test_threshold_json(capsys):
     assert doc["braginsky"] == pytest.approx(0.733, rel=1e-2)
     assert doc["n_T"] == pytest.approx(1.19e6, rel=1e-2)
     assert "baseline" in doc["spectral_f"]
+
+
+def reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def test_threshold_json_finite_where_pump_response_cancels(capsys):
+    # kappa = gamma0 - gamma_e: the closed form's removable singularity at 0.
+    assert cli.main(["threshold", "--json", "--kappa", repr(G0 - GE)]) == 0
+    doc = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+    assert set(doc["spectral_f"]) == {"nondeg-raw", "nondeg-sub"}
+    assert all(v > 0 for v in doc["spectral_f"].values())
+
+
+def _nan_series():
+    return spectra.SpectrumSeries("baseline", np.array([1.0]),
+                                  np.array([math.nan]), {})
+
+
+def _nan_report():
+    one = np.array([1.0])
+    return oracle.ValidationReport(
+        case="baseline", passed=False, pass_fraction=math.nan, tolerance=0.05,
+        segments=32, seed=1, dt=1e-6, perturb=0.0, grid=one, estimate=one,
+        stderr=one, closed_form=one, state_space_psd=one)
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: _nan_series().write_json(path),
+    lambda path: _nan_report().write_json(path),
+    lambda path: cli._write_manifest(path.with_suffix(""), ["threshold"], None,
+                                     [], seed=math.nan),
+], ids=["spectrum-json", "validation-report", "manifest"])
+def test_json_writers_reject_nan_and_write_nothing(tmp_path, write):
+    with pytest.raises(ValueError):
+        write(tmp_path / "out.json")
+    assert not list(tmp_path.iterdir())
+
+
+def test_cold_commands_load_no_scipy(tmp_path):
+    # A fresh interpreter: this process has scipy loaded already.
+    script = (
+        "import json, sys\n"
+        "from trimova import cli\n"
+        "for argv in (['threshold'],\n"
+        "             ['spectrum', '--case', 'nondeg-sub', '--kappa', '0.5g0',\n"
+        "              '--budget'],\n"
+        "             ['figure', 'fig5']):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m.split('.')[0] == 'scipy')))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == []
 
 
 def test_threshold_text(capsys):

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from trimova import model, oracle, spectra, transfer
 from trimova.model import RegimeWarning, Squeezing
@@ -66,7 +67,9 @@ def test_steady_state_variance_matches_lyapunov():
     # Fast-relaxing oscillator so the stationary state is reachable.
     cfg = config(gamma_m=G0 / 20.0)
     ss = build_state_space(cfg)
-    expected = ss.steady_covariance()
+    expected = scipy.linalg.solve_continuous_lyapunov(
+        ss.drift,
+        -ss.noise_gain @ np.diag(ss.channel_psd / 2) @ ss.noise_gain.T)
     sim = simulate(cfg, segments=48, samples=6000, seed=21, keep_states=True)
     tail = sim.states[:, 1000:, :]
     per_segment = np.einsum("snj,snk->sjk", tail, tail) / tail.shape[1]

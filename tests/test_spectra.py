@@ -82,6 +82,22 @@ def test_dual_path(case, kind, frac, lossless):
     assert np.all(assembled >= 0) and np.all(np.isfinite(assembled))
 
 
+@pytest.mark.parametrize("case", ["nondeg-raw", "nondeg-sub"])
+def test_closed_form_finite_where_pump_response_cancels(case):
+    # At kappa = gamma0 - gamma_e the squeezed-pair reflection and the pump
+    # response share a zero/pole at Omega = 0 that cancels in the spectrum.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        cfg = model.reference_config(squeeze=Squeezing("two_photon", G0 - GE))
+    w = np.concatenate([[0.0], np.geomspace(1e-6 * G0, 10 * G0, 60)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        closed = closed_form_psd(case, cfg, w)
+    assert np.all(np.isfinite(closed)) and np.all(closed > 0)
+    assembled = spectrum_series(cfg, case, w).values
+    assert np.max(np.abs(assembled - closed) / closed) < 1e-10
+
+
 def test_case_requires_matching_squeezing():
     cfg = config("two_photon", 0.5)
     with pytest.raises(ValueError):
