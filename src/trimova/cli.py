@@ -27,6 +27,7 @@ from . import __version__, model, oracle, spectra
 from .model import (ConfigError, DriveConfig, SignalPulse, Squeezing,
                     StabilityError, SystemConfig, config_snapshot,
                     json_text, load_config, reference_config)
+from .transfer import PoleError
 
 ENV_CONFIG = "TRIMOVA_CONFIG"
 
@@ -229,7 +230,7 @@ def cmd_replay(args, argv) -> int:
     return main(command)
 
 
-def _add_config_options(p: argparse.ArgumentParser, drive: bool = True):
+def _add_config_options(p: argparse.ArgumentParser):
     p.add_argument("--config", "-c", help="JSON configuration file "
                    f"(default: ${ENV_CONFIG} or built-in membrane preset)")
     p.add_argument("--tau-preset", choices=tuple(model.TAU_PRESETS),
@@ -239,11 +240,10 @@ def _add_config_options(p: argparse.ArgumentParser, drive: bool = True):
     p.add_argument("--upsilon", help="degenerate squeeze rate (rad/s or '0.9g0')")
     p.add_argument("--gamma-m", help="override mechanical half linewidth")
     p.add_argument("--tau", type=float, help="override pulse length, s")
-    if drive:
-        p.add_argument("--k0", help="normalized pump (rad/s or g0 units)")
-        p.add_argument("--n0", help="degenerate-normalized pump; sets the "
-                                    "equivalent K0")
-        p.add_argument("--power", type=float, help="input power, W")
+    p.add_argument("--k0", help="normalized pump (rad/s or g0 units)")
+    p.add_argument("--n0", help="degenerate-normalized pump; sets the "
+                                "equivalent K0")
+    p.add_argument("--power", type=float, help="input power, W")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,8 +309,8 @@ def main(argv: list[str] | None = None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("default")
             return args.func(args, argv)
-    except (UsageError, ConfigError, StabilityError, FileNotFoundError,
-            ValueError) as exc:
+    except (UsageError, ConfigError, StabilityError, PoleError,
+            FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,14 +1,15 @@
 """Independent time-domain validation of the frequency-domain spectra.
 
-The quadrature dynamics of each family form a three-state linear Langevin
-system (driving pair, measured pair, mechanical quadrature) forced by five
-white channels: the two input-port vacua, the two loss vacua and the
-mechanical bath.  This module integrates that system, forms the two output
-time series through the input/output boundary relation (the reflected input
-must be built from the *same* noise realization that drove the cavity, or
-the output spectrum is wrong at order one), estimates single-sided PSDs by
-segment-averaged Hann periodograms, and compares the signal-referred result
-against the closed-form spectra.
+The amplitude quadratures form a three-state linear Langevin system (the
+sum pair, which drives the mechanics; the difference pair, which is
+measured; the mechanical quadrature) forced by five white channels: the two
+input-port vacua, the two loss vacua and the mechanical bath.  This module
+integrates that system, forms the two output time series through the
+input/output boundary relation (the reflected input must be built from the
+*same* noise realization that drove the cavity, or the output spectrum is
+wrong at order one), estimates single-sided PSDs by segment-averaged Hann
+periodograms, and compares the signal-referred result against the
+closed-form spectra.
 
 Integration uses the exact one-step propagator: the matrix exponential of
 the drift together with the exact joint covariance of (state increment,
@@ -18,17 +19,16 @@ is kept for cross-checking.  Noise conventions match the spectra module:
 vacuum channels have unit single-sided PSD (delta correlation strength 1/2),
 the bath channel 2*n_T + 1.
 
-For every family and squeeze kind the drift, and hence the one-step
-propagator, is lower-triangular in the cascade order driving pair ->
-mechanics -> measured pair.  The state recursion is therefore three scalar
-first-order recurrences run in turn, each fed by the states upstream of it,
-and each is evaluated as a blocked prefix scan (lower-triangular Toeplitz
-matmuls within blocks, a carried state between them; Blelloch 1990) over all
-segments at once.  A propagator with an entry against that order is
-rejected.  Time is processed in chunks, so the working memory does not grow
-with the record length.  scipy is imported on the first discretization
-only, so importing this module (and the frequency-domain commands) loads no
-scipy module.
+For every squeeze kind the drift, and hence the one-step propagator, is
+lower-triangular in the cascade order sum pair -> mechanics -> difference
+pair.  The state recursion is therefore three scalar first-order
+recurrences run in turn, each fed by the states upstream of it, and each is
+evaluated as a blocked prefix scan (lower-triangular Toeplitz matmuls within
+blocks, a carried state between them; Blelloch 1990) over all segments at
+once.  A propagator with an entry against that order is rejected.  Time is
+processed in chunks, so the working memory does not grow with the record
+length.  scipy is imported on the first discretization only, so importing
+this module (and the frequency-domain commands) loads no scipy module.
 
 Randomness is counter-based and parallel-safe: each (seed, segment,
 component) triple owns a Philox stream, so results are reproducible and
@@ -39,20 +39,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .model import SystemConfig, json_text
-from .spectra import closed_form_psd, measurement_for_case
-from .transfer import (AMPLITUDE, PHASE, Channel, MeasurementCase,
-                       measured_port_name, transfer_coefficients)
-
-CHANNELS = ("alpha_sum", "alpha_diff", "eps_sum", "eps_diff", "thermal")
+from .spectra import closed_form_psd, port_for_case
+from .transfer import Channel, transfer_coefficients
 
 DT_SAFETY = 0.05          # dt <= DT_SAFETY / fastest rate
 MIN_SEGMENTS = 32
 MIN_CORRELATION_TIMES = 100.0
+POINTS_PER_DECADE = 40    # log bins per decade of a validation report
+BATCH = 50                # segments per simulate call in validate
 _SCAN_BLOCK = 64          # steps per Toeplitz block of the state scan
+_CASCADE = (0, 2, 1)      # sum pair -> mechanics -> difference pair
 
 
 class SimulationError(ValueError):
@@ -64,7 +65,9 @@ class StateSpace:
     """Linear Langevin model x' = A x + B w + e_f f(t), y = C x + D w.
 
     State order (g_sum, g_diff, d); outputs (sum port, difference port);
-    noise channels as in CHANNELS with single-sided PSDs channel_psd.
+    noise channels (alpha_sum, alpha_diff, eps_sum, eps_diff, thermal) with
+    single-sided PSDs channel_psd.  The difference port is measured, the sum
+    port is the subtraction reference.
     """
 
     drift: np.ndarray
@@ -73,7 +76,7 @@ class StateSpace:
     feedthrough: np.ndarray
     channel_psd: np.ndarray
     signal_gain: np.ndarray
-    measured_port: int
+    measured_port: ClassVar[int] = 1
 
     def frequency_response(self, omega) -> np.ndarray:
         """H[frequency, output, channel] (Fourier kernel exp(-i*Omega*t))."""
@@ -96,64 +99,47 @@ class StateSpace:
         return np.einsum("oj,fj->fo", self.output_gain, x[:, :, 0])
 
     def nulling_weight(self, omega) -> np.ndarray:
-        """Reference-port filter cancelling the driving-pair input vacuum."""
+        """Reference-port filter cancelling the sum-pair input vacuum."""
         h = self.frequency_response(omega)
-        drive_channel = 0 if self.measured_port == 1 else 1
-        ref = 1 - self.measured_port
-        return -h[:, self.measured_port, drive_channel] / h[:, ref, drive_channel]
+        return -h[:, 1, 0] / h[:, 0, 0]
 
-    def output_psd(self, omega, port: int | None = None,
-                   ref_weight=None) -> np.ndarray:
-        """Single-sided PSD of one port or of (measured + weight*reference)."""
+    def output_psd(self, omega, ref_weight=None) -> np.ndarray:
+        """Single-sided PSD of the measured port or of (measured +
+        weight*reference)."""
         h = self.frequency_response(omega)
-        if ref_weight is None:
-            row = h[:, self.measured_port if port is None else port, :]
-        else:
-            ref = 1 - self.measured_port
-            row = h[:, self.measured_port, :] + ref_weight[:, None] * h[:, ref, :]
+        row = h[:, 1, :]
+        if ref_weight is not None:
+            row = row + ref_weight[:, None] * h[:, 0, :]
         return np.einsum("fc,c->f", np.abs(row) ** 2, self.channel_psd).real
 
 
-def build_state_space(config: SystemConfig, family: str = AMPLITUDE,
+def build_state_space(config: SystemConfig,
                       squeeze_rate: float | None = None,
                       coupling: float | None = None) -> StateSpace:
-    """Quadrature Langevin model of one family.
+    """Langevin model of the amplitude quadratures.
 
-    Two-photon squeezing damps the pair that feeds back action at
-    gamma - kappa (antisqueezed) and the measured pair at gamma + kappa;
-    degenerate squeezing damps both amplitude pairs at gamma + upsilon and
-    both phase pairs at gamma - upsilon.  For the amplitude family the
-    mechanics are driven by the sum pair and read out in the difference
-    pair; the phase family exchanges the ports.
+    The sum pair drives the mechanics and the mechanics are read out in the
+    difference pair.  Two-photon squeezing damps the sum pair at
+    gamma - kappa (antisqueezed) and the difference pair at gamma + kappa;
+    degenerate squeezing damps both pairs at gamma + upsilon.
 
     ``squeeze_rate`` overrides the configured rate (used by negative
     controls), ``coupling`` overrides the optomechanical rate (0 gives an
     empty cavity).
     """
-    if family not in (AMPLITUDE, PHASE):
-        raise ValueError("state space is defined per family: amplitude or phase")
     cav, mech = config.cavity, config.mechanical
     g0, ge, g = cav.gamma0, cav.gamma_e, cav.gamma
     rate = config.squeeze.rate if squeeze_rate is None else squeeze_rate
-    kind = config.squeeze.kind
-
-    drive_port = 0 if family == AMPLITUDE else 1   # pair pushing the mechanics
-    measured = 1 - drive_port
-    if kind == "degenerate":
-        off = rate if family == AMPLITUDE else -rate
-        decay = {drive_port: g + off, measured: g + off}
-    else:
-        decay = {drive_port: g - rate, measured: g + rate}
 
     c = math.sqrt(config.derived.K0 * g * (g0 - ge) / (2.0 * g0)) \
         if coupling is None else coupling
 
     A = np.zeros((3, 3))
-    A[0, 0] = -decay[0]
-    A[1, 1] = -decay[1]
+    A[0, 0] = -(g + rate if config.squeeze.kind == "degenerate" else g - rate)
+    A[1, 1] = -(g + rate)
     A[2, 2] = -mech.gamma_m
-    A[measured, 2] = -c
-    A[2, drive_port] = c
+    A[1, 2] = -c
+    A[2, 0] = c
 
     B = np.zeros((3, 5))
     B[0, 0] = math.sqrt(2.0 * g0)
@@ -175,7 +161,7 @@ def build_state_space(config: SystemConfig, family: str = AMPLITUDE,
     eig = np.linalg.eigvals(A)
     if np.any(eig.real > 1e-12 * max(g, 1.0)):
         raise SimulationError(f"unstable drift, eigenvalues {eig}")
-    return StateSpace(A, B, C, D, psd, e_f, measured)
+    return StateSpace(A, B, C, D, psd, e_f)
 
 
 def max_rate(ss: StateSpace) -> float:
@@ -299,9 +285,8 @@ def _segment_generators(seed: int, segment: int, components: int):
         for comp in range(components)]
 
 
-def simulate(config: SystemConfig, family: str = AMPLITUDE, *,
-             segments: int = 1, samples: int, dt: float | None = None,
-             seed: int = 0, segment_offset: int = 0,
+def simulate(config: SystemConfig, *, segments: int = 1, samples: int,
+             dt: float | None = None, seed: int = 0, segment_offset: int = 0,
              squeeze_rate: float | None = None,
              coupling: float | None = None,
              channel_scale=None,
@@ -318,8 +303,8 @@ def simulate(config: SystemConfig, family: str = AMPLITUDE, *,
     equation.  ``method`` is "exact" (default) or "euler"; both run the same
     recursion.
 
-    The state update is a triangular cascade: the driving pair, then the
-    mechanics, then the measured pair, each a scalar first-order recurrence
+    The state update is a triangular cascade: the sum pair, then the
+    mechanics, then the difference pair, each a scalar first-order recurrence
     (see _scan) whose input is its own noise, the upstream states through
     the off-diagonal propagator entries, and the signal.  SimulationError is
     raised when the propagator has an entry against that order.  Time runs
@@ -327,7 +312,7 @@ def simulate(config: SystemConfig, family: str = AMPLITUDE, *,
     memory besides the returned arrays stays near 120 MB whatever the record
     length: the noise of a whole segment is never held at once.
     """
-    ss = build_state_space(config, family, squeeze_rate=squeeze_rate,
+    ss = build_state_space(config, squeeze_rate=squeeze_rate,
                            coupling=coupling)
     rate_max = max_rate(ss)
     if dt is None:
@@ -347,14 +332,13 @@ def simulate(config: SystemConfig, family: str = AMPLITUDE, *,
             if np.all(np.abs(optical.real) > 0) else 0
 
     phi_xx, phi_zx, m_sig, factor = _step_model(ss, dt, method, channel_scale)
-    order = (1 - ss.measured_port, 2, ss.measured_port)
-    against = np.triu(phi_xx[np.ix_(order, order)], 1)
+    against = np.triu(phi_xx[np.ix_(_CASCADE, _CASCADE)], 1)
     # The Van Loan solve leaves rounding of ~1e-21 of the largest entry where
     # the propagator is structurally zero; the cascade drops it.
     if np.any(np.abs(against) > 1e-12 * np.abs(phi_xx).max()):
         raise SimulationError(
-            "propagator couples against the cascade order driving pair -> "
-            "mechanics -> measured pair")
+            "propagator couples against the cascade order sum pair -> "
+            "mechanics -> difference pair")
 
     sqrt_2g0 = math.sqrt(2.0 * config.cavity.gamma0)
     total = burn_in + samples
@@ -379,9 +363,9 @@ def simulate(config: SystemConfig, family: str = AMPLITUDE, *,
         # x[:, :, k] is the state entering step start + k; x[:, :, size] the
         # state handed to the next chunk.
         x = np.empty((3, segments, size + 1))
-        for i, row in enumerate(order):
+        for i, row in enumerate(_CASCADE):
             u = noise[row]
-            for col in order[:i]:
+            for col in _CASCADE[:i]:
                 u += phi_xx[row, col] * x[col, :, :-1]
             x[row] = _scan(phi_xx[row, row], u, x_start[row])
         x_start = x[:, :, -1].copy()
@@ -413,26 +397,24 @@ class OracleEstimate:
     seed: int | None = None
 
 
-def _windowed_ffts(y: np.ndarray, detrend: bool = True):
-    """Hann-windowed rFFTs of segment rows; returns (ffts, norm)."""
+def _windowed_ffts(y: np.ndarray):
+    """Hann-windowed rFFTs of mean-removed segment rows; returns (ffts, norm)."""
     n = y.shape[-1]
     win = np.hanning(n)
-    data = y - y.mean(axis=-1, keepdims=True) if detrend else y
+    data = y - y.mean(axis=-1, keepdims=True)
     return np.fft.rfft(data * win, axis=-1), float(np.sum(win**2))
 
 
 def estimate_psd(series: np.ndarray, dt: float,
                  segment_length: int | None = None,
-                 window: str = "hann", detrend: bool = True,
                  seed: int | None = None) -> OracleEstimate:
-    """Segment-averaged single-sided PSD (unit-PSD white noise reads 1).
+    """Segment-averaged Hann-window single-sided PSD (unit-PSD white noise
+    reads 1).
 
     ``series`` is either 1-d (split into ``segment_length`` blocks) or 2-d
-    with one segment per row.  At least 32 segments are required for the
-    error bars to mean anything.
+    with one segment per row; each segment is detrended (mean removed).  At
+    least 32 segments are required for the error bars to mean anything.
     """
-    if window != "hann":
-        raise ValueError("only the hann window is supported")
     y = np.asarray(series, dtype=float)
     if y.ndim == 1:
         if not segment_length:
@@ -442,7 +424,7 @@ def estimate_psd(series: np.ndarray, dt: float,
     if y.shape[0] < MIN_SEGMENTS:
         raise SimulationError(f"need at least {MIN_SEGMENTS} segments, "
                               f"got {y.shape[0]}")
-    ffts, norm = _windowed_ffts(y, detrend)
+    ffts, norm = _windowed_ffts(y)
     per = 2.0 * dt * np.abs(ffts) ** 2 / norm
     grid = 2.0 * math.pi * np.fft.rfftfreq(y.shape[-1], dt)
     return OracleEstimate(grid=grid,
@@ -454,8 +436,8 @@ def estimate_psd(series: np.ndarray, dt: float,
 def log_binned(grid, columns, lo: float, hi: float, per_decade: int = 40):
     """Average linear-frequency columns into log-spaced bins.
 
-    Returns (centers, [binned columns], counts); stderr-like columns must be
-    combined separately (see _bin_stderr).
+    Returns (centers, [binned columns], counts); a binned variance column
+    divided by counts is the variance of the bin mean.
     """
     decades = math.log10(hi / lo)
     edges = np.geomspace(lo, hi, max(2, int(round(decades * per_decade)) + 1))
@@ -469,11 +451,6 @@ def log_binned(grid, columns, lo: float, hi: float, per_decade: int = 40):
         outs.append(sums[full] / counts[full])
     centers = np.sqrt(edges[:-1] * edges[1:])[full]
     return centers, outs, counts[full]
-
-
-def _bin_stderr(grid, stderr, lo, hi, per_decade=40):
-    centers, (var_sum,), counts = log_binned(grid, [stderr**2], lo, hi, per_decade)
-    return np.sqrt(var_sum / counts)
 
 
 # --- validation harness -----------------------------------------------------------
@@ -521,8 +498,7 @@ class ValidationReport:
 def validate(config: SystemConfig, case: str, *, segments: int = 200,
              seed: int = 1, tolerance: float = 0.05, perturb: float = 0.0,
              omega_lo: float | None = None, omega_hi: float | None = None,
-             dt: float | None = None, points_per_decade: int = 40,
-             batch: int = 50) -> ValidationReport:
+             dt: float | None = None) -> ValidationReport:
     """Simulate one measured case and compare with its closed-form spectrum.
 
     A grid point agrees when |estimate - closed| <= max(3*stderr,
@@ -534,16 +510,14 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
     """
     if segments < MIN_SEGMENTS:
         raise SimulationError(f"need at least {MIN_SEGMENTS} segments")
-    meas = measurement_for_case(case)
-    family = meas.family
-    port_idx = 0 if measured_port_name(family) == "sum" else 1
+    port = port_for_case(case)
     g0 = config.cavity.gamma0
     omega_lo = 1e-2 * g0 if omega_lo is None else omega_lo
     omega_hi = 10.0 * g0 if omega_hi is None else omega_hi
 
     sim_rate = config.squeeze.rate * (1.0 + perturb)
-    ss_sim = build_state_space(config, family, squeeze_rate=sim_rate)
-    ss_nom = build_state_space(config, family)
+    ss_sim = build_state_space(config, squeeze_rate=sim_rate)
+    ss_nom = build_state_space(config)
     if dt is None:
         dt = DT_SAFETY / max(max_rate(ss_sim), max_rate(ss_nom))
         if math.pi / dt < 3.0 * omega_hi:
@@ -553,14 +527,13 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
     grid_full = 2.0 * math.pi * np.fft.rfftfreq(samples, dt)
 
     weight = None
-    if meas.port == "subtracted":
+    if port == "subtracted":
         # rFFT bins of a real record carry the exp(+i*Omega*t) component, so
         # the per-bin filter is the conjugate of the exp(-i*Omega*t) weight.
         weight = np.conj(ss_nom.nulling_weight(grid_full))
 
     # Analytic signal coefficient of the measured raw port (signal referring).
-    raw_case = MeasurementCase(family, measured_port_name(family))
-    sig = transfer_coefficients(config, raw_case, grid_full)[Channel.SIGNAL]
+    sig = transfer_coefficients(config, "difference", grid_full)[Channel.SIGNAL]
     sig2 = np.abs(sig) ** 2
     sig2[0] = np.inf   # DC bin is never compared
 
@@ -568,13 +541,13 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
     per_sq = np.zeros(grid_full.size)
     done = 0
     while done < segments:
-        todo = min(batch, segments - done)
-        sim = simulate(config, family, segments=todo, samples=samples, dt=dt,
+        todo = min(BATCH, segments - done)
+        sim = simulate(config, segments=todo, samples=samples, dt=dt,
                        seed=seed, segment_offset=done, squeeze_rate=sim_rate)
         ffts, norm = _windowed_ffts(sim.outputs.transpose(0, 2, 1))
-        combined = ffts[:, port_idx, :]
+        combined = ffts[:, 1, :]
         if weight is not None:
-            combined = combined + weight[None, :] * ffts[:, 1 - port_idx, :]
+            combined = combined + weight[None, :] * ffts[:, 0, :]
         per = 2.0 * dt * np.abs(combined) ** 2 / norm / sig2[None, :]
         per_sum += per.sum(axis=0)
         per_sq += (per**2).sum(axis=0)
@@ -594,11 +567,10 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
     # The first few window bins are biased by the sub-band mechanical wander;
     # compare from bin 8 upward.
     lo = max(omega_lo, 8.0 * grid_full[1])
-    centers, (est_b, closed_b, ss_b), _ = log_binned(
-        grid_full[1:], [est[1:], closed, ss_pred], lo, omega_hi,
-        points_per_decade)
-    err_b = _bin_stderr(grid_full[1:], stderr[1:], lo, omega_hi,
-                        points_per_decade)
+    centers, (est_b, closed_b, ss_b, var_b), counts = log_binned(
+        grid_full[1:], [est[1:], closed, ss_pred, stderr[1:] ** 2], lo,
+        omega_hi, POINTS_PER_DECADE)
+    err_b = np.sqrt(var_b / counts)
 
     ok = np.abs(est_b - closed_b) <= np.maximum(3.0 * err_b,
                                                 tolerance * closed_b)

@@ -29,8 +29,8 @@ import numpy as np
 from .model import (HBAR, TAU_PRESETS, RegimeWarning, Squeezing, SystemConfig,
                     braginsky_factor, config_snapshot, json_text, k0_for_n0,
                     reference_config, reference_rates)
-from .transfer import (AMPLITUDE, Channel, MeasurementCase, VACUUM_CHANNELS,
-                       measured_port_name, transfer_coefficients)
+from .transfer import (Channel, VACUUM_CHANNELS, guard_subtraction,
+                       transfer_coefficients)
 
 # Measured case -> squeeze kind it belongs to; raw cases precede their
 # subtracted partners.
@@ -42,16 +42,15 @@ CASE_KIND = {
 CASES = tuple(CASE_KIND)
 
 
-def measurement_for_case(case: str) -> MeasurementCase:
-    """Amplitude-family measurement matching a named spectrum case."""
+def port_for_case(case: str) -> str:
+    """Transfer port ("difference" or "subtracted") of a named spectrum case."""
     if case not in CASE_KIND:
         raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
-    port = "subtracted" if case.endswith("-sub") else "difference"
-    return MeasurementCase(AMPLITUDE, port)
+    return "subtracted" if case.endswith("-sub") else "difference"
 
 
 def _check_case(config: SystemConfig, case: str) -> None:
-    measurement_for_case(case)   # rejects unknown case names
+    port_for_case(case)   # rejects unknown case names
     kind = CASE_KIND[case]
     actual = config.squeeze.kind
     if kind == "none" and actual != "none":
@@ -82,7 +81,9 @@ def closed_form_psd(case: str, config: SystemConfig, omega,
     ``constant_pump=True`` freezes the pump-response magnitude at its
     Omega = 0 value (the flat-pump approximation); default keeps the full
     frequency dependence.  The unsqueezed cases are the two-photon forms at
-    rate 0, internal-loss residual included.
+    rate 0, internal-loss residual included.  ``deg-sub`` raises PoleError
+    where the reference port reflects no vacuum (upsilon = gamma0 - gamma_e,
+    Omega = 0).
     """
     _check_case(config, case)
     w = np.asarray(omega, dtype=float)
@@ -126,13 +127,14 @@ def closed_form_psd(case: str, config: SystemConfig, omega,
     out = thermal + mech2 / strength_mag * (zeta2 + sigma2_loss)
     if case == "deg-raw":
         return out + strength_mag * (1.0 + ge / g0)
+    guard_subtraction(g0 - ge - rate + 1j * w, g0)
     return out + strength_mag * ge / (g0 * zeta2)
 
 
 # --- channel assembly ----------------------------------------------------------
 
 def _assemble_budget(config: SystemConfig, case: str, grid: np.ndarray):
-    coeffs = transfer_coefficients(config, measurement_for_case(case), grid,
+    coeffs = transfer_coefficients(config, port_for_case(case), grid,
                                    referenced=True)
     n_T = config.derived.n_T
     parts = {}
@@ -203,13 +205,10 @@ def spectrum_series(config: SystemConfig, case: str, omega=None,
 
 
 def backaction_budget(config: SystemConfig, case: str, omega) -> np.ndarray:
-    """Back-action part of the budget: both reference-side vacuum channels."""
+    """Back-action part of the budget: both sum-pair vacuum channels."""
     grid = np.asarray(omega, dtype=float)
     _, parts = _assemble_budget(config, case, grid)
-    family = measurement_for_case(case).family
-    if measured_port_name(family) == "difference":
-        return parts[Channel.ALPHA_PLUS.value] + parts[Channel.EPS_PLUS.value]
-    return parts[Channel.ALPHA_MINUS.value] + parts[Channel.EPS_MINUS.value]
+    return parts[Channel.ALPHA_PLUS.value] + parts[Channel.EPS_PLUS.value]
 
 
 def ratio_to_sql(series: SpectrumSeries) -> SpectrumSeries:

@@ -203,6 +203,15 @@ def test_cold_commands_load_no_scipy(tmp_path):
     assert json.loads(done.stdout.splitlines()[-1]) == []
 
 
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_threshold_at_subtraction_pole_exits_2(capsys, extra):
+    # upsilon = gamma0 - gamma_e: the deg-sub filter is undefined at Omega = 0.
+    assert cli.main(["threshold", "--upsilon", repr(G0 - GE)] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "subtraction filter" in captured.err
+
+
 def test_threshold_text(capsys):
     assert cli.main(["threshold"]) == 0
     out = capsys.readouterr().out
@@ -215,6 +224,16 @@ def test_validate_rejects_few_segments(tmp_path, capsys):
                      "--out", str(tmp_path / "r.json")])
     assert code == 2
     assert "segments" in capsys.readouterr().err
+
+
+def test_validate_pole_exits_2_without_report(tmp_path, capsys):
+    # gamma_m = 0 puts the mechanical pole on the DC bin of the signal
+    # coefficient.
+    code = cli.main(["validate", "--case", "baseline", "--gamma-m", "0",
+                     "--segments", "32", "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert "pole" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_validate_pass_and_fail(tmp_path, capsys):

@@ -12,7 +12,7 @@ from trimova import model, oracle, spectra, transfer
 from trimova.model import RegimeWarning, Squeezing
 from trimova.oracle import (SimulationError, build_state_space, estimate_psd,
                             simulate, validate)
-from trimova.transfer import AMPLITUDE, PHASE, Channel, MeasurementCase
+from trimova.transfer import Channel
 
 G0, GE = model.reference_rates()
 
@@ -41,8 +41,7 @@ def test_state_space_matches_analytic_coefficients():
     assert np.allclose(h[:, 0, 0], reflect_plus, rtol=1e-12)
     assert np.allclose(h[:, 0, 2], leak_plus, rtol=1e-12)
     assert np.allclose(h[:, 1, 1], reflect_minus, rtol=1e-12)
-    sig = transfer.transfer_coefficients(
-        cfg, MeasurementCase(AMPLITUDE, "difference"), w)[Channel.SIGNAL]
+    sig = transfer.transfer_coefficients(cfg, "difference", w)[Channel.SIGNAL]
     assert np.allclose(ss.signal_response(w)[:, 1], sig, rtol=1e-12)
 
 
@@ -56,8 +55,8 @@ def test_degenerate_state_space_psd_matches_closed_form():
     cfg = config("degenerate", 0.5)
     ss = build_state_space(cfg)
     w = np.geomspace(1e-2 * G0, 10 * G0, 25)
-    sig2 = np.abs(transfer.transfer_coefficients(
-        cfg, MeasurementCase(AMPLITUDE, "difference"), w)[Channel.SIGNAL]) ** 2
+    sig2 = np.abs(transfer.transfer_coefficients(cfg, "difference", w)
+                  [Channel.SIGNAL]) ** 2
     referred = ss.output_psd(w) / sig2
     closed = spectra.closed_form_psd("deg-raw", cfg, w)
     assert np.allclose(referred, closed, rtol=1e-12)
@@ -221,8 +220,7 @@ def test_deterministic_pulse_matches_transfer():
     times = (np.arange(samples) + 0.5) * dt
     f_vals = np.array([pulse(t) for t in times])
     w = 2 * math.pi * np.fft.rfftfreq(samples, dt)
-    sig = transfer.transfer_coefficients(
-        cfg, MeasurementCase(AMPLITUDE, "difference"), w)[Channel.SIGNAL]
+    sig = transfer.transfer_coefficients(cfg, "difference", w)[Channel.SIGNAL]
     # rFFT bins carry exp(+i w t): apply the conjugate response.
     predicted = np.fft.irfft(np.conj(sig) * np.fft.rfft(f_vals), samples)
     scale = np.max(np.abs(predicted))
@@ -231,11 +229,11 @@ def test_deterministic_pulse_matches_transfer():
 
 # --- cascade recursion against the per-step loop -----------------------------------
 
-def loop_simulate(cfg, family, *, segments, samples, dt, burn_in, seed=0,
+def loop_simulate(cfg, *, segments, samples, dt, burn_in, seed=0,
                   segment_offset=0, channel_scale=None, signal=None,
                   method="exact"):
     """Reference integrator: the full 3x3 update applied one step at a time."""
-    ss = build_state_space(cfg, family)
+    ss = build_state_space(cfg)
     phi_xx, phi_zx, m_sig, factor = oracle._step_model(ss, dt, method,
                                                        channel_scale)
     sqrt_2g0 = math.sqrt(2.0 * cfg.cavity.gamma0)
@@ -272,14 +270,14 @@ def loop_simulate(cfg, family, *, segments, samples, dt, burn_in, seed=0,
     return out, states
 
 
-def assert_matches_loop(cfg, family, **options):
+def assert_matches_loop(cfg, **options):
     # 250 segments make the time chunk 2097 steps; 37 + 2393 steps end in a
     # partial second chunk, and neither chunk is a whole number of blocks.
-    ss = build_state_space(cfg, family)
+    ss = build_state_space(cfg)
     dt = oracle.DT_SAFETY / oracle.max_rate(ss)
     shape = dict(segments=250, samples=2393, dt=dt, burn_in=37, seed=7)
-    sim = simulate(cfg, family, keep_states=True, **shape, **options)
-    out, states = loop_simulate(cfg, family, **shape, **options)
+    sim = simulate(cfg, keep_states=True, **shape, **options)
+    out, states = loop_simulate(cfg, **shape, **options)
     for got, want in ((sim.outputs, out), (sim.states, states)):
         scale = np.max(np.abs(want), axis=(0, 1))
         assert scale.max() > 0
@@ -287,16 +285,15 @@ def assert_matches_loop(cfg, family, **options):
         assert np.all(err <= 1e-12 * scale), err / scale
 
 
-@pytest.mark.parametrize("family", [AMPLITUDE, PHASE])
 @pytest.mark.parametrize("kind", ["none", "two_photon", "degenerate"])
-def test_cascade_matches_step_loop(kind, family):
-    assert_matches_loop(config(kind, 0.5), family)
+def test_cascade_matches_step_loop(kind):
+    assert_matches_loop(config(kind, 0.5))
 
 
 def test_cascade_matches_step_loop_damped_mechanics():
     # gamma_m > 0: the mechanical factor is below 1, and the Van Loan
     # propagator carries rounding where the cascade order has zeros.
-    assert_matches_loop(config("two_photon", 0.5, gamma_m=G0 / 20.0), AMPLITUDE)
+    assert_matches_loop(config("two_photon", 0.5, gamma_m=G0 / 20.0))
 
 
 @pytest.mark.parametrize("options", [
@@ -307,7 +304,7 @@ def test_cascade_matches_step_loop_damped_mechanics():
     {"method": "euler"},
 ], ids=["signal-only", "signal-and-noise", "channel-scale", "offset", "euler"])
 def test_cascade_matches_step_loop_options(options):
-    assert_matches_loop(config("two_photon", 0.3), PHASE, **options)
+    assert_matches_loop(config("two_photon", 0.3), **options)
 
 
 @pytest.mark.parametrize("a", [0.97, 1.0, -0.5])

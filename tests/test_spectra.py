@@ -6,12 +6,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
 from trimova import model, spectra
 from trimova.model import RegimeWarning, Squeezing
 from trimova.spectra import closed_form_psd, spectrum_series, sql_psd
-from trimova.transfer import Channel
+from trimova.transfer import Channel, PoleError
 
 G0, GE = model.reference_rates()
 
@@ -96,6 +97,53 @@ def test_closed_form_finite_where_pump_response_cancels(case):
     assert np.all(np.isfinite(closed)) and np.all(closed > 0)
     assembled = spectrum_series(cfg, case, w).values
     assert np.max(np.abs(assembled - closed) / closed) < 1e-10
+
+
+def test_degenerate_subtraction_pole():
+    # At upsilon = gamma0 - gamma_e the reference port reflects no vacuum at
+    # Omega = 0, so the subtraction filter is undefined there; both paths
+    # refuse it with the same error and agree just beside it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        cfg = model.reference_config(squeeze=Squeezing("degenerate", G0 - GE))
+    paths = (lambda w: closed_form_psd("deg-sub", cfg, w),
+             lambda w: spectrum_series(cfg, "deg-sub", w).values)
+    messages = set()
+    for path in paths:
+        with pytest.raises(PoleError) as err:
+            path([0.0])
+        messages.add(str(err.value))
+    assert len(messages) == 1
+    closed, assembled = (path([1e-6 * G0]) for path in paths)
+    assert np.all(np.isfinite(closed)) and np.all(closed > 0)
+    assert np.max(np.abs(assembled - closed) / closed) < 1e-10
+
+
+@settings(max_examples=200, deadline=None)
+@given(lossless=st.booleans(),
+       kind=st.sampled_from(["none", "two_photon", "degenerate"]),
+       rate=st.floats(0.0, 0.95),
+       k0_decades=st.floats(-2.0, 2.0),
+       gamma_m_decades=st.none() | st.floats(-6.0, -1.0))
+def test_paths_agree_on_drawn_configs(lossless, kind, rate, k0_decades,
+                                      gamma_m_decades):
+    # rate in units of gamma, K0 in decades of pi/tau, gamma_m = 0 (None) or
+    # in decades of gamma0.
+    squeeze = Squeezing() if kind == "none" \
+        else Squeezing(kind, rate * (G0 + GE))
+    gamma_m = 0.0 if gamma_m_decades is None else 10.0**gamma_m_decades * G0
+    K0 = 10.0**k0_decades * math.pi / model.TAU_PRESETS["table1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        cfg = model.reference_config(squeeze=squeeze, lossless=lossless,
+                                     gamma_m=gamma_m, K0=K0)
+    w = np.geomspace(1e-4 * G0, 10 * G0, 40)
+    for case in (c for c, k in spectra.CASE_KIND.items() if k == kind):
+        closed = closed_form_psd(case, cfg, w)
+        assembled = spectrum_series(cfg, case, w).values
+        for values in (closed, assembled):
+            assert np.all(np.isfinite(values)) and np.all(values > 0), case
+        assert np.max(np.abs(assembled - closed) / closed) < 1e-10, case
 
 
 def test_case_requires_matching_squeezing():
