@@ -23,21 +23,37 @@ For every squeeze kind the drift, and hence the one-step propagator, is
 lower-triangular in the cascade order sum pair -> mechanics -> difference
 pair.  The state recursion is therefore three scalar first-order
 recurrences run in turn, each fed by the states upstream of it, and each is
-evaluated as a blocked prefix scan (lower-triangular Toeplitz matmuls within
-blocks, a carried state between them; Blelloch 1990) over all segments at
-once.  A propagator with an entry against that order is rejected.  Time is
-processed in chunks, so the working memory does not grow with the record
-length.  scipy is imported on the first discretization only, so importing
-this module (and the frequency-domain commands) loads no scipy module.
+evaluated as a blocked prefix scan (all blocks advanced in lockstep, then
+the state entering each block carried in; Blelloch 1990).  A propagator
+with an entry against that order is rejected.  Time is processed in
+chunks, so the working memory does not grow with the record length.  scipy
+is imported on the first discretization only, so importing this module
+(and the frequency-domain commands) loads no scipy module.
 
 Randomness is counter-based and parallel-safe: each (seed, segment,
 component) triple owns a Philox stream, so results are reproducible and
 independent of batching.
+
+``simulate`` and the periodogram stage of ``validate`` run on WORKERS
+threads, one for each core the process may run on.  ``simulate`` splits the
+segments into contiguous parts, one thread each, and a thread owns its
+segments for the whole record: their draws, noise mixing, the three scans
+and the output samples.  The periodogram stage gives each thread whole
+groups of _FFT_GROUP segments and adds the per-group sums in group order.
+A segment's arithmetic is the same whichever thread runs it, so outputs and
+reports do not depend on the core count.  The threads spend their time in
+the generators, einsum, the FFT and elementwise array operations, which
+release the interpreter lock.  They make no BLAS call: a multithreaded
+BLAS (OpenBLAS) lets its own idle threads spin after every small product,
+and from several callers those would take the cores the workers need.  The
+public functions run on the calling thread only.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -52,7 +68,12 @@ MIN_SEGMENTS = 32
 MIN_CORRELATION_TIMES = 100.0
 POINTS_PER_DECADE = 40    # log bins per decade of a validation report
 BATCH = 50                # segments per simulate call in validate
-_SCAN_BLOCK = 64          # steps per Toeplitz block of the state scan
+# Threads of simulate and of validate's periodogram stage: every core this
+# process may run on.
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
+_FFT_GROUP = 5            # segments per windowed-rFFT group in validate
+_SCAN_BLOCK = 64          # steps per block of the state scan
 _CASCADE = (0, 2, 1)      # sum pair -> mechanics -> difference pair
 
 
@@ -239,33 +260,59 @@ def _step_model(ss: StateSpace, dt: float, method: str, channel_scale=None):
     return phi_xx, phi_zx, m_sig, factor
 
 
-def _scan(a: float, u: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """States of x[k+1] = a*x[k] + u[..., k] from x[..., 0] = x0.
+def _scan(a: float, x: np.ndarray) -> None:
+    """In place, x[..., k+1] = a*x[..., k] + x[..., k+1] for k = 0, 1, ...
 
-    Returns x[..., 0..n] for u of length n along its last axis.  Each block
-    of _SCAN_BLOCK steps is one matmul with the lower-triangular Toeplitz
-    matrix a**(i-j); the state entering a block is then added with weights
-    a**(1..L).
+    On entry x[..., 0] is the initial state and x[..., 1:] the inputs, a
+    whole number of _SCAN_BLOCK-step blocks; on return x holds the states.
+    All blocks advance in lockstep, one step at a time from a zero state;
+    the state entering each block is then added with weights a**(1..L).
+    Only elementwise array operations are used, no BLAS call.
     """
     L = _SCAN_BLOCK
-    lead, n = u.shape[:-1], u.shape[-1]
-    blocks = -(-n // L)
-    padded = np.zeros(lead + (blocks * L,))
-    padded[..., :n] = u
-    lag = np.subtract.outer(np.arange(L), np.arange(L))
-    toeplitz = np.tril(a ** np.abs(lag))
-    y = (padded.reshape(-1, L) @ toeplitz.T).reshape(lead + (blocks, L))
+    lead = x.shape[:-1]
+    blocks = (x.shape[-1] - 1) // L
+    # A view: the last axis of x is contiguous and split into whole blocks.
+    y = x[..., 1:].reshape(lead + (blocks, L))
+    # Step i of every block at once, from contiguous rows t[i].
+    t = np.moveaxis(y, -1, 0).copy()
+    for i in range(1, L):
+        t[i] += a * t[i - 1]
     powers = a ** np.arange(1, L + 1)
     entering = np.empty(lead + (blocks,))
-    carry = x0
+    carry = x[..., 0].copy()
     for b in range(blocks):
         entering[..., b] = carry
-        carry = powers[-1] * carry + y[..., b, -1]
-    y += entering[..., None] * powers
-    x = np.empty(lead + (n + 1,))
-    x[..., 0] = x0
-    x[..., 1:] = y.reshape(lead + (blocks * L,))[..., :n]
-    return x
+        carry = powers[-1] * carry + t[-1, ..., b]
+    t += powers.reshape((L,) + (1,) * (len(lead) + 1)) * entering
+    y[...] = np.moveaxis(t, 0, -1)
+
+
+def _in_parallel(task, items: int) -> None:
+    """Run task(lo, hi) on contiguous parts of range(items), one thread each.
+
+    There are min(WORKERS, items) parts, differing in size by at most one.
+    Every thread is joined before the first exception raised in any of them
+    is re-raised here.
+    """
+    parts = min(WORKERS, items)
+    bounds = [items * i // parts for i in range(parts + 1)]
+    errors = []
+
+    def run(lo, hi):
+        try:
+            task(lo, hi)
+        except BaseException as exc:   # re-raised on the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=part, name="trimova-oracle")
+               for part in zip(bounds[:-1], bounds[1:])]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 @dataclass
@@ -309,8 +356,9 @@ def simulate(config: SystemConfig, *, segments: int = 1, samples: int,
     the off-diagonal propagator entries, and the signal.  SimulationError is
     raised when the propagator has an entry against that order.  Time runs
     in chunks of about 2**19 steps summed over segments, so the working
-    memory besides the returned arrays stays near 120 MB whatever the record
-    length: the noise of a whole segment is never held at once.
+    memory besides the returned arrays stays under about 70 MB whatever the
+    record length: the noise of a whole segment is never held at once.  The
+    segments are split over WORKERS threads (see the module docstring).
     """
     ss = build_state_space(config, squeeze_rate=squeeze_rate,
                            coupling=coupling)
@@ -347,39 +395,58 @@ def simulate(config: SystemConfig, *, segments: int = 1, samples: int,
     times = (np.arange(total) + 0.5) * dt
     f_vals = np.asarray([signal(t) for t in times]) if signal is not None else None
 
-    all_gens = [_segment_generators(seed, segment_offset + s, 7)
-                for s in range(segments)]
-    x_start = np.zeros((3, segments))
+    # Rows 0-2 are the state noise; rows 3-4 give output sample p as
+    # read_x[p] . x + mix[3 + p] . z + drive[3 + p] * f, the step average of
+    # b = -a + sqrt(2*gamma0)*g.
+    mix = np.vstack([factor[:3], (sqrt_2g0 * factor[3:5] - factor[5:7]) / dt])
+    drive = np.concatenate([m_sig[:3], sqrt_2g0 * m_sig[3:5] / dt])
+    read_x = sqrt_2g0 * phi_zx / dt
     chunk = max(1, (8 << 20) // (16 * segments))   # 2**19 segment-steps
-    z = np.empty((7, segments, chunk))
-    for start in range(0, total, chunk):
-        size = min(chunk, total - start)
-        for s, gens in enumerate(all_gens):
-            for comp, gen in enumerate(gens):
-                gen.standard_normal(out=z[comp, s, :size])
-        noise = (factor @ z[:, :, :size].reshape(7, -1)).reshape(7, segments, size)
-        if f_vals is not None:
-            noise[:5] += m_sig[:, None, None] * f_vals[start:start + size]
-        # x[:, :, k] is the state entering step start + k; x[:, :, size] the
-        # state handed to the next chunk.
-        x = np.empty((3, segments, size + 1))
-        for i, row in enumerate(_CASCADE):
-            u = noise[row]
-            for col in _CASCADE[:i]:
-                u += phi_xx[row, col] * x[col, :, :-1]
-            x[row] = _scan(phi_xx[row, row], u, x_start[row])
-        x_start = x[:, :, -1].copy()
+    width = 1 + -(-chunk // _SCAN_BLOCK) * _SCAN_BLOCK
 
-        first = max(0, burn_in - start)
-        if first >= size:
-            continue
-        keep = slice(start + first - burn_in, start + size - burn_in)
-        x_kept = x[:, :, first:-1]
-        zeta = np.einsum("pj,jsk->psk", phi_zx, x_kept) + noise[3:5, :, first:]
-        out[:, keep, :] = ((sqrt_2g0 * zeta - noise[5:7, :, first:]) / dt
-                           ).transpose(1, 2, 0)
-        if keep_states:
-            states[:, keep, :] = x_kept.transpose(1, 2, 0)
+    def integrate(lo: int, hi: int) -> None:
+        gens = [_segment_generators(seed, segment_offset + s, 7)
+                for s in range(lo, hi)]
+        # x[:, :, k] is the state entering step start + k, x[:, :, 1:] holds
+        # the scan inputs until the scan; y holds the output samples.
+        x = np.zeros((3, hi - lo, width))
+        y = np.empty((2, hi - lo, chunk))
+        z = np.empty((7, chunk))
+        for start in range(0, total, chunk):
+            size = min(chunk, total - start)
+            for s, seg_gens in enumerate(gens):
+                for comp, gen in enumerate(seg_gens):
+                    gen.standard_normal(out=z[comp, :size])
+                np.einsum("rc,ck->rk", mix[:3], z[:, :size],
+                          out=x[:, s, 1:size + 1])
+                np.einsum("rc,ck->rk", mix[3:], z[:, :size],
+                          out=y[:, s, :size])
+            x[:, :, size + 1:] = 0.0   # zero inputs fill the last block
+            if f_vals is not None:
+                f = f_vals[start:start + size]
+                x[:, :, 1:size + 1] += drive[:3, None, None] * f
+                y[:, :, :size] += drive[3:, None, None] * f
+            stop = 1 + -(-size // _SCAN_BLOCK) * _SCAN_BLOCK
+            for i, row in enumerate(_CASCADE):
+                u = x[row, :, 1:size + 1]
+                for col in _CASCADE[:i]:
+                    u += phi_xx[row, col] * x[col, :, :size]
+                _scan(phi_xx[row, row], x[row, :, :stop])
+
+            first = max(0, burn_in - start)
+            if first < size:
+                keep = slice(start + first - burn_in, start + size - burn_in)
+                for p in range(2):
+                    yp = y[p, :, first:size]
+                    for j in range(3):
+                        yp += read_x[p, j] * x[j, :, first:size]
+                    out[lo:hi, keep, p] = yp
+                if keep_states:
+                    states[lo:hi, keep, :] = \
+                        x[:, :, first:size].transpose(1, 2, 0)
+            x[:, :, 0] = x[:, :, size]
+
+    _in_parallel(integrate, segments)
     return SimulationResult(out, dt, seed, segment_offset, states)
 
 
@@ -397,12 +464,16 @@ class OracleEstimate:
     seed: int | None = None
 
 
-def _windowed_ffts(y: np.ndarray):
-    """Hann-windowed rFFTs of mean-removed segment rows; returns (ffts, norm)."""
-    n = y.shape[-1]
+def _hann(n: int):
+    """Hann window of n samples and its power sum."""
     win = np.hanning(n)
+    return win, float(np.sum(win**2))
+
+
+def _windowed_ffts(y: np.ndarray, win: np.ndarray) -> np.ndarray:
+    """rFFTs of the Hann-windowed, mean-removed rows of y (last axis)."""
     data = y - y.mean(axis=-1, keepdims=True)
-    return np.fft.rfft(data * win, axis=-1), float(np.sum(win**2))
+    return np.fft.rfft(data * win, axis=-1)
 
 
 def estimate_psd(series: np.ndarray, dt: float,
@@ -424,8 +495,8 @@ def estimate_psd(series: np.ndarray, dt: float,
     if y.shape[0] < MIN_SEGMENTS:
         raise SimulationError(f"need at least {MIN_SEGMENTS} segments, "
                               f"got {y.shape[0]}")
-    ffts, norm = _windowed_ffts(y)
-    per = 2.0 * dt * np.abs(ffts) ** 2 / norm
+    win, norm = _hann(y.shape[-1])
+    per = 2.0 * dt * np.abs(_windowed_ffts(y, win)) ** 2 / norm
     grid = 2.0 * math.pi * np.fft.rfftfreq(y.shape[-1], dt)
     return OracleEstimate(grid=grid,
                           psd=per.mean(axis=0),
@@ -526,49 +597,64 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
                                               / (omega_lo * dt))))
     grid_full = 2.0 * math.pi * np.fft.rfftfreq(samples, dt)
 
+    # No analytic reference is evaluated at the DC bin, which is never
+    # compared: at gamma_m = 0 it is the mechanical pole.
+    grid = grid_full[1:]
     weight = None
     if port == "subtracted":
         # rFFT bins of a real record carry the exp(+i*Omega*t) component, so
         # the per-bin filter is the conjugate of the exp(-i*Omega*t) weight.
-        weight = np.conj(ss_nom.nulling_weight(grid_full))
+        weight = np.conj(ss_nom.nulling_weight(grid))
 
     # Analytic signal coefficient of the measured raw port (signal referring).
-    sig = transfer_coefficients(config, "difference", grid_full)[Channel.SIGNAL]
-    sig2 = np.abs(sig) ** 2
-    sig2[0] = np.inf   # DC bin is never compared
+    sig2 = np.abs(transfer_coefficients(config, "difference", grid)
+                  [Channel.SIGNAL]) ** 2
+    win, norm = _hann(samples)
 
-    per_sum = np.zeros(grid_full.size)
-    per_sq = np.zeros(grid_full.size)
+    per_sum = np.zeros(grid.size)
+    per_sq = np.zeros(grid.size)
     done = 0
     while done < segments:
         todo = min(BATCH, segments - done)
-        sim = simulate(config, segments=todo, samples=samples, dt=dt,
-                       seed=seed, segment_offset=done, squeeze_rate=sim_rate)
-        ffts, norm = _windowed_ffts(sim.outputs.transpose(0, 2, 1))
-        combined = ffts[:, 1, :]
-        if weight is not None:
-            combined = combined + weight[None, :] * ffts[:, 0, :]
-        per = 2.0 * dt * np.abs(combined) ** 2 / norm / sig2[None, :]
-        per_sum += per.sum(axis=0)
-        per_sq += (per**2).sum(axis=0)
+        outputs = simulate(config, segments=todo, samples=samples, dt=dt,
+                           seed=seed, segment_offset=done,
+                           squeeze_rate=sim_rate).outputs
+        # Per-bin sums of each fixed group of segments, added in group order
+        # below, so that the result does not depend on the thread count.
+        groups = -(-todo // _FFT_GROUP)
+        partial = np.empty((groups, 2, grid.size))
+
+        def periodogram(begin: int, end: int) -> None:
+            for g in range(begin, end):
+                y = outputs[g * _FFT_GROUP:(g + 1) * _FFT_GROUP]
+                combined = _windowed_ffts(y[:, :, 1], win)[:, 1:]
+                if weight is not None:
+                    combined += weight * _windowed_ffts(y[:, :, 0], win)[:, 1:]
+                per = 2.0 * dt * np.abs(combined) ** 2 / norm / sig2
+                partial[g, 0] = per.sum(axis=0)
+                partial[g, 1] = (per**2).sum(axis=0)
+
+        _in_parallel(periodogram, groups)
+        for part_sum, part_sq in partial:
+            per_sum += part_sum
+            per_sq += part_sq
         done += todo
         # Free this batch before the next simulate call allocates its own.
-        del sim, ffts, combined, per
+        del outputs
 
     est = per_sum / segments
     var = (per_sq - segments * est**2) / (segments - 1)
     stderr = np.sqrt(np.clip(var, 0.0, None) / segments)
 
-    closed = closed_form_psd(case, config, grid_full[1:])
-    ss_pred = ss_sim.output_psd(grid_full[1:],
-                                ref_weight=None if weight is None
-                                else np.conj(weight[1:])) / sig2[1:]
+    closed = closed_form_psd(case, config, grid)
+    ss_pred = ss_sim.output_psd(grid, ref_weight=None if weight is None
+                                else np.conj(weight)) / sig2
 
     # The first few window bins are biased by the sub-band mechanical wander;
     # compare from bin 8 upward.
     lo = max(omega_lo, 8.0 * grid_full[1])
     centers, (est_b, closed_b, ss_b, var_b), counts = log_binned(
-        grid_full[1:], [est[1:], closed, ss_pred, stderr[1:] ** 2], lo,
+        grid, [est, closed, ss_pred, stderr ** 2], lo,
         omega_hi, POINTS_PER_DECADE)
     err_b = np.sqrt(var_b / counts)
 

@@ -1,7 +1,10 @@
 """Time-domain integrator: calibration, statistics, cross-validation."""
 
 import dataclasses
+import itertools
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -318,8 +321,13 @@ def test_scan_matches_recurrence(n, a):
     expected[:, 0] = x0
     for k in range(n):
         expected[:, k + 1] = a * expected[:, k] + u[:, k]
-    got = oracle._scan(a, u, x0)
-    assert got.shape == expected.shape
+    # The scan runs in place over whole blocks; the inputs past n are zero.
+    blocks = -(-n // oracle._SCAN_BLOCK)
+    x = np.zeros((4, 1 + blocks * oracle._SCAN_BLOCK))
+    x[:, 0] = x0
+    x[:, 1:n + 1] = u
+    oracle._scan(a, x)
+    got = x[:, :n + 1]
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
@@ -333,6 +341,64 @@ def test_cascade_rejects_upstream_coupling(monkeypatch):
                         lambda *a, **k: dataclasses.replace(ss, drift=drift))
     with pytest.raises(SimulationError, match="cascade order"):
         simulate(cfg, segments=2, samples=4096, seed=1)
+
+
+# --- worker threads ----------------------------------------------------------------
+
+@pytest.mark.parametrize("segments, samples, options", [
+    (40, 14000, {}),
+    (7, 4096, {"signal": lambda t: math.sin(0.3 * G0 * t),
+               "segment_offset": 5}),
+    (2, 4096, {}),
+], ids=["two-chunks", "signal-offset", "fewer-segments-than-workers"])
+def test_simulate_independent_of_worker_count(monkeypatch, segments, samples,
+                                              options):
+    # Three workers split the segments unevenly and outnumber the cores of
+    # a two-core host; a short switch interval interleaves them more often.
+    cfg = config("two_photon", 0.5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        sims = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(oracle, "WORKERS", workers)
+            sims.append(simulate(cfg, segments=segments, samples=samples,
+                                 seed=9, keep_states=True, **options))
+    finally:
+        sys.setswitchinterval(interval)
+    for sim in sims[1:]:
+        assert np.array_equal(sim.outputs, sims[0].outputs)
+        assert np.array_equal(sim.states, sims[0].states)
+
+
+def test_validate_report_independent_of_worker_count(monkeypatch):
+    # Batches of 16 segments: 16 + 16 + 8, each with a partial last group.
+    monkeypatch.setattr(oracle, "BATCH", 16)
+    cfg = config("two_photon", 0.5)
+    texts = []
+    for workers in (1, 2):
+        monkeypatch.setattr(oracle, "WORKERS", workers)
+        report = validate(cfg, "nondeg-sub", segments=40, seed=2,
+                          omega_lo=3e-2 * G0)
+        texts.append(model.json_text(report.to_json_dict()))
+    assert texts[0] == texts[1]
+
+
+def test_worker_exception_reaches_caller(monkeypatch):
+    # The first scan call fails; the other worker runs on and is joined.
+    monkeypatch.setattr(oracle, "WORKERS", 2)
+    scan, calls = oracle._scan, itertools.count()
+
+    def failing_once(a, x):
+        if next(calls) == 0:
+            raise RuntimeError("scan failed")
+        scan(a, x)
+
+    monkeypatch.setattr(oracle, "_scan", failing_once)
+    with pytest.raises(RuntimeError, match="scan failed"):
+        simulate(config(), segments=4, samples=4096, seed=1)
+    assert next(calls) > 1
+    assert not [t for t in threading.enumerate() if t.name == "trimova-oracle"]
 
 
 # --- validation harness ------------------------------------------------------------
