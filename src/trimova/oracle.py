@@ -23,8 +23,9 @@ For every squeeze kind the drift, and hence the one-step propagator, is
 lower-triangular in the cascade order sum pair -> mechanics -> difference
 pair.  The state recursion is therefore three scalar first-order
 recurrences run in turn, each fed by the states upstream of it, and each is
-evaluated as a blocked prefix scan (all blocks advanced in lockstep, then
-the state entering each block carried in; Blelloch 1990).  A propagator
+evaluated as a two-level blocked prefix scan (Blelloch 1990): all blocks
+advance in lockstep, the states entering them come from the same scan run
+over the block ends, and are then carried in.  A propagator
 with an entry against that order is rejected.  Time is processed in
 chunks, so the working memory does not grow with the record length.  scipy
 is imported on the first discretization only, so importing this module
@@ -47,6 +48,16 @@ release the interpreter lock.  They make no BLAS call: a multithreaded
 BLAS (OpenBLAS) lets its own idle threads spin after every small product,
 and from several callers those would take the cores the workers need.  The
 public functions run on the calling thread only.
+
+Memory of ``validate``: it holds the output samples of at most BATCH
+segments at once (one ``simulate`` call), one window buffer of _FFT_GROUP
+segments per periodogram thread, and per-bin arrays of the compared band
+only.  Each group's rFFT is cut to the band before the next is taken, and
+every per-bin step (subtraction weight, signal coefficient, closed form,
+state-space PSD, periodogram sums) runs on the band alone.  BATCH is a
+fixed constant and not derived from WORKERS: the time chunk of ``simulate``,
+and with it the last-bit rounding of each segment, depends on the segments
+per call, and reports must not depend on the core count.
 """
 
 from __future__ import annotations
@@ -67,7 +78,7 @@ DT_SAFETY = 0.05          # dt <= DT_SAFETY / fastest rate
 MIN_SEGMENTS = 32
 MIN_CORRELATION_TIMES = 100.0
 POINTS_PER_DECADE = 40    # log bins per decade of a validation report
-BATCH = 50                # segments per simulate call in validate
+BATCH = 30                # segments per simulate call in validate
 # Threads of simulate and of validate's periodogram stage: every core this
 # process may run on.
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -265,9 +276,11 @@ def _scan(a: float, x: np.ndarray) -> None:
 
     On entry x[..., 0] is the initial state and x[..., 1:] the inputs, a
     whole number of _SCAN_BLOCK-step blocks; on return x holds the states.
-    All blocks advance in lockstep, one step at a time from a zero state;
-    the state entering each block is then added with weights a**(1..L).
-    Only elementwise array operations are used, no BLAS call.
+    All blocks advance in lockstep, one step at a time from a zero state.
+    The states entering the blocks are found by the same scan over the block
+    ends, and are then added with weights a**(1..L).  The interpreter work
+    is L steps per level, whatever the number of blocks.  Only elementwise
+    array operations are used, no BLAS call.
     """
     L = _SCAN_BLOCK
     lead = x.shape[:-1]
@@ -279,11 +292,16 @@ def _scan(a: float, x: np.ndarray) -> None:
     for i in range(1, L):
         t[i] += a * t[i - 1]
     powers = a ** np.arange(1, L + 1)
-    entering = np.empty(lead + (blocks,))
-    carry = x[..., 0].copy()
-    for b in range(blocks):
-        entering[..., b] = carry
-        carry = powers[-1] * carry + t[-1, ..., b]
+    if blocks <= 1:
+        entering = x[..., :1]
+    else:
+        # The states entering the blocks obey the same recurrence over the
+        # block ends, with multiplier a**L: scan them the same way.
+        ends = np.zeros(lead + (1 + -(-blocks // L) * L,))
+        ends[..., 0] = x[..., 0]
+        ends[..., 1:blocks + 1] = t[-1]
+        _scan(powers[-1], ends)
+        entering = ends[..., :blocks]
     t += powers.reshape((L,) + (1,) * (len(lead) + 1)) * entering
     y[...] = np.moveaxis(t, 0, -1)
 
@@ -470,12 +488,6 @@ def _hann(n: int):
     return win, float(np.sum(win**2))
 
 
-def _windowed_ffts(y: np.ndarray, win: np.ndarray) -> np.ndarray:
-    """rFFTs of the Hann-windowed, mean-removed rows of y (last axis)."""
-    data = y - y.mean(axis=-1, keepdims=True)
-    return np.fft.rfft(data * win, axis=-1)
-
-
 def estimate_psd(series: np.ndarray, dt: float,
                  segment_length: int | None = None,
                  seed: int | None = None) -> OracleEstimate:
@@ -496,7 +508,8 @@ def estimate_psd(series: np.ndarray, dt: float,
         raise SimulationError(f"need at least {MIN_SEGMENTS} segments, "
                               f"got {y.shape[0]}")
     win, norm = _hann(y.shape[-1])
-    per = 2.0 * dt * np.abs(_windowed_ffts(y, win)) ** 2 / norm
+    data = y - y.mean(axis=-1, keepdims=True)
+    per = 2.0 * dt * np.abs(np.fft.rfft(data * win, axis=-1)) ** 2 / norm
     grid = 2.0 * math.pi * np.fft.rfftfreq(y.shape[-1], dt)
     return OracleEstimate(grid=grid,
                           psd=per.mean(axis=0),
@@ -593,13 +606,25 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
         dt = DT_SAFETY / max(max_rate(ss_sim), max_rate(ss_nom))
         if math.pi / dt < 3.0 * omega_hi:
             dt = math.pi / (3.0 * omega_hi)
+    elif math.pi / dt < 3.0 * omega_hi:
+        raise SimulationError(
+            f"dt = {dt:.3g} s too coarse for the band: Nyquist {math.pi / dt:.3g}"
+            f" rad/s is below 3 * omega_hi = {3.0 * omega_hi:.3g} rad/s")
     samples = 1 << max(8, math.ceil(math.log2(4.0 * 2.0 * math.pi
                                               / (omega_lo * dt))))
     grid_full = 2.0 * math.pi * np.fft.rfftfreq(samples, dt)
 
-    # No analytic reference is evaluated at the DC bin, which is never
-    # compared: at gamma_m = 0 it is the mechanical pole.
-    grid = grid_full[1:]
+    # The first few window bins are biased by the sub-band mechanical wander;
+    # compare from bin 8 upward.  Every per-bin step below runs on the
+    # compared bins lo <= Omega < omega_hi only, the bins log_binned keeps.
+    # None of them is the DC bin, which at gamma_m = 0 is the mechanical pole.
+    lo = max(omega_lo, 8.0 * grid_full[1])
+    band = slice(int(np.searchsorted(grid_full, lo)),
+                 int(np.searchsorted(grid_full, omega_hi)))
+    grid = grid_full[band]
+    if grid.size == 0:
+        raise SimulationError(f"no frequency bin in the comparison band "
+                              f"[{lo:.3g}, {omega_hi:.3g}) rad/s")
     weight = None
     if port == "subtracted":
         # rFFT bins of a real record carry the exp(+i*Omega*t) component, so
@@ -610,6 +635,14 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
     sig2 = np.abs(transfer_coefficients(config, "difference", grid)
                   [Channel.SIGNAL]) ** 2
     win, norm = _hann(samples)
+
+    def band_fft(rows: np.ndarray, buf: np.ndarray) -> np.ndarray:
+        """Band bins of the rFFTs of the Hann-windowed, mean-removed rows,
+        windowed in place in buf."""
+        buf[...] = rows
+        buf -= buf.mean(axis=-1, keepdims=True)
+        buf *= win
+        return np.fft.rfft(buf, axis=-1)[:, band].copy()
 
     per_sum = np.zeros(grid.size)
     per_sq = np.zeros(grid.size)
@@ -625,11 +658,13 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
         partial = np.empty((groups, 2, grid.size))
 
         def periodogram(begin: int, end: int) -> None:
+            buf = np.empty((_FFT_GROUP, samples))
             for g in range(begin, end):
                 y = outputs[g * _FFT_GROUP:(g + 1) * _FFT_GROUP]
-                combined = _windowed_ffts(y[:, :, 1], win)[:, 1:]
+                rows = buf[:y.shape[0]]
+                combined = band_fft(y[:, :, 1], rows)
                 if weight is not None:
-                    combined += weight * _windowed_ffts(y[:, :, 0], win)[:, 1:]
+                    combined += weight * band_fft(y[:, :, 0], rows)
                 per = 2.0 * dt * np.abs(combined) ** 2 / norm / sig2
                 partial[g, 0] = per.sum(axis=0)
                 partial[g, 1] = (per**2).sum(axis=0)
@@ -650,9 +685,6 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
     ss_pred = ss_sim.output_psd(grid, ref_weight=None if weight is None
                                 else np.conj(weight)) / sig2
 
-    # The first few window bins are biased by the sub-band mechanical wander;
-    # compare from bin 8 upward.
-    lo = max(omega_lo, 8.0 * grid_full[1])
     centers, (est_b, closed_b, ss_b, var_b), counts = log_binned(
         grid, [est, closed, ss_pred, stderr ** 2], lo,
         omega_hi, POINTS_PER_DECADE)

@@ -226,6 +226,21 @@ def test_validate_rejects_few_segments(tmp_path, capsys):
     assert "segments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("band, message", [
+    # Nyquist of a 2.2e-7 s step is about 62 gamma0, below the 200 gamma0
+    # band end: the report would stop short of the band it claims to check.
+    (["--dt", "2.2e-7", "--omega-max", "200g0"], "too coarse"),
+    (["--omega-min", "1g0", "--omega-max", "0.5g0"], "comparison band"),
+], ids=["dt-too-coarse", "empty-band"])
+def test_validate_unusable_band_exits_2(tmp_path, capsys, band, message):
+    out = tmp_path / "r.json"
+    code = cli.main(["validate", "--case", "baseline", "--segments", "32",
+                     *band, "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("case", ["baseline", "baseline-sub"])
 def test_validate_gamma_m_zero_gives_verdict(tmp_path, capsys, case):
     # gamma_m = 0, the gamma_m of every figure preset, puts the mechanical

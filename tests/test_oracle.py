@@ -312,7 +312,9 @@ def test_cascade_matches_step_loop_options(options):
 
 @pytest.mark.parametrize("a", [0.97, 1.0, -0.5])
 @pytest.mark.parametrize("n", [1, oracle._SCAN_BLOCK - 1, oracle._SCAN_BLOCK,
-                               oracle._SCAN_BLOCK + 1, 3 * oracle._SCAN_BLOCK + 5])
+                               oracle._SCAN_BLOCK + 1, 3 * oracle._SCAN_BLOCK + 5,
+                               oracle._SCAN_BLOCK * 65,
+                               oracle._SCAN_BLOCK * 131 + 1])
 def test_scan_matches_recurrence(n, a):
     rng = np.random.default_rng(n)
     u = rng.standard_normal((4, n))
@@ -421,6 +423,34 @@ def test_validate_negative_control_quick():
     mid = slice(report.grid.size // 3, 2 * report.grid.size // 3)
     agree = np.abs(report.estimate[mid] / report.state_space_psd[mid] - 1.0)
     assert np.median(agree) < 0.1
+
+
+def test_validate_evaluates_only_the_compared_band(monkeypatch):
+    # Every analytic reference is evaluated on the compared rFFT bins only:
+    # bin 8 and up, omega_lo <= Omega < omega_hi.
+    seen = []
+
+    def spy(function, position):
+        def wrapper(*args, **kwargs):
+            seen.append(np.atleast_1d(args[position]))
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(oracle, "closed_form_psd",
+                        spy(oracle.closed_form_psd, 2))
+    monkeypatch.setattr(oracle, "transfer_coefficients",
+                        spy(oracle.transfer_coefficients, 2))
+    monkeypatch.setattr(oracle.StateSpace, "frequency_response",
+                        spy(oracle.StateSpace.frequency_response, 1))
+    omega_lo, omega_hi = 3e-2 * G0, 5.0 * G0
+    report = validate(config("two_photon", 0.5), "nondeg-sub", segments=32,
+                      seed=3, omega_lo=omega_lo, omega_hi=omega_hi)
+    assert report.grid.size > 0
+    assert len(seen) >= 4
+    for omega in seen:
+        spacing = np.min(np.diff(omega))
+        assert omega.min() >= max(omega_lo, 8.0 * spacing * (1 - 1e-9))
+        assert omega.max() < omega_hi
 
 
 def test_validate_rejects_few_segments():
