@@ -285,8 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--segments", type=int, default=200)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--tolerance", type=float, default=0.05)
-    p.add_argument("--dt", type=float, help="integrator step, s (default "
-                   "0.05/fastest rate)")
+    p.add_argument("--dt", type=float, help="integrator step, s; pi/dt must "
+                   "be at least 3*omega-max (default pi/max(3*omega-max, "
+                   "20*fastest rate))")
     p.add_argument("--omega-min", help="comparison band start (rad/s or g0)")
     p.add_argument("--omega-max", help="comparison band end (rad/s or g0)")
     p.add_argument("--perturb-kappa", type=float, default=0.0,

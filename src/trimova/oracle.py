@@ -14,10 +14,21 @@ closed-form spectra.
 Integration uses the exact one-step propagator: the matrix exponential of
 the drift together with the exact joint covariance of (state increment,
 windowed state integral, noise increment), obtained by Van Loan's block
-trick.  A linear SDE is discretized without bias this way; an Euler scheme
-is kept for cross-checking.  Noise conventions match the spectra module:
-vacuum channels have unit single-sided PSD (delta correlation strength 1/2),
-the bath channel 2*n_T + 1.
+trick (Van Loan, IEEE TAC 23, 395 (1978)).  A linear SDE is discretized
+without bias this way at any step, so ``simulate`` accepts any dt.  Noise
+conventions match the spectra module: vacuum channels have unit
+single-sided PSD (delta correlation strength 1/2), the bath channel
+2*n_T + 1.
+
+``validate`` sizes its default step to the band, not to the dynamics alone:
+dt = pi / max(3*omega_hi, 20*max_rate), the larger rate of the simulated and
+the nominal model.  Its reference is the expectation of the estimator it
+computes, a Hann periodogram of step-averaged samples: averaging over a step
+multiplies the output PSD S by sinc^2(Omega*dt/2), and sampling folds the
+aliases Omega + 2*pi*m/dt onto each bin.  The white floor (1 for a raw port,
+1 + |w|^2 for the subtracted port with nulling weight w) folds to exactly
+itself, so the reference is floor + sinc^2(Omega*dt/2) * (S - floor); the
+m != 0 terms are dropped, being below 1e-4 of it at the default step.
 
 For every squeeze kind the drift, and hence the one-step propagator, is
 lower-triangular in the cascade order sum pair -> mechanics -> difference
@@ -74,7 +85,7 @@ from .model import SystemConfig, json_text
 from .spectra import closed_form_psd, port_for_case
 from .transfer import Channel, transfer_coefficients
 
-DT_SAFETY = 0.05          # dt <= DT_SAFETY / fastest rate
+DT_SAFETY = 0.05          # default step of simulate: DT_SAFETY / fastest rate
 MIN_SEGMENTS = 32
 MIN_CORRELATION_TIMES = 100.0
 POINTS_PER_DECADE = 40    # log bins per decade of a validation report
@@ -197,9 +208,17 @@ def build_state_space(config: SystemConfig,
 
 
 def max_rate(ss: StateSpace) -> float:
-    """Fastest rate scale of the model, bounding the usable step."""
+    """Fastest rate scale of the model, which sets the default steps."""
     return float(max(np.max(np.abs(np.linalg.eigvals(ss.drift))),
                      np.max(np.abs(ss.drift))))
+
+
+def _band_step(omega_hi: float, *models: StateSpace) -> float:
+    """Default step of validate: Nyquist at least 3*omega_hi, so the band is
+    resolved, and at least 20 times the fastest rate of the models, so the
+    aliases the reference drops stay below 1e-4 of it."""
+    return math.pi / max(3.0 * omega_hi,
+                         20.0 * max(max_rate(ss) for ss in models))
 
 
 def _discretize(ss: StateSpace, dt: float, channel_scale=None):
@@ -247,28 +266,6 @@ def _discretize(ss: StateSpace, dt: float, channel_scale=None):
     m_sig = scipy.linalg.expm(sig_block * dt)[:n_aug, n_aug]
 
     return phi[:3, :3], phi[3:5, :3], m_sig[:5], factor
-
-
-def _step_model(ss: StateSpace, dt: float, method: str, channel_scale=None):
-    """One-step update (phi_xx, phi_zx, m_sig, factor) of ``method``.
-
-    "exact" is the Van Loan discretization; "euler" is first order, with the
-    output integral zeta = x*dt and its noise part omitted.
-    """
-    if method == "exact":
-        return _discretize(ss, dt, channel_scale)
-    if method != "euler":
-        raise ValueError(f"unknown method {method!r}")
-    phi_xx = np.eye(3) + ss.drift * dt
-    phi_zx = np.hstack([np.eye(2), np.zeros((2, 1))]) * dt
-    m_sig = np.concatenate([ss.signal_gain * dt, np.zeros(2)])
-    scale = np.ones(5) if channel_scale is None else np.asarray(channel_scale)
-    amp = np.sqrt(ss.channel_psd * scale**2 / 2.0 * dt)
-    factor = np.zeros((7, 7))
-    factor[:3, :5] = ss.noise_gain * amp[None, :]
-    factor[5, 0] = amp[0]
-    factor[6, 1] = amp[1]
-    return phi_xx, phi_zx, m_sig, factor
 
 
 def _scan(a: float, x: np.ndarray) -> None:
@@ -356,7 +353,6 @@ def simulate(config: SystemConfig, *, segments: int = 1, samples: int,
              coupling: float | None = None,
              channel_scale=None,
              signal=None,
-             method: str = "exact",
              burn_in: int | None = None,
              keep_states: bool = False) -> SimulationResult:
     """Integrate the quadrature Langevin model, emitting output samples.
@@ -365,8 +361,8 @@ def simulate(config: SystemConfig, *, segments: int = 1, samples: int,
     by absolute segment index).  Output samples are step averages of
     b = -a + sqrt(2*gamma0)*g built from the same increments that drove the
     state.  ``signal`` is an optional callable f(t) added to the mechanical
-    equation.  ``method`` is "exact" (default) or "euler"; both run the same
-    recursion.
+    equation.  The step is exact at any dt (default DT_SAFETY / fastest
+    rate).
 
     The state update is a triangular cascade: the sum pair, then the
     mechanics, then the difference pair, each a scalar first-order recurrence
@@ -383,9 +379,6 @@ def simulate(config: SystemConfig, *, segments: int = 1, samples: int,
     rate_max = max_rate(ss)
     if dt is None:
         dt = DT_SAFETY / rate_max
-    elif dt > DT_SAFETY / rate_max * (1 + 1e-9):
-        raise SimulationError(
-            f"dt = {dt:.3g} too coarse; need <= {DT_SAFETY / rate_max:.3g}")
     optical = np.linalg.eigvals(ss.drift[:2, :2])
     t_corr = 1.0 / min(abs(optical.real.min()), rate_max)
     if segments * samples * dt < MIN_CORRELATION_TIMES * t_corr:
@@ -397,7 +390,7 @@ def simulate(config: SystemConfig, *, segments: int = 1, samples: int,
         burn_in = int(math.ceil(10.0 / (min(abs(optical.real)) * dt))) \
             if np.all(np.abs(optical.real) > 0) else 0
 
-    phi_xx, phi_zx, m_sig, factor = _step_model(ss, dt, method, channel_scale)
+    phi_xx, phi_zx, m_sig, factor = _discretize(ss, dt, channel_scale)
     against = np.triu(phi_xx[np.ix_(_CASCADE, _CASCADE)], 1)
     # The Van Loan solve leaves rounding of ~1e-21 of the largest entry where
     # the propagator is structurally zero; the cascade drops it.
@@ -541,7 +534,13 @@ def log_binned(grid, columns, lo: float, hi: float, per_decade: int = 40):
 
 @dataclass
 class ValidationReport:
-    """Comparison of the simulated spectrum against the closed form."""
+    """Comparison of the simulated spectrum against the closed form.
+
+    ``closed_form`` and ``state_space_psd`` are the expectations of the
+    estimate: the closed-form and the simulated model's PSD, each rolled off
+    by sinc^2(Omega*dt/2) above the white floor of the step-averaged
+    samples, then signal-referred (see the module docstring).
+    """
 
     case: str
     passed: bool
@@ -590,7 +589,8 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
     ``perturb`` scales the squeeze rate inside the simulated dynamics by
     (1 + perturb) while every analytic reference (closed form, signal
     coefficient, subtraction filter) stays nominal - the designed-mismatch
-    negative control.
+    negative control.  An explicit ``dt`` must give pi/dt >= 3*omega_hi;
+    the default is _band_step's.
     """
     if segments < MIN_SEGMENTS:
         raise SimulationError(f"need at least {MIN_SEGMENTS} segments")
@@ -603,9 +603,7 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
     ss_sim = build_state_space(config, squeeze_rate=sim_rate)
     ss_nom = build_state_space(config)
     if dt is None:
-        dt = DT_SAFETY / max(max_rate(ss_sim), max_rate(ss_nom))
-        if math.pi / dt < 3.0 * omega_hi:
-            dt = math.pi / (3.0 * omega_hi)
+        dt = _band_step(omega_hi, ss_sim, ss_nom)
     elif math.pi / dt < 3.0 * omega_hi:
         raise SimulationError(
             f"dt = {dt:.3g} s too coarse for the band: Nyquist {math.pi / dt:.3g}"
@@ -681,9 +679,18 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
     var = (per_sq - segments * est**2) / (segments - 1)
     stderr = np.sqrt(np.clip(var, 0.0, None) / segments)
 
-    closed = closed_form_psd(case, config, grid)
-    ss_pred = ss_sim.output_psd(grid, ref_weight=None if weight is None
-                                else np.conj(weight)) / sig2
+    # Both references are the expectation of this estimator (see the module
+    # docstring): the output PSD, before signal referring, rolls off by
+    # sinc^2(Omega*dt/2) above the white floor that the step average keeps.
+    floor = 1.0 if weight is None else 1.0 + np.abs(weight) ** 2
+    roll = np.sinc(grid * dt / (2.0 * math.pi)) ** 2
+
+    def expected(output_psd: np.ndarray) -> np.ndarray:
+        return (floor + roll * (output_psd - floor)) / sig2
+
+    closed = expected(closed_form_psd(case, config, grid) * sig2)
+    ss_pred = expected(ss_sim.output_psd(grid, ref_weight=None if weight is None
+                                         else np.conj(weight)))
 
     centers, (est_b, closed_b, ss_b, var_b), counts = log_binned(
         grid, [est, closed, ss_pred, stderr ** 2], lo,

@@ -168,21 +168,98 @@ def test_back_action_signature():
 
 def test_euler_cross_check():
     cfg = config("two_photon", 0.3)
-    dt = 0.002 / oracle.max_rate(build_state_space(cfg))
+    ss = build_state_space(cfg)
+    dt = 0.002 / oracle.max_rate(ss)
     exact = simulate(cfg, segments=48, samples=8192, seed=23, dt=dt)
-    euler = simulate(cfg, segments=48, samples=8192, seed=123, dt=dt,
-                     method="euler")
+    optical = np.linalg.eigvals(ss.drift[:2, :2])
+    burn_in = math.ceil(10.0 / (np.min(np.abs(optical.real)) * dt))
+    euler, _ = loop_simulate(cfg, segments=48, samples=8192, dt=dt,
+                             burn_in=burn_in, seed=123, discretize=euler_step)
     pe = estimate_psd(exact.outputs[:, :, 1], dt).psd
-    pu = estimate_psd(euler.outputs[:, :, 1], dt).psd
+    pu = estimate_psd(euler[:, :, 1], dt).psd
     sel = slice(8, 2000)
     assert abs(pu[sel].mean() / pe[sel].mean() - 1.0) < 0.05
 
 
-def test_dt_precondition():
+def folded_psd(ss, omega, dt, weight=None, aliases=400):
+    """Expected periodogram of step-averaged samples, by alias.
+
+    Returns (floor, terms): the periodogram of the measured port (plus
+    weight * reference port) has expectation floor + terms.sum(axis=1), with
+    terms[:, aliases + m] = sinc^2(Omega_m*dt/2) * (S(Omega_m) - floor) at
+    Omega_m = Omega + 2*pi*m/dt, S from the frequency response with the
+    weight held at its bin value, and floor the white vacuum floor, which
+    the step average keeps.
+    """
+    omega = np.asarray(omega, dtype=float)
+    w = np.zeros(omega.size) if weight is None else weight
+    floor = 1.0 + np.abs(w) ** 2
+    shift = 2 * math.pi * np.arange(-aliases, aliases + 1) / dt
+    terms = np.empty((omega.size, shift.size))
+    for part in np.array_split(np.arange(omega.size), -(-omega.size // 32)):
+        om = omega[part, None] + shift[None, :]
+        h = ss.frequency_response(om.ravel()).reshape(om.shape + (2, 5))
+        row = h[..., 1, :] + w[part, None, None] * h[..., 0, :]
+        s = np.einsum("fmc,c->fm", np.abs(row) ** 2, ss.channel_psd)
+        terms[part] = np.sinc(om * dt / (2 * math.pi)) ** 2 \
+            * (s - floor[part, None])
+    return floor, terms
+
+
+def test_coarse_step_matches_folded_psd():
+    # Ten times the step cap simulate once imposed (dt * max_rate = 0.5):
+    # the exact step stays unbiased, and the periodogram of the step-averaged
+    # samples is the folded PSD, for a raw port and for the subtracted one.
     cfg = config("two_photon", 0.5)
-    with pytest.raises(SimulationError, match="too coarse"):
-        simulate(cfg, segments=1, samples=256,
-                 dt=1.0 / oracle.max_rate(build_state_space(cfg)))
+    ss = build_state_space(cfg)
+    dt = 0.5 / oracle.max_rate(ss)
+    samples, segments = 4096, 64
+    y = simulate(cfg, segments=segments, samples=samples, dt=dt,
+                 seed=29).outputs
+    grid = 2 * math.pi * np.fft.rfftfreq(samples, dt)
+    band = slice(8, grid.size - 8)
+    win, norm = oracle._hann(samples)
+    ffts = np.fft.rfft((y - y.mean(axis=1, keepdims=True)) * win[:, None],
+                       axis=1)[:, band, :]
+    weight = ss.nulling_weight(grid[band])
+    for w in (None, weight):
+        combined = ffts[:, :, 1] if w is None \
+            else ffts[:, :, 1] + np.conj(w) * ffts[:, :, 0]
+        per = 2 * dt * np.abs(combined) ** 2 / norm
+        floor, terms = folded_psd(ss, grid[band], dt, weight=w)
+        _, (est, folded, var), counts = oracle.log_binned(
+            grid[band], [per.mean(axis=0), floor + terms.sum(axis=1),
+                         per.var(axis=0, ddof=1) / segments],
+            grid[8], grid[-8], oracle.POINTS_PER_DECADE)
+        err = np.sqrt(var / counts)
+        ok = np.abs(est - folded) <= np.maximum(3 * err, 0.05 * folded)
+        assert ok.mean() >= 0.95
+
+
+@pytest.mark.parametrize("omega_hi", [1.0, 10.0])
+def test_default_step_aliases_negligible(omega_hi):
+    # At validate's default step the aliases m != 0 that its reference drops
+    # are below 1e-4 of the expected periodogram, for every case, lossy and
+    # lossless, at both squeeze rates and both pumps.
+    omega = np.geomspace(1e-2 * G0, omega_hi * G0, 30, endpoint=False)
+    worst = 0.0
+    for case, kind in spectra.CASE_KIND.items():
+        for lossless, frac, pump in itertools.product(
+                (False, True), (0.5, 0.9), (1.0, 4.0)):
+            if kind == "none" and frac == 0.9:
+                continue
+            cfg = config(kind, frac, lossless=lossless,
+                         K0=pump * math.pi / model.TAU_PRESETS["table1"])
+            ss = build_state_space(cfg)
+            dt = oracle._band_step(omega_hi * G0, ss)
+            weight = ss.nulling_weight(omega) \
+                if spectra.port_for_case(case) == "subtracted" else None
+            floor, terms = folded_psd(ss, omega, dt, weight=weight)
+            own = terms[:, terms.shape[1] // 2]   # the m = 0 term
+            neglected = terms.sum(axis=1) - own
+            reference = floor + own
+            worst = max(worst, np.max(np.abs(neglected) / reference))
+    assert worst < 1e-4
 
 
 def test_duration_precondition():
@@ -232,13 +309,27 @@ def test_deterministic_pulse_matches_transfer():
 
 # --- cascade recursion against the per-step loop -----------------------------------
 
+def euler_step(ss, dt, channel_scale=None):
+    """First-order update in the form of oracle._discretize, with the output
+    integral zeta = x*dt and its noise part omitted."""
+    phi_xx = np.eye(3) + ss.drift * dt
+    phi_zx = np.hstack([np.eye(2), np.zeros((2, 1))]) * dt
+    m_sig = np.concatenate([ss.signal_gain * dt, np.zeros(2)])
+    scale = np.ones(5) if channel_scale is None else np.asarray(channel_scale)
+    amp = np.sqrt(ss.channel_psd * scale**2 / 2.0 * dt)
+    factor = np.zeros((7, 7))
+    factor[:3, :5] = ss.noise_gain * amp[None, :]
+    factor[5, 0] = amp[0]
+    factor[6, 1] = amp[1]
+    return phi_xx, phi_zx, m_sig, factor
+
+
 def loop_simulate(cfg, *, segments, samples, dt, burn_in, seed=0,
                   segment_offset=0, channel_scale=None, signal=None,
-                  method="exact"):
+                  discretize=oracle._discretize):
     """Reference integrator: the full 3x3 update applied one step at a time."""
     ss = build_state_space(cfg)
-    phi_xx, phi_zx, m_sig, factor = oracle._step_model(ss, dt, method,
-                                                       channel_scale)
+    phi_xx, phi_zx, m_sig, factor = discretize(ss, dt, channel_scale)
     sqrt_2g0 = math.sqrt(2.0 * cfg.cavity.gamma0)
     total = burn_in + samples
     out = np.empty((segments, samples, 2))
@@ -304,13 +395,12 @@ def test_cascade_matches_step_loop_damped_mechanics():
     {"signal": lambda t: 1e3 * math.cos(2.0 * G0 * t)},
     {"channel_scale": np.array([1.0, 0.0, 2.0, 0.5, 3.0])},
     {"segment_offset": 5},
-    {"method": "euler"},
-], ids=["signal-only", "signal-and-noise", "channel-scale", "offset", "euler"])
+], ids=["signal-only", "signal-and-noise", "channel-scale", "offset"])
 def test_cascade_matches_step_loop_options(options):
     assert_matches_loop(config("two_photon", 0.3), **options)
 
 
-@pytest.mark.parametrize("a", [0.97, 1.0, -0.5])
+@pytest.mark.parametrize("a", [0.97, 1.0, -0.5, 0.999, -0.99])
 @pytest.mark.parametrize("n", [1, oracle._SCAN_BLOCK - 1, oracle._SCAN_BLOCK,
                                oracle._SCAN_BLOCK + 1, 3 * oracle._SCAN_BLOCK + 5,
                                oracle._SCAN_BLOCK * 65,
