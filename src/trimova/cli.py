@@ -16,6 +16,7 @@ import argparse
 import datetime
 import hashlib
 import json
+import math
 import os
 import sys
 import warnings
@@ -37,14 +38,16 @@ class UsageError(Exception):
 
 
 def parse_rate(text: str, gamma0: float) -> float:
-    """A rate in rad/s, or relative to the input coupler via a g0 suffix."""
+    """A finite rate in rad/s, or relative to the input coupler via a g0
+    suffix."""
     text = text.strip()
     try:
-        if text.endswith("g0"):
-            return float(text[:-2]) * gamma0
-        return float(text)
+        value = float(text[:-2]) * gamma0 if text.endswith("g0") else float(text)
     except ValueError:
         raise UsageError(f"cannot parse rate {text!r}") from None
+    if not math.isfinite(value):
+        raise UsageError(f"rate {text!r} must be finite")
+    return value
 
 
 def positive_int(text: str) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 # Exact SI 2019 values of the reduced Planck and the Boltzmann constants.
 HBAR = 6.62607015e-34 / (2 * math.pi)   # J s
@@ -49,6 +49,14 @@ RATIO_LOSS_VS_INPUT = 0.1      # gamma_e / gamma0
 MIN_PULSE_CYCLES = 10.0        # omega_m * tau
 
 _ROUND_TRIP_TOL = 1e-12
+
+
+def _require_finite(params) -> None:
+    """Raise ConfigError for a NaN or infinite number in a parameter set."""
+    for item in fields(params):
+        value = getattr(params, item.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{item.name} must be finite, got {value}")
 
 
 def thermal_occupancy(omega_m: float, temperature: float) -> float:
@@ -114,6 +122,7 @@ class MechanicalOscillator:
     temperature: float
 
     def __post_init__(self):
+        _require_finite(self)
         if self.mass <= 0 or self.omega_m <= 0:
             raise ConfigError("mass and omega_m must be positive")
         if self.gamma_m < 0 or self.temperature < 0:
@@ -148,6 +157,7 @@ class OpticalCavity:
     omega0: float
 
     def __post_init__(self):
+        _require_finite(self)
         if self.gamma0 <= 0 or self.length <= 0 or self.omega0 <= 0:
             raise ConfigError("gamma0, length and omega0 must be positive")
         if self.gamma_e < 0:
@@ -182,6 +192,7 @@ class Squeezing:
     rate: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.kind not in ("none", "two_photon", "degenerate"):
             raise ConfigError(f"unknown squeezing kind {self.kind!r}")
         if self.rate < 0:
@@ -199,6 +210,7 @@ class DriveConfig:
     input_power: float | None = None
 
     def __post_init__(self):
+        _require_finite(self)
         if (self.K0 is None) == (self.input_power is None):
             raise ConfigError("give exactly one of K0 or input_power")
         value = self.K0 if self.K0 is not None else self.input_power
@@ -221,6 +233,7 @@ class SignalPulse:
     f_s0: float | None = None
 
     def __post_init__(self):
+        _require_finite(self)
         if self.tau <= 0:
             raise ConfigError("tau must be positive")
         if self.F_s0 is not None and self.f_s0 is not None:
@@ -256,40 +269,15 @@ class DerivedQuantities:
     F_s0: float | None
     f_s0: float | None
 
-    @property
-    def f_s(self) -> float | None:
-        """Rotating-frame signal amplitude, f_s0 = 2*f_s."""
-        return None if self.f_s0 is None else self.f_s0 / 2.0
-
-
-def _regime_findings(mech: MechanicalOscillator, cavity: OpticalCavity) -> list[str]:
-    out = []
-    g = cavity.gamma
-    if mech.gamma_m > RATIO_MECH_VS_CAVITY * g:
-        out.append(
-            f"gamma_m/gamma = {mech.gamma_m / g:.3g} exceeds "
-            f"{RATIO_MECH_VS_CAVITY}; mechanical decay is not slow against the cavity")
-    if g > RATIO_CAVITY_VS_MECH_FREQ * mech.omega_m:
-        out.append(
-            f"gamma/omega_m = {g / mech.omega_m:.3g} exceeds "
-            f"{RATIO_CAVITY_VS_MECH_FREQ}; sidebands are not well resolved")
-    if cavity.gamma_e > RATIO_LOSS_VS_INPUT * cavity.gamma0:
-        out.append(
-            f"gamma_e/gamma0 = {cavity.gamma_e / cavity.gamma0:.3g} exceeds "
-            f"{RATIO_LOSS_VS_INPUT}; internal loss is not small against the input coupler")
-    return out
-
 
 def _check_stability(squeeze: Squeezing, cavity: OpticalCavity) -> None:
+    # The antisqueezed pair decays at gamma - rate (the sum pair under
+    # two-photon squeezing) and must stay damped, so the bound is strict.
     g = cavity.gamma
-    if squeeze.kind == "two_photon" and squeeze.rate > g:
+    if squeeze.kind != "none" and squeeze.rate >= g:
+        kind = squeeze.kind.replace("_", "-")
         raise StabilityError(
-            f"two-photon rate {squeeze.rate:.6g} exceeds gamma0+gamma_e = {g:.6g}")
-    if squeeze.kind == "degenerate" and squeeze.rate >= g:
-        # The antisqueezed quadrature pair decays at gamma - upsilon and must
-        # stay damped, so the degenerate bound is strict.
-        raise StabilityError(
-            f"degenerate rate {squeeze.rate:.6g} reaches gamma0+gamma_e = {g:.6g}")
+            f"{kind} rate {squeeze.rate:.6g} reaches gamma0+gamma_e = {g:.6g}")
 
 
 @dataclass(frozen=True)
@@ -347,23 +335,27 @@ class SystemConfig:
             warnings.warn(message, RegimeWarning, stacklevel=3)
 
     def regime_findings(self) -> list[str]:
-        out = _regime_findings(self.mechanical, self.cavity)
-        wm_tau = self.mechanical.omega_m * self.signal.tau
+        """Soft separation-of-scale violations, as warning strings."""
+        mech, cavity = self.mechanical, self.cavity
+        out = []
+        g = cavity.gamma
+        if mech.gamma_m > RATIO_MECH_VS_CAVITY * g:
+            out.append(f"gamma_m/gamma = {mech.gamma_m / g:.3g} exceeds "
+                       f"{RATIO_MECH_VS_CAVITY}; mechanical decay is not slow "
+                       "against the cavity")
+        if g > RATIO_CAVITY_VS_MECH_FREQ * mech.omega_m:
+            out.append(f"gamma/omega_m = {g / mech.omega_m:.3g} exceeds "
+                       f"{RATIO_CAVITY_VS_MECH_FREQ}; sidebands are not well "
+                       "resolved")
+        if cavity.gamma_e > RATIO_LOSS_VS_INPUT * cavity.gamma0:
+            out.append(f"gamma_e/gamma0 = {cavity.gamma_e / cavity.gamma0:.3g} "
+                       f"exceeds {RATIO_LOSS_VS_INPUT}; internal loss is not "
+                       "small against the input coupler")
+        wm_tau = mech.omega_m * self.signal.tau
         if wm_tau < MIN_PULSE_CYCLES:
             out.append(f"omega_m*tau = {wm_tau:.3g} is below {MIN_PULSE_CYCLES}; "
                        "the pulse is not many-cycle resonant")
         return out
-
-
-def validate_regime(config: SystemConfig) -> list[str]:
-    """Regime report for an assembled configuration.
-
-    Soft separation-of-scale violations come back as warning strings; an
-    unstable parametric pump raises StabilityError (re-checked here so the
-    operation is usable on configs built by other paths).
-    """
-    _check_stability(config.squeeze, config.cavity)
-    return config.regime_findings()
 
 
 # --- configuration files -----------------------------------------------------

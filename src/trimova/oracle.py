@@ -3,13 +3,15 @@
 The amplitude quadratures form a three-state linear Langevin system (the
 sum pair, which drives the mechanics; the difference pair, which is
 measured; the mechanical quadrature) forced by five white channels: the two
-input-port vacua, the two loss vacua and the mechanical bath.  This module
-integrates that system, forms the two output time series through the
-input/output boundary relation (the reflected input must be built from the
-*same* noise realization that drove the cavity, or the output spectrum is
-wrong at order one), estimates single-sided PSDs by segment-averaged Hann
-periodograms, and compares the signal-referred result against the
-closed-form spectra.
+input-port vacua, the two loss vacua and the mechanical bath.
+``build_state_space`` states that system once, as a ``StateSpace`` (drift,
+noise gain, output map, feedthrough).  ``simulate`` integrates the
+``StateSpace`` it is given and forms the two output time series through
+that model's own output map y = C x + D w (the reflected input D w must be
+built from the *same* noise realization that drove the cavity, or the
+output spectrum is wrong at order one).  ``validate`` estimates
+single-sided PSDs by segment-averaged Hann periodograms and compares the
+signal-referred result against the closed-form spectra.
 
 Integration uses the exact one-step propagator: the matrix exponential of
 the drift together with the exact joint covariance of (state increment,
@@ -157,8 +159,7 @@ class StateSpace:
 
 
 def build_state_space(config: SystemConfig,
-                      squeeze_rate: float | None = None,
-                      coupling: float | None = None) -> StateSpace:
+                      squeeze_rate: float | None = None) -> StateSpace:
     """Langevin model of the amplitude quadratures.
 
     The sum pair drives the mechanics and the mechanics are read out in the
@@ -167,15 +168,13 @@ def build_state_space(config: SystemConfig,
     degenerate squeezing damps both pairs at gamma + upsilon.
 
     ``squeeze_rate`` overrides the configured rate (used by negative
-    controls), ``coupling`` overrides the optomechanical rate (0 gives an
-    empty cavity).
+    controls).
     """
     cav, mech = config.cavity, config.mechanical
     g0, ge, g = cav.gamma0, cav.gamma_e, cav.gamma
     rate = config.squeeze.rate if squeeze_rate is None else squeeze_rate
 
-    c = math.sqrt(config.derived.K0 * g * (g0 - ge) / (2.0 * g0)) \
-        if coupling is None else coupling
+    c = math.sqrt(config.derived.K0 * g * (g0 - ge) / (2.0 * g0))
 
     A = np.zeros((3, 3))
     A[0, 0] = -(g + rate if config.squeeze.kind == "degenerate" else g - rate)
@@ -221,7 +220,7 @@ def _band_step(omega_hi: float, *models: StateSpace) -> float:
                          20.0 * max(max_rate(ss) for ss in models))
 
 
-def _discretize(ss: StateSpace, dt: float, channel_scale=None):
+def _discretize(ss: StateSpace, dt: float):
     """Exact one-step update for (state, per-step output integrals, increments).
 
     Returns (phi_xx, phi_zx, m_sig, factor) where the per-step sample is
@@ -232,8 +231,6 @@ def _discretize(ss: StateSpace, dt: float, channel_scale=None):
     """
     import scipy.linalg   # here, not at module level: only simulation needs it
 
-    scale = np.ones(5) if channel_scale is None else np.asarray(channel_scale,
-                                                                dtype=float)
     n_aug = 7
     A = np.zeros((n_aug, n_aug))
     A[:3, :3] = ss.drift
@@ -243,7 +240,7 @@ def _discretize(ss: StateSpace, dt: float, channel_scale=None):
     B[:3, :] = ss.noise_gain
     B[5, 0] = 1.0
     B[6, 1] = 1.0
-    intensity = np.diag(ss.channel_psd * scale**2 / 2.0)
+    intensity = np.diag(ss.channel_psd / 2.0)
     Qc = B @ intensity @ B.T
 
     # Van Loan: exp([[-A, Qc], [0, A^T]] dt) packs the propagator and the
@@ -336,8 +333,6 @@ class SimulationResult:
 
     outputs: np.ndarray      # (segments, samples, 2): sum port, difference port
     dt: float
-    seed: int
-    segment_offset: int
     states: np.ndarray | None = None
 
 
@@ -347,22 +342,21 @@ def _segment_generators(seed: int, segment: int, components: int):
         for comp in range(components)]
 
 
-def simulate(config: SystemConfig, *, segments: int = 1, samples: int,
+def simulate(ss: StateSpace, *, segments: int = 1, samples: int,
              dt: float | None = None, seed: int = 0, segment_offset: int = 0,
-             squeeze_rate: float | None = None,
-             coupling: float | None = None,
-             channel_scale=None,
              signal=None,
              burn_in: int | None = None,
              keep_states: bool = False) -> SimulationResult:
-    """Integrate the quadrature Langevin model, emitting output samples.
+    """Integrate the given Langevin model ``ss``, emitting output samples.
 
     Each segment is an independent realization (its own noise streams keyed
     by absolute segment index).  Output samples are step averages of
-    b = -a + sqrt(2*gamma0)*g built from the same increments that drove the
-    state.  ``signal`` is an optional callable f(t) added to the mechanical
-    equation.  The step is exact at any dt (default DT_SAFETY / fastest
-    rate).
+    y = C x + D w, the model's own output map, built from the same
+    increments that drove the state; C may read the two pairs and D their
+    input vacua (channels 0 and 1), and SimulationError is raised for any
+    other entry.  ``signal`` is an optional callable f(t) entering through
+    the model's signal gain.  The step is exact at any dt (default
+    DT_SAFETY / fastest rate).
 
     The state update is a triangular cascade: the sum pair, then the
     mechanics, then the difference pair, each a scalar first-order recurrence
@@ -374,8 +368,9 @@ def simulate(config: SystemConfig, *, segments: int = 1, samples: int,
     record length: the noise of a whole segment is never held at once.  The
     segments are split over WORKERS threads (see the module docstring).
     """
-    ss = build_state_space(config, squeeze_rate=squeeze_rate,
-                           coupling=coupling)
+    if np.any(ss.output_gain[:, 2]) or np.any(ss.feedthrough[:, 2:]):
+        raise SimulationError("output map reads beyond the two pairs and "
+                              "their input vacua")
     rate_max = max_rate(ss)
     if dt is None:
         dt = DT_SAFETY / rate_max
@@ -390,7 +385,7 @@ def simulate(config: SystemConfig, *, segments: int = 1, samples: int,
         burn_in = int(math.ceil(10.0 / (min(abs(optical.real)) * dt))) \
             if np.all(np.abs(optical.real) > 0) else 0
 
-    phi_xx, phi_zx, m_sig, factor = _discretize(ss, dt, channel_scale)
+    phi_xx, phi_zx, m_sig, factor = _discretize(ss, dt)
     against = np.triu(phi_xx[np.ix_(_CASCADE, _CASCADE)], 1)
     # The Van Loan solve leaves rounding of ~1e-21 of the largest entry where
     # the propagator is structurally zero; the cascade drops it.
@@ -399,7 +394,7 @@ def simulate(config: SystemConfig, *, segments: int = 1, samples: int,
             "propagator couples against the cascade order sum pair -> "
             "mechanics -> difference pair")
 
-    sqrt_2g0 = math.sqrt(2.0 * config.cavity.gamma0)
+    C, D = ss.output_gain[:, :2], ss.feedthrough[:, :2]
     total = burn_in + samples
     out = np.empty((segments, samples, 2))
     states = np.empty((segments, samples, 3)) if keep_states else None
@@ -408,10 +403,10 @@ def simulate(config: SystemConfig, *, segments: int = 1, samples: int,
 
     # Rows 0-2 are the state noise; rows 3-4 give output sample p as
     # read_x[p] . x + mix[3 + p] . z + drive[3 + p] * f, the step average of
-    # b = -a + sqrt(2*gamma0)*g.
-    mix = np.vstack([factor[:3], (sqrt_2g0 * factor[3:5] - factor[5:7]) / dt])
-    drive = np.concatenate([m_sig[:3], sqrt_2g0 * m_sig[3:5] / dt])
-    read_x = sqrt_2g0 * phi_zx / dt
+    # y = C x + D w.
+    mix = np.vstack([factor[:3], (C @ factor[3:5] + D @ factor[5:7]) / dt])
+    drive = np.concatenate([m_sig[:3], C @ m_sig[3:5] / dt])
+    read_x = C @ phi_zx / dt
     chunk = max(1, (8 << 20) // (16 * segments))   # 2**19 segment-steps
     width = 1 + -(-chunk // _SCAN_BLOCK) * _SCAN_BLOCK
 
@@ -458,22 +453,10 @@ def simulate(config: SystemConfig, *, segments: int = 1, samples: int,
             x[:, :, 0] = x[:, :, size]
 
     _in_parallel(integrate, segments)
-    return SimulationResult(out, dt, seed, segment_offset, states)
+    return SimulationResult(out, dt, states)
 
 
 # --- spectral estimation --------------------------------------------------------
-
-@dataclass
-class OracleEstimate:
-    """Averaged single-sided periodogram with per-bin standard errors."""
-
-    grid: np.ndarray
-    psd: np.ndarray
-    stderr: np.ndarray
-    segments: int
-    dt: float
-    seed: int | None = None
-
 
 def _hann(n: int):
     """Hann window of n samples and its power sum."""
@@ -481,22 +464,14 @@ def _hann(n: int):
     return win, float(np.sum(win**2))
 
 
-def estimate_psd(series: np.ndarray, dt: float,
-                 segment_length: int | None = None,
-                 seed: int | None = None) -> OracleEstimate:
+def estimate_psd(rows: np.ndarray, dt: float):
     """Segment-averaged Hann-window single-sided PSD (unit-PSD white noise
-    reads 1).
+    reads 1): (grid, psd, stderr) of ``rows``, one segment per row.
 
-    ``series`` is either 1-d (split into ``segment_length`` blocks) or 2-d
-    with one segment per row; each segment is detrended (mean removed).  At
-    least 32 segments are required for the error bars to mean anything.
+    Each segment is detrended (mean removed).  At least 32 segments are
+    required for the error bars to mean anything.
     """
-    y = np.asarray(series, dtype=float)
-    if y.ndim == 1:
-        if not segment_length:
-            raise ValueError("segment_length required for a flat series")
-        count = y.size // segment_length
-        y = y[:count * segment_length].reshape(count, segment_length)
+    y = np.asarray(rows, dtype=float)
     if y.shape[0] < MIN_SEGMENTS:
         raise SimulationError(f"need at least {MIN_SEGMENTS} segments, "
                               f"got {y.shape[0]}")
@@ -504,10 +479,8 @@ def estimate_psd(series: np.ndarray, dt: float,
     data = y - y.mean(axis=-1, keepdims=True)
     per = 2.0 * dt * np.abs(np.fft.rfft(data * win, axis=-1)) ** 2 / norm
     grid = 2.0 * math.pi * np.fft.rfftfreq(y.shape[-1], dt)
-    return OracleEstimate(grid=grid,
-                          psd=per.mean(axis=0),
-                          stderr=per.std(axis=0, ddof=1) / math.sqrt(y.shape[0]),
-                          segments=y.shape[0], dt=dt, seed=seed)
+    return (grid, per.mean(axis=0),
+            per.std(axis=0, ddof=1) / math.sqrt(y.shape[0]))
 
 
 def log_binned(grid, columns, lo: float, hi: float, per_decade: int = 40):
@@ -589,8 +562,8 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
     ``perturb`` scales the squeeze rate inside the simulated dynamics by
     (1 + perturb) while every analytic reference (closed form, signal
     coefficient, subtraction filter) stays nominal - the designed-mismatch
-    negative control.  An explicit ``dt`` must give pi/dt >= 3*omega_hi;
-    the default is _band_step's.
+    negative control.  An explicit ``dt`` must be finite and positive and
+    give pi/dt >= 3*omega_hi; the default is _band_step's.
     """
     if segments < MIN_SEGMENTS:
         raise SimulationError(f"need at least {MIN_SEGMENTS} segments")
@@ -599,11 +572,14 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
     omega_lo = 1e-2 * g0 if omega_lo is None else omega_lo
     omega_hi = 10.0 * g0 if omega_hi is None else omega_hi
 
-    sim_rate = config.squeeze.rate * (1.0 + perturb)
-    ss_sim = build_state_space(config, squeeze_rate=sim_rate)
+    ss_sim = build_state_space(config,
+                               squeeze_rate=config.squeeze.rate * (1.0 + perturb))
     ss_nom = build_state_space(config)
     if dt is None:
         dt = _band_step(omega_hi, ss_sim, ss_nom)
+    elif not (math.isfinite(dt) and dt > 0.0):
+        raise SimulationError(f"dt = {dt} s: the step must be finite and "
+                              "positive")
     elif math.pi / dt < 3.0 * omega_hi:
         raise SimulationError(
             f"dt = {dt:.3g} s too coarse for the band: Nyquist {math.pi / dt:.3g}"
@@ -647,9 +623,8 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
     done = 0
     while done < segments:
         todo = min(BATCH, segments - done)
-        outputs = simulate(config, segments=todo, samples=samples, dt=dt,
-                           seed=seed, segment_offset=done,
-                           squeeze_rate=sim_rate).outputs
+        outputs = simulate(ss_sim, segments=todo, samples=samples, dt=dt,
+                           seed=seed, segment_offset=done).outputs
         # Per-bin sums of each fixed group of segments, added in group order
         # below, so that the result does not depend on the thread count.
         groups = -(-todo // _FFT_GROUP)

@@ -74,14 +74,11 @@ def sql_psd(gamma_m: float, omega):
 
 # --- closed forms -------------------------------------------------------------
 
-def closed_form_psd(case: str, config: SystemConfig, omega,
-                    constant_pump: bool = False):
+def closed_form_psd(case: str, config: SystemConfig, omega):
     """Closed-form signal-referred PSD of one measured case.
 
-    ``constant_pump=True`` freezes the pump-response magnitude at its
-    Omega = 0 value (the flat-pump approximation); default keeps the full
-    frequency dependence.  The unsqueezed cases are the two-photon forms at
-    rate 0, internal-loss residual included.  ``deg-sub`` raises PoleError
+    The unsqueezed cases are the two-photon forms at rate 0, internal-loss
+    residual included.  ``deg-sub`` raises PoleError
     where the reference port reflects no vacuum (upsilon = gamma0 - gamma_e,
     Omega = 0).
     """
@@ -101,18 +98,11 @@ def closed_form_psd(case: str, config: SystemConfig, omega,
         d_plus = g - rate - 1j * w           # antisqueezed-pair response
         xi_plus2 = np.abs(g0 - ge + rate + 1j * w) ** 2 / np.abs(d_plus) ** 2
         pump = K0 * g * (g0 - ge)
-        if constant_pump:
-            xi_minus = np.abs(n) / np.abs(d_minus)
-            mu_minus2 = 4.0 * g0 * ge / np.abs(d_minus) ** 2
-            pump_mag = np.abs(pump / (g0**2 - (rate + ge) ** 2)) * np.ones_like(w)
-            ba_mag = xi_minus * pump_mag
-            out = thermal + mech2 / pump_mag * (xi_minus + mu_minus2 / xi_minus)
-        else:
-            # The pump magnitude pump/(|n| |d_minus|) carries the factor |n|
-            # of xi_minus = |n|/|d_minus|; cancelled here, so the removable
-            # singularity at rate = gamma0 - gamma_e, Omega = 0 stays finite.
-            ba_mag = pump / np.abs(d_minus) ** 2
-            out = thermal + mech2 * (np.abs(n) ** 2 + 4.0 * g0 * ge) / pump
+        # The pump magnitude pump/(|n| |d_minus|) carries the factor |n| of
+        # xi_minus = |n|/|d_minus|; cancelled here, so the removable
+        # singularity at rate = gamma0 - gamma_e, Omega = 0 stays finite.
+        ba_mag = pump / np.abs(d_minus) ** 2
+        out = thermal + mech2 * (np.abs(n) ** 2 + 4.0 * g0 * ge) / pump
         if not case.endswith("-sub"):
             return out + ba_mag * (1.0 + ge / g0)
         return out + ba_mag * ge / (g0 * xi_plus2)
@@ -122,8 +112,6 @@ def closed_form_psd(case: str, config: SystemConfig, omega,
     zeta2 = np.abs(g0 - ge - rate + 1j * w) ** 2 / np.abs(d) ** 2
     sigma2_loss = 4.0 * g0 * ge / np.abs(d) ** 2
     strength_mag = config.derived.N0 * g**2 / np.abs(d) ** 2
-    if constant_pump:
-        strength_mag = config.derived.N0 * g**2 / (g + rate) ** 2 * np.ones_like(w)
     out = thermal + mech2 / strength_mag * (zeta2 + sigma2_loss)
     if case == "deg-raw":
         return out + strength_mag * (1.0 + ge / g0)
@@ -132,19 +120,6 @@ def closed_form_psd(case: str, config: SystemConfig, omega,
 
 
 # --- channel assembly ----------------------------------------------------------
-
-def _assemble_budget(config: SystemConfig, case: str, grid: np.ndarray):
-    coeffs = transfer_coefficients(config, port_for_case(case), grid,
-                                   referenced=True)
-    n_T = config.derived.n_T
-    parts = {}
-    for ch in VACUUM_CHANNELS:
-        parts[ch.value] = np.abs(coeffs[ch]) ** 2
-    parts[Channel.THERMAL.value] = np.abs(coeffs[Channel.THERMAL]) ** 2 \
-        * (2.0 * n_T + 1.0)
-    total = sum(parts.values())
-    return total, parts
-
 
 @dataclass
 class SpectrumSeries:
@@ -195,20 +170,18 @@ class SpectrumSeries:
 
 def spectrum_series(config: SystemConfig, case: str, omega=None,
                     budget: bool = False) -> SpectrumSeries:
-    """Assembled spectrum of a named case over ``omega`` (default log grid)."""
+    """Assembled spectrum of a named case over ``omega`` (default log grid):
+    each channel's |signal-referred coefficient|^2 times its PSD, summed."""
     _check_case(config, case)
     grid = default_grid(config) if omega is None else np.asarray(omega, dtype=float)
-    total, parts = _assemble_budget(config, case, grid)
-    return SpectrumSeries(case=case, grid=grid, values=total,
+    coeffs = transfer_coefficients(config, port_for_case(case), grid,
+                                   referenced=True)
+    parts = {ch.value: np.abs(coeffs[ch]) ** 2 for ch in VACUUM_CHANNELS}
+    parts[Channel.THERMAL.value] = np.abs(coeffs[Channel.THERMAL]) ** 2 \
+        * (2.0 * config.derived.n_T + 1.0)
+    return SpectrumSeries(case=case, grid=grid, values=sum(parts.values()),
                           config=config_snapshot(config),
                           budget=parts if budget else None)
-
-
-def backaction_budget(config: SystemConfig, case: str, omega) -> np.ndarray:
-    """Back-action part of the budget: both sum-pair vacuum channels."""
-    grid = np.asarray(omega, dtype=float)
-    _, parts = _assemble_budget(config, case, grid)
-    return parts[Channel.ALPHA_PLUS.value] + parts[Channel.EPS_PLUS.value]
 
 
 def ratio_to_sql(series: SpectrumSeries) -> SpectrumSeries:
@@ -229,16 +202,14 @@ def ratio_to_sql(series: SpectrumSeries) -> SpectrumSeries:
 
 def detection_threshold_spectral(config: SystemConfig, case: str,
                                  tau: float | None = None,
-                                 omega: float = 0.0,
-                                 constant_pump: bool = False) -> float:
+                                 omega: float = 0.0) -> float:
     """Normalized force amplitude resolvable over a pulse bandwidth.
 
     f_min = sqrt(S_f(Omega) * dOmega / 2pi) with dOmega = 2pi/tau, evaluated
     at a caller-chosen Omega (default 0).
     """
     tau = config.signal.tau if tau is None else tau
-    value = float(closed_form_psd(case, config, float(omega),
-                                  constant_pump=constant_pump))
+    value = float(closed_form_psd(case, config, float(omega)))
     return math.sqrt(value / tau)
 
 

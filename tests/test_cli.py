@@ -37,6 +37,8 @@ def test_parse_rate():
     assert cli.parse_rate("123.5", 100.0) == 123.5
     with pytest.raises(cli.UsageError):
         cli.parse_rate("abc", 100.0)
+    with pytest.raises(cli.UsageError, match="finite"):
+        cli.parse_rate("-inf", 100.0)
 
 
 def test_spectrum_matches_closed_form(tmp_path):
@@ -79,6 +81,33 @@ def test_invalid_case_exits_2(tmp_path):
     with pytest.raises(SystemExit) as err:
         cli.main(["spectrum", "--case", "bogus", "--out", str(tmp_path / "x.csv")])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["threshold", "--kappa", "nan"],
+    ["threshold", "--gamma-m", "nan"],
+    ["threshold", "--tau", "nan"],
+    ["threshold", "--k0", "inf"],
+    ["spectrum", "--case", "baseline", "--k0", "nan", "--out", "s.csv"],
+    ["spectrum", "--case", "baseline", "--omega-min", "nan", "--out", "s.csv"],
+    ["validate", "--case", "baseline", "--omega-max", "inf", "--out", "v.json"],
+], ids=["kappa-nan", "gamma-m-nan", "tau-nan", "k0-inf", "spectrum-k0-nan",
+        "spectrum-omega-min-nan", "validate-omega-max-inf"])
+def test_non_finite_input_exits_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite" in captured.err
+    assert not list(tmp_path.iterdir())
+
+
+def test_threshold_at_two_photon_stability_edge_exits_2(capsys):
+    # kappa = gamma: the sum pair no longer decays.
+    assert cli.main(["threshold", "--kappa", repr(G0 + GE)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "reaches gamma0+gamma_e" in captured.err
 
 
 def test_stability_error_exits_2(tmp_path, capsys):
@@ -231,7 +260,9 @@ def test_validate_rejects_few_segments(tmp_path, capsys):
     # band end: the report would stop short of the band it claims to check.
     (["--dt", "2.2e-7", "--omega-max", "200g0"], "too coarse"),
     (["--omega-min", "1g0", "--omega-max", "0.5g0"], "comparison band"),
-], ids=["dt-too-coarse", "empty-band"])
+    (["--dt", "0"], "finite and positive"),
+    (["--dt=-1e-7"], "finite and positive"),
+], ids=["dt-too-coarse", "empty-band", "dt-zero", "dt-negative"])
 def test_validate_unusable_band_exits_2(tmp_path, capsys, band, message):
     out = tmp_path / "r.json"
     code = cli.main(["validate", "--case", "baseline", "--segments", "32",

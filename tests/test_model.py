@@ -113,13 +113,16 @@ def test_intracavity_drive_identity(reference):
 
 
 def test_reference_config_clean(recwarn, reference):
-    assert model.validate_regime(reference) == []
+    assert reference.regime_findings() == []
     assert not [w for w in recwarn.list if issubclass(w.category, RegimeWarning)]
 
 
 def test_stability_two_photon_bound(reference):
     g = reference.cavity.gamma
-    model.reference_config(squeeze=Squeezing("two_photon", g))  # boundary ok
+    # The sum pair decays at gamma - kappa: the bound is strict.
+    model.reference_config(squeeze=Squeezing("two_photon", 0.999 * g))
+    with pytest.raises(StabilityError):
+        model.reference_config(squeeze=Squeezing("two_photon", g))
     with pytest.raises(StabilityError):
         model.reference_config(squeeze=Squeezing("two_photon", 1.01 * g))
 
@@ -177,7 +180,6 @@ def test_signal_amplitude_relations(reference):
     cfg = SystemConfig(mech, reference.cavity, Squeezing(), DriveConfig(K0=1e5),
                        SignalPulse(tau=28e-6, F_s0=1e-12))
     assert cfg.derived.f_s0 == 1e-12 / scale
-    assert cfg.derived.f_s == cfg.derived.f_s0 / 2
     cfg2 = SystemConfig(mech, reference.cavity, Squeezing(), DriveConfig(K0=1e5),
                         SignalPulse(tau=28e-6, f_s0=cfg.derived.f_s0))
     assert cfg2.derived.F_s0 == pytest.approx(1e-12, rel=1e-12)
@@ -238,6 +240,20 @@ def test_config_rejects_unknown_keys():
     doc = _config_document()
     doc["extras"] = {}
     with pytest.raises(ConfigError, match="extras"):
+        model.parse_config(doc)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("section, key", [
+    ("mechanical", "temperature"), ("cavity", "gamma_e"),
+    ("drive", "input_power"), ("squeeze", "kappa"), ("signal", "f_s0"),
+])
+def test_config_rejects_non_finite(section, key, value):
+    # Every parameter container refuses NaN and inf, so a file (JSON
+    # accepts NaN and Infinity) fails as loudly as the command line.
+    doc = _config_document()
+    doc[section][key] = value
+    with pytest.raises(ConfigError, match="must be finite"):
         model.parse_config(doc)
 
 

@@ -28,6 +28,20 @@ def config(kind="none", frac=0.0, lossless=False, gamma_m=None, K0=None):
                                       gamma_m=gamma_m, K0=K0)
 
 
+def scaled(ss, scale):
+    """The model with the amplitude of noise channel c times scale[c]."""
+    return dataclasses.replace(
+        ss, channel_psd=ss.channel_psd * np.asarray(scale, dtype=float) ** 2)
+
+
+def empty_cavity(cfg):
+    """The model of ``cfg`` with the optomechanical coupling removed."""
+    ss = build_state_space(cfg)
+    drift = ss.drift.copy()
+    drift[1, 2] = drift[2, 0] = 0.0
+    return dataclasses.replace(ss, drift=drift)
+
+
 # --- state space ------------------------------------------------------------------
 
 def test_state_space_matches_analytic_coefficients():
@@ -72,7 +86,7 @@ def test_steady_state_variance_matches_lyapunov():
     expected = scipy.linalg.solve_continuous_lyapunov(
         ss.drift,
         -ss.noise_gain @ np.diag(ss.channel_psd / 2) @ ss.noise_gain.T)
-    sim = simulate(cfg, segments=48, samples=6000, seed=21, keep_states=True)
+    sim = simulate(ss, segments=48, samples=6000, seed=21, keep_states=True)
     tail = sim.states[:, 1000:, :]
     per_segment = np.einsum("snj,snk->sjk", tail, tail) / tail.shape[1]
     mean = per_segment.mean(axis=0)
@@ -87,27 +101,27 @@ def test_estimator_white_noise_calibration():
     # Unit single-sided PSD white noise: samples of variance 1/(2 dt).
     rng = np.random.default_rng(3)
     dt = 1e-4
-    series = rng.standard_normal(160 * 4096) / math.sqrt(2 * dt)
-    est = estimate_psd(series, dt, segment_length=4096, seed=3)
-    band = est.psd[3:-3]
+    rows = rng.standard_normal((160, 4096)) / math.sqrt(2 * dt)
+    _, psd, _ = estimate_psd(rows, dt)
+    band = psd[3:-3]
     mean = band.mean()
     assert abs(mean - 1.0) < 3.5 * band.std() / math.sqrt(band.size / 1.5)
 
 
 def test_estimator_requires_segments():
     with pytest.raises(SimulationError):
-        estimate_psd(np.zeros(16 * 100), 1e-4, segment_length=100)
+        estimate_psd(np.zeros((16, 100)), 1e-4)
 
 
 def test_empty_cavity_passthrough():
-    cfg = config(lossless=True)
-    sim = simulate(cfg, segments=64, samples=4096, seed=11, coupling=0.0)
+    sim = simulate(empty_cavity(config(lossless=True)), segments=64,
+                   samples=4096, seed=11)
     for port in (0, 1):
-        est = estimate_psd(sim.outputs[:, :, port], sim.dt, seed=11)
-        band = est.psd[4:-4]
+        _, psd, stderr = estimate_psd(sim.outputs[:, :, port], sim.dt)
+        band = psd[4:-4]
         mean = band.mean()
         assert abs(mean - 1.0) < 0.02
-        within = np.abs(est.psd[4:-4] - 1.0) <= 3 * est.stderr[4:-4]
+        within = np.abs(psd[4:-4] - 1.0) <= 3 * stderr[4:-4]
         assert within.mean() > 0.95
 
 
@@ -115,12 +129,11 @@ def test_lorentzian_half_power_point():
     # The intracavity quadrature of an empty cavity is a single-pole filter
     # of white noise with zero-frequency density 2/gamma0; the estimate must
     # place the half-power point at the pole.
-    cfg = config(lossless=True)
-    sim = simulate(cfg, segments=96, samples=8192, seed=13, coupling=0.0,
-                   keep_states=True)
-    est = estimate_psd(sim.states[:, :, 0], sim.dt, seed=13)
+    sim = simulate(empty_cavity(config(lossless=True)), segments=96,
+                   samples=8192, seed=13, keep_states=True)
+    grid, psd, _ = estimate_psd(sim.states[:, :, 0], sim.dt)
     centers, (smoothed,), _ = oracle.log_binned(
-        est.grid[1:], [est.psd[1:]], 0.05 * G0, 5 * G0, per_decade=12)
+        grid[1:], [psd[1:]], 0.05 * G0, 5 * G0, per_decade=12)
     half = (2.0 / G0) / 2.0
     crossing = centers[np.argmin(np.abs(smoothed - half))]
     assert crossing == pytest.approx(G0, rel=0.12)
@@ -130,53 +143,50 @@ def test_lorentzian_half_power_point():
 
 
 def test_segment_doubling_halves_variance():
-    cfg = config(lossless=True)
-    sims = {n: simulate(cfg, segments=n, samples=2048, seed=17, coupling=0.0)
+    ss = empty_cavity(config(lossless=True))
+    sims = {n: simulate(ss, segments=n, samples=2048, seed=17)
             for n in (64, 128)}
-    errs = {n: estimate_psd(s.outputs[:, :, 1], s.dt).stderr[5:900].mean()
+    errs = {n: estimate_psd(s.outputs[:, :, 1], s.dt)[2][5:900].mean()
             for n, s in sims.items()}
     ratio = errs[64] ** 2 / errs[128] ** 2
     assert abs(ratio - 2.0) < 0.4
 
 
 def test_linearity_in_noise_amplitude():
-    cfg = config("two_photon", 0.3)
-    base = simulate(cfg, segments=2, samples=1024, seed=5)
-    scaled = simulate(cfg, segments=2, samples=1024, seed=5,
-                      channel_scale=2.0 * np.ones(5))
-    assert np.allclose(scaled.outputs, 2.0 * base.outputs, rtol=1e-12)
+    ss = build_state_space(config("two_photon", 0.3))
+    base = simulate(ss, segments=2, samples=1024, seed=5)
+    louder = simulate(scaled(ss, 2.0 * np.ones(5)), segments=2, samples=1024,
+                      seed=5)
+    assert np.allclose(louder.outputs, 2.0 * base.outputs, rtol=1e-12)
 
 
 def test_back_action_signature():
     # Only the driving-pair channels on: the measured port shows pure back
     # action; with them off as well the output vanishes identically.
-    cfg = config("two_photon", 0.3)
-    drive_only = simulate(cfg, segments=48, samples=16384, seed=19,
-                          channel_scale=np.array([1.0, 0, 1.0, 0, 0]))
-    est = estimate_psd(drive_only.outputs[:, :, 1], drive_only.dt)
-    w = est.grid
+    ss = build_state_space(config("two_photon", 0.3))
+    drive_only = simulate(scaled(ss, [1.0, 0, 1.0, 0, 0]), segments=48,
+                          samples=16384, seed=19)
+    w, psd, _ = estimate_psd(drive_only.outputs[:, :, 1], drive_only.dt)
     sel = (w > 5e-2 * G0) & (w < 0.5 * G0)
-    ss = build_state_space(cfg)
     h = ss.frequency_response(w[sel])
     predicted = (np.abs(h[:, 1, 0]) ** 2 + np.abs(h[:, 1, 2]) ** 2).real
-    ratio = est.psd[sel] / predicted
+    ratio = psd[sel] / predicted
     assert abs(ratio.mean() - 1.0) < 0.1
-    silent = simulate(cfg, segments=2, samples=4096, seed=19,
-                      channel_scale=np.zeros(5))
+    silent = simulate(scaled(ss, np.zeros(5)), segments=2, samples=4096,
+                      seed=19)
     assert np.all(silent.outputs == 0.0)
 
 
 def test_euler_cross_check():
-    cfg = config("two_photon", 0.3)
-    ss = build_state_space(cfg)
+    ss = build_state_space(config("two_photon", 0.3))
     dt = 0.002 / oracle.max_rate(ss)
-    exact = simulate(cfg, segments=48, samples=8192, seed=23, dt=dt)
+    exact = simulate(ss, segments=48, samples=8192, seed=23, dt=dt)
     optical = np.linalg.eigvals(ss.drift[:2, :2])
     burn_in = math.ceil(10.0 / (np.min(np.abs(optical.real)) * dt))
-    euler, _ = loop_simulate(cfg, segments=48, samples=8192, dt=dt,
+    euler, _ = loop_simulate(ss, segments=48, samples=8192, dt=dt,
                              burn_in=burn_in, seed=123, discretize=euler_step)
-    pe = estimate_psd(exact.outputs[:, :, 1], dt).psd
-    pu = estimate_psd(euler[:, :, 1], dt).psd
+    pe = estimate_psd(exact.outputs[:, :, 1], dt)[1]
+    pu = estimate_psd(euler[:, :, 1], dt)[1]
     sel = slice(8, 2000)
     assert abs(pu[sel].mean() / pe[sel].mean() - 1.0) < 0.05
 
@@ -210,11 +220,10 @@ def test_coarse_step_matches_folded_psd():
     # Ten times the step cap simulate once imposed (dt * max_rate = 0.5):
     # the exact step stays unbiased, and the periodogram of the step-averaged
     # samples is the folded PSD, for a raw port and for the subtracted one.
-    cfg = config("two_photon", 0.5)
-    ss = build_state_space(cfg)
+    ss = build_state_space(config("two_photon", 0.5))
     dt = 0.5 / oracle.max_rate(ss)
     samples, segments = 4096, 64
-    y = simulate(cfg, segments=segments, samples=samples, dt=dt,
+    y = simulate(ss, segments=segments, samples=samples, dt=dt,
                  seed=29).outputs
     grid = 2 * math.pi * np.fft.rfftfreq(samples, dt)
     band = slice(8, grid.size - 8)
@@ -263,21 +272,21 @@ def test_default_step_aliases_negligible(omega_hi):
 
 
 def test_duration_precondition():
-    cfg = config()
     with pytest.raises(SimulationError, match="correlation times"):
-        simulate(cfg, segments=1, samples=16, burn_in=0)
+        simulate(build_state_space(config()), segments=1, samples=16,
+                 burn_in=0)
 
 
 def test_reproducible_and_batch_invariant():
-    cfg = config("degenerate", 0.4)
-    a = simulate(cfg, segments=3, samples=2048, seed=31)
-    b = simulate(cfg, segments=3, samples=2048, seed=31)
+    ss = build_state_space(config("degenerate", 0.4))
+    a = simulate(ss, segments=3, samples=2048, seed=31)
+    b = simulate(ss, segments=3, samples=2048, seed=31)
     assert np.array_equal(a.outputs, b.outputs)
-    first = simulate(cfg, segments=1, samples=2048, seed=31, segment_offset=0)
-    third = simulate(cfg, segments=1, samples=2048, seed=31, segment_offset=2)
+    first = simulate(ss, segments=1, samples=2048, seed=31, segment_offset=0)
+    third = simulate(ss, segments=1, samples=2048, seed=31, segment_offset=2)
     assert np.array_equal(a.outputs[0], first.outputs[0])
     assert np.array_equal(a.outputs[2], third.outputs[0])
-    other = simulate(cfg, segments=3, samples=2048, seed=32)
+    other = simulate(ss, segments=3, samples=2048, seed=32)
     assert not np.array_equal(a.outputs, other.outputs)
 
 
@@ -293,8 +302,8 @@ def test_deterministic_pulse_matches_transfer():
     def pulse(t):
         return amp if t0 <= t < t0 + width else 0.0
 
-    sim = simulate(cfg, segments=1, samples=samples, dt=dt, seed=0,
-                   channel_scale=np.zeros(5), signal=pulse, burn_in=0)
+    sim = simulate(scaled(ss, np.zeros(5)), segments=1, samples=samples,
+                   dt=dt, seed=0, signal=pulse, burn_in=0)
     y = sim.outputs[0, :, 1]
 
     times = (np.arange(samples) + 0.5) * dt
@@ -309,14 +318,13 @@ def test_deterministic_pulse_matches_transfer():
 
 # --- cascade recursion against the per-step loop -----------------------------------
 
-def euler_step(ss, dt, channel_scale=None):
+def euler_step(ss, dt):
     """First-order update in the form of oracle._discretize, with the output
     integral zeta = x*dt and its noise part omitted."""
     phi_xx = np.eye(3) + ss.drift * dt
     phi_zx = np.hstack([np.eye(2), np.zeros((2, 1))]) * dt
     m_sig = np.concatenate([ss.signal_gain * dt, np.zeros(2)])
-    scale = np.ones(5) if channel_scale is None else np.asarray(channel_scale)
-    amp = np.sqrt(ss.channel_psd * scale**2 / 2.0 * dt)
+    amp = np.sqrt(ss.channel_psd / 2.0 * dt)
     factor = np.zeros((7, 7))
     factor[:3, :5] = ss.noise_gain * amp[None, :]
     factor[5, 0] = amp[0]
@@ -324,13 +332,12 @@ def euler_step(ss, dt, channel_scale=None):
     return phi_xx, phi_zx, m_sig, factor
 
 
-def loop_simulate(cfg, *, segments, samples, dt, burn_in, seed=0,
-                  segment_offset=0, channel_scale=None, signal=None,
-                  discretize=oracle._discretize):
-    """Reference integrator: the full 3x3 update applied one step at a time."""
-    ss = build_state_space(cfg)
-    phi_xx, phi_zx, m_sig, factor = discretize(ss, dt, channel_scale)
-    sqrt_2g0 = math.sqrt(2.0 * cfg.cavity.gamma0)
+def loop_simulate(ss, *, segments, samples, dt, burn_in, seed=0,
+                  segment_offset=0, signal=None, discretize=oracle._discretize):
+    """Reference integrator: the full 3x3 update applied one step at a time,
+    each output sample the step average of y = C x + D w."""
+    phi_xx, phi_zx, m_sig, factor = discretize(ss, dt)
+    C, D = ss.output_gain[:, :2], ss.feedthrough[:, :2]
     total = burn_in + samples
     out = np.empty((segments, samples, 2))
     states = np.empty((segments, samples, 3))
@@ -357,21 +364,19 @@ def loop_simulate(cfg, *, segments, samples, dt, burn_in, seed=0,
                 x_next = x_next + m_sig[:3, None] * f
             if idx >= burn_in:
                 j = idx - burn_in
-                out[:, j, 0] = (-noise[5, :, k] + sqrt_2g0 * zeta[0]) / dt
-                out[:, j, 1] = (-noise[6, :, k] + sqrt_2g0 * zeta[1]) / dt
+                out[:, j, :] = ((C @ zeta + D @ noise[5:7, :, k]) / dt).T
                 states[:, j, :] = x.T
             x = x_next
     return out, states
 
 
-def assert_matches_loop(cfg, **options):
+def assert_matches_loop(ss, **options):
     # 250 segments make the time chunk 2097 steps; 37 + 2393 steps end in a
     # partial second chunk, and neither chunk is a whole number of blocks.
-    ss = build_state_space(cfg)
     dt = oracle.DT_SAFETY / oracle.max_rate(ss)
     shape = dict(segments=250, samples=2393, dt=dt, burn_in=37, seed=7)
-    sim = simulate(cfg, keep_states=True, **shape, **options)
-    out, states = loop_simulate(cfg, **shape, **options)
+    sim = simulate(ss, keep_states=True, **shape, **options)
+    out, states = loop_simulate(ss, **shape, **options)
     for got, want in ((sim.outputs, out), (sim.states, states)):
         scale = np.max(np.abs(want), axis=(0, 1))
         assert scale.max() > 0
@@ -381,23 +386,45 @@ def assert_matches_loop(cfg, **options):
 
 @pytest.mark.parametrize("kind", ["none", "two_photon", "degenerate"])
 def test_cascade_matches_step_loop(kind):
-    assert_matches_loop(config(kind, 0.5))
+    assert_matches_loop(build_state_space(config(kind, 0.5)))
 
 
 def test_cascade_matches_step_loop_damped_mechanics():
     # gamma_m > 0: the mechanical factor is below 1, and the Van Loan
     # propagator carries rounding where the cascade order has zeros.
-    assert_matches_loop(config("two_photon", 0.5, gamma_m=G0 / 20.0))
+    assert_matches_loop(build_state_space(
+        config("two_photon", 0.5, gamma_m=G0 / 20.0)))
 
 
-@pytest.mark.parametrize("options", [
-    {"signal": lambda t: math.sin(0.3 * G0 * t), "channel_scale": np.zeros(5)},
-    {"signal": lambda t: 1e3 * math.cos(2.0 * G0 * t)},
-    {"channel_scale": np.array([1.0, 0.0, 2.0, 0.5, 3.0])},
-    {"segment_offset": 5},
+@pytest.mark.parametrize("scale, options", [
+    (np.zeros(5), {"signal": lambda t: math.sin(0.3 * G0 * t)}),
+    (None, {"signal": lambda t: 1e3 * math.cos(2.0 * G0 * t)}),
+    (np.array([1.0, 0.0, 2.0, 0.5, 3.0]), {}),
+    (None, {"segment_offset": 5}),
 ], ids=["signal-only", "signal-and-noise", "channel-scale", "offset"])
-def test_cascade_matches_step_loop_options(options):
-    assert_matches_loop(config("two_photon", 0.3), **options)
+def test_cascade_matches_step_loop_options(scale, options):
+    ss = build_state_space(config("two_photon", 0.3))
+    assert_matches_loop(ss if scale is None else scaled(ss, scale), **options)
+
+
+def test_simulate_reads_the_output_map():
+    # The output samples come from the model's own C and D: swapping the
+    # output rows swaps the ports, doubling C and D doubles the samples,
+    # and an output map reading what is not integrated is refused.
+    ss = build_state_space(config("two_photon", 0.3))
+    shape = dict(segments=2, samples=4096, seed=3)
+    base = simulate(ss, **shape).outputs
+    swapped = dataclasses.replace(ss, output_gain=ss.output_gain[::-1],
+                                  feedthrough=ss.feedthrough[::-1])
+    assert np.array_equal(simulate(swapped, **shape).outputs, base[:, :, ::-1])
+    doubled = dataclasses.replace(ss, output_gain=2.0 * ss.output_gain,
+                                  feedthrough=2.0 * ss.feedthrough)
+    assert np.array_equal(simulate(doubled, **shape).outputs, 2.0 * base)
+    for name, entry in (("output_gain", (0, 2)), ("feedthrough", (1, 4))):
+        bad = getattr(ss, name).copy()
+        bad[entry] = 1.0
+        with pytest.raises(SimulationError, match="output map"):
+            simulate(dataclasses.replace(ss, **{name: bad}), **shape)
 
 
 @pytest.mark.parametrize("a", [0.97, 1.0, -0.5, 0.999, -0.99])
@@ -423,16 +450,14 @@ def test_scan_matches_recurrence(n, a):
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-def test_cascade_rejects_upstream_coupling(monkeypatch):
+def test_cascade_rejects_upstream_coupling():
     # A measured-pair term in the driving-pair equation breaks the cascade.
-    cfg = config("two_photon", 0.5)
-    ss = build_state_space(cfg)
+    ss = build_state_space(config("two_photon", 0.5))
     drift = ss.drift.copy()
     drift[1 - ss.measured_port, ss.measured_port] = 0.01 * G0
-    monkeypatch.setattr(oracle, "build_state_space",
-                        lambda *a, **k: dataclasses.replace(ss, drift=drift))
     with pytest.raises(SimulationError, match="cascade order"):
-        simulate(cfg, segments=2, samples=4096, seed=1)
+        simulate(dataclasses.replace(ss, drift=drift), segments=2,
+                 samples=4096, seed=1)
 
 
 # --- worker threads ----------------------------------------------------------------
@@ -447,14 +472,14 @@ def test_simulate_independent_of_worker_count(monkeypatch, segments, samples,
                                               options):
     # Three workers split the segments unevenly and outnumber the cores of
     # a two-core host; a short switch interval interleaves them more often.
-    cfg = config("two_photon", 0.5)
+    ss = build_state_space(config("two_photon", 0.5))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         sims = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(oracle, "WORKERS", workers)
-            sims.append(simulate(cfg, segments=segments, samples=samples,
+            sims.append(simulate(ss, segments=segments, samples=samples,
                                  seed=9, keep_states=True, **options))
     finally:
         sys.setswitchinterval(interval)
@@ -488,7 +513,7 @@ def test_worker_exception_reaches_caller(monkeypatch):
 
     monkeypatch.setattr(oracle, "_scan", failing_once)
     with pytest.raises(RuntimeError, match="scan failed"):
-        simulate(config(), segments=4, samples=4096, seed=1)
+        simulate(build_state_space(config()), segments=4, samples=4096, seed=1)
     assert next(calls) > 1
     assert not [t for t in threading.enumerate() if t.name == "trimova-oracle"]
 
@@ -541,6 +566,33 @@ def test_validate_evaluates_only_the_compared_band(monkeypatch):
         spacing = np.min(np.diff(omega))
         assert omega.min() >= max(omega_lo, 8.0 * spacing * (1 - 1e-9))
         assert omega.max() < omega_hi
+
+
+def test_validate_simulates_the_model_it_builds(monkeypatch):
+    # validate builds the nominal and the perturbed model once each, and
+    # every batch integrates that same perturbed model.
+    monkeypatch.setattr(oracle, "BATCH", 16)
+    cfg = config("two_photon", 0.5)
+    perturbed = build_state_space(cfg, squeeze_rate=1.1 * cfg.squeeze.rate)
+    built, simulated = [], []
+    build, sim = oracle.build_state_space, oracle.simulate
+
+    def spy_build(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    def spy_simulate(ss, **kwargs):
+        simulated.append(ss)
+        return sim(ss, **kwargs)
+
+    monkeypatch.setattr(oracle, "build_state_space", spy_build)
+    monkeypatch.setattr(oracle, "simulate", spy_simulate)
+    validate(cfg, "nondeg-sub", segments=40, seed=2, perturb=0.1,
+             omega_lo=3e-2 * G0)
+    assert len(built) == 2 and len(simulated) == 3
+    assert all(ss is simulated[0] for ss in simulated)
+    assert any(ss is simulated[0] for ss in built)
+    assert np.array_equal(simulated[0].drift, perturbed.drift)
 
 
 def test_validate_rejects_few_segments():

@@ -1,5 +1,6 @@
 """Spectral densities: closed forms, assembly, SQL, thresholds, figures."""
 
+import itertools
 import json
 import math
 import warnings
@@ -9,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
-from trimova import model, spectra
-from trimova.model import RegimeWarning, Squeezing
+from trimova import model, oracle, spectra, transfer
+from trimova.model import RegimeWarning, Squeezing, StabilityError
 from trimova.spectra import closed_form_psd, spectrum_series, sql_psd
 from trimova.transfer import Channel, PoleError
 
@@ -144,6 +145,54 @@ def test_paths_agree_on_drawn_configs(lossless, kind, rate, k0_decades,
         for values in (closed, assembled):
             assert np.all(np.isfinite(values)) and np.all(values > 0), case
         assert np.max(np.abs(assembled - closed) / closed) < 1e-10, case
+    # Fourier kernel exp(-i*Omega*t): every coefficient obeys
+    # c(-Omega) = conj(c(Omega)).
+    for port in transfer.PORTS:
+        pos = transfer.transfer_coefficients(cfg, port, w)
+        neg = transfer.transfer_coefficients(cfg, port, -w)
+        for ch in Channel:
+            np.testing.assert_allclose(neg[ch], np.conj(pos[ch]), rtol=1e-14,
+                                       atol=0, err_msg=f"{port} {ch.value}")
+
+
+@settings(max_examples=150, deadline=None)
+@given(lossless=st.booleans(),
+       kind=st.sampled_from(["two_photon", "degenerate"]),
+       offset=st.floats(-1e-12, 1e-12),
+       k0_decades=st.floats(-2.0, 2.0),
+       gamma_m_decades=st.none() | st.floats(-6.0, -1.0))
+def test_stability_edge_fails_loudly(lossless, kind, offset, k0_decades,
+                                     gamma_m_decades):
+    # Rates within 1e-12 of the stability bound gamma: each path either
+    # raises StabilityError or PoleError or returns finite values, Omega = 0
+    # included; never inf or NaN (RuntimeWarnings are errors in this suite).
+    gamma_m = 0.0 if gamma_m_decades is None else 10.0**gamma_m_decades * G0
+    K0 = 10.0**k0_decades * math.pi / model.TAU_PRESETS["table1"]
+    rate = (G0 + GE) * (1.0 + offset)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeWarning)
+            cfg = model.reference_config(squeeze=Squeezing(kind, rate),
+                                         lossless=lossless, gamma_m=gamma_m,
+                                         K0=K0)
+    except StabilityError:
+        assert rate >= G0 + GE
+        return
+    paths = [lambda case, w: closed_form_psd(case, cfg, w),
+             lambda case, w: spectrum_series(cfg, case, w).values]
+    # Omega = 0 on its own, so that a pole there does not skip the rest.
+    grids = [np.array([0.0]), np.geomspace(1e-4 * G0, 10 * G0, 40)]
+    for case in (c for c, k in spectra.CASE_KIND.items() if k == kind):
+        for path, w in itertools.product(paths, grids):
+            try:
+                values = path(case, w)
+            except (StabilityError, PoleError):
+                continue
+            assert np.all(np.isfinite(values)), case
+    ss = oracle.build_state_space(cfg)
+    for name in ("drift", "noise_gain", "output_gain", "feedthrough",
+                 "channel_psd", "signal_gain"):
+        assert np.all(np.isfinite(getattr(ss, name))), name
 
 
 def test_case_requires_matching_squeezing():
@@ -201,15 +250,19 @@ def test_quantum_noise_never_below_sql():
         assert (gm**2 + w**2) / pump + pump >= sql_psd(gm, w) * (1 - 1e-12)
 
 
-def test_ratio_minimum_flat_pump():
-    # With the pump frozen at its resonance value the no-damping ratio
-    # (W/K + K/W)/2 attains exactly 1 at W = K.
+def test_ratio_minimum_at_pump_crossing():
+    # Lossless and undamped, the baseline is W^2/P + P with the pump
+    # response P(W) = K0*g^2/(g^2 + W^2): the SQL ratio (W/P + P/W)/2
+    # attains exactly 1 where W = P(W), the real root of
+    # W^3 + g^2*W - K0*g^2 = 0, and is at least 1 everywhere.
     cfg = config(lossless=True, gamma_m=0.0)
-    k0 = cfg.derived.K0
-    value = closed_form_psd("baseline", cfg, k0, constant_pump=True)
-    assert value / sql_psd(0.0, k0) == pytest.approx(1.0, rel=1e-12)
+    k0, g = cfg.derived.K0, cfg.cavity.gamma
+    roots = np.roots([1.0, 0.0, g**2, -k0 * g**2])
+    crossing = float(roots[np.argmin(np.abs(roots.imag))].real)
+    value = closed_form_psd("baseline", cfg, crossing)
+    assert value / sql_psd(0.0, crossing) == pytest.approx(1.0, rel=1e-12)
     w = spectra.default_grid(cfg)
-    ratios = closed_form_psd("baseline", cfg, w, constant_pump=True) / sql_psd(0.0, w)
+    ratios = closed_form_psd("baseline", cfg, w) / sql_psd(0.0, w)
     assert np.min(ratios) >= 1.0 - 1e-12
 
 
@@ -266,6 +319,12 @@ def test_degenerate_subtraction_crossover():
         closed_form_psd("deg-raw", strong, low)[0]
 
 
+def backaction(cfg, case, w):
+    """Back-action part of the budget: both sum-pair vacuum channels."""
+    budget = spectrum_series(cfg, case, w, budget=True).budget
+    return budget[Channel.ALPHA_PLUS.value] + budget[Channel.EPS_PLUS.value]
+
+
 def test_loss_residual_scaling():
     # The subtracted residual scales with the loss fraction at fixed total
     # rate; compare doubling gamma_e against the closed-form factor.
@@ -280,7 +339,7 @@ def test_loss_residual_scaling():
                                  model.DriveConfig(K0=math.pi / 28e-6),
                                  model.SignalPulse(tau=28e-6))
         w = np.array([0.01 * gamma])
-        return float(spectra.backaction_budget(cfg, "nondeg-sub", w)[0]), cfg, w
+        return float(backaction(cfg, "nondeg-sub", w)[0]), cfg, w
 
     r1, cfg1, w = residual(GE)
     r2, cfg2, _ = residual(2 * GE)
@@ -313,8 +372,7 @@ def test_backaction_term_ratio_two_photon_vs_degenerate():
     cn = config("two_photon", 0.5, gamma_m=0.0, K0=k0)
     cd = config("degenerate", 0.5, gamma_m=0.0, N0=k0)
     w = np.array([1e-6 * G0])
-    ratio = spectra.backaction_budget(cn, "nondeg-raw", w)[0] \
-        / spectra.backaction_budget(cd, "deg-raw", w)[0]
+    ratio = backaction(cn, "nondeg-raw", w)[0] / backaction(cd, "deg-raw", w)[0]
     assert ratio == pytest.approx((G0 - GE) / (G0 + GE), rel=1e-8)
 
 
@@ -380,8 +438,8 @@ def test_spectral_and_time_domain_same_scale():
     cfg = model.SystemConfig(mech, base.cavity, Squeezing(),
                              model.DriveConfig(K0=report.pump_optimum),
                              base.signal)
-    spectral = spectra.detection_threshold_spectral(cfg, "baseline", omega=0.0,
-                                                    constant_pump=True)
+    # At Omega = 0 the pump response equals its flat (resonance) value.
+    spectral = spectra.detection_threshold_spectral(cfg, "baseline", omega=0.0)
     assert 1.0 <= report.band_integrated_f / spectral <= 2.5
 
 

@@ -55,8 +55,11 @@ def test_reflection_gain_direct_value():
 
 def test_reflection_gain_pole():
     # The antisqueezed pair decays at gamma - kappa: kappa = gamma is the
-    # stability edge, where the reference port has a pole at Omega = 0.
-    cfg = model.reference_config(squeeze=Squeezing("two_photon", G0 + GE))
+    # stability edge, where the reference port has a pole at Omega = 0.  Just
+    # inside it the configuration is valid, and the pole guard still refuses
+    # Omega = 0.
+    cfg = model.reference_config(
+        squeeze=Squeezing("two_photon", (G0 + GE) * (1 - 1e-15)))
     with pytest.raises(PoleError):
         transfer.transfer_coefficients(cfg, "sum", 0.0)
 
