@@ -330,6 +330,8 @@ class SystemConfig:
             F_s0=F_s0,
             f_s0=f_s0,
         )
+        # A finite but huge or tiny drive can overflow a derived quantity.
+        _require_finite(derived)
         object.__setattr__(self, "derived", derived)
         for message in self.regime_findings():
             warnings.warn(message, RegimeWarning, stacklevel=3)

@@ -1,11 +1,11 @@
 """Independent time-domain validation of the frequency-domain spectra.
 
-The amplitude quadratures form a three-state linear Langevin system (the
-sum pair, which drives the mechanics; the difference pair, which is
-measured; the mechanical quadrature) forced by five white channels: the two
-input-port vacua, the two loss vacua and the mechanical bath.
-``build_state_space`` states that system once, as a ``StateSpace`` (drift,
-noise gain, output map, feedthrough).  ``simulate`` integrates the
+The model, stated and derived in the transfer module (``StateSpace``,
+``build_state_space``, both importable from here too), is a three-state
+linear Langevin system of the amplitude quadratures (the sum pair, which
+drives the mechanics; the difference pair, which is measured; the
+mechanics) forced by five white channels: the two input-port vacua, the two
+loss vacua and the mechanical bath.  ``simulate`` integrates the
 ``StateSpace`` it is given and forms the two output time series through
 that model's own output map y = C x + D w (the reflected input D w must be
 built from the *same* noise realization that drove the cavity, or the
@@ -79,13 +79,12 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
 from .model import SystemConfig, json_text
 from .spectra import closed_form_psd, port_for_case
-from .transfer import Channel, transfer_coefficients
+from .transfer import StateSpace, build_state_space
 
 DT_SAFETY = 0.05          # default step of simulate: DT_SAFETY / fastest rate
 MIN_SEGMENTS = 32
@@ -103,107 +102,6 @@ _CASCADE = (0, 2, 1)      # sum pair -> mechanics -> difference pair
 
 class SimulationError(ValueError):
     """Preconditions of the stochastic integrator violated."""
-
-
-@dataclass(frozen=True)
-class StateSpace:
-    """Linear Langevin model x' = A x + B w + e_f f(t), y = C x + D w.
-
-    State order (g_sum, g_diff, d); outputs (sum port, difference port);
-    noise channels (alpha_sum, alpha_diff, eps_sum, eps_diff, thermal) with
-    single-sided PSDs channel_psd.  The difference port is measured, the sum
-    port is the subtraction reference.
-    """
-
-    drift: np.ndarray
-    noise_gain: np.ndarray
-    output_gain: np.ndarray
-    feedthrough: np.ndarray
-    channel_psd: np.ndarray
-    signal_gain: np.ndarray
-    measured_port: ClassVar[int] = 1
-
-    def frequency_response(self, omega) -> np.ndarray:
-        """H[frequency, output, channel] (Fourier kernel exp(-i*Omega*t))."""
-        w = np.atleast_1d(np.asarray(omega, dtype=float))
-        n = self.drift.shape[0]
-        lhs = -1j * w[:, None, None] * np.eye(n) - self.drift[None, :, :]
-        rhs = np.broadcast_to(self.noise_gain.astype(complex),
-                              (w.size, n, self.noise_gain.shape[1]))
-        x = np.linalg.solve(lhs, rhs)
-        return np.einsum("oj,fjc->foc", self.output_gain, x) \
-            + self.feedthrough[None, :, :]
-
-    def signal_response(self, omega) -> np.ndarray:
-        """Signal-to-output transfer [output] at each Omega."""
-        w = np.atleast_1d(np.asarray(omega, dtype=float))
-        n = self.drift.shape[0]
-        lhs = -1j * w[:, None, None] * np.eye(n) - self.drift[None, :, :]
-        x = np.linalg.solve(lhs, np.broadcast_to(self.signal_gain[:, None],
-                                                 (w.size, n, 1)))
-        return np.einsum("oj,fj->fo", self.output_gain, x[:, :, 0])
-
-    def nulling_weight(self, omega) -> np.ndarray:
-        """Reference-port filter cancelling the sum-pair input vacuum."""
-        h = self.frequency_response(omega)
-        return -h[:, 1, 0] / h[:, 0, 0]
-
-    def output_psd(self, omega, ref_weight=None) -> np.ndarray:
-        """Single-sided PSD of the measured port or of (measured +
-        weight*reference)."""
-        h = self.frequency_response(omega)
-        row = h[:, 1, :]
-        if ref_weight is not None:
-            row = row + ref_weight[:, None] * h[:, 0, :]
-        return np.einsum("fc,c->f", np.abs(row) ** 2, self.channel_psd).real
-
-
-def build_state_space(config: SystemConfig,
-                      squeeze_rate: float | None = None) -> StateSpace:
-    """Langevin model of the amplitude quadratures.
-
-    The sum pair drives the mechanics and the mechanics are read out in the
-    difference pair.  Two-photon squeezing damps the sum pair at
-    gamma - kappa (antisqueezed) and the difference pair at gamma + kappa;
-    degenerate squeezing damps both pairs at gamma + upsilon.
-
-    ``squeeze_rate`` overrides the configured rate (used by negative
-    controls).
-    """
-    cav, mech = config.cavity, config.mechanical
-    g0, ge, g = cav.gamma0, cav.gamma_e, cav.gamma
-    rate = config.squeeze.rate if squeeze_rate is None else squeeze_rate
-
-    c = math.sqrt(config.derived.K0 * g * (g0 - ge) / (2.0 * g0))
-
-    A = np.zeros((3, 3))
-    A[0, 0] = -(g + rate if config.squeeze.kind == "degenerate" else g - rate)
-    A[1, 1] = -(g + rate)
-    A[2, 2] = -mech.gamma_m
-    A[1, 2] = -c
-    A[2, 0] = c
-
-    B = np.zeros((3, 5))
-    B[0, 0] = math.sqrt(2.0 * g0)
-    B[1, 1] = math.sqrt(2.0 * g0)
-    B[0, 2] = math.sqrt(2.0 * ge)
-    B[1, 3] = math.sqrt(2.0 * ge)
-    B[2, 4] = math.sqrt(2.0 * mech.gamma_m)
-
-    C = np.zeros((2, 3))
-    C[0, 0] = math.sqrt(2.0 * g0)
-    C[1, 1] = math.sqrt(2.0 * g0)
-    D = np.zeros((2, 5))
-    D[0, 0] = -1.0
-    D[1, 1] = -1.0
-
-    psd = np.array([1.0, 1.0, 1.0, 1.0, 2.0 * config.derived.n_T + 1.0])
-    e_f = np.array([0.0, 0.0, 1.0])
-
-    eig = np.linalg.eigvals(A)
-    if np.any(eig.real > 1e-12 * max(g, 1.0)):
-        raise SimulationError(f"unstable drift, eigenvalues {eig}")
-    return StateSpace(A, B, C, D, psd, e_f)
 
 
 def max_rate(ss: StateSpace) -> float:
@@ -605,9 +503,8 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
         # the per-bin filter is the conjugate of the exp(-i*Omega*t) weight.
         weight = np.conj(ss_nom.nulling_weight(grid))
 
-    # Analytic signal coefficient of the measured raw port (signal referring).
-    sig2 = np.abs(transfer_coefficients(config, "difference", grid)
-                  [Channel.SIGNAL]) ** 2
+    # Signal coefficient of the measured raw port (signal referring).
+    sig2 = np.abs(ss_nom.signal_response(grid)[:, ss_nom.measured_port]) ** 2
     win, norm = _hann(samples)
 
     def band_fft(rows: np.ndarray, buf: np.ndarray) -> np.ndarray:

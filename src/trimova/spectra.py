@@ -9,10 +9,13 @@ threshold f_min = sqrt(S/tau).
 
 Every measured case has two independent evaluation routes:
 
-* ``spectrum_series`` assembles |coefficient|^2-weighted channel sums from
-  the transfer module (and can split them into a per-channel budget);
 * ``closed_form_psd`` evaluates the closed-form expressions directly from
-  the cavity rates, with no shared code.
+  the cavity rates, with no shared code;
+* ``spectrum_series`` assembles |coefficient|^2-weighted channel sums from
+  the transfer coefficients, which the transfer module reads from the
+  frequency response of its ``StateSpace``, the same linear model the
+  time-domain oracle integrates (and can split them into a per-channel
+  budget).
 
 The two agree to floating-point accuracy; tests enforce 1e-10.
 """
@@ -94,14 +97,12 @@ def closed_form_psd(case: str, config: SystemConfig, omega):
 
     if CASE_KIND[case] != "degenerate":
         n = g0 - ge - rate + 1j * w          # squeezed-pair reflection numerator
-        d_minus = g + rate - 1j * w          # squeezed-pair response
         d_plus = g - rate - 1j * w           # antisqueezed-pair response
         xi_plus2 = np.abs(g0 - ge + rate + 1j * w) ** 2 / np.abs(d_plus) ** 2
         pump = K0 * g * (g0 - ge)
-        # The pump magnitude pump/(|n| |d_minus|) carries the factor |n| of
-        # xi_minus = |n|/|d_minus|; cancelled here, so the removable
-        # singularity at rate = gamma0 - gamma_e, Omega = 0 stays finite.
-        ba_mag = pump / np.abs(d_minus) ** 2
+        # Back action enters the mechanics through the antisqueezed pair; the
+        # squeezed pair it leaves through also carries the signal and cancels.
+        ba_mag = pump / np.abs(d_plus) ** 2
         out = thermal + mech2 * (np.abs(n) ** 2 + 4.0 * g0 * ge) / pump
         if not case.endswith("-sub"):
             return out + ba_mag * (1.0 + ge / g0)
@@ -157,6 +158,10 @@ class SpectrumSeries:
             for name in sorted(self.budget):
                 cols.append(name)
                 arrays.append(self.budget[name])
+        for name, array in zip(cols, arrays):
+            if not np.all(np.isfinite(array)):
+                raise ValueError(f"{self.case} {name}: every value must be "
+                                 "finite")
         buf = io.StringIO()
         buf.write(",".join(cols) + "\n")
         for row in zip(*arrays):
@@ -164,8 +169,9 @@ class SpectrumSeries:
         return buf.getvalue()
 
     def write_csv(self, path) -> None:
+        text = self.csv_text()
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(self.csv_text())
+            fh.write(text)
 
 
 def spectrum_series(config: SystemConfig, case: str, omega=None,

@@ -1,44 +1,51 @@
-"""Per-frequency transfer coefficients from noise/signal channels to outputs.
+"""The linear model of the measured quadratures and its transfer coefficients.
 
 The two side-mode outputs are detected separately, each in its amplitude
 quadrature (the optimal readout under both squeezing kinds); the sum and the
-difference of those quadratures form the working ports.  For each spectral
-frequency Omega this module gives the complex coefficient with which every
-input channel (input-port vacuum, internal-loss vacuum, mechanical thermal
-force, signal force) appears in a chosen port:
+difference of those quadratures form the working ports.
+``build_state_space`` states the linear Langevin model of these quadratures
+once, as a ``StateSpace``.  ``transfer_coefficients`` reads from its
+frequency response the coefficient with which every input channel
+(input-port vacuum, internal-loss vacuum, thermal force, signal force)
+appears in a port:
 
 * "sum", the reference port: a passive reflection of the sum-pair vacua that
   carries no mechanical content;
 * "difference", the measured port: its own vacua, the signal and thermal
   forces, and the back action fed into the mechanics by the sum-pair vacua;
-* "subtracted": the measured port plus a filtered copy of the reference port,
-  the filter chosen so that the input-vacuum back-action channel cancels
-  exactly.  With internal loss the cancellation is partial: a loss-vacuum
-  residual survives.
+* "subtracted": the measured port plus the reference port times the nulling
+  weight, defined by exact cancellation of the input-vacuum back action.
+  With internal loss a loss-vacuum residual survives.
 
-Writing D(r) = gamma0 + gamma_e + r - i*Omega, the measured port responds
-through D(r_own) and the reference port through D(r_ref), with
-
-    two-photon (rate kappa):        r_own = +kappa, r_ref = -kappa
-    degenerate (rate upsilon):      r_own = r_ref = +upsilon
-
-and the back-action/measurement strength K0*gamma*(gamma0-gamma_e)/D(r_own)^2.
+Derivation.  With side modes a+, a-, mechanics b and two-photon squeezing at
+rate kappa, H/hbar = G (a+^ b + a-^ b^ + h.c.) + i kappa (a+^ a-^ - a+ a-)
+(^ the adjoint).  The sum pair S = a+ + a-^ has [S, S^] = 0 and obeys
+dS/dt = -(gamma - kappa) S + noise with no mechanical term, a
+quantum-mechanics-free subsystem (Tsang & Caves, PRX 2, 031016 (2012)).  The
+difference pair D = a+ - a-^ obeys dD/dt = -(gamma + kappa) D - 2iG b, and
+db/dt = -iG S - gamma_m b + noise.  So the amplitude chain runs one way:
+X+ + X- (rate gamma - kappa, antisqueezed) -> mechanics -> X+ - X- (rate
+gamma + kappa, squeezed).  Back action enters through the antisqueezed pair;
+it, the signal and the imprecision leave through the squeezed one.
+Degenerate squeezing at rate upsilon damps both pairs at gamma + upsilon.
+On the lossless raw port at gamma_m = 0 imprecision times back action is
+Omega^2, the SQL product (Clerk et al., RMP 82, 1155 (2010)).
 
 Conventions: Fourier kernel exp(-i*Omega*t), so every coefficient obeys
-c(-Omega) = conj(c(Omega)).  Square roots take the principal branch (the
-back-action denominators have positive real part for stable configs, so
-sqrt(strength) = sqrt(K0*gamma*(gamma0-gamma_e))/D); only magnitudes enter
-spectral densities, so the branch affects no observable.
+c(-Omega) = conj(c(Omega)); vacuum channels have unit single-sided PSD, the
+bath channel 2*n_T + 1.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from enum import Enum
+from typing import ClassVar
 
 import numpy as np
 
-from .model import SystemConfig
+from .model import StabilityError, SystemConfig
 
 PORTS = ("sum", "difference", "subtracted")
 
@@ -60,18 +67,118 @@ class Channel(str, Enum):
 
 VACUUM_CHANNELS = (Channel.ALPHA_PLUS, Channel.ALPHA_MINUS,
                    Channel.EPS_PLUS, Channel.EPS_MINUS)
+# Noise channels of the StateSpace in column order, then the signal force.
+_INPUTS = VACUUM_CHANNELS + (Channel.THERMAL, Channel.SIGNAL)
 
 
-def _guard(denom, scale, what: str):
-    if np.any(np.abs(denom) <= 1e-14 * scale):
-        raise PoleError(f"{what} evaluated at a pole (stability boundary)")
+@dataclass(frozen=True)
+class StateSpace:
+    """Linear Langevin model x' = A x + B w + e_f f(t), y = C x + D w.
+
+    State order (g_sum, g_diff, d); outputs (sum port, difference port);
+    noise channels (alpha_sum, alpha_diff, eps_sum, eps_diff, thermal), which
+    are VACUUM_CHANNELS + (THERMAL,), with single-sided PSDs channel_psd.
+    The difference port is measured, the sum port is the subtraction
+    reference.
+    """
+
+    drift: np.ndarray
+    noise_gain: np.ndarray
+    output_gain: np.ndarray
+    feedthrough: np.ndarray
+    channel_psd: np.ndarray
+    signal_gain: np.ndarray
+    measured_port: ClassVar[int] = 1
+
+    def _solve(self, omega, rhs: np.ndarray) -> np.ndarray:
+        """(-i*Omega - A)^-1 rhs at each Omega; PoleError where -i*Omega is
+        an eigenvalue of the drift."""
+        w = np.atleast_1d(np.asarray(omega, dtype=float))
+        eig = np.linalg.eigvals(self.drift)
+        if np.any(np.abs(eig + 1j * w[:, None])
+                  <= 1e-14 * np.max(np.abs(self.drift))):
+            raise PoleError("response evaluated at a pole of the drift "
+                            "(stability boundary)")
+        n = self.drift.shape[0]
+        lhs = -1j * w[:, None, None] * np.eye(n) - self.drift[None, :, :]
+        return np.linalg.solve(lhs, np.broadcast_to(rhs, (w.size,) + rhs.shape))
+
+    def frequency_response(self, omega) -> np.ndarray:
+        """H[frequency, output, channel] (Fourier kernel exp(-i*Omega*t))."""
+        x = self._solve(omega, self.noise_gain.astype(complex))
+        return np.einsum("oj,fjc->foc", self.output_gain, x) \
+            + self.feedthrough[None, :, :]
+
+    def signal_response(self, omega) -> np.ndarray:
+        """Signal-to-output transfer [frequency, output]."""
+        x = self._solve(omega, self.signal_gain[:, None])
+        return np.einsum("oj,fj->fo", self.output_gain, x[:, :, 0])
+
+    def nulling_weight(self, omega) -> np.ndarray:
+        """Reference-port filter cancelling the sum-pair input vacuum."""
+        h = self.frequency_response(omega)
+        return -h[:, 1, 0] / h[:, 0, 0]
+
+    def output_psd(self, omega, ref_weight=None) -> np.ndarray:
+        """Single-sided PSD of the measured port or of (measured +
+        weight*reference)."""
+        h = self.frequency_response(omega)
+        row = h[:, 1, :]
+        if ref_weight is not None:
+            row = row + ref_weight[:, None] * h[:, 0, :]
+        return np.einsum("fc,c->f", np.abs(row) ** 2, self.channel_psd).real
+
+
+def build_state_space(config: SystemConfig,
+                      squeeze_rate: float | None = None) -> StateSpace:
+    """Langevin model of the amplitude quadratures (see the module docstring).
+
+    The sum pair drives the mechanics and the mechanics are read out in the
+    difference pair.  Two-photon squeezing damps the sum pair at
+    gamma - kappa (antisqueezed) and the difference pair at gamma + kappa;
+    degenerate squeezing damps both pairs at gamma + upsilon.
+
+    ``squeeze_rate`` overrides the configured rate (used by negative
+    controls); a rate that makes the drift unstable raises StabilityError.
+    """
+    cav, mech = config.cavity, config.mechanical
+    g0, ge, g = cav.gamma0, cav.gamma_e, cav.gamma
+    rate = config.squeeze.rate if squeeze_rate is None else squeeze_rate
+
+    c = math.sqrt(config.derived.K0 * g * (g0 - ge) / (2.0 * g0))
+
+    A = np.zeros((3, 3))
+    A[0, 0] = -(g + rate if config.squeeze.kind == "degenerate" else g - rate)
+    A[1, 1] = -(g + rate)
+    A[2, 2] = -mech.gamma_m
+    A[1, 2] = -c
+    A[2, 0] = c
+
+    B = np.zeros((3, 5))
+    B[0, 0] = B[1, 1] = math.sqrt(2.0 * g0)
+    B[0, 2] = B[1, 3] = math.sqrt(2.0 * ge)
+    B[2, 4] = math.sqrt(2.0 * mech.gamma_m)
+
+    C = np.zeros((2, 3))
+    C[0, 0] = C[1, 1] = math.sqrt(2.0 * g0)
+    D = np.zeros((2, 5))
+    D[0, 0] = D[1, 1] = -1.0
+
+    psd = np.array([1.0, 1.0, 1.0, 1.0, 2.0 * config.derived.n_T + 1.0])
+    e_f = np.array([0.0, 0.0, 1.0])
+
+    eig = np.linalg.eigvals(A)
+    if np.any(eig.real > 1e-12 * max(g, 1.0)):
+        raise StabilityError(f"unstable drift, eigenvalues {eig}")
+    return StateSpace(A, B, C, D, psd, e_f)
 
 
 def guard_subtraction(reflection, gamma0: float) -> None:
     """Raise PoleError where the reference port reflects no input vacuum.
 
     ``reflection`` is the numerator gamma0 - gamma_e - r_ref + i*Omega of the
-    reference-port reflection; the subtraction filter divides by it.
+    reference-port reflection, r_ref the sum-pair squeeze rate (-kappa or
+    +upsilon); the subtraction filter divides by it.
     """
     if np.any(np.abs(reflection) <= 1e-14 * gamma0):
         raise PoleError("subtraction filter undefined: the reference port "
@@ -86,46 +193,6 @@ def _shaped(value, omega):
     return arr.reshape(shape) if shape else complex(arr.item())
 
 
-def _role_coefficients(config: SystemConfig, w: np.ndarray) -> dict:
-    """Coefficient set in role space (w must be a 1-d float array).
-
-    Roles: own_vac/own_loss (noise entering the measured port directly),
-    ref_vac/ref_loss (the reference port), ba_vac/ba_loss (back action fed
-    into the measured port by the reference-side vacua), thermal and signal.
-    Thermal is sqrt(2*gamma_m) times the signal coefficient; ref_reflection
-    is the numerator of ref_vac.
-    """
-    cav, mech = config.cavity, config.mechanical
-    g0, ge, g = cav.gamma0, cav.gamma_e, cav.gamma
-    r_own = config.squeeze.rate
-    r_ref = r_own if config.squeeze.kind == "degenerate" else -r_own
-
-    d_own = g + r_own - 1j * w
-    d_ref = g + r_ref - 1j * w
-    _guard(d_own, g0, "measured-port response")
-    _guard(d_ref, g0, "reference-port response")
-    mech_pole = mech.gamma_m - 1j * w
-    _guard(mech_pole, max(mech.gamma_m, np.max(np.abs(w)), 1.0) * 1e-2,
-           "mechanical response")
-
-    reflect_ref = g0 - ge - r_ref + 1j * w
-    loss_root = math.sqrt(g0 * ge)
-    strength = config.derived.K0 * g * (g0 - ge)  # = 4*g0*eta^2*C0^2
-    ba = strength / d_own**2
-    sig = -math.sqrt(strength) / (d_own * mech_pole)
-    return {
-        "own_vac": (g0 - ge - r_own + 1j * w) / d_own,
-        "own_loss": 2.0 * loss_root / d_own,
-        "ref_reflection": reflect_ref,
-        "ref_vac": reflect_ref / d_ref,
-        "ref_loss": 2.0 * loss_root / d_ref,
-        "ba_vac": -ba / mech_pole,
-        "ba_loss": -ba * math.sqrt(ge / g0) / mech_pole,
-        "thermal": math.sqrt(2.0 * mech.gamma_m) * sig,
-        "signal": sig,
-    }
-
-
 def transfer_coefficients(config: SystemConfig, port: str, omega,
                           referenced: bool = False) -> dict:
     """Coefficient map Channel -> complex value(s) of one port (see PORTS).
@@ -136,37 +203,25 @@ def transfer_coefficients(config: SystemConfig, port: str, omega,
     """
     if port not in PORTS:
         raise ValueError(f"unknown port {port!r}; expected one of {PORTS}")
+    if referenced and port == "sum":
+        # No signal reaches the sum pair (the solve leaves rounding there).
+        raise ValueError("port carries no signal; cannot signal-reference")
     w = np.atleast_1d(np.asarray(omega, dtype=float))
-    roles = _role_coefficients(config, w)
-
-    coeffs = {ch: np.zeros_like(w, dtype=complex) for ch in Channel}
-    if port == "sum":
-        coeffs[Channel.ALPHA_PLUS] = roles["ref_vac"]
-        coeffs[Channel.EPS_PLUS] = roles["ref_loss"]
-    else:
-        coeffs[Channel.ALPHA_MINUS] = roles["own_vac"]
-        coeffs[Channel.EPS_MINUS] = roles["own_loss"]
-        coeffs[Channel.ALPHA_PLUS] = roles["ba_vac"]
-        coeffs[Channel.EPS_PLUS] = roles["ba_loss"]
-        coeffs[Channel.THERMAL] = roles["thermal"]
-        coeffs[Channel.SIGNAL] = roles["signal"]
+    ss = build_state_space(config)
+    h = ss.frequency_response(w)
+    # rows[frequency, output, input], inputs in _INPUTS order.
+    rows = np.concatenate([h, ss.signal_response(w)[:, :, None]], axis=2)
     if port == "subtracted":
-        # The filter weight is defined by exact cancellation of the
-        # input-vacuum back-action channel, so that coefficient is zero
-        # identically; the loss-vacuum channel survives with the
-        # algebraically reduced residual.
-        cav = config.cavity
-        guard_subtraction(roles["ref_reflection"], cav.gamma0)
-        bracket = roles["ref_loss"] / roles["ref_vac"] \
-            - math.sqrt(cav.gamma_e / cav.gamma0)
-        coeffs[Channel.ALPHA_PLUS] = np.zeros_like(w, dtype=complex)
-        coeffs[Channel.EPS_PLUS] = -roles["ba_vac"] * bracket
+        # h[:, 0, 0] times the sum-pair pole is the reflection numerator.
+        guard_subtraction(h[:, 0, 0] * (-ss.drift[0, 0] - 1j * w),
+                          config.cavity.gamma0)
+        weight = -h[:, 1, 0] / h[:, 0, 0]
+        row = rows[:, 1] + weight[:, None] * rows[:, 0]
+        row[:, 0] = 0.0   # the weight cancels the input vacuum by definition
+    else:
+        row = rows[:, 0 if port == "sum" else 1]
 
     if referenced:
-        sig = coeffs[Channel.SIGNAL]
-        if np.all(sig == 0):
-            raise ValueError("port carries no signal; cannot signal-reference")
-        for ch in Channel:
-            coeffs[ch] = coeffs[ch] / sig
-        coeffs[Channel.SIGNAL] = np.ones_like(w, dtype=complex)
-    return {ch: _shaped(v, omega) for ch, v in coeffs.items()}
+        row = row / row[:, -1:]
+        row[:, -1] = 1.0
+    return {ch: _shaped(row[:, i], omega) for i, ch in enumerate(_INPUTS)}

@@ -91,8 +91,14 @@ def test_invalid_case_exits_2(tmp_path):
     ["spectrum", "--case", "baseline", "--k0", "nan", "--out", "s.csv"],
     ["spectrum", "--case", "baseline", "--omega-min", "nan", "--out", "s.csv"],
     ["validate", "--case", "baseline", "--omega-max", "inf", "--out", "v.json"],
+    # Finite drives whose derived quantities or spectrum overflow.
+    ["threshold", "--k0", "1e308"],
+    ["spectrum", "--case", "baseline", "--k0", "1e308", "--out", "s.csv"],
+    ["spectrum", "--case", "baseline", "--power", "1e300", "--out", "s.csv"],
+    ["spectrum", "--case", "baseline", "--k0", "1e-300", "--out", "s.csv"],
 ], ids=["kappa-nan", "gamma-m-nan", "tau-nan", "k0-inf", "spectrum-k0-nan",
-        "spectrum-omega-min-nan", "validate-omega-max-inf"])
+        "spectrum-omega-min-nan", "validate-omega-max-inf", "k0-huge",
+        "spectrum-k0-huge", "spectrum-power-huge", "spectrum-k0-tiny"])
 def test_non_finite_input_exits_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == 2
@@ -202,10 +208,11 @@ def _nan_report():
 
 @pytest.mark.parametrize("write", [
     lambda path: _nan_series().write_json(path),
+    lambda path: _nan_series().write_csv(path.with_suffix(".csv")),
     lambda path: _nan_report().write_json(path),
     lambda path: cli._write_manifest(path.with_suffix(""), ["threshold"], None,
                                      [], seed=math.nan),
-], ids=["spectrum-json", "validation-report", "manifest"])
+], ids=["spectrum-json", "spectrum-csv", "validation-report", "manifest"])
 def test_json_writers_reject_nan_and_write_nothing(tmp_path, write):
     with pytest.raises(ValueError):
         write(tmp_path / "out.json")

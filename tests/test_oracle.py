@@ -12,7 +12,7 @@ import pytest
 import scipy.linalg
 
 from trimova import model, oracle, spectra, transfer
-from trimova.model import RegimeWarning, Squeezing
+from trimova.model import RegimeWarning, Squeezing, StabilityError
 from trimova.oracle import (SimulationError, build_state_space, estimate_psd,
                             simulate, validate)
 from trimova.transfer import Channel
@@ -58,13 +58,16 @@ def test_state_space_matches_analytic_coefficients():
     assert np.allclose(h[:, 0, 0], reflect_plus, rtol=1e-12)
     assert np.allclose(h[:, 0, 2], leak_plus, rtol=1e-12)
     assert np.allclose(h[:, 1, 1], reflect_minus, rtol=1e-12)
-    sig = transfer.transfer_coefficients(cfg, "difference", w)[Channel.SIGNAL]
+    # The signal is read out through the squeezed (difference) pair.
+    gm = cfg.mechanical.gamma_m
+    sig = -math.sqrt(cfg.derived.K0 * (G0 + GE) * (G0 - GE)) \
+        / ((G0 + GE + k - 1j * w) * (gm - 1j * w))
     assert np.allclose(ss.signal_response(w)[:, 1], sig, rtol=1e-12)
 
 
 def test_state_space_rejects_unstable_pump():
     cfg = config("two_photon", 0.5)
-    with pytest.raises(SimulationError):
+    with pytest.raises(StabilityError):
         build_state_space(cfg, squeeze_rate=1.2 * cfg.cavity.gamma)
 
 
@@ -529,6 +532,15 @@ def test_validate_baseline_quick():
     assert doc["case"] == "baseline" and len(doc["estimate"]) == len(doc["grid"])
 
 
+@pytest.mark.parametrize("frac", [0.5, 0.9])
+def test_validate_two_photon_raw_quick(frac):
+    # The raw port under two-photon squeezing: the simulated back action,
+    # through the antisqueezed pair, matches the closed form.
+    report = validate(config("two_photon", frac), "nondeg-raw", segments=48,
+                      seed=4, omega_lo=3e-2 * G0)
+    assert report.passed
+
+
 def test_validate_negative_control_quick():
     cfg = config("degenerate", 0.5)
     report = validate(cfg, "deg-raw", segments=48, seed=4, perturb=0.2,
@@ -553,8 +565,8 @@ def test_validate_evaluates_only_the_compared_band(monkeypatch):
 
     monkeypatch.setattr(oracle, "closed_form_psd",
                         spy(oracle.closed_form_psd, 2))
-    monkeypatch.setattr(oracle, "transfer_coefficients",
-                        spy(oracle.transfer_coefficients, 2))
+    monkeypatch.setattr(oracle.StateSpace, "signal_response",
+                        spy(oracle.StateSpace.signal_response, 1))
     monkeypatch.setattr(oracle.StateSpace, "frequency_response",
                         spy(oracle.StateSpace.frequency_response, 1))
     omega_lo, omega_hi = 3e-2 * G0, 5.0 * G0

@@ -267,12 +267,33 @@ def test_ratio_minimum_at_pump_crossing():
 
 
 def test_ratio_to_sql_series():
-    cfg = config("two_photon", 0.9, gamma_m=0.0)
+    # The raw port has no noise correlation, so squeezing alone cannot take
+    # it below the SQL; subtracting the back action does.
+    cfg = config("two_photon", 0.9, lossless=True, gamma_m=0.0)
     series = spectrum_series(cfg, "nondeg-raw")
     ratio = spectra.ratio_to_sql(series)
     assert ratio.kind == "sql-ratio"
-    assert np.min(ratio.values) < 1.0   # squeezing beats the SQL
+    assert np.min(ratio.values) >= 1.0 - 1e-12
     assert ratio.grid.size == series.grid.size  # gamma_m=0 but grid avoids 0
+    sub = spectra.ratio_to_sql(spectrum_series(cfg, "nondeg-sub"))
+    assert np.min(sub.values) < 1.0
+
+
+@pytest.mark.parametrize("frac", [0.0, 0.5, 0.9])
+def test_raw_port_imprecision_backaction_product_on_sql(frac):
+    # Lossless two-photon raw port at gamma_m = 0: imprecision (difference
+    # vacua) times back action (sum vacua) is Omega^2, the SQL product, at
+    # every squeeze rate (Clerk et al., RMP 82, 1155 (2010)).
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        cfg = model.reference_config(
+            squeeze=Squeezing("two_photon", frac * (G0 + GE)), lossless=True,
+            gamma_m=0.0)
+    w = spectra.default_grid(cfg, points=60)
+    budget = spectrum_series(cfg, "nondeg-raw", w, budget=True).budget
+    imprecision = budget["alpha_minus"] + budget["eps_minus"]
+    back_action = budget["alpha_plus"] + budget["eps_plus"]
+    np.testing.assert_allclose(imprecision * back_action, w**2, rtol=1e-12)
 
 
 def test_subtracted_thermal_floor():
@@ -366,14 +387,18 @@ def test_degenerate_low_frequency_blowup():
 
 
 def test_backaction_term_ratio_two_photon_vs_degenerate():
-    # Matched pump normalizations and equal rates: the raw back-action terms
-    # differ by (g0 - ge)/(g0 + ge).
+    # Matched pump normalizations and equal rates r near Omega = 0: the raw
+    # back-action terms differ by (g0 - ge)/(g0 + ge) from the
+    # normalizations, and by ((g + r)/(g - r))^2 because two-photon back
+    # action drives the mechanics through the antisqueezed pair.
     k0 = math.pi / 28e-6
     cn = config("two_photon", 0.5, gamma_m=0.0, K0=k0)
     cd = config("degenerate", 0.5, gamma_m=0.0, N0=k0)
     w = np.array([1e-6 * G0])
     ratio = backaction(cn, "nondeg-raw", w)[0] / backaction(cd, "deg-raw", w)[0]
-    assert ratio == pytest.approx((G0 - GE) / (G0 + GE), rel=1e-8)
+    g, r = G0 + GE, 0.5 * G0
+    assert ratio == pytest.approx((G0 - GE) / g * ((g + r) / (g - r)) ** 2,
+                                  rel=1e-8)
 
 
 def test_budget_additivity():
@@ -398,7 +423,7 @@ def test_spectral_threshold_formula():
 def test_spectral_threshold_pipeline_regression():
     got = spectra.detection_threshold_spectral(config("two_photon", 0.9),
                                                "nondeg-sub")
-    assert got == pytest.approx(43246.9826, rel=1e-6)
+    assert got == pytest.approx(43289.7628, rel=1e-6)
 
 
 def test_time_domain_thresholds():

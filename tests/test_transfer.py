@@ -104,7 +104,8 @@ def test_degenerate_passive_unitarity():
 
 def test_optomechanical_gain_limits():
     # Signal-referred back action on the measured port: |c|^2 is the
-    # measurement strength K0*g*(g0 - ge)/|g + kappa - i*Omega|^2.
+    # measurement strength K0*g*(g0 - ge)/|g - kappa - i*Omega|^2, the
+    # response of the antisqueezed sum pair that drives the mechanics.
     ideal = config(lossless=True)
     ba = coefficients(ideal, "difference", 0.0, referenced=True)[Channel.ALPHA_PLUS]
     assert abs(ba) ** 2 == pytest.approx(ideal.derived.K0, rel=1e-14)
@@ -112,7 +113,7 @@ def test_optomechanical_gain_limits():
     w = np.array([0.0, 0.3 * G0, 1e4 * G0])
     ba = coefficients(pumped, "difference", w, referenced=True)[Channel.ALPHA_PLUS]
     K0, kappa = pumped.derived.K0, pumped.squeeze.rate
-    expected = K0 * (G0 + GE) * (G0 - GE) / np.abs(G0 + GE + kappa - 1j * w) ** 2
+    expected = K0 * (G0 + GE) * (G0 - GE) / np.abs(G0 + GE - kappa - 1j * w) ** 2
     assert np.abs(ba) ** 2 == pytest.approx(expected, rel=1e-13)
     assert abs(ba[-1]) ** 2 < 1e-6 * K0
 
@@ -231,11 +232,13 @@ def test_subtraction_residual_with_loss():
     scale = max(abs(v) for v in c.values())
     assert abs(c[Channel.ALPHA_PLUS]) <= 1e-14 * scale
     assert abs(c[Channel.EPS_PLUS]) > 0
-    # Residual: (reflection * pump)/(gamma_m - i*Omega) * sqrt(ge/g0) divided
+    # Residual: the back action, through the antisqueezed sum pair, the
+    # mechanics and the squeezed difference pair, times sqrt(ge/g0) divided
     # by the antisqueezed reflection (literal arithmetic).
     gm = cfg.mechanical.gamma_m
     k = cfg.squeeze.rate
-    xi_pump = cfg.derived.K0 * (G0 + GE) * (G0 - GE) / complex(G0 + GE + k, -w) ** 2
+    xi_pump = cfg.derived.K0 * (G0 + GE) * (G0 - GE) \
+        / (complex(G0 + GE + k, -w) * complex(G0 + GE - k, -w))
     xi_plus = complex(G0 - GE + k, w) / complex(G0 + GE - k, -w)
     expected = xi_pump / complex(gm, -w) * math.sqrt(GE / G0) / xi_plus
     assert c[Channel.EPS_PLUS] == pytest.approx(expected, rel=1e-12)
