@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -310,9 +309,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("default")
-            return args.func(args, argv)
+        return args.func(args, argv)
     except (UsageError, ConfigError, StabilityError, PoleError,
             FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,8 +9,8 @@ rate ``upsilon``).
 
 Everything here is plain bookkeeping: unit-checked parameter containers,
 regime validation, and the scalar quantities (thermal occupancy, normalized
-pump, zero-point scales) that the transfer and spectra modules consume.  All
-rates are angular (rad/s) and all other units SI.
+pump) that the transfer and spectra modules consume.  All rates are angular
+(rad/s) and all other units SI.
 """
 
 from __future__ import annotations
@@ -247,24 +247,18 @@ class SignalPulse:
 class DerivedQuantities:
     """Scalar quantities fixed at configuration time.
 
-    x0:           zero-point length sqrt(hbar/(2 m omega_m)), m
-    eta:          optomechanical coupling x0*omega0/L, 1/s
     n_T:          thermal occupancy of the mechanical bath
     braginsky:    n_T*omega_m*tau/Q for the configured pulse
     K0:           normalized pump, rad/s
     input_power:  drive power, W
-    C0_squared:   intracavity pump amplitude squared, 4*g0*eta^2*C0^2 = K0*g*(g0-ge)
     N0:           degenerate-normalization of the same drive, K0*(g0-ge)/g
     F_s0, f_s0:   signal amplitude in N and normalized form (None if not set)
     """
 
-    x0: float
-    eta: float
     n_T: float
     braginsky: float
     K0: float
     input_power: float
-    C0_squared: float
     N0: float
     F_s0: float | None
     f_s0: float | None
@@ -306,8 +300,6 @@ class SystemConfig:
         else:
             power = self.drive.input_power
             K0 = dimensionless_power(cav, mech, power)
-        x0 = math.sqrt(HBAR / (2.0 * mech.mass * mech.omega_m))
-        eta = x0 * cav.omega0 / cav.length
         n_T = mech.occupancy
         f_s0 = self.signal.f_s0
         F_s0 = self.signal.F_s0
@@ -317,15 +309,11 @@ class SystemConfig:
         elif f_s0 is not None:
             F_s0 = f_s0 * scale
         derived = DerivedQuantities(
-            x0=x0,
-            eta=eta,
             n_T=n_T,
             braginsky=braginsky_factor(n_T, mech.omega_m, self.signal.tau,
                                        mech.quality_factor),
             K0=K0,
             input_power=power,
-            C0_squared=K0 * cav.gamma * (cav.gamma0 - cav.gamma_e)
-                       / (4.0 * cav.gamma0 * eta**2),
             N0=K0 * (cav.gamma0 - cav.gamma_e) / cav.gamma,
             F_s0=F_s0,
             f_s0=f_s0,

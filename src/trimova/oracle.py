@@ -6,12 +6,14 @@ linear Langevin system of the amplitude quadratures (the sum pair, which
 drives the mechanics; the difference pair, which is measured; the
 mechanics) forced by five white channels: the two input-port vacua, the two
 loss vacua and the mechanical bath.  ``simulate`` integrates the
-``StateSpace`` it is given and forms the two output time series through
-that model's own output map y = C x + D w (the reflected input D w must be
-built from the *same* noise realization that drove the cavity, or the
-output spectrum is wrong at order one).  ``validate`` estimates
-single-sided PSDs by segment-averaged Hann periodograms and compares the
-signal-referred result against the closed-form spectra.
+``StateSpace`` it is given, noise only (no signal force enters), and forms
+the two output time series through that model's own output map
+y = C x + D w (the reflected input D w must be built from the *same* noise
+realization that drove the cavity, or the output spectrum is wrong at order
+one).  ``validate`` estimates single-sided PSDs by segment-averaged Hann
+periodograms and compares the signal-referred result against the
+closed-form spectra.  Its periodogram stage, _add_periodograms, is the one
+estimator of this module; the calibration tests check that same function.
 
 Integration uses the exact one-step propagator: the matrix exponential of
 the drift together with the exact joint covariance of (state increment,
@@ -86,7 +88,6 @@ from .model import SystemConfig, json_text
 from .spectra import closed_form_psd, port_for_case
 from .transfer import StateSpace, build_state_space
 
-DT_SAFETY = 0.05          # default step of simulate: DT_SAFETY / fastest rate
 MIN_SEGMENTS = 32
 MIN_CORRELATION_TIMES = 100.0
 POINTS_PER_DECADE = 40    # log bins per decade of a validation report
@@ -105,7 +106,7 @@ class SimulationError(ValueError):
 
 
 def max_rate(ss: StateSpace) -> float:
-    """Fastest rate scale of the model, which sets the default steps."""
+    """Fastest rate scale of the model, which sets the default step."""
     return float(max(np.max(np.abs(np.linalg.eigvals(ss.drift))),
                      np.max(np.abs(ss.drift))))
 
@@ -121,10 +122,10 @@ def _band_step(omega_hi: float, *models: StateSpace) -> float:
 def _discretize(ss: StateSpace, dt: float):
     """Exact one-step update for (state, per-step output integrals, increments).
 
-    Returns (phi_xx, phi_zx, m_sig, factor) where the per-step sample is
-        x'   = phi_xx x + m_sig[:3] f + n[:3]
-        zeta = phi_zx x + m_sig[3:5] f + n[3:5]   (integral of g over the step)
-        dW   = n[5:7]                              (alpha increments)
+    Returns (phi_xx, phi_zx, factor) where the per-step sample is
+        x'   = phi_xx x + n[:3]
+        zeta = phi_zx x + n[3:5]   (integral of the pairs over the step)
+        dW   = n[5:7]              (alpha increments)
     and n = factor @ iid standard normals (7).
     """
     import scipy.linalg   # here, not at module level: only simulation needs it
@@ -154,13 +155,7 @@ def _discretize(ss: StateSpace, dt: float):
 
     vals, vecs = np.linalg.eigh(Qd)
     factor = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
-
-    sig_block = np.zeros((n_aug + 1, n_aug + 1))
-    sig_block[:n_aug, :n_aug] = A
-    sig_block[:3, n_aug] = ss.signal_gain
-    m_sig = scipy.linalg.expm(sig_block * dt)[:n_aug, n_aug]
-
-    return phi[:3, :3], phi[3:5, :3], m_sig[:5], factor
+    return phi[:3, :3], phi[3:5, :3], factor
 
 
 def _scan(a: float, x: np.ndarray) -> None:
@@ -231,7 +226,6 @@ class SimulationResult:
 
     outputs: np.ndarray      # (segments, samples, 2): sum port, difference port
     dt: float
-    states: np.ndarray | None = None
 
 
 def _segment_generators(seed: int, segment: int, components: int):
@@ -240,38 +234,32 @@ def _segment_generators(seed: int, segment: int, components: int):
         for comp in range(components)]
 
 
-def simulate(ss: StateSpace, *, segments: int = 1, samples: int,
-             dt: float | None = None, seed: int = 0, segment_offset: int = 0,
-             signal=None,
-             burn_in: int | None = None,
-             keep_states: bool = False) -> SimulationResult:
+def simulate(ss: StateSpace, *, segments: int = 1, samples: int, dt: float,
+             seed: int = 0, segment_offset: int = 0) -> SimulationResult:
     """Integrate the given Langevin model ``ss``, emitting output samples.
 
     Each segment is an independent realization (its own noise streams keyed
-    by absolute segment index).  Output samples are step averages of
-    y = C x + D w, the model's own output map, built from the same
-    increments that drove the state; C may read the two pairs and D their
-    input vacua (channels 0 and 1), and SimulationError is raised for any
-    other entry.  ``signal`` is an optional callable f(t) entering through
-    the model's signal gain.  The step is exact at any dt (default
-    DT_SAFETY / fastest rate).
+    by absolute segment index) that starts from rest and is kept after a
+    burn-in of ten times the slowest optical decay.  Output samples are step
+    averages of y = C x + D w, the model's own output map, built from the
+    same increments that drove the state; C may read the two pairs and D
+    their input vacua (channels 0 and 1), and SimulationError is raised for
+    any other entry.  The step is exact at any dt.
 
     The state update is a triangular cascade: the sum pair, then the
     mechanics, then the difference pair, each a scalar first-order recurrence
-    (see _scan) whose input is its own noise, the upstream states through
-    the off-diagonal propagator entries, and the signal.  SimulationError is
-    raised when the propagator has an entry against that order.  Time runs
-    in chunks of about 2**19 steps summed over segments, so the working
-    memory besides the returned arrays stays under about 70 MB whatever the
-    record length: the noise of a whole segment is never held at once.  The
-    segments are split over WORKERS threads (see the module docstring).
+    (see _scan) whose input is its own noise and the upstream states through
+    the off-diagonal propagator entries.  SimulationError is raised when the
+    propagator has an entry against that order.  Time runs in chunks of
+    about 2**19 steps summed over segments, so the working memory besides
+    the returned arrays stays under about 70 MB whatever the record length:
+    the noise of a whole segment is never held at once.  The segments are
+    split over WORKERS threads (see the module docstring).
     """
     if np.any(ss.output_gain[:, 2]) or np.any(ss.feedthrough[:, 2:]):
         raise SimulationError("output map reads beyond the two pairs and "
                               "their input vacua")
     rate_max = max_rate(ss)
-    if dt is None:
-        dt = DT_SAFETY / rate_max
     optical = np.linalg.eigvals(ss.drift[:2, :2])
     t_corr = 1.0 / min(abs(optical.real.min()), rate_max)
     if segments * samples * dt < MIN_CORRELATION_TIMES * t_corr:
@@ -279,11 +267,10 @@ def simulate(ss: StateSpace, *, segments: int = 1, samples: int,
             f"duration {segments * samples * dt:.3g} s below "
             f"{MIN_CORRELATION_TIMES} optical correlation times "
             f"({MIN_CORRELATION_TIMES * t_corr:.3g} s)")
-    if burn_in is None:
-        burn_in = int(math.ceil(10.0 / (min(abs(optical.real)) * dt))) \
-            if np.all(np.abs(optical.real) > 0) else 0
+    burn_in = int(math.ceil(10.0 / (min(abs(optical.real)) * dt))) \
+        if np.all(np.abs(optical.real) > 0) else 0
 
-    phi_xx, phi_zx, m_sig, factor = _discretize(ss, dt)
+    phi_xx, phi_zx, factor = _discretize(ss, dt)
     against = np.triu(phi_xx[np.ix_(_CASCADE, _CASCADE)], 1)
     # The Van Loan solve leaves rounding of ~1e-21 of the largest entry where
     # the propagator is structurally zero; the cascade drops it.
@@ -295,15 +282,10 @@ def simulate(ss: StateSpace, *, segments: int = 1, samples: int,
     C, D = ss.output_gain[:, :2], ss.feedthrough[:, :2]
     total = burn_in + samples
     out = np.empty((segments, samples, 2))
-    states = np.empty((segments, samples, 3)) if keep_states else None
-    times = (np.arange(total) + 0.5) * dt
-    f_vals = np.asarray([signal(t) for t in times]) if signal is not None else None
 
     # Rows 0-2 are the state noise; rows 3-4 give output sample p as
-    # read_x[p] . x + mix[3 + p] . z + drive[3 + p] * f, the step average of
-    # y = C x + D w.
+    # read_x[p] . x + mix[3 + p] . z, the step average of y = C x + D w.
     mix = np.vstack([factor[:3], (C @ factor[3:5] + D @ factor[5:7]) / dt])
-    drive = np.concatenate([m_sig[:3], C @ m_sig[3:5] / dt])
     read_x = C @ phi_zx / dt
     chunk = max(1, (8 << 20) // (16 * segments))   # 2**19 segment-steps
     width = 1 + -(-chunk // _SCAN_BLOCK) * _SCAN_BLOCK
@@ -326,10 +308,6 @@ def simulate(ss: StateSpace, *, segments: int = 1, samples: int,
                 np.einsum("rc,ck->rk", mix[3:], z[:, :size],
                           out=y[:, s, :size])
             x[:, :, size + 1:] = 0.0   # zero inputs fill the last block
-            if f_vals is not None:
-                f = f_vals[start:start + size]
-                x[:, :, 1:size + 1] += drive[:3, None, None] * f
-                y[:, :, :size] += drive[3:, None, None] * f
             stop = 1 + -(-size // _SCAN_BLOCK) * _SCAN_BLOCK
             for i, row in enumerate(_CASCADE):
                 u = x[row, :, 1:size + 1]
@@ -345,40 +323,55 @@ def simulate(ss: StateSpace, *, segments: int = 1, samples: int,
                     for j in range(3):
                         yp += read_x[p, j] * x[j, :, first:size]
                     out[lo:hi, keep, p] = yp
-                if keep_states:
-                    states[lo:hi, keep, :] = \
-                        x[:, :, first:size].transpose(1, 2, 0)
             x[:, :, 0] = x[:, :, size]
 
     _in_parallel(integrate, segments)
-    return SimulationResult(out, dt, states)
+    return SimulationResult(out, dt)
 
 
 # --- spectral estimation --------------------------------------------------------
 
-def _hann(n: int):
-    """Hann window of n samples and its power sum."""
-    win = np.hanning(n)
-    return win, float(np.sum(win**2))
+def _add_periodograms(sums: np.ndarray, outputs: np.ndarray, dt: float,
+                      band: slice, weight, sig2: np.ndarray) -> None:
+    """Add the segments' periodograms into sums[0] and their squares into
+    sums[1], on the rFFT bins ``band`` only.
 
-
-def estimate_psd(rows: np.ndarray, dt: float):
-    """Segment-averaged Hann-window single-sided PSD (unit-PSD white noise
-    reads 1): (grid, psd, stderr) of ``rows``, one segment per row.
-
-    Each segment is detrended (mean removed).  At least 32 segments are
-    required for the error bars to mean anything.
+    A segment's periodogram is the single-sided Hann-window estimate
+    (unit-PSD white noise reads 1) of its mean-removed difference port
+    outputs[s, :, 1], plus ``weight`` (per band bin) times its sum port when
+    a weight is given, divided by ``sig2``.  Whole groups of _FFT_GROUP
+    segments go to each thread, each group windowed in place in the thread's
+    own buffer and its rFFT cut to the band before the next is taken; the
+    per-group sums are added in group order, so the result does not depend
+    on the thread count.
     """
-    y = np.asarray(rows, dtype=float)
-    if y.shape[0] < MIN_SEGMENTS:
-        raise SimulationError(f"need at least {MIN_SEGMENTS} segments, "
-                              f"got {y.shape[0]}")
-    win, norm = _hann(y.shape[-1])
-    data = y - y.mean(axis=-1, keepdims=True)
-    per = 2.0 * dt * np.abs(np.fft.rfft(data * win, axis=-1)) ** 2 / norm
-    grid = 2.0 * math.pi * np.fft.rfftfreq(y.shape[-1], dt)
-    return (grid, per.mean(axis=0),
-            per.std(axis=0, ddof=1) / math.sqrt(y.shape[0]))
+    samples = outputs.shape[1]
+    win = np.hanning(samples)
+    norm = float(np.sum(win**2))
+    groups = -(-outputs.shape[0] // _FFT_GROUP)
+    partial = np.empty((groups,) + sums.shape)
+
+    def band_fft(rows: np.ndarray, buf: np.ndarray) -> np.ndarray:
+        buf[...] = rows
+        buf -= buf.mean(axis=-1, keepdims=True)
+        buf *= win
+        return np.fft.rfft(buf, axis=-1)[:, band].copy()
+
+    def periodogram(begin: int, end: int) -> None:
+        buf = np.empty((_FFT_GROUP, samples))
+        for g in range(begin, end):
+            y = outputs[g * _FFT_GROUP:(g + 1) * _FFT_GROUP]
+            rows = buf[:y.shape[0]]
+            combined = band_fft(y[:, :, 1], rows)
+            if weight is not None:
+                combined += weight * band_fft(y[:, :, 0], rows)
+            per = 2.0 * dt * np.abs(combined) ** 2 / norm / sig2
+            partial[g, 0] = per.sum(axis=0)
+            partial[g, 1] = (per**2).sum(axis=0)
+
+    _in_parallel(periodogram, groups)
+    for part in partial:
+        sums += part
 
 
 def log_binned(grid, columns, lo: float, hi: float, per_decade: int = 40):
@@ -465,6 +458,11 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
     """
     if segments < MIN_SEGMENTS:
         raise SimulationError(f"need at least {MIN_SEGMENTS} segments")
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise SimulationError(f"tolerance = {tolerance}: it must be finite "
+                              "and nonnegative")
+    if not math.isfinite(perturb):
+        raise SimulationError(f"perturb = {perturb}: it must be finite")
     port = port_for_case(case)
     g0 = config.cavity.gamma0
     omega_lo = 1e-2 * g0 if omega_lo is None else omega_lo
@@ -505,50 +503,17 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
 
     # Signal coefficient of the measured raw port (signal referring).
     sig2 = np.abs(ss_nom.signal_response(grid)[:, ss_nom.measured_port]) ** 2
-    win, norm = _hann(samples)
 
-    def band_fft(rows: np.ndarray, buf: np.ndarray) -> np.ndarray:
-        """Band bins of the rFFTs of the Hann-windowed, mean-removed rows,
-        windowed in place in buf."""
-        buf[...] = rows
-        buf -= buf.mean(axis=-1, keepdims=True)
-        buf *= win
-        return np.fft.rfft(buf, axis=-1)[:, band].copy()
+    sums = np.zeros((2, grid.size))
+    for done in range(0, segments, BATCH):
+        # The batch's output samples live only through this call.
+        _add_periodograms(sums, simulate(
+            ss_sim, segments=min(BATCH, segments - done), samples=samples,
+            dt=dt, seed=seed, segment_offset=done).outputs,
+            dt, band, weight, sig2)
 
-    per_sum = np.zeros(grid.size)
-    per_sq = np.zeros(grid.size)
-    done = 0
-    while done < segments:
-        todo = min(BATCH, segments - done)
-        outputs = simulate(ss_sim, segments=todo, samples=samples, dt=dt,
-                           seed=seed, segment_offset=done).outputs
-        # Per-bin sums of each fixed group of segments, added in group order
-        # below, so that the result does not depend on the thread count.
-        groups = -(-todo // _FFT_GROUP)
-        partial = np.empty((groups, 2, grid.size))
-
-        def periodogram(begin: int, end: int) -> None:
-            buf = np.empty((_FFT_GROUP, samples))
-            for g in range(begin, end):
-                y = outputs[g * _FFT_GROUP:(g + 1) * _FFT_GROUP]
-                rows = buf[:y.shape[0]]
-                combined = band_fft(y[:, :, 1], rows)
-                if weight is not None:
-                    combined += weight * band_fft(y[:, :, 0], rows)
-                per = 2.0 * dt * np.abs(combined) ** 2 / norm / sig2
-                partial[g, 0] = per.sum(axis=0)
-                partial[g, 1] = (per**2).sum(axis=0)
-
-        _in_parallel(periodogram, groups)
-        for part_sum, part_sq in partial:
-            per_sum += part_sum
-            per_sq += part_sq
-        done += todo
-        # Free this batch before the next simulate call allocates its own.
-        del outputs
-
-    est = per_sum / segments
-    var = (per_sq - segments * est**2) / (segments - 1)
+    est = sums[0] / segments
+    var = (sums[1] - segments * est**2) / (segments - 1)
     stderr = np.sqrt(np.clip(var, 0.0, None) / segments)
 
     # Both references are the expectation of this estimator (see the module

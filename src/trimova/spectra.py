@@ -174,18 +174,25 @@ class SpectrumSeries:
             fh.write(text)
 
 
-def spectrum_series(config: SystemConfig, case: str, omega=None,
+def spectrum_series(config: SystemConfig, case: str, omega,
                     budget: bool = False) -> SpectrumSeries:
-    """Assembled spectrum of a named case over ``omega`` (default log grid):
-    each channel's |signal-referred coefficient|^2 times its PSD, summed."""
+    """Assembled spectrum of a named case over ``omega``: each channel's
+    |signal-referred coefficient|^2 times its PSD, summed.
+
+    ValueError where a drive too weak for its signal coefficient makes a
+    channel overflow.
+    """
     _check_case(config, case)
-    grid = default_grid(config) if omega is None else np.asarray(omega, dtype=float)
-    coeffs = transfer_coefficients(config, port_for_case(case), grid,
-                                   referenced=True)
-    parts = {ch.value: np.abs(coeffs[ch]) ** 2 for ch in VACUUM_CHANNELS}
-    parts[Channel.THERMAL.value] = np.abs(coeffs[Channel.THERMAL]) ** 2 \
-        * (2.0 * config.derived.n_T + 1.0)
-    return SpectrumSeries(case=case, grid=grid, values=sum(parts.values()),
+    grid = np.asarray(omega, dtype=float)
+    coeffs = transfer_coefficients(config, port_for_case(case), grid)
+    with np.errstate(over="ignore"):
+        parts = {ch.value: np.abs(coeffs[ch]) ** 2 for ch in VACUUM_CHANNELS}
+        parts[Channel.THERMAL.value] = np.abs(coeffs[Channel.THERMAL]) ** 2 \
+            * (2.0 * config.derived.n_T + 1.0)
+        values = sum(parts.values())
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{case}: the assembled spectrum must be finite")
+    return SpectrumSeries(case=case, grid=grid, values=values,
                           config=config_snapshot(config),
                           budget=parts if budget else None)
 
@@ -206,17 +213,11 @@ def ratio_to_sql(series: SpectrumSeries) -> SpectrumSeries:
 
 # --- detection thresholds -------------------------------------------------------
 
-def detection_threshold_spectral(config: SystemConfig, case: str,
-                                 tau: float | None = None,
-                                 omega: float = 0.0) -> float:
-    """Normalized force amplitude resolvable over a pulse bandwidth.
-
-    f_min = sqrt(S_f(Omega) * dOmega / 2pi) with dOmega = 2pi/tau, evaluated
-    at a caller-chosen Omega (default 0).
-    """
-    tau = config.signal.tau if tau is None else tau
-    value = float(closed_form_psd(case, config, float(omega)))
-    return math.sqrt(value / tau)
+def detection_threshold_spectral(config: SystemConfig, case: str) -> float:
+    """Normalized force amplitude resolvable over the configured pulse's
+    bandwidth: f_min = sqrt(S_f(0) * dOmega / 2pi) with dOmega = 2pi/tau."""
+    value = float(closed_form_psd(case, config, 0.0))
+    return math.sqrt(value / config.signal.tau)
 
 
 @dataclass(frozen=True)
@@ -240,9 +241,9 @@ class ThresholdReport:
             "band_integrated_f", "sql_form_f")}
 
 
-def detection_threshold_time_domain(config: SystemConfig,
-                                    tau: float | None = None) -> ThresholdReport:
-    """Minimum detectable force of the resonant square pulse, two variants.
+def detection_threshold_time_domain(config: SystemConfig) -> ThresholdReport:
+    """Minimum detectable force of the configured resonant square pulse, two
+    variants.
 
     band-integrated: integrate the flat-pump noise spectrum over the pulse
     bandwidth [0, 2pi/tau] and minimize over the pump; the optimum is
@@ -252,7 +253,7 @@ def detection_threshold_time_domain(config: SystemConfig,
     F_SQL = (4/tau)*sqrt(pi*hbar*m*omega_m/sqrt(3)).
     """
     mech = config.mechanical
-    tau = config.signal.tau if tau is None else tau
+    tau = config.signal.tau
     if mech.gamma_m * tau > 0.1:
         warnings.warn(f"gamma_m*tau = {mech.gamma_m * tau:.3g} is not small; "
                       "short-pulse threshold formulas degrade",

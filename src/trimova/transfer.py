@@ -4,18 +4,21 @@ The two side-mode outputs are detected separately, each in its amplitude
 quadrature (the optimal readout under both squeezing kinds); the sum and the
 difference of those quadratures form the working ports.
 ``build_state_space`` states the linear Langevin model of these quadratures
-once, as a ``StateSpace``.  ``transfer_coefficients`` reads from its
-frequency response the coefficient with which every input channel
-(input-port vacuum, internal-loss vacuum, thermal force, signal force)
-appears in a port:
+once, as a ``StateSpace``, with two outputs:
 
-* "sum", the reference port: a passive reflection of the sum-pair vacua that
-  carries no mechanical content;
-* "difference", the measured port: its own vacua, the signal and thermal
-  forces, and the back action fed into the mechanics by the sum-pair vacua;
-* "subtracted": the measured port plus the reference port times the nulling
-  weight, defined by exact cancellation of the input-vacuum back action.
-  With internal loss a loss-vacuum residual survives.
+* the sum port, the subtraction reference: a passive reflection of the
+  sum-pair vacua that carries no mechanical content;
+* the difference port, measured: its own vacua, the signal and thermal
+  forces, and the back action fed into the mechanics by the sum-pair vacua.
+
+``transfer_coefficients`` reads from the model's frequency response the
+signal-referred coefficient with which every input channel (input-port
+vacuum, internal-loss vacuum, thermal force, signal force) appears in one
+of the measured PORTS: "difference", or "subtracted", the difference port
+plus the sum port times the nulling weight, defined by exact cancellation
+of the input-vacuum back action.  With internal loss a loss-vacuum residual
+survives.  The sum port is an output of the ``StateSpace`` only, not one of
+PORTS.
 
 Derivation.  With side modes a+, a-, mechanics b and two-photon squeezing at
 rate kappa, H/hbar = G (a+^ b + a-^ b^ + h.c.) + i kappa (a+^ a-^ - a+ a-)
@@ -47,7 +50,7 @@ import numpy as np
 
 from .model import StabilityError, SystemConfig
 
-PORTS = ("sum", "difference", "subtracted")
+PORTS = ("difference", "subtracted")
 
 
 class PoleError(ArithmeticError):
@@ -186,42 +189,25 @@ def guard_subtraction(reflection, gamma0: float) -> None:
                         "at Omega = 0)")
 
 
-def _shaped(value, omega):
-    """Return ``value`` with the shape of the original omega argument."""
-    shape = np.shape(omega)
-    arr = np.asarray(value, dtype=complex)
-    return arr.reshape(shape) if shape else complex(arr.item())
-
-
-def transfer_coefficients(config: SystemConfig, port: str, omega,
-                          referenced: bool = False) -> dict:
-    """Coefficient map Channel -> complex value(s) of one port (see PORTS).
-
-    ``omega`` may be a scalar or an array; outputs match its shape.  With
-    ``referenced=True`` coefficients are divided by the signal coefficient
-    (mechanically coupled ports only), leaving exactly 1 in the signal slot.
-    """
+def transfer_coefficients(config: SystemConfig, port: str, omega) -> dict:
+    """Signal-referred coefficient map Channel -> complex array over
+    ``omega`` of one port (see PORTS): every coefficient divided by the
+    signal coefficient, which leaves exactly 1 in the signal slot."""
     if port not in PORTS:
         raise ValueError(f"unknown port {port!r}; expected one of {PORTS}")
-    if referenced and port == "sum":
-        # No signal reaches the sum pair (the solve leaves rounding there).
-        raise ValueError("port carries no signal; cannot signal-reference")
-    w = np.atleast_1d(np.asarray(omega, dtype=float))
+    w = np.asarray(omega, dtype=float)
     ss = build_state_space(config)
     h = ss.frequency_response(w)
     # rows[frequency, output, input], inputs in _INPUTS order.
     rows = np.concatenate([h, ss.signal_response(w)[:, :, None]], axis=2)
+    row = rows[:, 1]
     if port == "subtracted":
         # h[:, 0, 0] times the sum-pair pole is the reflection numerator.
         guard_subtraction(h[:, 0, 0] * (-ss.drift[0, 0] - 1j * w),
                           config.cavity.gamma0)
         weight = -h[:, 1, 0] / h[:, 0, 0]
-        row = rows[:, 1] + weight[:, None] * rows[:, 0]
+        row = row + weight[:, None] * rows[:, 0]
         row[:, 0] = 0.0   # the weight cancels the input vacuum by definition
-    else:
-        row = rows[:, 0 if port == "sum" else 1]
-
-    if referenced:
-        row = row / row[:, -1:]
-        row[:, -1] = 1.0
-    return {ch: _shaped(row[:, i], omega) for i, ch in enumerate(_INPUTS)}
+    row = row / row[:, -1:]
+    row[:, -1] = 1.0
+    return {ch: row[:, i] for i, ch in enumerate(_INPUTS)}

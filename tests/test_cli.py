@@ -99,12 +99,16 @@ def test_invalid_case_exits_2(tmp_path):
 ], ids=["kappa-nan", "gamma-m-nan", "tau-nan", "k0-inf", "spectrum-k0-nan",
         "spectrum-omega-min-nan", "validate-omega-max-inf", "k0-huge",
         "spectrum-k0-huge", "spectrum-power-huge", "spectrum-k0-tiny"])
-def test_non_finite_input_exits_2(tmp_path, monkeypatch, capsys, argv):
+def test_non_finite_input_exits_2(tmp_path, monkeypatch, capsys, recwarn,
+                                  argv):
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "must be finite" in captured.err
+    # The overflow is caught where it happens, not printed on the way.
+    assert "Warning" not in captured.err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     assert not list(tmp_path.iterdir())
 
 
@@ -276,6 +280,28 @@ def test_validate_unusable_band_exits_2(tmp_path, capsys, band, message):
                      *band, "--out", str(out)])
     assert code == 2
     assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("option, name", [
+    (["--tolerance", "-1"], "tolerance"),
+    (["--tolerance", "nan"], "tolerance"),
+    (["--perturb-kappa", "nan"], "perturb"),
+], ids=["tolerance-negative", "tolerance-nan", "perturb-nan"])
+def test_validate_rejects_meaningless_values(tmp_path, monkeypatch, capsys,
+                                             option, name):
+    # Refused before any simulation: a negative tolerance passes every bin,
+    # and a NaN would fail only after the whole run, or deep in numpy.
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated")
+
+    monkeypatch.setattr(oracle, "simulate", no_simulation)
+    code = cli.main(["validate", "--case", "nondeg-sub", "--kappa", "0.5g0",
+                     "--segments", "32", *option,
+                     "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert name in err and "must be finite" in err
     assert not list(tmp_path.iterdir())
 
 

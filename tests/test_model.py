@@ -102,16 +102,6 @@ def test_wavelength_round_trip(wavelength):
     assert abs(cav.wavelength - wavelength) <= 1e-12 * wavelength
 
 
-def test_intracavity_drive_identity(reference):
-    # 4*g0*eta^2*C0^2 equals K0*gamma*(gamma0 - gamma_e) by construction.
-    for frac in (0.3, 1.0, 4.0):
-        cfg = model.reference_config(K0=frac * reference.derived.K0)
-        cav, d = cfg.cavity, cfg.derived
-        lhs = 4.0 * cav.gamma0 * d.eta**2 * d.C0_squared
-        rhs = d.K0 * cav.gamma * (cav.gamma0 - cav.gamma_e)
-        assert abs(lhs - rhs) <= 1e-12 * rhs
-
-
 def test_reference_config_clean(recwarn, reference):
     assert reference.regime_findings() == []
     assert not [w for w in recwarn.list if issubclass(w.category, RegimeWarning)]

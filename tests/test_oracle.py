@@ -11,11 +11,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from trimova import model, oracle, spectra, transfer
+from trimova import model, oracle, spectra
 from trimova.model import RegimeWarning, Squeezing, StabilityError
-from trimova.oracle import (SimulationError, build_state_space, estimate_psd,
-                            simulate, validate)
-from trimova.transfer import Channel
+from trimova.oracle import (SimulationError, build_state_space, simulate,
+                            validate)
 
 G0, GE = model.reference_rates()
 
@@ -26,6 +25,32 @@ def config(kind="none", frac=0.0, lossless=False, gamma_m=None, K0=None):
         warnings.simplefilter("ignore", RegimeWarning)
         return model.reference_config(squeeze=squeeze, lossless=lossless,
                                       gamma_m=gamma_m, K0=K0)
+
+
+def run(ss, **options):
+    """simulate, at a step of 0.05 / fastest rate unless one is given."""
+    options.setdefault("dt", 0.05 / oracle.max_rate(ss))
+    return simulate(ss, **options)
+
+
+def burn_in(ss, dt):
+    """Steps simulate discards: ten times the slowest optical decay."""
+    optical = np.linalg.eigvals(ss.drift[:2, :2])
+    return math.ceil(10.0 / (np.min(np.abs(optical.real)) * dt))
+
+
+def estimate(outputs, dt, weight=None, band=slice(None)):
+    """validate's periodogram estimate on the rFFT bins ``band``: the
+    difference port outputs[:, :, 1], plus weight times the sum port where
+    a weight is given.  Returns (grid, mean, standard error)."""
+    segments, samples = outputs.shape[:2]
+    grid = (2 * math.pi * np.fft.rfftfreq(samples, dt))[band]
+    sums = np.zeros((2, grid.size))
+    oracle._add_periodograms(sums, outputs, dt, band, weight,
+                             np.ones(grid.size))
+    mean = sums[0] / segments
+    var = (sums[1] - segments * mean**2) / (segments - 1)
+    return grid, mean, np.sqrt(np.clip(var, 0.0, None) / segments)
 
 
 def scaled(ss, scale):
@@ -40,6 +65,14 @@ def empty_cavity(cfg):
     drift = ss.drift.copy()
     drift[1, 2] = drift[2, 0] = 0.0
     return dataclasses.replace(ss, drift=drift)
+
+
+def reading_pairs(ss, gain):
+    """The model with output map y = gain @ (g_sum, g_diff), no feedthrough."""
+    output_gain = np.zeros((2, 3))
+    output_gain[:, :2] = gain
+    return dataclasses.replace(ss, output_gain=output_gain,
+                               feedthrough=np.zeros((2, 5)))
 
 
 # --- state space ------------------------------------------------------------------
@@ -75,8 +108,7 @@ def test_degenerate_state_space_psd_matches_closed_form():
     cfg = config("degenerate", 0.5)
     ss = build_state_space(cfg)
     w = np.geomspace(1e-2 * G0, 10 * G0, 25)
-    sig2 = np.abs(transfer.transfer_coefficients(cfg, "difference", w)
-                  [Channel.SIGNAL]) ** 2
+    sig2 = np.abs(ss.signal_response(w)[:, ss.measured_port]) ** 2
     referred = ss.output_psd(w) / sig2
     closed = spectra.closed_form_psd("deg-raw", cfg, w)
     assert np.allclose(referred, closed, rtol=1e-12)
@@ -89,12 +121,16 @@ def test_steady_state_variance_matches_lyapunov():
     expected = scipy.linalg.solve_continuous_lyapunov(
         ss.drift,
         -ss.noise_gain @ np.diag(ss.channel_psd / 2) @ ss.noise_gain.T)
-    sim = simulate(ss, segments=48, samples=6000, seed=21, keep_states=True)
-    tail = sim.states[:, 1000:, :]
+    # The outputs are the step averages of the two pairs; at this step the
+    # averaging lowers their variance by under 0.2 %.  The mechanics are no
+    # output, but the difference pair carries them.
+    sim = simulate(reading_pairs(ss, np.eye(2)), segments=48, samples=30000,
+                   dt=0.01 / oracle.max_rate(ss), seed=21)
+    tail = sim.outputs[:, 5000:, :]
     per_segment = np.einsum("snj,snk->sjk", tail, tail) / tail.shape[1]
     mean = per_segment.mean(axis=0)
     err = per_segment.std(axis=0) / math.sqrt(tail.shape[0])
-    for i in range(3):
+    for i in range(2):
         assert abs(mean[i, i] - expected[i, i]) < 3.5 * err[i, i]
 
 
@@ -104,23 +140,36 @@ def test_estimator_white_noise_calibration():
     # Unit single-sided PSD white noise: samples of variance 1/(2 dt).
     rng = np.random.default_rng(3)
     dt = 1e-4
-    rows = rng.standard_normal((160, 4096)) / math.sqrt(2 * dt)
-    _, psd, _ = estimate_psd(rows, dt)
+    outputs = np.zeros((160, 4096, 2))
+    outputs[:, :, 1] = rng.standard_normal((160, 4096)) / math.sqrt(2 * dt)
+    _, psd, _ = estimate(outputs, dt)
     band = psd[3:-3]
     mean = band.mean()
     assert abs(mean - 1.0) < 3.5 * band.std() / math.sqrt(band.size / 1.5)
 
 
-def test_estimator_requires_segments():
-    with pytest.raises(SimulationError):
-        estimate_psd(np.zeros((16, 100)), 1e-4)
+def test_estimator_weighted_white_noise_calibration():
+    # Independent unit-PSD white noise in both ports and a bounded complex
+    # weight per bin: the estimate reads 1 + |w|^2, the white floor that
+    # validate's reference assumes for the subtracted port.
+    rng = np.random.default_rng(5)
+    dt, segments, samples = 1e-4, 96, 4096
+    outputs = rng.standard_normal((segments, samples, 2)) / math.sqrt(2 * dt)
+    bins = samples // 2 + 1
+    weight = rng.uniform(0.0, 2.0, bins) \
+        * np.exp(2j * math.pi * rng.uniform(size=bins))
+    _, psd, _ = estimate(outputs, dt, weight)
+    ratio = (psd / (1.0 + np.abs(weight) ** 2))[3:-3]
+    assert abs(ratio.mean() - 1.0) \
+        < 3.5 * ratio.std() / math.sqrt(ratio.size / 1.5)
 
 
 def test_empty_cavity_passthrough():
-    sim = simulate(empty_cavity(config(lossless=True)), segments=64,
-                   samples=4096, seed=11)
-    for port in (0, 1):
-        _, psd, stderr = estimate_psd(sim.outputs[:, :, port], sim.dt)
+    sim = run(empty_cavity(config(lossless=True)), segments=64, samples=4096,
+              seed=11)
+    # The estimator reads the difference port; swapped, the sum port.
+    for outputs in (sim.outputs, sim.outputs[:, :, ::-1]):
+        _, psd, stderr = estimate(outputs, sim.dt)
         band = psd[4:-4]
         mean = band.mean()
         assert abs(mean - 1.0) < 0.02
@@ -130,11 +179,12 @@ def test_empty_cavity_passthrough():
 
 def test_lorentzian_half_power_point():
     # The intracavity quadrature of an empty cavity is a single-pole filter
-    # of white noise with zero-frequency density 2/gamma0; the estimate must
-    # place the half-power point at the pole.
-    sim = simulate(empty_cavity(config(lossless=True)), segments=96,
-                   samples=8192, seed=13, keep_states=True)
-    grid, psd, _ = estimate_psd(sim.states[:, :, 0], sim.dt)
+    # of white noise with zero-frequency density 2/gamma0; the estimate of
+    # its step averages, read through the difference port, must place the
+    # half-power point at the pole.
+    ss = reading_pairs(empty_cavity(config(lossless=True)), [[0, 0], [1, 0]])
+    sim = run(ss, segments=96, samples=8192, seed=13)
+    grid, psd, _ = estimate(sim.outputs, sim.dt)
     centers, (smoothed,), _ = oracle.log_binned(
         grid[1:], [psd[1:]], 0.05 * G0, 5 * G0, per_decade=12)
     half = (2.0 / G0) / 2.0
@@ -147,9 +197,8 @@ def test_lorentzian_half_power_point():
 
 def test_segment_doubling_halves_variance():
     ss = empty_cavity(config(lossless=True))
-    sims = {n: simulate(ss, segments=n, samples=2048, seed=17)
-            for n in (64, 128)}
-    errs = {n: estimate_psd(s.outputs[:, :, 1], s.dt)[2][5:900].mean()
+    sims = {n: run(ss, segments=n, samples=2048, seed=17) for n in (64, 128)}
+    errs = {n: estimate(s.outputs, s.dt)[2][5:900].mean()
             for n, s in sims.items()}
     ratio = errs[64] ** 2 / errs[128] ** 2
     assert abs(ratio - 2.0) < 0.4
@@ -157,9 +206,9 @@ def test_segment_doubling_halves_variance():
 
 def test_linearity_in_noise_amplitude():
     ss = build_state_space(config("two_photon", 0.3))
-    base = simulate(ss, segments=2, samples=1024, seed=5)
-    louder = simulate(scaled(ss, 2.0 * np.ones(5)), segments=2, samples=1024,
-                      seed=5)
+    base = run(ss, segments=2, samples=1024, seed=5)
+    louder = run(scaled(ss, 2.0 * np.ones(5)), segments=2, samples=1024,
+                 seed=5)
     assert np.allclose(louder.outputs, 2.0 * base.outputs, rtol=1e-12)
 
 
@@ -167,16 +216,15 @@ def test_back_action_signature():
     # Only the driving-pair channels on: the measured port shows pure back
     # action; with them off as well the output vanishes identically.
     ss = build_state_space(config("two_photon", 0.3))
-    drive_only = simulate(scaled(ss, [1.0, 0, 1.0, 0, 0]), segments=48,
-                          samples=16384, seed=19)
-    w, psd, _ = estimate_psd(drive_only.outputs[:, :, 1], drive_only.dt)
+    drive_only = run(scaled(ss, [1.0, 0, 1.0, 0, 0]), segments=48,
+                     samples=16384, seed=19)
+    w, psd, _ = estimate(drive_only.outputs, drive_only.dt)
     sel = (w > 5e-2 * G0) & (w < 0.5 * G0)
     h = ss.frequency_response(w[sel])
     predicted = (np.abs(h[:, 1, 0]) ** 2 + np.abs(h[:, 1, 2]) ** 2).real
     ratio = psd[sel] / predicted
     assert abs(ratio.mean() - 1.0) < 0.1
-    silent = simulate(scaled(ss, np.zeros(5)), segments=2, samples=4096,
-                      seed=19)
+    silent = run(scaled(ss, np.zeros(5)), segments=2, samples=4096, seed=19)
     assert np.all(silent.outputs == 0.0)
 
 
@@ -184,12 +232,10 @@ def test_euler_cross_check():
     ss = build_state_space(config("two_photon", 0.3))
     dt = 0.002 / oracle.max_rate(ss)
     exact = simulate(ss, segments=48, samples=8192, seed=23, dt=dt)
-    optical = np.linalg.eigvals(ss.drift[:2, :2])
-    burn_in = math.ceil(10.0 / (np.min(np.abs(optical.real)) * dt))
-    euler, _ = loop_simulate(ss, segments=48, samples=8192, dt=dt,
-                             burn_in=burn_in, seed=123, discretize=euler_step)
-    pe = estimate_psd(exact.outputs[:, :, 1], dt)[1]
-    pu = estimate_psd(euler[:, :, 1], dt)[1]
+    euler = loop_simulate(ss, segments=48, samples=8192, dt=dt, seed=123,
+                          discretize=euler_step)
+    pe = estimate(exact.outputs, dt)[1]
+    pu = estimate(euler, dt)[1]
     sel = slice(8, 2000)
     assert abs(pu[sel].mean() / pe[sel].mean() - 1.0) < 0.05
 
@@ -230,18 +276,13 @@ def test_coarse_step_matches_folded_psd():
                  seed=29).outputs
     grid = 2 * math.pi * np.fft.rfftfreq(samples, dt)
     band = slice(8, grid.size - 8)
-    win, norm = oracle._hann(samples)
-    ffts = np.fft.rfft((y - y.mean(axis=1, keepdims=True)) * win[:, None],
-                       axis=1)[:, band, :]
     weight = ss.nulling_weight(grid[band])
     for w in (None, weight):
-        combined = ffts[:, :, 1] if w is None \
-            else ffts[:, :, 1] + np.conj(w) * ffts[:, :, 0]
-        per = 2 * dt * np.abs(combined) ** 2 / norm
+        _, mean, stderr = estimate(y, dt, None if w is None else np.conj(w),
+                                   band)
         floor, terms = folded_psd(ss, grid[band], dt, weight=w)
         _, (est, folded, var), counts = oracle.log_binned(
-            grid[band], [per.mean(axis=0), floor + terms.sum(axis=1),
-                         per.var(axis=0, ddof=1) / segments],
+            grid[band], [mean, floor + terms.sum(axis=1), stderr ** 2],
             grid[8], grid[-8], oracle.POINTS_PER_DECADE)
         err = np.sqrt(var / counts)
         ok = np.abs(est - folded) <= np.maximum(3 * err, 0.05 * folded)
@@ -276,47 +317,20 @@ def test_default_step_aliases_negligible(omega_hi):
 
 def test_duration_precondition():
     with pytest.raises(SimulationError, match="correlation times"):
-        simulate(build_state_space(config()), segments=1, samples=16,
-                 burn_in=0)
+        run(build_state_space(config()), segments=1, samples=16)
 
 
 def test_reproducible_and_batch_invariant():
     ss = build_state_space(config("degenerate", 0.4))
-    a = simulate(ss, segments=3, samples=2048, seed=31)
-    b = simulate(ss, segments=3, samples=2048, seed=31)
+    a = run(ss, segments=3, samples=2048, seed=31)
+    b = run(ss, segments=3, samples=2048, seed=31)
     assert np.array_equal(a.outputs, b.outputs)
-    first = simulate(ss, segments=1, samples=2048, seed=31, segment_offset=0)
-    third = simulate(ss, segments=1, samples=2048, seed=31, segment_offset=2)
+    first = run(ss, segments=1, samples=2048, seed=31, segment_offset=0)
+    third = run(ss, segments=1, samples=2048, seed=31, segment_offset=2)
     assert np.array_equal(a.outputs[0], first.outputs[0])
     assert np.array_equal(a.outputs[2], third.outputs[0])
-    other = simulate(ss, segments=3, samples=2048, seed=32)
+    other = run(ss, segments=3, samples=2048, seed=32)
     assert not np.array_equal(a.outputs, other.outputs)
-
-
-def test_deterministic_pulse_matches_transfer():
-    # Noises off, rectangular resonant pulse on: the simulated output equals
-    # the convolution of the pulse with the analytic signal transfer.
-    cfg = config("two_photon", 0.3, gamma_m=G0 / 30.0)
-    ss = build_state_space(cfg)
-    dt = 0.01 / oracle.max_rate(ss)
-    samples = 1 << 15
-    t0, width, amp = 200 * dt, 3e-5, 2.0
-
-    def pulse(t):
-        return amp if t0 <= t < t0 + width else 0.0
-
-    sim = simulate(scaled(ss, np.zeros(5)), segments=1, samples=samples,
-                   dt=dt, seed=0, signal=pulse, burn_in=0)
-    y = sim.outputs[0, :, 1]
-
-    times = (np.arange(samples) + 0.5) * dt
-    f_vals = np.array([pulse(t) for t in times])
-    w = 2 * math.pi * np.fft.rfftfreq(samples, dt)
-    sig = transfer.transfer_coefficients(cfg, "difference", w)[Channel.SIGNAL]
-    # rFFT bins carry exp(+i w t): apply the conjugate response.
-    predicted = np.fft.irfft(np.conj(sig) * np.fft.rfft(f_vals), samples)
-    scale = np.max(np.abs(predicted))
-    assert np.max(np.abs(y - predicted)) < 0.01 * scale
 
 
 # --- cascade recursion against the per-step loop -----------------------------------
@@ -326,26 +340,24 @@ def euler_step(ss, dt):
     integral zeta = x*dt and its noise part omitted."""
     phi_xx = np.eye(3) + ss.drift * dt
     phi_zx = np.hstack([np.eye(2), np.zeros((2, 1))]) * dt
-    m_sig = np.concatenate([ss.signal_gain * dt, np.zeros(2)])
     amp = np.sqrt(ss.channel_psd / 2.0 * dt)
     factor = np.zeros((7, 7))
     factor[:3, :5] = ss.noise_gain * amp[None, :]
     factor[5, 0] = amp[0]
     factor[6, 1] = amp[1]
-    return phi_xx, phi_zx, m_sig, factor
+    return phi_xx, phi_zx, factor
 
 
-def loop_simulate(ss, *, segments, samples, dt, burn_in, seed=0,
-                  segment_offset=0, signal=None, discretize=oracle._discretize):
+def loop_simulate(ss, *, segments, samples, dt, seed=0, segment_offset=0,
+                  discretize=oracle._discretize):
     """Reference integrator: the full 3x3 update applied one step at a time,
-    each output sample the step average of y = C x + D w."""
-    phi_xx, phi_zx, m_sig, factor = discretize(ss, dt)
+    from rest, each output sample after the burn-in the step average of
+    y = C x + D w."""
+    phi_xx, phi_zx, factor = discretize(ss, dt)
     C, D = ss.output_gain[:, :2], ss.feedthrough[:, :2]
-    total = burn_in + samples
+    first = burn_in(ss, dt)
+    total = first + samples
     out = np.empty((segments, samples, 2))
-    states = np.empty((segments, samples, 3))
-    times = (np.arange(total) + 0.5) * dt
-    f_vals = np.asarray([signal(t) for t in times]) if signal is not None else None
     all_gens = [oracle._segment_generators(seed, segment_offset + s, 7)
                 for s in range(segments)]
     x = np.zeros((3, segments))
@@ -358,33 +370,29 @@ def loop_simulate(ss, *, segments, samples, dt, burn_in, seed=0,
                 z[comp, s, :size] = gen.standard_normal(size)
         noise = np.einsum("ij,jsk->isk", factor, z[:, :, :size])
         for k in range(size):
-            idx = start + k
             zeta = phi_zx @ x + noise[3:5, :, k]
-            x_next = phi_xx @ x + noise[:3, :, k]
-            if f_vals is not None:
-                f = f_vals[idx]
-                zeta = zeta + m_sig[3:5, None] * f
-                x_next = x_next + m_sig[:3, None] * f
-            if idx >= burn_in:
-                j = idx - burn_in
-                out[:, j, :] = ((C @ zeta + D @ noise[5:7, :, k]) / dt).T
-                states[:, j, :] = x.T
-            x = x_next
-    return out, states
+            if start + k >= first:
+                out[:, start + k - first, :] = \
+                    ((C @ zeta + D @ noise[5:7, :, k]) / dt).T
+            x = phi_xx @ x + noise[:3, :, k]
+    return out
 
 
 def assert_matches_loop(ss, **options):
-    # 250 segments make the time chunk 2097 steps; 37 + 2393 steps end in a
-    # partial second chunk, and neither chunk is a whole number of blocks.
-    dt = oracle.DT_SAFETY / oracle.max_rate(ss)
-    shape = dict(segments=250, samples=2393, dt=dt, burn_in=37, seed=7)
-    sim = simulate(ss, keep_states=True, **shape, **options)
-    out, states = loop_simulate(ss, **shape, **options)
-    for got, want in ((sim.outputs, out), (sim.states, states)):
-        scale = np.max(np.abs(want), axis=(0, 1))
-        assert scale.max() > 0
-        err = np.max(np.abs(got - want), axis=(0, 1))
-        assert np.all(err <= 1e-12 * scale), err / scale
+    # 250 segments make the time chunk 2097 steps; the burn-in and 2393
+    # samples end in a partial second chunk, and neither chunk is a whole
+    # number of blocks.
+    dt = 0.05 / oracle.max_rate(ss)
+    chunk, tail = 2097, burn_in(ss, dt) + 2393 - 2097
+    assert 0 < tail < chunk and tail % oracle._SCAN_BLOCK
+    assert chunk % oracle._SCAN_BLOCK
+    shape = dict(segments=250, samples=2393, dt=dt, seed=7)
+    got = simulate(ss, **shape, **options).outputs
+    want = loop_simulate(ss, **shape, **options)
+    scale = np.max(np.abs(want), axis=(0, 1))
+    assert scale.max() > 0
+    err = np.max(np.abs(got - want), axis=(0, 1))
+    assert np.all(err <= 1e-12 * scale), err / scale
 
 
 @pytest.mark.parametrize("kind", ["none", "two_photon", "degenerate"])
@@ -400,11 +408,9 @@ def test_cascade_matches_step_loop_damped_mechanics():
 
 
 @pytest.mark.parametrize("scale, options", [
-    (np.zeros(5), {"signal": lambda t: math.sin(0.3 * G0 * t)}),
-    (None, {"signal": lambda t: 1e3 * math.cos(2.0 * G0 * t)}),
     (np.array([1.0, 0.0, 2.0, 0.5, 3.0]), {}),
     (None, {"segment_offset": 5}),
-], ids=["signal-only", "signal-and-noise", "channel-scale", "offset"])
+], ids=["channel-scale", "offset"])
 def test_cascade_matches_step_loop_options(scale, options):
     ss = build_state_space(config("two_photon", 0.3))
     assert_matches_loop(ss if scale is None else scaled(ss, scale), **options)
@@ -416,18 +422,18 @@ def test_simulate_reads_the_output_map():
     # and an output map reading what is not integrated is refused.
     ss = build_state_space(config("two_photon", 0.3))
     shape = dict(segments=2, samples=4096, seed=3)
-    base = simulate(ss, **shape).outputs
+    base = run(ss, **shape).outputs
     swapped = dataclasses.replace(ss, output_gain=ss.output_gain[::-1],
                                   feedthrough=ss.feedthrough[::-1])
-    assert np.array_equal(simulate(swapped, **shape).outputs, base[:, :, ::-1])
+    assert np.array_equal(run(swapped, **shape).outputs, base[:, :, ::-1])
     doubled = dataclasses.replace(ss, output_gain=2.0 * ss.output_gain,
                                   feedthrough=2.0 * ss.feedthrough)
-    assert np.array_equal(simulate(doubled, **shape).outputs, 2.0 * base)
+    assert np.array_equal(run(doubled, **shape).outputs, 2.0 * base)
     for name, entry in (("output_gain", (0, 2)), ("feedthrough", (1, 4))):
         bad = getattr(ss, name).copy()
         bad[entry] = 1.0
         with pytest.raises(SimulationError, match="output map"):
-            simulate(dataclasses.replace(ss, **{name: bad}), **shape)
+            run(dataclasses.replace(ss, **{name: bad}), **shape)
 
 
 @pytest.mark.parametrize("a", [0.97, 1.0, -0.5, 0.999, -0.99])
@@ -459,36 +465,39 @@ def test_cascade_rejects_upstream_coupling():
     drift = ss.drift.copy()
     drift[1 - ss.measured_port, ss.measured_port] = 0.01 * G0
     with pytest.raises(SimulationError, match="cascade order"):
-        simulate(dataclasses.replace(ss, drift=drift), segments=2,
-                 samples=4096, seed=1)
+        run(dataclasses.replace(ss, drift=drift), segments=2, samples=4096,
+            seed=1)
 
 
 # --- worker threads ----------------------------------------------------------------
 
-@pytest.mark.parametrize("segments, samples, options", [
-    (40, 14000, {}),
-    (7, 4096, {"signal": lambda t: math.sin(0.3 * G0 * t),
-               "segment_offset": 5}),
-    (2, 4096, {}),
+@pytest.mark.parametrize("segments, samples, force_only, offset", [
+    (40, 14000, False, 0),
+    (7, 4096, True, 5),
+    (2, 4096, False, 0),
 ], ids=["two-chunks", "signal-offset", "fewer-segments-than-workers"])
 def test_simulate_independent_of_worker_count(monkeypatch, segments, samples,
-                                              options):
+                                              force_only, offset):
     # Three workers split the segments unevenly and outnumber the cores of
     # a two-core host; a short switch interval interleaves them more often.
+    # signal-offset: only the bath force, which enters the mechanics where a
+    # signal force does, drives the model, from segment 5 on.
     ss = build_state_space(config("two_photon", 0.5))
+    if force_only:
+        ss = scaled(ss, [0, 0, 0, 0, 1.0])
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         sims = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(oracle, "WORKERS", workers)
-            sims.append(simulate(ss, segments=segments, samples=samples,
-                                 seed=9, keep_states=True, **options))
+            sims.append(run(ss, segments=segments, samples=samples, seed=9,
+                            segment_offset=offset))
     finally:
         sys.setswitchinterval(interval)
+    assert np.any(sims[0].outputs)
     for sim in sims[1:]:
         assert np.array_equal(sim.outputs, sims[0].outputs)
-        assert np.array_equal(sim.states, sims[0].states)
 
 
 def test_validate_report_independent_of_worker_count(monkeypatch):
@@ -516,7 +525,7 @@ def test_worker_exception_reaches_caller(monkeypatch):
 
     monkeypatch.setattr(oracle, "_scan", failing_once)
     with pytest.raises(RuntimeError, match="scan failed"):
-        simulate(build_state_space(config()), segments=4, samples=4096, seed=1)
+        run(build_state_space(config()), segments=4, samples=4096, seed=1)
     assert next(calls) > 1
     assert not [t for t in threading.enumerate() if t.name == "trimova-oracle"]
 

@@ -1,5 +1,6 @@
 """Spectral densities: closed forms, assembly, SQL, thresholds, figures."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -270,12 +271,13 @@ def test_ratio_to_sql_series():
     # The raw port has no noise correlation, so squeezing alone cannot take
     # it below the SQL; subtracting the back action does.
     cfg = config("two_photon", 0.9, lossless=True, gamma_m=0.0)
-    series = spectrum_series(cfg, "nondeg-raw")
+    w = spectra.default_grid(cfg)
+    series = spectrum_series(cfg, "nondeg-raw", w)
     ratio = spectra.ratio_to_sql(series)
     assert ratio.kind == "sql-ratio"
     assert np.min(ratio.values) >= 1.0 - 1e-12
     assert ratio.grid.size == series.grid.size  # gamma_m=0 but grid avoids 0
-    sub = spectra.ratio_to_sql(spectrum_series(cfg, "nondeg-sub"))
+    sub = spectra.ratio_to_sql(spectrum_series(cfg, "nondeg-sub", w))
     assert np.min(sub.values) < 1.0
 
 
@@ -403,7 +405,8 @@ def test_backaction_term_ratio_two_photon_vs_degenerate():
 
 def test_budget_additivity():
     cfg = config("two_photon", 0.5)
-    series = spectrum_series(cfg, "nondeg-raw", budget=True)
+    series = spectrum_series(cfg, "nondeg-raw", spectra.default_grid(cfg),
+                             budget=True)
     total = sum(series.budget.values())
     assert np.max(np.abs(total - series.values) / series.values) < 1e-12
     assert set(series.budget) == {c.value for c in Channel} - {"signal"}
@@ -412,12 +415,15 @@ def test_budget_additivity():
 # --- thresholds ----------------------------------------------------------------------
 
 def test_spectral_threshold_formula():
-    cfg = config("two_photon", 0.5)
-    tau = cfg.signal.tau
-    w = 0.1 * G0
-    got = spectra.detection_threshold_spectral(cfg, "nondeg-raw", omega=w)
-    assert got == pytest.approx(
-        math.sqrt(float(closed_form_psd("nondeg-raw", cfg, w)) / tau), rel=1e-12)
+    # f_min = sqrt(S(0)/tau), tau the configured pulse length.
+    base = config("two_photon", 0.5)
+    for tau in (base.signal.tau, 3.0 * base.signal.tau):
+        cfg = dataclasses.replace(
+            base, signal=dataclasses.replace(base.signal, tau=tau))
+        got = spectra.detection_threshold_spectral(cfg, "nondeg-raw")
+        assert got == pytest.approx(
+            math.sqrt(float(closed_form_psd("nondeg-raw", cfg, 0.0)) / tau),
+            rel=1e-12)
 
 
 def test_spectral_threshold_pipeline_regression():
@@ -464,21 +470,24 @@ def test_spectral_and_time_domain_same_scale():
                              model.DriveConfig(K0=report.pump_optimum),
                              base.signal)
     # At Omega = 0 the pump response equals its flat (resonance) value.
-    spectral = spectra.detection_threshold_spectral(cfg, "baseline", omega=0.0)
+    spectral = spectra.detection_threshold_spectral(cfg, "baseline")
     assert 1.0 <= report.band_integrated_f / spectral <= 2.5
 
 
 def test_threshold_warns_for_long_pulses():
-    cfg = config()
+    base = config()
+    cfg = dataclasses.replace(
+        base, signal=dataclasses.replace(base.signal, tau=30.0))
     with pytest.warns(RegimeWarning, match="short-pulse"):
-        spectra.detection_threshold_time_domain(cfg, tau=30.0)
+        spectra.detection_threshold_time_domain(cfg)
 
 
 # --- series output -------------------------------------------------------------------
 
 def test_series_csv_json_round_trip(tmp_path):
     cfg = config("two_photon", 0.5)
-    series = spectrum_series(cfg, "nondeg-raw", budget=True)
+    series = spectrum_series(cfg, "nondeg-raw", spectra.default_grid(cfg),
+                             budget=True)
     csv_path = tmp_path / "series.csv"
     series.write_csv(csv_path)
     lines = csv_path.read_text().splitlines()
@@ -499,8 +508,9 @@ def test_series_csv_json_round_trip(tmp_path):
 def test_series_output_deterministic(tmp_path):
     cfg = config("degenerate", 0.5)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    spectrum_series(cfg, "deg-raw").write_csv(a)
-    spectrum_series(cfg, "deg-raw").write_csv(b)
+    w = spectra.default_grid(cfg)
+    spectrum_series(cfg, "deg-raw", w).write_csv(a)
+    spectrum_series(cfg, "deg-raw", w).write_csv(b)
     assert a.read_bytes() == b.read_bytes()
 
 
