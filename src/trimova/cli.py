@@ -13,6 +13,7 @@ file may be set through the ``TRIMOVA_CONFIG`` environment variable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -24,8 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, model, oracle, spectra
-from .model import (ConfigError, DriveConfig, SignalPulse, Squeezing,
-                    StabilityError, SystemConfig, config_snapshot,
+from .model import (DriveConfig, Squeezing, SystemConfig, config_snapshot,
                     json_text, load_config, reference_config)
 from .transfer import PoleError
 
@@ -58,49 +58,47 @@ def positive_int(text: str) -> int:
 
 
 def _base_config(args) -> SystemConfig:
-    path = getattr(args, "config", None) or os.environ.get(ENV_CONFIG)
+    path = args.config or os.environ.get(ENV_CONFIG)
     if path:
         if not Path(path).is_file():
             raise UsageError(f"config file not found: {path}")
         return load_config(path)
-    tau_preset = getattr(args, "tau_preset", None) or "table1"
-    return reference_config(tau_preset=tau_preset)
+    return reference_config(tau_preset=args.tau_preset or "table1")
 
 
 def _resolve_config(args) -> SystemConfig:
     base = _base_config(args)
     g0 = base.cavity.gamma0
     squeeze = base.squeeze
-    if getattr(args, "kappa", None) is not None:
+    if args.kappa is not None:
         squeeze = Squeezing("two_photon", parse_rate(args.kappa, g0))
-    if getattr(args, "upsilon", None) is not None:
-        if getattr(args, "kappa", None) is not None:
+    if args.upsilon is not None:
+        if args.kappa is not None:
             raise UsageError("give at most one of --kappa/--upsilon")
         squeeze = Squeezing("degenerate", parse_rate(args.upsilon, g0))
 
     drives = [f"--{name}" for name in ("k0", "power", "n0")
-              if getattr(args, name, None) is not None]
+              if vars(args)[name] is not None]
     if len(drives) > 1:
         raise UsageError(f"give at most one of --k0/--power/--n0, "
                          f"got {' and '.join(drives)}")
     drive = DriveConfig(K0=base.derived.K0)
-    if getattr(args, "k0", None) is not None:
+    if args.k0 is not None:
         drive = DriveConfig(K0=parse_rate(args.k0, g0))
-    if getattr(args, "power", None) is not None:
+    if args.power is not None:
         drive = DriveConfig(input_power=float(args.power))
-    if getattr(args, "n0", None) is not None:
+    if args.n0 is not None:
         drive = DriveConfig(K0=model.k0_for_n0(parse_rate(args.n0, g0), g0,
                                                base.cavity.gamma_e))
 
     mech = base.mechanical
-    if getattr(args, "gamma_m", None) is not None:
+    if args.gamma_m is not None:
         mech = model.MechanicalOscillator(mech.mass, mech.omega_m,
                                           parse_rate(args.gamma_m, g0),
                                           mech.temperature)
     signal = base.signal
-    if getattr(args, "tau", None) is not None:
-        signal = SignalPulse(tau=float(args.tau), psi_f=signal.psi_f,
-                             F_s0=signal.F_s0, f_s0=signal.f_s0)
+    if args.tau is not None:
+        signal = dataclasses.replace(signal, tau=float(args.tau))
     return SystemConfig(mech, base.cavity, squeeze, drive, signal)
 
 
@@ -201,16 +199,13 @@ def cmd_threshold(args, argv) -> int:
 
 def cmd_validate(args, argv) -> int:
     config = _resolve_config(args)
-    try:
-        g0 = config.cavity.gamma0
-        lo = parse_rate(args.omega_min, g0) if args.omega_min else None
-        hi = parse_rate(args.omega_max, g0) if args.omega_max else None
-        report = oracle.validate(config, args.case, segments=args.segments,
-                                 seed=args.seed, tolerance=args.tolerance,
-                                 perturb=args.perturb_kappa, dt=args.dt,
-                                 omega_lo=lo, omega_hi=hi)
-    except oracle.SimulationError as exc:
-        raise UsageError(str(exc)) from None
+    g0 = config.cavity.gamma0
+    lo = parse_rate(args.omega_min, g0) if args.omega_min else None
+    hi = parse_rate(args.omega_max, g0) if args.omega_max else None
+    report = oracle.validate(config, args.case, segments=args.segments,
+                             seed=args.seed, tolerance=args.tolerance,
+                             perturb=args.perturb_kappa, dt=args.dt,
+                             omega_lo=lo, omega_hi=hi)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     report.write_json(out)
@@ -310,8 +305,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, argv)
-    except (UsageError, ConfigError, StabilityError, PoleError,
-            FileNotFoundError, ValueError) as exc:
+    except (UsageError, PoleError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -83,13 +83,9 @@ def braginsky_factor(n_T: float, omega_m: float, tau: float, quality: float) -> 
 
 def dimensionless_power(cavity: "OpticalCavity", mech: "MechanicalOscillator",
                         input_power: float) -> float:
-    """Normalized pump K0 = 4*g0*w0*P / (m*wm*L^2*g^2*(g0-ge)), units rad/s.
-
-    Rejects gamma0 <= gamma_e, where the normalization is singular.
-    """
+    """Normalized pump K0 = 4*g0*w0*P / (m*wm*L^2*g^2*(g0-ge)), units rad/s
+    (OpticalCavity requires gamma_e < gamma0, so it is never singular)."""
     g0, ge = cavity.gamma0, cavity.gamma_e
-    if g0 <= ge:
-        raise ConfigError("dimensionless power requires gamma0 > gamma_e")
     g = cavity.gamma
     return (4.0 * g0 * cavity.omega0 * input_power
             / (mech.mass * mech.omega_m * cavity.length**2 * g**2 * (g0 - ge)))
@@ -98,17 +94,6 @@ def dimensionless_power(cavity: "OpticalCavity", mech: "MechanicalOscillator",
 def k0_for_n0(N0: float, gamma0: float, gamma_e: float) -> float:
     """Normalized pump K0 whose degenerate normalization K0*(g0-ge)/g is N0."""
     return N0 * (gamma0 + gamma_e) / (gamma0 - gamma_e)
-
-
-def power_for_pump(cavity: "OpticalCavity", mech: "MechanicalOscillator",
-                   K0: float) -> float:
-    """Input power (W) that produces the normalized pump ``K0``."""
-    g0, ge = cavity.gamma0, cavity.gamma_e
-    if g0 <= ge:
-        raise ConfigError("pump normalization requires gamma0 > gamma_e")
-    g = cavity.gamma
-    return (K0 * mech.mass * mech.omega_m * cavity.length**2 * g**2 * (g0 - ge)
-            / (4.0 * g0 * cavity.omega0))
 
 
 @dataclass(frozen=True)
@@ -162,8 +147,8 @@ class OpticalCavity:
             raise ConfigError("gamma0, length and omega0 must be positive")
         if self.gamma_e < 0:
             raise ConfigError("gamma_e must be nonnegative")
-        if self.gamma_e > self.gamma0:
-            raise ConfigError("gamma_e must not exceed gamma0")
+        if self.gamma_e >= self.gamma0:
+            raise ConfigError("gamma_e must be below gamma0")
 
     @classmethod
     def from_wavelength(cls, gamma0, gamma_e, length, wavelength):
@@ -245,23 +230,17 @@ class SignalPulse:
 
 @dataclass(frozen=True)
 class DerivedQuantities:
-    """Scalar quantities fixed at configuration time.
+    """Scalar quantities fixed at configuration time, the ones the transfer
+    and spectra modules read.
 
-    n_T:          thermal occupancy of the mechanical bath
-    braginsky:    n_T*omega_m*tau/Q for the configured pulse
-    K0:           normalized pump, rad/s
-    input_power:  drive power, W
-    N0:           degenerate-normalization of the same drive, K0*(g0-ge)/g
-    F_s0, f_s0:   signal amplitude in N and normalized form (None if not set)
+    n_T:  thermal occupancy of the mechanical bath
+    K0:   normalized pump, rad/s (from DriveConfig.K0 or its input power)
+    N0:   degenerate normalization of the same drive, K0*(g0-ge)/g
     """
 
     n_T: float
-    braginsky: float
     K0: float
-    input_power: float
     N0: float
-    F_s0: float | None
-    f_s0: float | None
 
 
 def _check_stability(squeeze: Squeezing, cavity: OpticalCavity) -> None:
@@ -278,9 +257,9 @@ def _check_stability(squeeze: Squeezing, cavity: OpticalCavity) -> None:
 class SystemConfig:
     """Complete, immutable description of one sensor configuration.
 
-    Construction resolves the drive to both K0 and input power, freezes all
-    derived scalars, raises StabilityError for an overdriven parametric pump,
-    and emits RegimeWarning for soft regime violations.
+    Construction resolves the drive to K0, freezes the derived scalars,
+    raises StabilityError for an overdriven parametric pump, and emits
+    RegimeWarning for soft regime violations.
     """
 
     mechanical: MechanicalOscillator
@@ -293,31 +272,13 @@ class SystemConfig:
 
     def __post_init__(self):
         _check_stability(self.squeeze, self.cavity)
-        mech, cav = self.mechanical, self.cavity
-        if self.drive.K0 is not None:
-            K0 = self.drive.K0
-            power = power_for_pump(cav, mech, K0)
-        else:
-            power = self.drive.input_power
-            K0 = dimensionless_power(cav, mech, power)
-        n_T = mech.occupancy
-        f_s0 = self.signal.f_s0
-        F_s0 = self.signal.F_s0
-        scale = math.sqrt(2.0 * HBAR * mech.omega_m * mech.mass)
-        if F_s0 is not None:
-            f_s0 = F_s0 / scale
-        elif f_s0 is not None:
-            F_s0 = f_s0 * scale
+        cav = self.cavity
+        K0 = self.drive.K0
+        if K0 is None:
+            K0 = dimensionless_power(cav, self.mechanical, self.drive.input_power)
         derived = DerivedQuantities(
-            n_T=n_T,
-            braginsky=braginsky_factor(n_T, mech.omega_m, self.signal.tau,
-                                       mech.quality_factor),
-            K0=K0,
-            input_power=power,
-            N0=K0 * (cav.gamma0 - cav.gamma_e) / cav.gamma,
-            F_s0=F_s0,
-            f_s0=f_s0,
-        )
+            n_T=self.mechanical.occupancy, K0=K0,
+            N0=K0 * (cav.gamma0 - cav.gamma_e) / cav.gamma)
         # A finite but huge or tiny drive can overflow a derived quantity.
         _require_finite(derived)
         object.__setattr__(self, "derived", derived)
@@ -492,8 +453,7 @@ def reference_config(tau_preset: str | float = "table1",
                      squeeze: Squeezing | None = None,
                      K0: float | None = None,
                      gamma_m: float | None = None,
-                     lossless: bool = False,
-                     f_s0: float | None = 1.0) -> SystemConfig:
+                     lossless: bool = False) -> SystemConfig:
     """Membrane reference configuration.
 
     tau_preset: 'table1' (28 us, default), 'fig3' (0.28 ms), or a time in
@@ -518,4 +478,4 @@ def reference_config(tau_preset: str | float = "table1",
     cavity = OpticalCavity.from_wavelength(g0, ge, _REF["length"], _REF["wavelength"])
     drive = DriveConfig(K0=math.pi / tau if K0 is None else K0)
     return SystemConfig(mech, cavity, squeeze or Squeezing(), drive,
-                        SignalPulse(tau=tau, f_s0=f_s0))
+                        SignalPulse(tau=tau, f_s0=1.0))

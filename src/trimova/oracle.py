@@ -14,6 +14,9 @@ one).  ``validate`` estimates single-sided PSDs by segment-averaged Hann
 periodograms and compares the signal-referred result against the
 closed-form spectra.  Its periodogram stage, _add_periodograms, is the one
 estimator of this module; the calibration tests check that same function.
+Its negative control, ``perturb``, simulates a perturbed config, a copy
+whose squeeze rate is scaled by (1 + perturb) and which passes the same
+checks as any config; an unsqueezed config refuses it.
 
 Integration uses the exact one-step propagator: the matrix exponential of
 the drift together with the exact joint covariance of (state increment,
@@ -80,7 +83,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -374,7 +377,7 @@ def _add_periodograms(sums: np.ndarray, outputs: np.ndarray, dt: float,
         sums += part
 
 
-def log_binned(grid, columns, lo: float, hi: float, per_decade: int = 40):
+def log_binned(grid, columns, lo: float, hi: float, per_decade: int):
     """Average linear-frequency columns into log-spaced bins.
 
     Returns (centers, [binned columns], counts); a binned variance column
@@ -450,11 +453,13 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
 
     A grid point agrees when |estimate - closed| <= max(3*stderr,
     tolerance*closed); the run passes when at least 95% of points agree.
-    ``perturb`` scales the squeeze rate inside the simulated dynamics by
-    (1 + perturb) while every analytic reference (closed form, signal
-    coefficient, subtraction filter) stays nominal - the designed-mismatch
-    negative control.  An explicit ``dt`` must be finite and positive and
-    give pi/dt >= 3*omega_hi; the default is _band_step's.
+    ``perturb`` is the designed-mismatch negative control: the simulated
+    model is built from a copy of ``config`` with the squeeze rate scaled by
+    (1 + perturb), checked like any config, while every analytic reference
+    (closed form, signal coefficient, subtraction filter) stays nominal.  A
+    nonzero ``perturb`` on an unsqueezed config raises SimulationError.  An
+    explicit ``dt`` must be finite and positive and give pi/dt >=
+    3*omega_hi; the default is _band_step's.
     """
     if segments < MIN_SEGMENTS:
         raise SimulationError(f"need at least {MIN_SEGMENTS} segments")
@@ -463,13 +468,19 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
                               "and nonnegative")
     if not math.isfinite(perturb):
         raise SimulationError(f"perturb = {perturb}: it must be finite")
+    simulated = config
+    if perturb != 0.0:
+        if config.squeeze.kind == "none":
+            raise SimulationError(f"perturb = {perturb}: an unsqueezed config "
+                                  "has no squeeze rate to perturb")
+        simulated = replace(config, squeeze=replace(
+            config.squeeze, rate=config.squeeze.rate * (1.0 + perturb)))
     port = port_for_case(case)
     g0 = config.cavity.gamma0
     omega_lo = 1e-2 * g0 if omega_lo is None else omega_lo
     omega_hi = 10.0 * g0 if omega_hi is None else omega_hi
 
-    ss_sim = build_state_space(config,
-                               squeeze_rate=config.squeeze.rate * (1.0 + perturb))
+    ss_sim = build_state_space(simulated)
     ss_nom = build_state_space(config)
     if dt is None:
         dt = _band_step(omega_hi, ss_sim, ss_nom)

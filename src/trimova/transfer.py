@@ -18,7 +18,10 @@ of the measured PORTS: "difference", or "subtracted", the difference port
 plus the sum port times the nulling weight, defined by exact cancellation
 of the input-vacuum back action.  With internal loss a loss-vacuum residual
 survives.  The sum port is an output of the ``StateSpace`` only, not one of
-PORTS.
+PORTS.  One function forms the nulling weight from a frequency response,
+for ``StateSpace.nulling_weight`` and the subtracted port alike, and it
+holds the pole guard: where the sum port reflects no input vacuum
+(upsilon = gamma0 - gamma_e at Omega = 0) it raises PoleError.
 
 Derivation.  With side modes a+, a-, mechanics b and two-photon squeezing at
 rate kappa, H/hbar = G (a+^ b + a-^ b^ + h.c.) + i kappa (a+^ a-^ - a+ a-)
@@ -48,7 +51,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .model import StabilityError, SystemConfig
+from .model import SystemConfig
 
 PORTS = ("difference", "subtracted")
 
@@ -119,8 +122,7 @@ class StateSpace:
 
     def nulling_weight(self, omega) -> np.ndarray:
         """Reference-port filter cancelling the sum-pair input vacuum."""
-        h = self.frequency_response(omega)
-        return -h[:, 1, 0] / h[:, 0, 0]
+        return _nulling(self.frequency_response(omega))
 
     def output_psd(self, omega, ref_weight=None) -> np.ndarray:
         """Single-sided PSD of the measured port or of (measured +
@@ -132,21 +134,18 @@ class StateSpace:
         return np.einsum("fc,c->f", np.abs(row) ** 2, self.channel_psd).real
 
 
-def build_state_space(config: SystemConfig,
-                      squeeze_rate: float | None = None) -> StateSpace:
+def build_state_space(config: SystemConfig) -> StateSpace:
     """Langevin model of the amplitude quadratures (see the module docstring).
 
     The sum pair drives the mechanics and the mechanics are read out in the
     difference pair.  Two-photon squeezing damps the sum pair at
     gamma - kappa (antisqueezed) and the difference pair at gamma + kappa;
-    degenerate squeezing damps both pairs at gamma + upsilon.
-
-    ``squeeze_rate`` overrides the configured rate (used by negative
-    controls); a rate that makes the drift unstable raises StabilityError.
+    degenerate squeezing damps both pairs at gamma + upsilon.  The drift is
+    stable for every config: SystemConfig requires kappa < gamma.
     """
     cav, mech = config.cavity, config.mechanical
     g0, ge, g = cav.gamma0, cav.gamma_e, cav.gamma
-    rate = config.squeeze.rate if squeeze_rate is None else squeeze_rate
+    rate = config.squeeze.rate
 
     c = math.sqrt(config.derived.K0 * g * (g0 - ge) / (2.0 * g0))
 
@@ -169,24 +168,30 @@ def build_state_space(config: SystemConfig,
 
     psd = np.array([1.0, 1.0, 1.0, 1.0, 2.0 * config.derived.n_T + 1.0])
     e_f = np.array([0.0, 0.0, 1.0])
-
-    eig = np.linalg.eigvals(A)
-    if np.any(eig.real > 1e-12 * max(g, 1.0)):
-        raise StabilityError(f"unstable drift, eigenvalues {eig}")
     return StateSpace(A, B, C, D, psd, e_f)
 
 
-def guard_subtraction(reflection, gamma0: float) -> None:
+def guard_subtraction(reflection, scale: float) -> None:
     """Raise PoleError where the reference port reflects no input vacuum.
 
-    ``reflection`` is the numerator gamma0 - gamma_e - r_ref + i*Omega of the
-    reference-port reflection, r_ref the sum-pair squeeze rate (-kappa or
-    +upsilon); the subtraction filter divides by it.
+    ``reflection`` is the reference-port reflection, or its numerator
+    gamma0 - gamma_e - r_ref + i*Omega (r_ref the sum-pair squeeze rate,
+    -kappa or +upsilon), and ``scale`` its size away from that zero: 1 for
+    the reflection, gamma0 for the numerator.  The subtraction filter
+    divides by it.
     """
-    if np.any(np.abs(reflection) <= 1e-14 * gamma0):
+    if np.any(np.abs(reflection) <= 1e-14 * scale):
         raise PoleError("subtraction filter undefined: the reference port "
                         "reflects no input vacuum (upsilon = gamma0 - gamma_e "
                         "at Omega = 0)")
+
+
+def _nulling(h: np.ndarray) -> np.ndarray:
+    """Nulling weight -h_diff,alpha+ / h_sum,alpha+ of a frequency response
+    h[frequency, output, channel]; PoleError where the sum port reflects no
+    input vacuum."""
+    guard_subtraction(h[:, 0, 0], 1.0)
+    return -h[:, 1, 0] / h[:, 0, 0]
 
 
 def transfer_coefficients(config: SystemConfig, port: str, omega) -> dict:
@@ -202,11 +207,7 @@ def transfer_coefficients(config: SystemConfig, port: str, omega) -> dict:
     rows = np.concatenate([h, ss.signal_response(w)[:, :, None]], axis=2)
     row = rows[:, 1]
     if port == "subtracted":
-        # h[:, 0, 0] times the sum-pair pole is the reflection numerator.
-        guard_subtraction(h[:, 0, 0] * (-ss.drift[0, 0] - 1j * w),
-                          config.cavity.gamma0)
-        weight = -h[:, 1, 0] / h[:, 0, 0]
-        row = row + weight[:, None] * rows[:, 0]
+        row = row + _nulling(h)[:, None] * rows[:, 0]
         row[:, 0] = 0.0   # the weight cancels the input vacuum by definition
     row = row / row[:, -1:]
     row[:, -1] = 1.0

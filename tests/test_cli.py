@@ -283,25 +283,30 @@ def test_validate_unusable_band_exits_2(tmp_path, capsys, band, message):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("option, name", [
-    (["--tolerance", "-1"], "tolerance"),
-    (["--tolerance", "nan"], "tolerance"),
-    (["--perturb-kappa", "nan"], "perturb"),
-], ids=["tolerance-negative", "tolerance-nan", "perturb-nan"])
+SUBTRACTED = ["--case", "nondeg-sub", "--kappa", "0.5g0"]
+
+
+@pytest.mark.parametrize("options, message", [
+    (SUBTRACTED + ["--tolerance", "-1"], "tolerance = -1.0: it must be finite"),
+    (SUBTRACTED + ["--tolerance", "nan"], "tolerance = nan: it must be finite"),
+    (SUBTRACTED + ["--perturb-kappa", "nan"], "perturb = nan: it must be finite"),
+    (["--case", "baseline", "--perturb-kappa", "5"], "no squeeze rate to perturb"),
+    (SUBTRACTED + ["--perturb-kappa", "-3"], "rate must be nonnegative"),
+], ids=["tolerance-negative", "tolerance-nan", "perturb-nan",
+        "perturb-unsqueezed", "perturb-negative-rate"])
 def test_validate_rejects_meaningless_values(tmp_path, monkeypatch, capsys,
-                                             option, name):
+                                             options, message):
     # Refused before any simulation: a negative tolerance passes every bin,
-    # and a NaN would fail only after the whole run, or deep in numpy.
+    # a NaN would fail only after the whole run, or deep in numpy, and a
+    # negative control must perturb a squeeze rate into another valid one.
     def no_simulation(*args, **kwargs):
         raise AssertionError("simulated")
 
     monkeypatch.setattr(oracle, "simulate", no_simulation)
-    code = cli.main(["validate", "--case", "nondeg-sub", "--kappa", "0.5g0",
-                     "--segments", "32", *option,
+    code = cli.main(["validate", *options, "--segments", "32",
                      "--out", str(tmp_path / "r.json")])
     assert code == 2
-    err = capsys.readouterr().err
-    assert name in err and "must be finite" in err
+    assert message in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.constants import hbar, k as k_B
@@ -11,6 +12,7 @@ from trimova import model
 from trimova.model import (ConfigError, DriveConfig, MechanicalOscillator,
                            OpticalCavity, RegimeWarning, SignalPulse,
                            Squeezing, StabilityError, SystemConfig)
+from trimova.transfer import build_state_space
 
 OMEGA_M = 2 * math.pi * 350e3
 
@@ -66,7 +68,9 @@ def reference():
 def test_input_power_order_of_magnitude(reference):
     # K0 = pi/tau corresponds to roughly ten milliwatt drive; the parameter
     # table and the conversion only agree to order of magnitude.
-    assert 1e-3 < reference.derived.input_power < 1e-1
+    cav, mech = reference.cavity, reference.mechanical
+    assert model.dimensionless_power(cav, mech, 1e-3) < reference.derived.K0 \
+        < model.dimensionless_power(cav, mech, 1e-1)
 
 
 def test_dimensionless_power_properties(reference):
@@ -74,20 +78,10 @@ def test_dimensionless_power_properties(reference):
     assert model.dimensionless_power(cav, mech, 0.0) == 0.0
     k1 = model.dimensionless_power(cav, mech, 1e-3)
     assert model.dimensionless_power(cav, mech, 2e-3) == pytest.approx(2 * k1)
-    bad = OpticalCavity(1000.0, 1000.0, 0.1, cav.omega0)
+    # gamma_e = gamma0 makes the normalization singular: the cavity itself
+    # is refused.
     with pytest.raises(ConfigError):
-        model.dimensionless_power(bad, mech, 1e-3)
-
-
-@given(st.floats(1e2, 1e9), st.floats(1e-12, 1e-1))
-def test_pump_power_round_trip(k0, power):
-    cfg = model.reference_config()
-    cav, mech = cfg.cavity, cfg.mechanical
-    back = model.dimensionless_power(cav, mech, model.power_for_pump(cav, mech, k0))
-    assert abs(back - k0) <= 1e-12 * k0
-    forth = model.power_for_pump(cav, mech,
-                                 model.dimensionless_power(cav, mech, power))
-    assert abs(forth - power) <= 1e-12 * power
+        OpticalCavity(1000.0, 1000.0, 0.1, cav.omega0)
 
 
 @given(st.floats(1e2, 1e12))
@@ -165,14 +159,10 @@ def test_drive_exactly_one():
 
 
 def test_signal_amplitude_relations(reference):
-    mech = reference.mechanical
-    scale = math.sqrt(2 * hbar * mech.omega_m * mech.mass)
-    cfg = SystemConfig(mech, reference.cavity, Squeezing(), DriveConfig(K0=1e5),
-                       SignalPulse(tau=28e-6, F_s0=1e-12))
-    assert cfg.derived.f_s0 == 1e-12 / scale
-    cfg2 = SystemConfig(mech, reference.cavity, Squeezing(), DriveConfig(K0=1e5),
-                        SignalPulse(tau=28e-6, f_s0=cfg.derived.f_s0))
-    assert cfg2.derived.F_s0 == pytest.approx(1e-12, rel=1e-12)
+    cfg = SystemConfig(reference.mechanical, reference.cavity, Squeezing(),
+                       DriveConfig(K0=1e5), SignalPulse(tau=28e-6, F_s0=1e-12))
+    signal = model.config_snapshot(cfg)["signal"]
+    assert signal["F_s0"] == 1e-12 and "f_s0" not in signal
     with pytest.raises(ConfigError):
         SignalPulse(tau=28e-6, F_s0=1e-12, f_s0=1.0)
 
@@ -217,9 +207,10 @@ def test_config_styles_equivalent():
         "squeeze": doc["squeeze"],
         "signal": {"tau": 28e-6, "f_s0": 1.0},
     }
-    cfg2 = model.parse_config(alt)
-    assert cfg2.derived.input_power == pytest.approx(cfg.derived.input_power,
-                                                     rel=1e-11)
+    ss, ss2 = (build_state_space(c) for c in (cfg, model.parse_config(alt)))
+    for name in ("drift", "noise_gain", "channel_psd"):
+        np.testing.assert_allclose(getattr(ss2, name), getattr(ss, name),
+                                   rtol=1e-11)
 
 
 def test_config_rejects_unknown_keys():

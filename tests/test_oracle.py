@@ -98,10 +98,16 @@ def test_state_space_matches_analytic_coefficients():
     assert np.allclose(ss.signal_response(w)[:, 1], sig, rtol=1e-12)
 
 
-def test_state_space_rejects_unstable_pump():
-    cfg = config("two_photon", 0.5)
+def test_validate_rejects_unstable_perturbation(monkeypatch):
+    # The perturbed rate 1.25 gamma0 reaches gamma: the perturbed config is
+    # refused like any other, before anything is simulated.
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated")
+
+    monkeypatch.setattr(oracle, "simulate", no_simulation)
     with pytest.raises(StabilityError):
-        build_state_space(cfg, squeeze_rate=1.2 * cfg.cavity.gamma)
+        validate(config("two_photon", 0.5), "nondeg-sub", segments=32,
+                 perturb=1.5)
 
 
 def test_degenerate_state_space_psd_matches_closed_form():
@@ -594,7 +600,8 @@ def test_validate_simulates_the_model_it_builds(monkeypatch):
     # every batch integrates that same perturbed model.
     monkeypatch.setattr(oracle, "BATCH", 16)
     cfg = config("two_photon", 0.5)
-    perturbed = build_state_space(cfg, squeeze_rate=1.1 * cfg.squeeze.rate)
+    perturbed = build_state_space(dataclasses.replace(
+        cfg, squeeze=Squeezing("two_photon", 1.1 * cfg.squeeze.rate)))
     built, simulated = [], []
     build, sim = oracle.build_state_space, oracle.simulate
 

@@ -14,7 +14,7 @@ from scipy.optimize import minimize_scalar
 from trimova import model, oracle, spectra, transfer
 from trimova.model import RegimeWarning, Squeezing, StabilityError
 from trimova.spectra import closed_form_psd, spectrum_series, sql_psd
-from trimova.transfer import Channel, PoleError
+from trimova.transfer import Channel, PoleError, build_state_space
 
 G0, GE = model.reference_rates()
 
@@ -103,15 +103,16 @@ def test_closed_form_finite_where_pump_response_cancels(case):
 
 def test_degenerate_subtraction_pole():
     # At upsilon = gamma0 - gamma_e the reference port reflects no vacuum at
-    # Omega = 0, so the subtraction filter is undefined there; both paths
-    # refuse it with the same error and agree just beside it.
+    # Omega = 0, so the subtraction filter is undefined there; both paths,
+    # and the state-space nulling weight that validate uses, refuse it with
+    # the same error, and the paths agree just beside it.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)
         cfg = model.reference_config(squeeze=Squeezing("degenerate", G0 - GE))
     paths = (lambda w: closed_form_psd("deg-sub", cfg, w),
              lambda w: spectrum_series(cfg, "deg-sub", w).values)
     messages = set()
-    for path in paths:
+    for path in paths + (build_state_space(cfg).nulling_weight,):
         with pytest.raises(PoleError) as err:
             path([0.0])
         messages.add(str(err.value))
