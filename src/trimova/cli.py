@@ -129,6 +129,9 @@ def cmd_spectrum(args, argv) -> int:
     g0 = config.cavity.gamma0
     lo = parse_rate(args.omega_min, g0) if args.omega_min else 1e-3 * g0
     hi = parse_rate(args.omega_max, g0) if args.omega_max else 10.0 * g0
+    if not 0.0 < lo < hi:
+        raise UsageError(f"grid band [{lo:.3g}, {hi:.3g}] rad/s: it needs "
+                         "0 < omega-min < omega-max")
     grid = np.geomspace(lo, hi, args.points)
     series = spectra.spectrum_series(config, args.case, grid, budget=args.budget)
     if args.sql_ratio:

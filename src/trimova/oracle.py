@@ -20,11 +20,16 @@ checks as any config; an unsqueezed config refuses it.
 
 Integration uses the exact one-step propagator: the matrix exponential of
 the drift together with the exact joint covariance of (state increment,
-windowed state integral, noise increment), obtained by Van Loan's block
-trick (Van Loan, IEEE TAC 23, 395 (1978)).  A linear SDE is discretized
-without bias this way at any step, so ``simulate`` accepts any dt.  Noise
-conventions match the spectra module: vacuum channels have unit
-single-sided PSD (delta correlation strength 1/2), the bath channel
+state integral over the step, input-vacuum increment), obtained by Van
+Loan's block trick (Van Loan, IEEE TAC 23, 395 (1978)).  A linear SDE is
+discretized without bias this way at any step, so ``simulate`` accepts any
+dt.  That covariance is projected onto the two things a step produces, the
+next state (3 values) and the step-averaged output sample (2 values), and
+factored once, so a step takes five standard normals.  The exponential is
+numpy's own scaling and squaring of a Taylor polynomial (_expm), with the
+noise block normalized to the drift's size; the oracle imports no scipy
+module.  Noise conventions match the spectra module: vacuum channels have
+unit single-sided PSD (delta correlation strength 1/2), the bath channel
 2*n_T + 1.
 
 ``validate`` sizes its default step to the band, not to the dynamics alone:
@@ -45,13 +50,11 @@ evaluated as a two-level blocked prefix scan (Blelloch 1990): all blocks
 advance in lockstep, the states entering them come from the same scan run
 over the block ends, and are then carried in.  A propagator
 with an entry against that order is rejected.  Time is processed in
-chunks, so the working memory does not grow with the record length.  scipy
-is imported on the first discretization only, so importing this module
-(and the frequency-domain commands) loads no scipy module.
+chunks, so the working memory does not grow with the record length.
 
 Randomness is counter-based and parallel-safe: each (seed, segment,
-component) triple owns a Philox stream, so results are reproducible and
-independent of batching.
+component) triple owns a Philox stream, components 0-4 for the five normals
+of a step, so results are reproducible and independent of batching.
 
 ``simulate`` and the periodogram stage of ``validate`` run on WORKERS
 threads, one for each core the process may run on.  ``simulate`` splits the
@@ -65,7 +68,11 @@ the generators, einsum, the FFT and elementwise array operations, which
 release the interpreter lock.  They make no BLAS call: a multithreaded
 BLAS (OpenBLAS) lets its own idle threads spin after every small product,
 and from several callers those would take the cores the workers need.  The
-public functions run on the calling thread only.
+discretization runs on the calling thread, in products of 14 x 14 matrices
+that numpy's BLAS runs on that thread alone.  It does not call
+scipy.linalg.expm: after each call, a thread of scipy's bundled OpenBLAS
+spins for about 130 ms on the core a worker needs.  The public functions
+run on the calling thread only.
 
 Memory of ``validate``: it holds the output samples of at most BATCH
 segments at once (one ``simulate`` call), one window buffer of _FFT_GROUP
@@ -102,6 +109,7 @@ WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 _FFT_GROUP = 5            # segments per windowed-rFFT group in validate
 _SCAN_BLOCK = 64          # steps per block of the state scan
 _CASCADE = (0, 2, 1)      # sum pair -> mechanics -> difference pair
+_TAYLOR_DEGREE = 18       # of the matrix exponential
 
 
 class SimulationError(ValueError):
@@ -122,18 +130,34 @@ def _band_step(omega_hi: float, *models: StateSpace) -> float:
                          20.0 * max(max_rate(ss) for ss in models))
 
 
+def _expm(m: np.ndarray) -> np.ndarray:
+    """exp(m) by scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26,
+    1179 (2005)) with a degree-_TAYLOR_DEGREE Taylor polynomial: m is halved
+    until its 1-norm is at most 1, where the truncation error is below
+    1/19! ~ 1e-17, and the result is squared back.  Products only: the
+    structural zeros of a block-triangular m stay exactly zero."""
+    norm = float(np.abs(m).sum(axis=0).max())
+    squarings = max(0, math.ceil(math.log2(norm))) if norm > 0.0 else 0
+    a = m / 2.0 ** squarings
+    eye = np.eye(m.shape[0])
+    e = eye
+    for k in range(_TAYLOR_DEGREE, 0, -1):   # Horner: e = I + a e / k
+        e = eye + (a @ e) / k
+    for _ in range(squarings):
+        e = e @ e
+    return e
+
+
 def _discretize(ss: StateSpace, dt: float):
-    """Exact one-step update for (state, per-step output integrals, increments).
+    """Exact one-step update of the state and of the output sample.
 
-    Returns (phi_xx, phi_zx, factor) where the per-step sample is
-        x'   = phi_xx x + n[:3]
-        zeta = phi_zx x + n[3:5]   (integral of the pairs over the step)
-        dW   = n[5:7]              (alpha increments)
-    and n = factor @ iid standard normals (7).
+    Returns (phi_xx, read_x, factor): over a step of length dt
+        x' = phi_xx x + e[:3]      (the next state)
+        y  = read_x x + e[3:5]     (the step average of C x + D w)
+    with e = factor @ (5 iid standard normals), whose covariance is the
+    exact joint covariance of the state noise and the output noise.
     """
-    import scipy.linalg   # here, not at module level: only simulation needs it
-
-    n_aug = 7
+    n_aug = 7   # state, its integral over the step (two pairs), dW (0, 1)
     A = np.zeros((n_aug, n_aug))
     A[:3, :3] = ss.drift
     A[3, 0] = 1.0
@@ -146,19 +170,36 @@ def _discretize(ss: StateSpace, dt: float):
     Qc = B @ intensity @ B.T
 
     # Van Loan: exp([[-A, Qc], [0, A^T]] dt) packs the propagator and the
-    # discrete noise covariance into one matrix exponential.
+    # discrete noise covariance into one matrix exponential.  Its upper
+    # right block is linear in Qc, so Qc enters divided by s, which gives it
+    # the norm of A (the exponent's norm is then about dt*max_rate), and
+    # that block is scaled back by s.
+    norm_q = float(np.abs(Qc).sum(axis=0).max())
+    s = norm_q / float(np.abs(A).sum(axis=0).max()) if norm_q > 0.0 else 1.0
     block = np.zeros((2 * n_aug, 2 * n_aug))
     block[:n_aug, :n_aug] = -A
-    block[:n_aug, n_aug:] = Qc
+    block[:n_aug, n_aug:] = Qc / s
     block[n_aug:, n_aug:] = A.T
-    G = scipy.linalg.expm(block * dt)
+    G = _expm(block * dt)
     phi = G[n_aug:, n_aug:].T
-    Qd = phi @ G[:n_aug, n_aug:]
-    Qd = (Qd + Qd.T) / 2.0
+    Qd = s * (phi @ G[:n_aug, n_aug:])
 
-    vals, vecs = np.linalg.eigh(Qd)
-    factor = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
-    return phi[:3, :3], phi[3:5, :3], factor
+    # Project onto what a step produces: the next state and the output
+    # sample (C zeta + D dW)/dt, zeta the integral of the pairs.
+    C, D = ss.output_gain[:, :2], ss.feedthrough[:, :2]
+    P = np.zeros((5, n_aug))
+    P[:3, :3] = np.eye(3)
+    P[3:, 3:5] = C / dt
+    P[3:, 5:] = D / dt
+    sigma = P @ Qd @ P.T
+    sigma = (sigma + sigma.T) / 2.0
+
+    # Factor at unit diagonal; a zero-variance row stays zero.
+    scale = np.sqrt(np.clip(np.diag(sigma), 0.0, None))
+    inv = np.divide(1.0, scale, out=np.zeros(5), where=scale > 0.0)
+    vals, vecs = np.linalg.eigh(sigma * inv[:, None] * inv[None, :])
+    factor = scale[:, None] * vecs * np.sqrt(np.clip(vals, 0.0, None))
+    return phi[:3, :3], C @ phi[3:5, :3] / dt, factor
 
 
 def _scan(a: float, x: np.ndarray) -> None:
@@ -244,10 +285,12 @@ def simulate(ss: StateSpace, *, segments: int = 1, samples: int, dt: float,
     Each segment is an independent realization (its own noise streams keyed
     by absolute segment index) that starts from rest and is kept after a
     burn-in of ten times the slowest optical decay.  Output samples are step
-    averages of y = C x + D w, the model's own output map, built from the
-    same increments that drove the state; C may read the two pairs and D
-    their input vacua (channels 0 and 1), and SimulationError is raised for
-    any other entry.  The step is exact at any dt.
+    averages of y = C x + D w, the model's own output map, of the same
+    realization that drove the state: a step's five normals carry the exact
+    covariance of its state noise and output noise, cross terms included
+    (see _discretize).  C may read the two pairs and D their input vacua
+    (channels 0 and 1), and SimulationError is raised for any other entry.
+    The step is exact at any dt.
 
     The state update is a triangular cascade: the sum pair, then the
     mechanics, then the difference pair, each a scalar first-order recurrence
@@ -273,42 +316,34 @@ def simulate(ss: StateSpace, *, segments: int = 1, samples: int, dt: float,
     burn_in = int(math.ceil(10.0 / (min(abs(optical.real)) * dt))) \
         if np.all(np.abs(optical.real) > 0) else 0
 
-    phi_xx, phi_zx, factor = _discretize(ss, dt)
+    phi_xx, read_x, factor = _discretize(ss, dt)
     against = np.triu(phi_xx[np.ix_(_CASCADE, _CASCADE)], 1)
-    # The Van Loan solve leaves rounding of ~1e-21 of the largest entry where
-    # the propagator is structurally zero; the cascade drops it.
     if np.any(np.abs(against) > 1e-12 * np.abs(phi_xx).max()):
         raise SimulationError(
             "propagator couples against the cascade order sum pair -> "
             "mechanics -> difference pair")
 
-    C, D = ss.output_gain[:, :2], ss.feedthrough[:, :2]
     total = burn_in + samples
     out = np.empty((segments, samples, 2))
-
-    # Rows 0-2 are the state noise; rows 3-4 give output sample p as
-    # read_x[p] . x + mix[3 + p] . z, the step average of y = C x + D w.
-    mix = np.vstack([factor[:3], (C @ factor[3:5] + D @ factor[5:7]) / dt])
-    read_x = C @ phi_zx / dt
     chunk = max(1, (8 << 20) // (16 * segments))   # 2**19 segment-steps
     width = 1 + -(-chunk // _SCAN_BLOCK) * _SCAN_BLOCK
 
     def integrate(lo: int, hi: int) -> None:
-        gens = [_segment_generators(seed, segment_offset + s, 7)
+        gens = [_segment_generators(seed, segment_offset + s, 5)
                 for s in range(lo, hi)]
         # x[:, :, k] is the state entering step start + k, x[:, :, 1:] holds
         # the scan inputs until the scan; y holds the output samples.
         x = np.zeros((3, hi - lo, width))
         y = np.empty((2, hi - lo, chunk))
-        z = np.empty((7, chunk))
+        z = np.empty((5, chunk))
         for start in range(0, total, chunk):
             size = min(chunk, total - start)
             for s, seg_gens in enumerate(gens):
                 for comp, gen in enumerate(seg_gens):
                     gen.standard_normal(out=z[comp, :size])
-                np.einsum("rc,ck->rk", mix[:3], z[:, :size],
+                np.einsum("rc,ck->rk", factor[:3], z[:, :size],
                           out=x[:, s, 1:size + 1])
-                np.einsum("rc,ck->rk", mix[3:], z[:, :size],
+                np.einsum("rc,ck->rk", factor[3:], z[:, :size],
                           out=y[:, s, :size])
             x[:, :, size + 1:] = 0.0   # zero inputs fill the last block
             stop = 1 + -(-size // _SCAN_BLOCK) * _SCAN_BLOCK
@@ -397,6 +432,21 @@ def log_binned(grid, columns, lo: float, hi: float, per_decade: int):
     return centers, outs, counts[full]
 
 
+def _bin_stderr(var_b: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Standard error of a log bin's mean estimate, from the mean variance
+    var_b of the counts FFT bins it averages.
+
+    The Hann-window periodograms of neighbouring FFT bins are correlated,
+    the first neighbours' powers by 4/9 and the second neighbours' by 1/36,
+    so the mean of n = counts bins has variance var_b / n times
+    1 + 2*(4/9)*(n - 1)/n + 2*(1/36)*max(n - 2, 0)/n.
+    """
+    n = np.asarray(counts, dtype=float)
+    share = 1.0 + (2.0 * (4.0 / 9.0) * (n - 1.0)
+                   + 2.0 * (1.0 / 36.0) * np.clip(n - 2.0, 0.0, None)) / n
+    return np.sqrt(var_b * share / n)
+
+
 # --- validation harness -----------------------------------------------------------
 
 @dataclass
@@ -453,13 +503,15 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
 
     A grid point agrees when |estimate - closed| <= max(3*stderr,
     tolerance*closed); the run passes when at least 95% of points agree.
-    ``perturb`` is the designed-mismatch negative control: the simulated
-    model is built from a copy of ``config`` with the squeeze rate scaled by
-    (1 + perturb), checked like any config, while every analytic reference
-    (closed form, signal coefficient, subtraction filter) stays nominal.  A
-    nonzero ``perturb`` on an unsqueezed config raises SimulationError.  An
-    explicit ``dt`` must be finite and positive and give pi/dt >=
-    3*omega_hi; the default is _band_step's.
+    A log bin's stderr counts the correlation of neighbouring Hann bins
+    (_bin_stderr).  ``perturb`` is the designed-mismatch negative control:
+    the simulated model is built from a copy of ``config`` with the squeeze
+    rate scaled by (1 + perturb), checked like any config, while every
+    analytic reference (closed form, signal coefficient, subtraction filter)
+    stays nominal.  A nonzero ``perturb`` on an unsqueezed config raises
+    SimulationError, and so do a negative ``seed`` and a band that is not
+    0 < omega_lo < omega_hi.  An explicit ``dt`` must be finite and positive
+    and give pi/dt >= 3*omega_hi; the default is _band_step's.
     """
     if segments < MIN_SEGMENTS:
         raise SimulationError(f"need at least {MIN_SEGMENTS} segments")
@@ -468,6 +520,8 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
                               "and nonnegative")
     if not math.isfinite(perturb):
         raise SimulationError(f"perturb = {perturb}: it must be finite")
+    if seed < 0:
+        raise SimulationError(f"seed = {seed}: it must be nonnegative")
     simulated = config
     if perturb != 0.0:
         if config.squeeze.kind == "none":
@@ -479,6 +533,10 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
     g0 = config.cavity.gamma0
     omega_lo = 1e-2 * g0 if omega_lo is None else omega_lo
     omega_hi = 10.0 * g0 if omega_hi is None else omega_hi
+    if not 0.0 < omega_lo < omega_hi < math.inf:
+        raise SimulationError(
+            f"comparison band [{omega_lo:.3g}, {omega_hi:.3g}) rad/s: it needs "
+            "0 < omega_lo < omega_hi, both finite")
 
     ss_sim = build_state_space(simulated)
     ss_nom = build_state_space(config)
@@ -543,7 +601,7 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
     centers, (est_b, closed_b, ss_b, var_b), counts = log_binned(
         grid, [est, closed, ss_pred, stderr ** 2], lo,
         omega_hi, POINTS_PER_DECADE)
-    err_b = np.sqrt(var_b / counts)
+    err_b = _bin_stderr(var_b, counts)
 
     ok = np.abs(est_b - closed_b) <= np.maximum(3.0 * err_b,
                                                 tolerance * closed_b)

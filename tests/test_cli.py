@@ -224,14 +224,17 @@ def test_json_writers_reject_nan_and_write_nothing(tmp_path, write):
 
 
 def test_cold_commands_load_no_scipy(tmp_path):
-    # A fresh interpreter: this process has scipy loaded already.
+    # A fresh interpreter: this process has scipy loaded already.  No
+    # command loads it, validate included.
     script = (
         "import json, sys\n"
         "from trimova import cli\n"
         "for argv in (['threshold'],\n"
         "             ['spectrum', '--case', 'nondeg-sub', '--kappa', '0.5g0',\n"
         "              '--budget'],\n"
-        "             ['figure', 'fig5']):\n"
+        "             ['figure', 'fig5'],\n"
+        "             ['validate', '--case', 'baseline', '--segments', '32',\n"
+        "              '--omega-min', '0.05g0']):\n"
         "    assert cli.main(argv) == 0, argv\n"
         "print(json.dumps(sorted(m for m in sys.modules\n"
         "                        if m.split('.')[0] == 'scipy')))\n")
@@ -280,6 +283,40 @@ def test_validate_unusable_band_exits_2(tmp_path, capsys, band, message):
                      *band, "--out", str(out)])
     assert code == 2
     assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", "--omega-min", "5g0", "--omega-max", "1g0"],
+     "0 < omega-min < omega-max"),
+    (["spectrum", "--omega-min=-1g0", "--omega-max=-0.1g0"],
+     "0 < omega-min < omega-max"),
+    (["spectrum", "--omega-min=-1g0"], "0 < omega-min < omega-max"),
+    (["validate", "--omega-min", "5g0", "--omega-max", "1g0"],
+     "0 < omega_lo < omega_hi"),
+    (["validate", "--omega-min=-1g0"], "0 < omega_lo < omega_hi"),
+    (["validate", "--seed", "-1"], "seed = -1: it must be nonnegative"),
+], ids=["spectrum-reversed", "spectrum-negative", "spectrum-negative-min",
+        "validate-reversed", "validate-negative-min", "validate-negative-seed"])
+def test_bad_band_or_seed_exits_2(tmp_path, monkeypatch, capsys, recwarn,
+                                  argv, message):
+    # Refused with one error line before anything is computed or written:
+    # a reversed band gave a descending spectrum grid, a negative one
+    # negative frequencies or a RuntimeWarning, validate's a math domain
+    # error, and a negative seed failed inside simulate's worker threads.
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(oracle, "simulate", no_simulation)
+    extra = ["--segments", "32"] if argv[0] == "validate" else []
+    assert cli.main([argv[0], "--case", "baseline", *extra, *argv[1:],
+                     "--out", "x.out"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     assert not list(tmp_path.iterdir())
 
 

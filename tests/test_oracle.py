@@ -170,6 +170,29 @@ def test_estimator_weighted_white_noise_calibration():
         < 3.5 * ratio.std() / math.sqrt(ratio.size / 1.5)
 
 
+def test_log_bin_error_calibration():
+    # Unit-PSD white noise through validate's chain: periodogram, log bins
+    # from bin 8 up, bin error.  The bin estimates' chi^2/dof against 1
+    # averages 1 over seeds 0-9 (0.99); treating the Hann bins inside a log
+    # bin as independent gives about 1.6.
+    dt, segments, samples = 1e-4, 96, 4096
+    grid = 2 * math.pi * np.fft.rfftfreq(samples, dt)
+    band = slice(8, grid.size - 1)
+    chi2 = []
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        outputs = np.zeros((segments, samples, 2))
+        outputs[:, :, 1] = rng.standard_normal((segments, samples)) \
+            / math.sqrt(2 * dt)
+        _, mean, stderr = estimate(outputs, dt, band=band)
+        _, (est, var), counts = oracle.log_binned(
+            grid[band], [mean, stderr ** 2], grid[8], grid[-1],
+            oracle.POINTS_PER_DECADE)
+        err = oracle._bin_stderr(var, counts)
+        chi2.append(np.mean(((est - 1.0) / err) ** 2))
+    assert abs(np.mean(chi2) - 1.0) < 0.15
+
+
 def test_empty_cavity_passthrough():
     sim = run(empty_cavity(config(lossless=True)), segments=64, samples=4096,
               seed=11)
@@ -342,33 +365,30 @@ def test_reproducible_and_batch_invariant():
 # --- cascade recursion against the per-step loop -----------------------------------
 
 def euler_step(ss, dt):
-    """First-order update in the form of oracle._discretize, with the output
-    integral zeta = x*dt and its noise part omitted."""
+    """First-order update in the form of oracle._discretize: the five draws
+    are the channel increments, and the output sample is C x + D dW/dt, the
+    noise of the state integral omitted."""
     phi_xx = np.eye(3) + ss.drift * dt
-    phi_zx = np.hstack([np.eye(2), np.zeros((2, 1))]) * dt
     amp = np.sqrt(ss.channel_psd / 2.0 * dt)
-    factor = np.zeros((7, 7))
-    factor[:3, :5] = ss.noise_gain * amp[None, :]
-    factor[5, 0] = amp[0]
-    factor[6, 1] = amp[1]
-    return phi_xx, phi_zx, factor
+    factor = np.vstack([ss.noise_gain * amp[None, :],
+                        ss.feedthrough * amp[None, :] / dt])
+    return phi_xx, ss.output_gain, factor
 
 
 def loop_simulate(ss, *, segments, samples, dt, seed=0, segment_offset=0,
                   discretize=oracle._discretize):
     """Reference integrator: the full 3x3 update applied one step at a time,
-    from rest, each output sample after the burn-in the step average of
-    y = C x + D w."""
-    phi_xx, phi_zx, factor = discretize(ss, dt)
-    C, D = ss.output_gain[:, :2], ss.feedthrough[:, :2]
+    from rest, each output sample after the burn-in read_x x plus its share
+    of the step's five draws."""
+    phi_xx, read_x, factor = discretize(ss, dt)
     first = burn_in(ss, dt)
     total = first + samples
     out = np.empty((segments, samples, 2))
-    all_gens = [oracle._segment_generators(seed, segment_offset + s, 7)
+    all_gens = [oracle._segment_generators(seed, segment_offset + s, 5)
                 for s in range(segments)]
     x = np.zeros((3, segments))
     chunk = max(1, (8 << 20) // (16 * segments))
-    z = np.empty((7, segments, chunk))
+    z = np.empty((5, segments, chunk))
     for start in range(0, total, chunk):
         size = min(chunk, total - start)
         for s, gens in enumerate(all_gens):
@@ -376,10 +396,8 @@ def loop_simulate(ss, *, segments, samples, dt, seed=0, segment_offset=0,
                 z[comp, s, :size] = gen.standard_normal(size)
         noise = np.einsum("ij,jsk->isk", factor, z[:, :, :size])
         for k in range(size):
-            zeta = phi_zx @ x + noise[3:5, :, k]
             if start + k >= first:
-                out[:, start + k - first, :] = \
-                    ((C @ zeta + D @ noise[5:7, :, k]) / dt).T
+                out[:, start + k - first, :] = (read_x @ x + noise[3:, :, k]).T
             x = phi_xx @ x + noise[:3, :, k]
     return out
 
@@ -407,8 +425,7 @@ def test_cascade_matches_step_loop(kind):
 
 
 def test_cascade_matches_step_loop_damped_mechanics():
-    # gamma_m > 0: the mechanical factor is below 1, and the Van Loan
-    # propagator carries rounding where the cascade order has zeros.
+    # gamma_m > 0: the mechanical factor is below 1.
     assert_matches_loop(build_state_space(
         config("two_photon", 0.5, gamma_m=G0 / 20.0)))
 
@@ -422,24 +439,82 @@ def test_cascade_matches_step_loop_options(scale, options):
     assert_matches_loop(ss if scale is None else scaled(ss, scale), **options)
 
 
+def covariance_close(got, want):
+    """got equals the covariance want within 1e-12 sqrt(want_ii want_jj)."""
+    d = np.sqrt(np.diag(want))
+    return np.all(np.abs(got - want) <= 1e-12 * np.outer(d, d))
+
+
 def test_simulate_reads_the_output_map():
     # The output samples come from the model's own C and D: swapping the
-    # output rows swaps the ports, doubling C and D doubles the samples,
-    # and an output map reading what is not integrated is refused.
+    # output rows swaps the rows of read_x and the output rows of the step
+    # covariance, doubling C and D doubles them and the samples, and an
+    # output map reading what is not integrated is refused.  A step draws
+    # one normal per output sample, not one per term of y = C x + D w, so
+    # the swapped samples are a new realization, not the swapped old one.
     ss = build_state_space(config("two_photon", 0.3))
-    shape = dict(segments=2, samples=4096, seed=3)
-    base = run(ss, **shape).outputs
+    dt = 0.05 / oracle.max_rate(ss)
+    phi_xx, read_x, factor = oracle._discretize(ss, dt)
+    cov = factor @ factor.T
     swapped = dataclasses.replace(ss, output_gain=ss.output_gain[::-1],
                                   feedthrough=ss.feedthrough[::-1])
-    assert np.array_equal(run(swapped, **shape).outputs, base[:, :, ::-1])
+    phi_s, read_s, factor_s = oracle._discretize(swapped, dt)
+    assert np.array_equal(phi_s, phi_xx)
+    assert np.array_equal(read_s, read_x[::-1])
+    order = [0, 1, 2, 4, 3]
+    assert covariance_close(factor_s @ factor_s.T, cov[np.ix_(order, order)])
     doubled = dataclasses.replace(ss, output_gain=2.0 * ss.output_gain,
                                   feedthrough=2.0 * ss.feedthrough)
-    assert np.array_equal(run(doubled, **shape).outputs, 2.0 * base)
+    phi_d, read_d, factor_d = oracle._discretize(doubled, dt)
+    assert np.array_equal(phi_d, phi_xx)
+    assert np.array_equal(read_d, 2.0 * read_x)
+    assert np.array_equal(factor_d[:3], factor[:3])
+    assert np.array_equal(factor_d[3:], 2.0 * factor[3:])
+    shape = dict(segments=2, samples=4096, seed=3)
+    assert np.array_equal(run(doubled, **shape).outputs,
+                          2.0 * run(ss, **shape).outputs)
     for name, entry in (("output_gain", (0, 2)), ("feedthrough", (1, 4))):
         bad = getattr(ss, name).copy()
         bad[entry] = 1.0
         with pytest.raises(SimulationError, match="output map"):
             run(dataclasses.replace(ss, **{name: bad}), **shape)
+
+
+@pytest.mark.parametrize("lossless", [False, True], ids=["lossy", "lossless"])
+@pytest.mark.parametrize("kind", ["none", "two_photon", "degenerate"])
+def test_discretize_matches_van_loan(kind, lossless):
+    # The exact step against scipy's exponential of the same normalized
+    # Van Loan block, projected onto the next state and the output sample
+    # (C zeta + D dW)/dt: the covariance of the five draws' mix to 1e-12 of
+    # sqrt(S_ii S_jj), the propagator and the output read-out to 1e-13, at
+    # steps from 0.002 to 5 times the fastest rate.
+    ss = build_state_space(config(kind, 0.5, lossless=lossless,
+                                  gamma_m=G0 / 20.0))
+    A = np.zeros((7, 7))
+    A[:3, :3] = ss.drift
+    A[3, 0] = A[4, 1] = 1.0
+    B = np.zeros((7, 5))
+    B[:3] = ss.noise_gain
+    B[5, 0] = B[6, 1] = 1.0
+    Qc = B @ np.diag(ss.channel_psd / 2.0) @ B.T
+    s = np.abs(Qc).sum(axis=0).max() / np.abs(A).sum(axis=0).max()
+    C, D = ss.output_gain[:, :2], ss.feedthrough[:, :2]
+    for rate_dt in (0.002, math.pi / 20.0, 0.5, 5.0):
+        dt = rate_dt / oracle.max_rate(ss)
+        G = scipy.linalg.expm(np.block([[-A, Qc / s],
+                                        [np.zeros((7, 7)), A.T]]) * dt)
+        phi = G[7:, 7:].T
+        Qd = s * phi @ G[:7, 7:]
+        P = np.zeros((5, 7))
+        P[:3, :3] = np.eye(3)
+        P[3:, 3:5] = C / dt
+        P[3:, 5:] = D / dt
+        sigma = P @ Qd @ P.T
+        phi_xx, read_x, factor = oracle._discretize(ss, dt)
+        assert covariance_close(factor @ factor.T, (sigma + sigma.T) / 2.0)
+        for got, want in ((phi_xx, phi[:3, :3]),
+                          (read_x, C @ phi[3:5, :3] / dt)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("a", [0.97, 1.0, -0.5, 0.999, -0.99])
