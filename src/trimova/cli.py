@@ -282,13 +282,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cross-check a case against the time-domain model")
     _add_config_options(p)
     p.add_argument("--case", required=True, choices=spectra.CASES)
-    p.add_argument("--segments", type=int, default=200)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--segments", type=int, default=200,
+                   help="Hann windows averaged; consecutive windows overlap "
+                        f"by half (at least {oracle.MIN_SEGMENTS})")
+    p.add_argument("--seed", type=int, default=1,
+                   help="seed of the noise streams; a seed repeats its "
+                        "report exactly")
     p.add_argument("--tolerance", type=float, default=0.05)
     p.add_argument("--dt", type=float, help="integrator step, s; pi/dt must "
                    "be at least 3*omega-max (default pi/max(3*omega-max, "
                    "20*fastest rate))")
-    p.add_argument("--omega-min", help="comparison band start (rad/s or g0)")
+    p.add_argument("--omega-min", help="comparison band start (rad/s or g0, "
+                   "default 0.01g0); the compared band starts at the larger "
+                   "of this and the 8th bin of a window")
     p.add_argument("--omega-max", help="comparison band end (rad/s or g0)")
     p.add_argument("--perturb-kappa", type=float, default=0.0,
                    help="scale the simulated squeeze rate by (1+x): "

@@ -10,8 +10,10 @@ loss vacua and the mechanical bath.  ``simulate`` integrates the
 the two output time series through that model's own output map
 y = C x + D w (the reflected input D w must be built from the *same* noise
 realization that drove the cavity, or the output spectrum is wrong at order
-one).  ``validate`` estimates single-sided PSDs by segment-averaged Hann
-periodograms and compares the signal-referred result against the
+one).  ``validate`` estimates single-sided PSDs by averaging the Hann
+periodograms of windows that overlap by half (Welch, IEEE Trans. Audio
+Electroacoust. 15, 70 (1967)), WINDOWS_PER_RECORD of them cut from each
+simulated record, and compares the signal-referred result against the
 closed-form spectra.  Its periodogram stage, _add_periodograms, is the one
 estimator of this module; the calibration tests check that same function.
 Its negative control, ``perturb``, simulates a perturbed config, a copy
@@ -54,14 +56,16 @@ chunks, so the working memory does not grow with the record length.
 
 Randomness is counter-based and parallel-safe: each (seed, segment,
 component) triple owns a Philox stream, components 0-4 for the five normals
-of a step, so results are reproducible and independent of batching.
+of a step, so results are reproducible and independent of batching.  A
+segment of ``simulate`` is one record of ``validate``: its streams are keyed
+by record index, whichever call simulates it.
 
 ``simulate`` and the periodogram stage of ``validate`` run on WORKERS
 threads, one for each core the process may run on.  ``simulate`` splits the
 segments into contiguous parts, one thread each, and a thread owns its
 segments for the whole record: their draws, noise mixing, the three scans
 and the output samples.  The periodogram stage gives each thread whole
-groups of _FFT_GROUP segments and adds the per-group sums in group order.
+groups of _FFT_GROUP windows and adds the per-group sums in group order.
 A segment's arithmetic is the same whichever thread runs it, so outputs and
 reports do not depend on the core count.  The threads spend their time in
 the generators, einsum, the FFT and elementwise array operations, which
@@ -74,15 +78,19 @@ scipy.linalg.expm: after each call, a thread of scipy's bundled OpenBLAS
 spins for about 130 ms on the core a worker needs.  The public functions
 run on the calling thread only.
 
-Memory of ``validate``: it holds the output samples of at most BATCH
-segments at once (one ``simulate`` call), one window buffer of _FFT_GROUP
-segments per periodogram thread, and per-bin arrays of the compared band
-only.  Each group's rFFT is cut to the band before the next is taken, and
-every per-bin step (subtraction weight, signal coefficient, closed form,
-state-space PSD, periodogram sums) runs on the band alone.  BATCH is a
-fixed constant and not derived from WORKERS: the time chunk of ``simulate``,
-and with it the last-bit rounding of each segment, depends on the segments
-per call, and reports must not depend on the core count.
+Memory of ``validate``: it holds the output samples of one ``simulate``
+call at a time: an even number of records, as many as keep its output
+within _CALL_SAMPLES samples (16 MB) and at least 2, a record being
+(WINDOWS_PER_RECORD + 1) half-windows long.  Each thread of
+``simulate`` allocates its chunk, draw and scratch buffers once per call and
+its chunk loop writes into them in place; each periodogram thread has one
+window buffer of _FFT_GROUP windows.  Each group's rFFT is cut to the band
+before the next is taken, and every per-bin step (subtraction weight,
+signal coefficient, closed form, state-space PSD, periodogram sums) runs on
+the band alone.  The records per call are not derived from WORKERS: the
+time chunk of ``simulate``, and with it the last-bit rounding of each
+record, depends on the records per call, and reports must not depend on
+the core count.
 """
 
 from __future__ import annotations
@@ -101,13 +109,15 @@ from .transfer import StateSpace, build_state_space
 MIN_SEGMENTS = 32
 MIN_CORRELATION_TIMES = 100.0
 POINTS_PER_DECADE = 40    # log bins per decade of a validation report
-BATCH = 30                # segments per simulate call in validate
+WINDOWS_PER_RECORD = 8    # half-overlapped Hann windows cut from one record
+_CALL_SAMPLES = 1 << 20   # output samples of one simulate call in validate
 # Threads of simulate and of validate's periodogram stage: every core this
 # process may run on.
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
-_FFT_GROUP = 5            # segments per windowed-rFFT group in validate
+_FFT_GROUP = 5            # windows per windowed-rFFT group in validate
 _SCAN_BLOCK = 64          # steps per block of the state scan
+_DRAW_BLOCK = 1 << 14     # steps a segment draws at once, so they stay in cache
 _CASCADE = (0, 2, 1)      # sum pair -> mechanics -> difference pair
 _TAYLOR_DEGREE = 18       # of the matrix exponential
 
@@ -202,7 +212,7 @@ def _discretize(ss: StateSpace, dt: float):
     return phi[:3, :3], C @ phi[3:5, :3] / dt, factor
 
 
-def _scan(a: float, x: np.ndarray) -> None:
+def _scan(a: float, x: np.ndarray, scratch: np.ndarray | None = None) -> None:
     """In place, x[..., k+1] = a*x[..., k] + x[..., k+1] for k = 0, 1, ...
 
     On entry x[..., 0] is the initial state and x[..., 1:] the inputs, a
@@ -211,7 +221,8 @@ def _scan(a: float, x: np.ndarray) -> None:
     The states entering the blocks are found by the same scan over the block
     ends, and are then added with weights a**(1..L).  The interpreter work
     is L steps per level, whatever the number of blocks.  Only elementwise
-    array operations are used, no BLAS call.
+    array operations are used, no BLAS call.  The steps run in ``scratch``,
+    a flat array of at least x[..., 1:].size values, or in a new array.
     """
     L = _SCAN_BLOCK
     lead = x.shape[:-1]
@@ -219,7 +230,10 @@ def _scan(a: float, x: np.ndarray) -> None:
     # A view: the last axis of x is contiguous and split into whole blocks.
     y = x[..., 1:].reshape(lead + (blocks, L))
     # Step i of every block at once, from contiguous rows t[i].
-    t = np.moveaxis(y, -1, 0).copy()
+    shape = (L,) + lead + (blocks,)
+    t = (np.empty(shape) if scratch is None
+         else scratch[:math.prod(shape)].reshape(shape))
+    t[...] = np.moveaxis(y, -1, 0)
     for i in range(1, L):
         t[i] += a * t[i - 1]
     powers = a ** np.arange(1, L + 1)
@@ -233,7 +247,8 @@ def _scan(a: float, x: np.ndarray) -> None:
         ends[..., 1:blocks + 1] = t[-1]
         _scan(powers[-1], ends)
         entering = ends[..., :blocks]
-    t += powers.reshape((L,) + (1,) * (len(lead) + 1)) * entering
+    for i in range(L):
+        t[i] += powers[i] * entering
     y[...] = np.moveaxis(t, 0, -1)
 
 
@@ -298,7 +313,7 @@ def simulate(ss: StateSpace, *, segments: int = 1, samples: int, dt: float,
     the off-diagonal propagator entries.  SimulationError is raised when the
     propagator has an entry against that order.  Time runs in chunks of
     about 2**19 steps summed over segments, so the working memory besides
-    the returned arrays stays under about 70 MB whatever the record length:
+    the returned arrays stays under about 30 MB whatever the record length:
     the noise of a whole segment is never held at once.  The segments are
     split over WORKERS threads (see the module docstring).
     """
@@ -325,7 +340,8 @@ def simulate(ss: StateSpace, *, segments: int = 1, samples: int, dt: float,
 
     total = burn_in + samples
     out = np.empty((segments, samples, 2))
-    chunk = max(1, (8 << 20) // (16 * segments))   # 2**19 segment-steps
+    # 2**19 segment-steps, and no more steps than a segment takes.
+    chunk = min(total, max(1, (8 << 20) // (16 * segments)))
     width = 1 + -(-chunk // _SCAN_BLOCK) * _SCAN_BLOCK
 
     def integrate(lo: int, hi: int) -> None:
@@ -333,25 +349,35 @@ def simulate(ss: StateSpace, *, segments: int = 1, samples: int, dt: float,
                 for s in range(lo, hi)]
         # x[:, :, k] is the state entering step start + k, x[:, :, 1:] holds
         # the scan inputs until the scan; y holds the output samples.
+        # z holds a segment's draws of up to _DRAW_BLOCK steps; the scans
+        # and the products run in scratch, so the chunk loop allocates no
+        # array of chunk size.
         x = np.zeros((3, hi - lo, width))
         y = np.empty((2, hi - lo, chunk))
-        z = np.empty((5, chunk))
+        z = np.empty((5, min(chunk, _DRAW_BLOCK)))
+        scratch = np.empty((hi - lo) * (width - 1))
+
+        def times(c: float, a: np.ndarray) -> np.ndarray:
+            return np.multiply(c, a, out=scratch[:a.size].reshape(a.shape))
+
         for start in range(0, total, chunk):
             size = min(chunk, total - start)
             for s, seg_gens in enumerate(gens):
-                for comp, gen in enumerate(seg_gens):
-                    gen.standard_normal(out=z[comp, :size])
-                np.einsum("rc,ck->rk", factor[:3], z[:, :size],
-                          out=x[:, s, 1:size + 1])
-                np.einsum("rc,ck->rk", factor[3:], z[:, :size],
-                          out=y[:, s, :size])
+                for at in range(0, size, z.shape[1]):
+                    to = min(size, at + z.shape[1])
+                    for comp, gen in enumerate(seg_gens):
+                        gen.standard_normal(out=z[comp, :to - at])
+                    np.einsum("rc,ck->rk", factor[:3], z[:, :to - at],
+                              out=x[:, s, 1 + at:to + 1])
+                    np.einsum("rc,ck->rk", factor[3:], z[:, :to - at],
+                              out=y[:, s, at:to])
             x[:, :, size + 1:] = 0.0   # zero inputs fill the last block
             stop = 1 + -(-size // _SCAN_BLOCK) * _SCAN_BLOCK
             for i, row in enumerate(_CASCADE):
                 u = x[row, :, 1:size + 1]
                 for col in _CASCADE[:i]:
-                    u += phi_xx[row, col] * x[col, :, :size]
-                _scan(phi_xx[row, row], x[row, :, :stop])
+                    u += times(phi_xx[row, col], x[col, :, :size])
+                _scan(phi_xx[row, row], x[row, :, :stop], scratch)
 
             first = max(0, burn_in - start)
             if first < size:
@@ -359,7 +385,7 @@ def simulate(ss: StateSpace, *, segments: int = 1, samples: int, dt: float,
                 for p in range(2):
                     yp = y[p, :, first:size]
                     for j in range(3):
-                        yp += read_x[p, j] * x[j, :, first:size]
+                        yp += times(read_x[p, j], x[j, :, first:size])
                     out[lo:hi, keep, p] = yp
             x[:, :, 0] = x[:, :, size]
 
@@ -369,40 +395,47 @@ def simulate(ss: StateSpace, *, segments: int = 1, samples: int, dt: float,
 
 # --- spectral estimation --------------------------------------------------------
 
-def _add_periodograms(sums: np.ndarray, outputs: np.ndarray, dt: float,
-                      band: slice, weight, sig2: np.ndarray) -> None:
-    """Add the segments' periodograms into sums[0] and their squares into
-    sums[1], on the rFFT bins ``band`` only.
+def _add_periodograms(sums: np.ndarray, records: np.ndarray, hop: int,
+                      dt: float, band: slice, weight, sig2: np.ndarray) -> None:
+    """Add the periodograms of the records' Hann windows into sums[0] and
+    their squares into sums[1], on the rFFT bins ``band`` only.
 
-    A segment's periodogram is the single-sided Hann-window estimate
-    (unit-PSD white noise reads 1) of its mean-removed difference port
-    outputs[s, :, 1], plus ``weight`` (per band bin) times its sum port when
-    a weight is given, divided by ``sig2``.  Whole groups of _FFT_GROUP
-    segments go to each thread, each group windowed in place in the thread's
-    own buffer and its rFFT cut to the band before the next is taken; the
-    per-group sums are added in group order, so the result does not depend
-    on the thread count.
+    A window is 2*hop samples long and the next starts hop samples later, so
+    a record of (m + 1)*hop samples holds m windows, each overlapping its
+    neighbours by half; a record of 2*hop samples is one window.  A window's
+    periodogram is the single-sided Hann-window estimate (unit-PSD white
+    noise reads 1) of its mean-removed difference port records[r, :, 1],
+    plus ``weight`` (per band bin) times its sum port when a weight is
+    given, divided by ``sig2``.  The windows, record after record, go to the
+    threads in whole groups of _FFT_GROUP, each group copied into the
+    thread's own buffer, windowed there and its rFFT cut to the band before
+    the next is taken; the per-group sums are added in group order, so the
+    result does not depend on the thread count.
     """
-    samples = outputs.shape[1]
-    win = np.hanning(samples)
+    size = 2 * hop
+    per_record = records.shape[1] // hop - 1
+    windows = records.shape[0] * per_record
+    win = np.hanning(size)
     norm = float(np.sum(win**2))
-    groups = -(-outputs.shape[0] // _FFT_GROUP)
+    groups = -(-windows // _FFT_GROUP)
     partial = np.empty((groups,) + sums.shape)
 
-    def band_fft(rows: np.ndarray, buf: np.ndarray) -> np.ndarray:
-        buf[...] = rows
-        buf -= buf.mean(axis=-1, keepdims=True)
-        buf *= win
-        return np.fft.rfft(buf, axis=-1)[:, band].copy()
+    def band_fft(port: int, first: int, rows: np.ndarray) -> np.ndarray:
+        for k, row in enumerate(rows):
+            r, j = divmod(first + k, per_record)
+            row[...] = records[r, j * hop:j * hop + size, port]
+        rows -= rows.mean(axis=-1, keepdims=True)
+        rows *= win
+        return np.fft.rfft(rows, axis=-1)[:, band].copy()
 
     def periodogram(begin: int, end: int) -> None:
-        buf = np.empty((_FFT_GROUP, samples))
+        buf = np.empty((_FFT_GROUP, size))
         for g in range(begin, end):
-            y = outputs[g * _FFT_GROUP:(g + 1) * _FFT_GROUP]
-            rows = buf[:y.shape[0]]
-            combined = band_fft(y[:, :, 1], rows)
+            first = g * _FFT_GROUP
+            rows = buf[:min(_FFT_GROUP, windows - first)]
+            combined = band_fft(1, first, rows)
             if weight is not None:
-                combined += weight * band_fft(y[:, :, 0], rows)
+                combined += weight * band_fft(0, first, rows)
             per = 2.0 * dt * np.abs(combined) ** 2 / norm / sig2
             partial[g, 0] = per.sum(axis=0)
             partial[g, 1] = (per**2).sum(axis=0)
@@ -410,6 +443,22 @@ def _add_periodograms(sums: np.ndarray, outputs: np.ndarray, dt: float,
     _in_parallel(periodogram, groups)
     for part in partial:
         sums += part
+
+
+def _window_mean(sums: np.ndarray, windows: int, records: int):
+    """Per-bin mean and standard error of ``windows`` periodograms cut from
+    ``records`` records, from the sums _add_periodograms adds.
+
+    Adjacent half-overlapped Hann windows' powers in a bin correlate by
+    1/36 (Harris, Proc. IEEE 66, 51 (1978)); windows further apart do not
+    overlap.  With windows - records adjacent pairs, the mean's variance is
+    the across-window variance / windows times 1 + 2*(1/36)*(windows -
+    records)/windows: 1 + 2*(1/36)*(K - 1)/K for whole records of K windows.
+    """
+    mean = sums[0] / windows
+    var = np.clip((sums[1] - windows * mean**2) / (windows - 1), 0.0, None)
+    share = 1.0 + 2.0 * (1.0 / 36.0) * (windows - records) / windows
+    return mean, np.sqrt(var * share / windows)
 
 
 def log_binned(grid, columns, lo: float, hi: float, per_decade: int):
@@ -501,17 +550,27 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
              dt: float | None = None) -> ValidationReport:
     """Simulate one measured case and compare with its closed-form spectrum.
 
-    A grid point agrees when |estimate - closed| <= max(3*stderr,
-    tolerance*closed); the run passes when at least 95% of points agree.
-    A log bin's stderr counts the correlation of neighbouring Hann bins
-    (_bin_stderr).  ``perturb`` is the designed-mismatch negative control:
-    the simulated model is built from a copy of ``config`` with the squeeze
-    rate scaled by (1 + perturb), checked like any config, while every
-    analytic reference (closed form, signal coefficient, subtraction filter)
-    stays nominal.  A nonzero ``perturb`` on an unsqueezed config raises
-    SimulationError, and so do a negative ``seed`` and a band that is not
-    0 < omega_lo < omega_hi.  An explicit ``dt`` must be finite and positive
-    and give pi/dt >= 3*omega_hi; the default is _band_step's.
+    The estimate averages ``segments`` Hann windows of N samples, the next
+    starting N/2 samples later.  They are cut from records of
+    WINDOWS_PER_RECORD consecutive windows, (WINDOWS_PER_RECORD + 1)*N/2
+    samples each, one ``simulate`` segment a record; the windows left over
+    come from one shorter record, so exactly ``segments`` windows are
+    averaged.  N is the power of 2 (at least 256) that spans four periods
+    of omega_lo, and the compared band starts at the larger of omega_lo and
+    the 8th window bin.  A grid point agrees when |estimate - closed| <=
+    max(3*stderr, tolerance*closed); the run passes when at least 95% of
+    points agree.  A bin's stderr counts the 1/36 power correlation of
+    adjacent windows (_window_mean), and a log bin's that of neighbouring
+    Hann bins (_bin_stderr).
+
+    ``perturb`` is the designed-mismatch negative control: the simulated
+    model is built from a copy of ``config`` with the squeeze rate scaled by
+    (1 + perturb), checked like any config, while every analytic reference
+    (closed form, signal coefficient, subtraction filter) stays nominal.  A
+    nonzero ``perturb`` on an unsqueezed config raises SimulationError, and
+    so do a negative ``seed`` and a band that is not 0 < omega_lo <
+    omega_hi.  An explicit ``dt`` must be finite and positive and give
+    pi/dt >= 3*omega_hi; the default is _band_step's.
     """
     if segments < MIN_SEGMENTS:
         raise SimulationError(f"need at least {MIN_SEGMENTS} segments")
@@ -549,9 +608,9 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
         raise SimulationError(
             f"dt = {dt:.3g} s too coarse for the band: Nyquist {math.pi / dt:.3g}"
             f" rad/s is below 3 * omega_hi = {3.0 * omega_hi:.3g} rad/s")
-    samples = 1 << max(8, math.ceil(math.log2(4.0 * 2.0 * math.pi
-                                              / (omega_lo * dt))))
-    grid_full = 2.0 * math.pi * np.fft.rfftfreq(samples, dt)
+    window = 1 << max(8, math.ceil(math.log2(4.0 * 2.0 * math.pi
+                                             / (omega_lo * dt))))
+    grid_full = 2.0 * math.pi * np.fft.rfftfreq(window, dt)
 
     # The first few window bins are biased by the sub-band mechanical wander;
     # compare from bin 8 upward.  Every per-bin step below runs on the
@@ -573,17 +632,25 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
     # Signal coefficient of the measured raw port (signal referring).
     sig2 = np.abs(ss_nom.signal_response(grid)[:, ss_nom.measured_port]) ** 2
 
+    # Records of WINDOWS_PER_RECORD windows, hop samples apart, and one
+    # shorter record for the windows left over.  A call's record count is
+    # set by the record length alone: even, so that two workers share it
+    # evenly, and as many as keep its output within _CALL_SAMPLES samples.
+    hop = window // 2
+    full, left = divmod(segments, WINDOWS_PER_RECORD)
+    record = (WINDOWS_PER_RECORD + 1) * hop
+    per_call = max(2, _CALL_SAMPLES // record // 2 * 2)
+    calls = [(first, min(per_call, full - first), record)
+             for first in range(0, full, per_call)]
+    if left:
+        calls.append((full, 1, (left + 1) * hop))
     sums = np.zeros((2, grid.size))
-    for done in range(0, segments, BATCH):
-        # The batch's output samples live only through this call.
+    for first, records, length in calls:
+        # The call's output samples live only through this call.
         _add_periodograms(sums, simulate(
-            ss_sim, segments=min(BATCH, segments - done), samples=samples,
-            dt=dt, seed=seed, segment_offset=done).outputs,
-            dt, band, weight, sig2)
-
-    est = sums[0] / segments
-    var = (sums[1] - segments * est**2) / (segments - 1)
-    stderr = np.sqrt(np.clip(var, 0.0, None) / segments)
+            ss_sim, segments=records, samples=length, dt=dt, seed=seed,
+            segment_offset=first).outputs, hop, dt, band, weight, sig2)
+    est, stderr = _window_mean(sums, segments, full + (left > 0))
 
     # Both references are the expectation of this estimator (see the module
     # docstring): the output PSD, before signal referring, rolls off by

@@ -39,18 +39,28 @@ def burn_in(ss, dt):
     return math.ceil(10.0 / (np.min(np.abs(optical.real)) * dt))
 
 
-def estimate(outputs, dt, weight=None, band=slice(None)):
-    """validate's periodogram estimate on the rFFT bins ``band``: the
-    difference port outputs[:, :, 1], plus weight times the sum port where
-    a weight is given.  Returns (grid, mean, standard error)."""
-    segments, samples = outputs.shape[:2]
-    grid = (2 * math.pi * np.fft.rfftfreq(samples, dt))[band]
+def estimate(records, dt, weight=None, band=slice(None), hop=None):
+    """validate's periodogram estimate on the rFFT bins ``band`` of the
+    half-overlapped windows of 2*hop samples cut from ``records`` (by
+    default one window a record): the difference port records[:, :, 1],
+    plus weight times the sum port where a weight is given.  Returns (grid,
+    mean, standard error)."""
+    count, samples = records.shape[:2]
+    hop = samples // 2 if hop is None else hop
+    grid = (2 * math.pi * np.fft.rfftfreq(2 * hop, dt))[band]
     sums = np.zeros((2, grid.size))
-    oracle._add_periodograms(sums, outputs, dt, band, weight,
+    oracle._add_periodograms(sums, records, hop, dt, band, weight,
                              np.ones(grid.size))
-    mean = sums[0] / segments
-    var = (sums[1] - segments * mean**2) / (segments - 1)
-    return grid, mean, np.sqrt(np.clip(var, 0.0, None) / segments)
+    windows = count * (samples // hop - 1)
+    return (grid, *oracle._window_mean(sums, windows, count))
+
+
+def white_records(rng, count, samples, dt):
+    """Unit single-sided PSD white noise in the difference port: samples of
+    variance 1/(2 dt)."""
+    records = np.zeros((count, samples, 2))
+    records[:, :, 1] = rng.standard_normal((count, samples)) / math.sqrt(2 * dt)
+    return records
 
 
 def scaled(ss, scale):
@@ -143,12 +153,9 @@ def test_steady_state_variance_matches_lyapunov():
 # --- calibration -----------------------------------------------------------------
 
 def test_estimator_white_noise_calibration():
-    # Unit single-sided PSD white noise: samples of variance 1/(2 dt).
-    rng = np.random.default_rng(3)
     dt = 1e-4
-    outputs = np.zeros((160, 4096, 2))
-    outputs[:, :, 1] = rng.standard_normal((160, 4096)) / math.sqrt(2 * dt)
-    _, psd, _ = estimate(outputs, dt)
+    _, psd, _ = estimate(white_records(np.random.default_rng(3), 160, 4096,
+                                       dt), dt)
     band = psd[3:-3]
     mean = band.mean()
     assert abs(mean - 1.0) < 3.5 * band.std() / math.sqrt(band.size / 1.5)
@@ -170,27 +177,62 @@ def test_estimator_weighted_white_noise_calibration():
         < 3.5 * ratio.std() / math.sqrt(ratio.size / 1.5)
 
 
-def test_log_bin_error_calibration():
-    # Unit-PSD white noise through validate's chain: periodogram, log bins
-    # from bin 8 up, bin error.  The bin estimates' chi^2/dof against 1
-    # averages 1 over seeds 0-9 (0.99); treating the Hann bins inside a log
-    # bin as independent gives about 1.6.
-    dt, segments, samples = 1e-4, 96, 4096
-    grid = 2 * math.pi * np.fft.rfftfreq(samples, dt)
+def log_bin_chi2(hop, records, per_record, seeds=range(10), dt=1e-4):
+    """chi^2/dof against 1 of the log-bin estimates of unit-PSD white noise
+    through validate's chain (periodogram of the half-overlapped windows,
+    log bins from bin 8 up, bin error), one value per seed."""
+    grid = 2 * math.pi * np.fft.rfftfreq(2 * hop, dt)
     band = slice(8, grid.size - 1)
     chi2 = []
-    for seed in range(10):
-        rng = np.random.default_rng(seed)
-        outputs = np.zeros((segments, samples, 2))
-        outputs[:, :, 1] = rng.standard_normal((segments, samples)) \
-            / math.sqrt(2 * dt)
-        _, mean, stderr = estimate(outputs, dt, band=band)
+    for seed in seeds:
+        data = white_records(np.random.default_rng(seed), records,
+                             (per_record + 1) * hop, dt)
+        _, mean, stderr = estimate(data, dt, band=band, hop=hop)
         _, (est, var), counts = oracle.log_binned(
             grid[band], [mean, stderr ** 2], grid[8], grid[-1],
             oracle.POINTS_PER_DECADE)
         err = oracle._bin_stderr(var, counts)
         chi2.append(np.mean(((est - 1.0) / err) ** 2))
-    assert abs(np.mean(chi2) - 1.0) < 0.15
+    return chi2
+
+
+def test_log_bin_error_calibration():
+    # One window a record.  The chi^2/dof averages 1 over seeds 0-9 (0.99);
+    # treating the Hann bins inside a log bin as independent gives about 1.6.
+    assert abs(np.mean(log_bin_chi2(2048, 96, 1)) - 1.0) < 0.15
+
+
+def test_log_bin_error_calibration_overlapped():
+    # validate's layout: records of WINDOWS_PER_RECORD half-overlapped
+    # windows, 96 windows in all.  With the overlap share of the window
+    # error the chi^2/dof averages 1 over seeds 0-9 (1.03); without it, 1.08.
+    per_record = oracle.WINDOWS_PER_RECORD
+    chi2 = log_bin_chi2(2048, 96 // per_record, per_record)
+    assert abs(np.mean(chi2) - 1.0) < 0.1
+
+
+def test_adjacent_window_correlation():
+    # The per-bin powers of adjacent half-overlapped Hann windows of white
+    # noise correlate by 1/36 (Harris, Proc. IEEE 66, 51 (1978)), the share
+    # _window_mean adds; windows two hops apart do not overlap.
+    dt, hop, per_record, count = 1e-4, 512, oracle.WINDOWS_PER_RECORD, 100
+    data = white_records(np.random.default_rng(7), count,
+                         (per_record + 1) * hop, dt)
+    band = slice(1, hop)   # no DC or Nyquist bin
+    powers = np.empty((count, per_record, hop - 1))
+    for r, j in itertools.product(range(count), range(per_record)):
+        sums = np.zeros((2, hop - 1))
+        oracle._add_periodograms(sums, data[r:r + 1, j * hop:(j + 2) * hop],
+                                 hop, dt, band, None, np.ones(hop - 1))
+        powers[r, j] = sums[0]
+    # The estimator cuts the same windows from a whole record.
+    sums = np.zeros((2, hop - 1))
+    oracle._add_periodograms(sums, data[:1], hop, dt, band, None,
+                             np.ones(hop - 1))
+    assert np.allclose(sums[0], powers[0].sum(axis=0), rtol=1e-12)
+    z = (powers - powers.mean()) / powers.std()
+    assert abs(np.mean(z[:, 1:] * z[:, :-1]) - 1.0 / 36.0) < 0.005
+    assert abs(np.mean(z[:, 2:] * z[:, :-2])) < 0.005
 
 
 def test_empty_cavity_passthrough():
@@ -350,15 +392,18 @@ def test_duration_precondition():
 
 
 def test_reproducible_and_batch_invariant():
+    # validate's records: WINDOWS_PER_RECORD + 1 hops each, the streams keyed
+    # by record index, whichever call and position simulates a record.
     ss = build_state_space(config("degenerate", 0.4))
-    a = run(ss, segments=3, samples=2048, seed=31)
-    b = run(ss, segments=3, samples=2048, seed=31)
+    samples = (oracle.WINDOWS_PER_RECORD + 1) * 512
+    a = run(ss, segments=3, samples=samples, seed=31)
+    b = run(ss, segments=3, samples=samples, seed=31)
     assert np.array_equal(a.outputs, b.outputs)
-    first = run(ss, segments=1, samples=2048, seed=31, segment_offset=0)
-    third = run(ss, segments=1, samples=2048, seed=31, segment_offset=2)
+    first = run(ss, segments=1, samples=samples, seed=31, segment_offset=0)
+    third = run(ss, segments=1, samples=samples, seed=31, segment_offset=2)
     assert np.array_equal(a.outputs[0], first.outputs[0])
     assert np.array_equal(a.outputs[2], third.outputs[0])
-    other = run(ss, segments=3, samples=2048, seed=32)
+    other = run(ss, segments=3, samples=samples, seed=32)
     assert not np.array_equal(a.outputs, other.outputs)
 
 
@@ -582,13 +627,14 @@ def test_simulate_independent_of_worker_count(monkeypatch, segments, samples,
 
 
 def test_validate_report_independent_of_worker_count(monkeypatch):
-    # Batches of 16 segments: 16 + 16 + 8, each with a partial last group.
-    monkeypatch.setattr(oracle, "BATCH", 16)
+    # Calls of the fewest records, 2: 44 windows are 5 records of 8 and one
+    # of 4, simulated 2 + 2 + 1 + 1, each call with a partial last group.
+    monkeypatch.setattr(oracle, "_CALL_SAMPLES", 1)
     cfg = config("two_photon", 0.5)
     texts = []
     for workers in (1, 2):
         monkeypatch.setattr(oracle, "WORKERS", workers)
-        report = validate(cfg, "nondeg-sub", segments=40, seed=2,
+        report = validate(cfg, "nondeg-sub", segments=44, seed=2,
                           omega_lo=3e-2 * G0)
         texts.append(model.json_text(report.to_json_dict()))
     assert texts[0] == texts[1]
@@ -599,10 +645,10 @@ def test_worker_exception_reaches_caller(monkeypatch):
     monkeypatch.setattr(oracle, "WORKERS", 2)
     scan, calls = oracle._scan, itertools.count()
 
-    def failing_once(a, x):
+    def failing_once(a, x, *scratch):
         if next(calls) == 0:
             raise RuntimeError("scan failed")
-        scan(a, x)
+        scan(a, x, *scratch)
 
     monkeypatch.setattr(oracle, "_scan", failing_once)
     with pytest.raises(RuntimeError, match="scan failed"):
@@ -672,8 +718,9 @@ def test_validate_evaluates_only_the_compared_band(monkeypatch):
 
 def test_validate_simulates_the_model_it_builds(monkeypatch):
     # validate builds the nominal and the perturbed model once each, and
-    # every batch integrates that same perturbed model.
-    monkeypatch.setattr(oracle, "BATCH", 16)
+    # every call integrates that same perturbed model: 40 windows are 5
+    # records, simulated 2 + 2 + 1.
+    monkeypatch.setattr(oracle, "_CALL_SAMPLES", 1)
     cfg = config("two_photon", 0.5)
     perturbed = build_state_space(dataclasses.replace(
         cfg, squeeze=Squeezing("two_photon", 1.1 * cfg.squeeze.rate)))
@@ -696,6 +743,30 @@ def test_validate_simulates_the_model_it_builds(monkeypatch):
     assert all(ss is simulated[0] for ss in simulated)
     assert any(ss is simulated[0] for ss in built)
     assert np.array_equal(simulated[0].drift, perturbed.drift)
+
+
+def test_validate_averages_exactly_segments_windows(monkeypatch):
+    # 36 windows are 4 records of WINDOWS_PER_RECORD windows and one of 4;
+    # the records are keyed 0-4 and every window is averaged once.
+    calls, cut = [], []
+    sim, add = oracle.simulate, oracle._add_periodograms
+
+    def spy_simulate(ss, **kwargs):
+        calls.append((kwargs["segment_offset"], kwargs["segments"]))
+        return sim(ss, **kwargs)
+
+    def spy_add(sums, records, hop, *args):
+        cut.append(records.shape[0] * (records.shape[1] // hop - 1))
+        return add(sums, records, hop, *args)
+
+    monkeypatch.setattr(oracle, "simulate", spy_simulate)
+    monkeypatch.setattr(oracle, "_add_periodograms", spy_add)
+    report = validate(config(), "baseline", segments=36, seed=4,
+                      omega_lo=3e-2 * G0)
+    assert oracle.WINDOWS_PER_RECORD == 8
+    assert calls == [(0, 4), (4, 1)]
+    assert cut == [32, 4]
+    assert report.segments == 36
 
 
 def test_validate_rejects_few_segments():
