@@ -14,11 +14,14 @@ one).  ``validate`` estimates single-sided PSDs by averaging the Hann
 periodograms of windows that overlap by half (Welch, IEEE Trans. Audio
 Electroacoust. 15, 70 (1967)), WINDOWS_PER_RECORD of them cut from each
 simulated record, and compares the signal-referred result against the
-closed-form spectra.  Its periodogram stage, _add_periodograms, is the one
-estimator of this module; the calibration tests check that same function.
-Its negative control, ``perturb``, simulates a perturbed config, a copy
-whose squeeze rate is scaled by (1 + perturb) and which passes the same
-checks as any config; an unsqueezed config refuses it.
+closed-form spectra in log bins.  Its periodogram stage, _add_periodograms,
+the one estimator of this module and the one the calibration tests check,
+log-bins each window before averaging, so a log bin's error is measured
+within the windows; only the share of their overlap is taken from the
+window (_window_mean).  The negative control, ``perturb``, simulates a
+perturbed config, a copy whose squeeze rate is scaled by (1 + perturb)
+and which passes the same checks as any config; an unsqueezed config
+refuses it.
 
 Integration uses the exact one-step propagator: the matrix exponential of
 the drift together with the exact joint covariance of (state increment,
@@ -85,12 +88,12 @@ within _CALL_SAMPLES samples (16 MB) and at least 2, a record being
 ``simulate`` allocates its chunk, draw and scratch buffers once per call and
 its chunk loop writes into them in place; each periodogram thread has one
 window buffer of _FFT_GROUP windows.  Each group's rFFT is cut to the band
-before the next is taken, and every per-bin step (subtraction weight,
-signal coefficient, closed form, state-space PSD, periodogram sums) runs on
-the band alone.  The records per call are not derived from WORKERS: the
-time chunk of ``simulate``, and with it the last-bit rounding of each
-record, depends on the records per call, and reports must not depend on
-the core count.
+and binned before the next is taken, the sums are kept per log bin, and
+every per-bin step (subtraction weight, signal coefficient, closed form,
+state-space PSD) runs on the band alone.  The records per call are not
+derived from WORKERS: the time chunk of ``simulate``, and with it the
+last-bit rounding of each record, depends on the records per call, and
+reports must not depend on the core count.
 """
 
 from __future__ import annotations
@@ -320,14 +323,7 @@ def simulate(ss: StateSpace, *, segments: int = 1, samples: int, dt: float,
     if np.any(ss.output_gain[:, 2]) or np.any(ss.feedthrough[:, 2:]):
         raise SimulationError("output map reads beyond the two pairs and "
                               "their input vacua")
-    rate_max = max_rate(ss)
     optical = np.linalg.eigvals(ss.drift[:2, :2])
-    t_corr = 1.0 / min(abs(optical.real.min()), rate_max)
-    if segments * samples * dt < MIN_CORRELATION_TIMES * t_corr:
-        raise SimulationError(
-            f"duration {segments * samples * dt:.3g} s below "
-            f"{MIN_CORRELATION_TIMES} optical correlation times "
-            f"({MIN_CORRELATION_TIMES * t_corr:.3g} s)")
     burn_in = int(math.ceil(10.0 / (min(abs(optical.real)) * dt))) \
         if np.all(np.abs(optical.real) > 0) else 0
 
@@ -396,9 +392,10 @@ def simulate(ss: StateSpace, *, segments: int = 1, samples: int, dt: float,
 # --- spectral estimation --------------------------------------------------------
 
 def _add_periodograms(sums: np.ndarray, records: np.ndarray, hop: int,
-                      dt: float, band: slice, weight, sig2: np.ndarray) -> None:
-    """Add the periodograms of the records' Hann windows into sums[0] and
-    their squares into sums[1], on the rFFT bins ``band`` only.
+                      dt: float, band: slice, weight, sig2: np.ndarray,
+                      bounds: np.ndarray) -> None:
+    """Add the log-binned periodograms of the records' Hann windows into
+    sums[0] and their squares into sums[1], one column a log bin.
 
     A window is 2*hop samples long and the next starts hop samples later, so
     a record of (m + 1)*hop samples holds m windows, each overlapping its
@@ -406,11 +403,9 @@ def _add_periodograms(sums: np.ndarray, records: np.ndarray, hop: int,
     periodogram is the single-sided Hann-window estimate (unit-PSD white
     noise reads 1) of its mean-removed difference port records[r, :, 1],
     plus ``weight`` (per band bin) times its sum port when a weight is
-    given, divided by ``sig2``.  The windows, record after record, go to the
-    threads in whole groups of _FFT_GROUP, each group copied into the
-    thread's own buffer, windowed there and its rFFT cut to the band before
-    the next is taken; the per-group sums are added in group order, so the
-    result does not depend on the thread count.
+    given, divided by ``sig2``, on the rFFT bins ``band`` only; log bin i
+    averages the band bins bounds[i]:bounds[i + 1].  The threads take whole
+    groups of _FFT_GROUP windows (see the module docstring).
     """
     size = 2 * hop
     per_record = records.shape[1] // hop - 1
@@ -437,63 +432,61 @@ def _add_periodograms(sums: np.ndarray, records: np.ndarray, hop: int,
             if weight is not None:
                 combined += weight * band_fft(0, first, rows)
             per = 2.0 * dt * np.abs(combined) ** 2 / norm / sig2
-            partial[g, 0] = per.sum(axis=0)
-            partial[g, 1] = (per**2).sum(axis=0)
+            binned = np.add.reduceat(per[:, :bounds[-1]], bounds[:-1],
+                                     axis=1) / np.diff(bounds)
+            partial[g, 0] = binned.sum(axis=0)
+            partial[g, 1] = (binned**2).sum(axis=0)
 
     _in_parallel(periodogram, groups)
     for part in partial:
         sums += part
 
 
-def _window_mean(sums: np.ndarray, windows: int, records: int):
-    """Per-bin mean and standard error of ``windows`` periodograms cut from
-    ``records`` records, from the sums _add_periodograms adds.
+def _window_mean(sums: np.ndarray, windows: int, records: int, hop: int,
+                 counts: np.ndarray):
+    """Mean and standard error of each log bin (of counts[i] rFFT bins) of
+    ``windows`` windows of 2*hop samples in ``records`` records, from the
+    sums _add_periodograms adds: the estimator's one error model.
 
-    Adjacent half-overlapped Hann windows' powers in a bin correlate by
-    1/36 (Harris, Proc. IEEE 66, 51 (1978)); windows further apart do not
-    overlap.  With windows - records adjacent pairs, the mean's variance is
-    the across-window variance / windows times 1 + 2*(1/36)*(windows -
-    records)/windows: 1 + 2*(1/36)*(K - 1)/K for whole records of K windows.
+    The variance is the spread of a bin's values across windows.  For a PSD
+    white inside a bin of n rFFT bins, adjacent windows w correlate by
+        rho(n) = sum_{|d|<n} (n - |d|) |F(w[hop:] w[:-hop])[d]|^2
+                 / sum_{|d|<n} (n - |d|) |F(w w)[d]|^2,
+    F the 2*hop-point DFT (rho(1): Harris, Proc. IEEE 66, 51 (1978)), and
+    windows further apart do not overlap: with windows - records adjacent
+    pairs the variance scales by 1 + 2*rho*(windows - records)/windows.
     """
     mean = sums[0] / windows
     var = np.clip((sums[1] - windows * mean**2) / (windows - 1), 0.0, None)
-    share = 1.0 + 2.0 * (1.0 / 36.0) * (windows - records) / windows
+    win, last = np.hanning(2 * hop), counts - 1
+
+    def spread(v: np.ndarray) -> np.ndarray:   # a sum of rho, for each n
+        p = np.abs(np.fft.rfft(v, 2 * hop)) ** 2
+        c0, c1 = np.cumsum(p)[last], np.cumsum(np.arange(p.size) * p)[last]
+        return 2.0 * (counts * c0 - c1) - counts * p[0]
+
+    rho = spread(win[hop:] * win[:-hop]) / spread(win * win)
+    share = 1.0 + 2.0 * rho * (windows - records) / windows
     return mean, np.sqrt(var * share / windows)
 
 
 def log_binned(grid, columns, lo: float, hi: float, per_decade: int):
-    """Average linear-frequency columns into log-spaced bins.
+    """Average columns sampled on the ascending ``grid`` over log-spaced
+    bins of [lo, hi), per_decade bins a decade.
 
-    Returns (centers, [binned columns], counts); a binned variance column
-    divided by counts is the variance of the bin mean.
+    A bin is a contiguous range of grid indices.  Returns (centers, [binned
+    columns], bounds) for the nonempty bins: bin i averages the grid points
+    bounds[i]:bounds[i + 1], the layout _add_periodograms bins with.
     """
     decades = math.log10(hi / lo)
     edges = np.geomspace(lo, hi, max(2, int(round(decades * per_decade)) + 1))
-    idx = np.digitize(grid, edges) - 1
-    keep = (idx >= 0) & (idx < edges.size - 1)
-    counts = np.bincount(idx[keep], minlength=edges.size - 1)
-    full = counts > 0
-    outs = []
-    for col in columns:
-        sums = np.bincount(idx[keep], weights=col[keep], minlength=edges.size - 1)
-        outs.append(sums[full] / counts[full])
+    at = np.searchsorted(grid, edges)
+    full = np.diff(at) > 0
+    bounds = np.append(at[:-1][full], at[-1])
+    outs = [np.add.reduceat(col[:bounds[-1]], bounds[:-1]) / np.diff(bounds)
+            for col in columns]
     centers = np.sqrt(edges[:-1] * edges[1:])[full]
-    return centers, outs, counts[full]
-
-
-def _bin_stderr(var_b: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Standard error of a log bin's mean estimate, from the mean variance
-    var_b of the counts FFT bins it averages.
-
-    The Hann-window periodograms of neighbouring FFT bins are correlated,
-    the first neighbours' powers by 4/9 and the second neighbours' by 1/36,
-    so the mean of n = counts bins has variance var_b / n times
-    1 + 2*(4/9)*(n - 1)/n + 2*(1/36)*max(n - 2, 0)/n.
-    """
-    n = np.asarray(counts, dtype=float)
-    share = 1.0 + (2.0 * (4.0 / 9.0) * (n - 1.0)
-                   + 2.0 * (1.0 / 36.0) * np.clip(n - 2.0, 0.0, None)) / n
-    return np.sqrt(var_b * share / n)
+    return centers, outs, bounds
 
 
 # --- validation harness -----------------------------------------------------------
@@ -505,7 +498,8 @@ class ValidationReport:
     ``closed_form`` and ``state_space_psd`` are the expectations of the
     estimate: the closed-form and the simulated model's PSD, each rolled off
     by sinc^2(Omega*dt/2) above the white floor of the step-averaged
-    samples, then signal-referred (see the module docstring).
+    samples, then signal-referred (see the module docstring), per log bin.
+    ``stderr`` is measured within the windows, the overlap share from the window.
     """
 
     case: str
@@ -559,9 +553,10 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
     of omega_lo, and the compared band starts at the larger of omega_lo and
     the 8th window bin.  A grid point agrees when |estimate - closed| <=
     max(3*stderr, tolerance*closed); the run passes when at least 95% of
-    points agree.  A bin's stderr counts the 1/36 power correlation of
-    adjacent windows (_window_mean), and a log bin's that of neighbouring
-    Hann bins (_bin_stderr).
+    points agree.  The points are log bins, POINTS_PER_DECADE a decade; a
+    bin's stderr is measured within the windows, and only the share of
+    their overlap is taken from the window (_window_mean).  The records
+    must span MIN_CORRELATION_TIMES optical correlation times in all.
 
     ``perturb`` is the designed-mismatch negative control: the simulated
     model is built from a copy of ``config`` with the squeeze rate scaled by
@@ -644,13 +639,12 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
              for first in range(0, full, per_call)]
     if left:
         calls.append((full, 1, (left + 1) * hop))
-    sums = np.zeros((2, grid.size))
-    for first, records, length in calls:
-        # The call's output samples live only through this call.
-        _add_periodograms(sums, simulate(
-            ss_sim, segments=records, samples=length, dt=dt, seed=seed,
-            segment_offset=first).outputs, hop, dt, band, weight, sig2)
-    est, stderr = _window_mean(sums, segments, full + (left > 0))
+    duration = dt * sum(records * length for _, records, length in calls)
+    t_corr = 1.0 / np.max(np.abs(np.linalg.eigvals(ss_sim.drift[:2, :2]).real))
+    if duration < MIN_CORRELATION_TIMES * t_corr:
+        raise SimulationError(
+            f"duration {duration:.3g} s below {MIN_CORRELATION_TIMES} "
+            f"optical correlation times ({MIN_CORRELATION_TIMES * t_corr:.3g} s)")
 
     # Both references are the expectation of this estimator (see the module
     # docstring): the output PSD, before signal referring, rolls off by
@@ -664,11 +658,17 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
     closed = expected(closed_form_psd(case, config, grid) * sig2)
     ss_pred = expected(ss_sim.output_psd(grid, ref_weight=None if weight is None
                                          else np.conj(weight)))
+    centers, (closed_b, ss_b), bounds = log_binned(
+        grid, [closed, ss_pred], lo, omega_hi, POINTS_PER_DECADE)
 
-    centers, (est_b, closed_b, ss_b, var_b), counts = log_binned(
-        grid, [est, closed, ss_pred, stderr ** 2], lo,
-        omega_hi, POINTS_PER_DECADE)
-    err_b = _bin_stderr(var_b, counts)
+    sums = np.zeros((2, centers.size))
+    for first, records, length in calls:
+        # The call's output samples live only through this call.
+        _add_periodograms(sums, simulate(
+            ss_sim, segments=records, samples=length, dt=dt, seed=seed,
+            segment_offset=first).outputs, hop, dt, band, weight, sig2, bounds)
+    est_b, err_b = _window_mean(sums, segments, full + (left > 0), hop,
+                                np.diff(bounds))
 
     ok = np.abs(est_b - closed_b) <= np.maximum(3.0 * err_b,
                                                 tolerance * closed_b)

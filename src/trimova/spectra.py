@@ -32,8 +32,8 @@ import numpy as np
 from .model import (HBAR, TAU_PRESETS, RegimeWarning, Squeezing, SystemConfig,
                     braginsky_factor, config_snapshot, json_text, k0_for_n0,
                     reference_config, reference_rates)
-from .transfer import (Channel, VACUUM_CHANNELS, guard_subtraction,
-                       transfer_coefficients)
+from .transfer import (Channel, VACUUM_CHANNELS, build_state_space,
+                       guard_subtraction, transfer_coefficients)
 
 # Measured case -> squeeze kind it belongs to; raw cases precede their
 # subtracted partners.
@@ -177,7 +177,7 @@ class SpectrumSeries:
 def spectrum_series(config: SystemConfig, case: str, omega,
                     budget: bool = False) -> SpectrumSeries:
     """Assembled spectrum of a named case over ``omega``: each channel's
-    |signal-referred coefficient|^2 times its PSD, summed.
+    |signal-referred coefficient|^2 times its StateSpace.channel_psd, summed.
 
     ValueError where a drive too weak for its signal coefficient makes a
     channel overflow.
@@ -185,10 +185,10 @@ def spectrum_series(config: SystemConfig, case: str, omega,
     _check_case(config, case)
     grid = np.asarray(omega, dtype=float)
     coeffs = transfer_coefficients(config, port_for_case(case), grid)
+    psd = build_state_space(config).channel_psd
     with np.errstate(over="ignore"):
-        parts = {ch.value: np.abs(coeffs[ch]) ** 2 for ch in VACUUM_CHANNELS}
-        parts[Channel.THERMAL.value] = np.abs(coeffs[Channel.THERMAL]) ** 2 \
-            * (2.0 * config.derived.n_T + 1.0)
+        parts = {ch.value: np.abs(coeffs[ch]) ** 2 * psd[i] for i, ch
+                 in enumerate(VACUUM_CHANNELS + (Channel.THERMAL,))}
         values = sum(parts.values())
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{case}: the assembled spectrum must be finite")

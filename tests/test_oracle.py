@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.signal
 
 from trimova import model, oracle, spectra
 from trimova.model import RegimeWarning, Squeezing, StabilityError
@@ -39,20 +40,24 @@ def burn_in(ss, dt):
     return math.ceil(10.0 / (np.min(np.abs(optical.real)) * dt))
 
 
-def estimate(records, dt, weight=None, band=slice(None), hop=None):
-    """validate's periodogram estimate on the rFFT bins ``band`` of the
-    half-overlapped windows of 2*hop samples cut from ``records`` (by
-    default one window a record): the difference port records[:, :, 1],
-    plus weight times the sum port where a weight is given.  Returns (grid,
-    mean, standard error)."""
+def estimate(records, dt, weight=None, band=slice(None), hop=None,
+             bounds=None):
+    """validate's estimate on the rFFT bins ``band`` of the half-overlapped
+    windows of 2*hop samples cut from ``records`` (by default one window a
+    record): the difference port records[:, :, 1], plus weight times the
+    sum port where a weight is given, averaged over the log bins ``bounds``
+    of the band (by default each band bin is a bin).  Returns (grid of the
+    band, mean, standard error of each bin)."""
     count, samples = records.shape[:2]
     hop = samples // 2 if hop is None else hop
     grid = (2 * math.pi * np.fft.rfftfreq(2 * hop, dt))[band]
-    sums = np.zeros((2, grid.size))
+    bounds = np.arange(grid.size + 1) if bounds is None else bounds
+    sums = np.zeros((2, bounds.size - 1))
     oracle._add_periodograms(sums, records, hop, dt, band, weight,
-                             np.ones(grid.size))
+                             np.ones(grid.size), bounds)
     windows = count * (samples // hop - 1)
-    return (grid, *oracle._window_mean(sums, windows, count))
+    return (grid, *oracle._window_mean(sums, windows, count, hop,
+                                       np.diff(bounds)))
 
 
 def white_records(rng, count, samples, dt):
@@ -177,27 +182,52 @@ def test_estimator_weighted_white_noise_calibration():
         < 3.5 * ratio.std() / math.sqrt(ratio.size / 1.5)
 
 
-def log_bin_chi2(hop, records, per_record, seeds=range(10), dt=1e-4):
-    """chi^2/dof against 1 of the log-bin estimates of unit-PSD white noise
-    through validate's chain (periodogram of the half-overlapped windows,
-    log bins from bin 8 up, bin error), one value per seed."""
+def lorentzian_records(rng, count, samples, dt, pole):
+    """white_records filtered by x[t] = pole*x[t-1] + e[t], each record
+    started in the stationary state: samples of a Lorentzian PSD, white at
+    pole = 0."""
+    records = white_records(rng, count, samples, dt)
+    start = rng.standard_normal(count) / math.sqrt(2 * dt * (1 - pole**2))
+    records[:, :, 1] = scipy.signal.lfilter(
+        [1.0], [1.0, -pole], records[:, :, 1], zi=pole * start[:, None])[0]
+    return records
+
+
+def lorentzian_periodogram(hop, dt, pole):
+    """Expectation, per rFFT bin, of the Hann periodogram of 2*hop samples
+    of lorentzian_records: the autocovariance pole^|tau| / (2 dt (1 -
+    pole^2)) times the window's autocorrelation, transformed.  The window's
+    mean removal is left out; it changes no bin from 8 up by 1e-6."""
+    win = np.hanning(2 * hop)
+    lag = np.arange(2 * hop)
+    terms = pole**lag / (2 * dt * (1 - pole**2)) \
+        * np.correlate(win, win, "full")[2 * hop - 1:]
+    folded = 2 * np.fft.rfft(terms, 4 * hop)[::2].real - terms[0]
+    return 2 * dt * folded / np.sum(win**2)
+
+
+def log_bin_chi2(hop, records, per_record, seeds=range(10), dt=1e-4,
+                 pole=0.0):
+    """chi^2/dof of the log-bin estimates of lorentzian_records against
+    their expectation (1 for white noise) through validate's chain
+    (periodograms of the half-overlapped windows, log bins from bin 8 up,
+    their mean and error), one value per seed."""
     grid = 2 * math.pi * np.fft.rfftfreq(2 * hop, dt)
     band = slice(8, grid.size - 1)
+    _, (expected,), bounds = oracle.log_binned(
+        grid[band], [lorentzian_periodogram(hop, dt, pole)[band]], grid[8],
+        grid[-1], oracle.POINTS_PER_DECADE)
     chi2 = []
     for seed in seeds:
-        data = white_records(np.random.default_rng(seed), records,
-                             (per_record + 1) * hop, dt)
-        _, mean, stderr = estimate(data, dt, band=band, hop=hop)
-        _, (est, var), counts = oracle.log_binned(
-            grid[band], [mean, stderr ** 2], grid[8], grid[-1],
-            oracle.POINTS_PER_DECADE)
-        err = oracle._bin_stderr(var, counts)
-        chi2.append(np.mean(((est - 1.0) / err) ** 2))
+        data = lorentzian_records(np.random.default_rng(seed), records,
+                                  (per_record + 1) * hop, dt, pole)
+        _, est, err = estimate(data, dt, band=band, hop=hop, bounds=bounds)
+        chi2.append(np.mean(((est - expected) / err) ** 2))
     return chi2
 
 
 def test_log_bin_error_calibration():
-    # One window a record.  The chi^2/dof averages 1 over seeds 0-9 (0.99);
+    # One window a record.  The chi^2/dof averages 1 over seeds 0-9 (1.01);
     # treating the Hann bins inside a log bin as independent gives about 1.6.
     assert abs(np.mean(log_bin_chi2(2048, 96, 1)) - 1.0) < 0.15
 
@@ -205,30 +235,115 @@ def test_log_bin_error_calibration():
 def test_log_bin_error_calibration_overlapped():
     # validate's layout: records of WINDOWS_PER_RECORD half-overlapped
     # windows, 96 windows in all.  With the overlap share of the window
-    # error the chi^2/dof averages 1 over seeds 0-9 (1.03); without it, 1.08.
+    # error the chi^2/dof averages 1 over seeds 0-9 (1.03); without it, 1.10.
     per_record = oracle.WINDOWS_PER_RECORD
     chi2 = log_bin_chi2(2048, 96 // per_record, per_record)
     assert abs(np.mean(chi2) - 1.0) < 0.1
 
 
+def test_log_bin_error_calibration_lorentzian():
+    # A steep spectrum: the Lorentzian's corner, (1 - pole)/dt, lies a
+    # decade below the band, so its PSD falls as 1/Omega^2 through every
+    # log bin and no bin is white.  The error, measured across windows,
+    # calibrates as on white noise: chi^2/dof 1.03 over seeds 0-9.
+    per_record = oracle.WINDOWS_PER_RECORD
+    chi2 = log_bin_chi2(2048, 96 // per_record, per_record, pole=0.999)
+    assert abs(np.mean(chi2) - 1.0) < 0.1
+
+
+def test_estimate_is_binned_mean_of_periodograms():
+    # Binning each window before averaging gives the mean-then-bin estimate:
+    # the periodograms of validate's windows, weighted sum port included,
+    # averaged per rFFT bin and then over each log bin, built here.
+    rng = np.random.default_rng(11)
+    dt, hop, per_record, count = 1e-4, 512, oracle.WINDOWS_PER_RECORD, 3
+    records = rng.standard_normal((count, (per_record + 1) * hop, 2))
+    grid = 2 * math.pi * np.fft.rfftfreq(2 * hop, dt)
+    band = slice(8, hop)
+    weight = rng.uniform(0.0, 2.0, hop - 8) \
+        * np.exp(2j * math.pi * rng.uniform(size=hop - 8))
+    _, _, bounds = oracle.log_binned(grid[band], [], grid[8], grid[hop],
+                                     oracle.POINTS_PER_DECADE)
+    _, est, _ = estimate(records, dt, weight, band, hop, bounds)
+    win = np.hanning(2 * hop)
+    windows = [records[r, j * hop:(j + 2) * hop]
+               for r in range(count) for j in range(per_record)]
+    per_bin = np.mean([np.abs(np.fft.rfft(
+        (w[:, 1] - w[:, 1].mean()) * win)[band]
+        + weight * np.fft.rfft((w[:, 0] - w[:, 0].mean()) * win)[band]) ** 2
+        for w in windows], axis=0) * 2 * dt / np.sum(win**2)
+    want = [per_bin[a:b].mean() for a, b in zip(bounds[:-1], bounds[1:])]
+    assert np.max(np.abs(est / want - 1.0)) <= 1e-12
+
+
+def overlap_correlation(hop, counts):
+    """_window_mean's correlation rho(n) of the binned values of adjacent
+    windows, for log bins of ``counts`` rFFT bins: two windows of one
+    record, unit across-window variance, give stderr^2 = (1 + rho)/2."""
+    counts = np.asarray(counts)
+    sums = np.zeros((2, counts.size))
+    sums[1] = 1.0
+    return 2.0 * oracle._window_mean(sums, 2, 1, hop, counts)[1] ** 2 - 1.0
+
+
+def test_overlap_correlation_from_window():
+    # rho(1) is the same-bin 1/36 of the Hann window (Harris, Proc. IEEE
+    # 66, 51 (1978)); wider log bins add the neighbouring bins' correlation
+    # across adjacent windows, and rho rises to about 0.042.
+    hop = 1024
+    rho = overlap_correlation(hop, np.arange(1, hop + 2))
+    assert abs(rho[0] - 1.0 / 36.0) < 1e-3
+    assert np.all(np.diff(rho) > 0.0)
+    assert abs(rho[-1] - 0.042) < 1e-3
+
+
+def test_overlap_correlation_matches_white_noise():
+    # The binned values of adjacent windows of white noise correlate as
+    # rho(n) says, pooled over the log bins of n >= 2 rFFT bins: the mean
+    # product of the standardized values of adjacent windows against the
+    # mean rho, within 3 standard errors over the independent records.
+    dt, hop, per_record, count = 1e-4, 512, oracle.WINDOWS_PER_RECORD, 200
+    grid = 2 * math.pi * np.fft.rfftfreq(2 * hop, dt)
+    band = slice(8, hop)
+    _, _, bounds = oracle.log_binned(grid[band], [], grid[8], grid[hop],
+                                     oracle.POINTS_PER_DECADE)
+    counts = np.diff(bounds)
+    data = white_records(np.random.default_rng(7), count,
+                         (per_record + 1) * hop, dt)
+    values = np.empty((count, per_record, counts.size))
+    for r, j in itertools.product(range(count), range(per_record)):
+        sums = np.zeros((2, counts.size))
+        oracle._add_periodograms(sums, data[r:r + 1, j * hop:(j + 2) * hop],
+                                 hop, dt, band, None, np.ones(hop - 8), bounds)
+        values[r, j] = sums[0]
+    wide = counts >= 2
+    assert wide.sum() >= 40
+    z = (values - values.mean(axis=(0, 1))) / values.std(axis=(0, 1))
+    per_record_product = (z[:, 1:] * z[:, :-1])[:, :, wide].mean(axis=(1, 2))
+    error = per_record_product.std() / math.sqrt(count)
+    rho = overlap_correlation(hop, counts[wide]).mean()
+    assert abs(per_record_product.mean() - rho) < 3.0 * error
+
+
 def test_adjacent_window_correlation():
     # The per-bin powers of adjacent half-overlapped Hann windows of white
-    # noise correlate by 1/36 (Harris, Proc. IEEE 66, 51 (1978)), the share
-    # _window_mean adds; windows two hops apart do not overlap.
+    # noise correlate by 1/36 (Harris, Proc. IEEE 66, 51 (1978)), rho(1)
+    # of _window_mean; windows two hops apart do not overlap.
     dt, hop, per_record, count = 1e-4, 512, oracle.WINDOWS_PER_RECORD, 100
     data = white_records(np.random.default_rng(7), count,
                          (per_record + 1) * hop, dt)
     band = slice(1, hop)   # no DC or Nyquist bin
+    bins = np.arange(hop)
     powers = np.empty((count, per_record, hop - 1))
     for r, j in itertools.product(range(count), range(per_record)):
         sums = np.zeros((2, hop - 1))
         oracle._add_periodograms(sums, data[r:r + 1, j * hop:(j + 2) * hop],
-                                 hop, dt, band, None, np.ones(hop - 1))
+                                 hop, dt, band, None, np.ones(hop - 1), bins)
         powers[r, j] = sums[0]
     # The estimator cuts the same windows from a whole record.
     sums = np.zeros((2, hop - 1))
     oracle._add_periodograms(sums, data[:1], hop, dt, band, None,
-                             np.ones(hop - 1))
+                             np.ones(hop - 1), bins)
     assert np.allclose(sums[0], powers[0].sum(axis=0), rtol=1e-12)
     z = (powers - powers.mean()) / powers.std()
     assert abs(np.mean(z[:, 1:] * z[:, :-1]) - 1.0 / 36.0) < 0.005
@@ -349,13 +464,12 @@ def test_coarse_step_matches_folded_psd():
     band = slice(8, grid.size - 8)
     weight = ss.nulling_weight(grid[band])
     for w in (None, weight):
-        _, mean, stderr = estimate(y, dt, None if w is None else np.conj(w),
-                                   band)
         floor, terms = folded_psd(ss, grid[band], dt, weight=w)
-        _, (est, folded, var), counts = oracle.log_binned(
-            grid[band], [mean, floor + terms.sum(axis=1), stderr ** 2],
-            grid[8], grid[-8], oracle.POINTS_PER_DECADE)
-        err = np.sqrt(var / counts)
+        _, (folded,), bounds = oracle.log_binned(
+            grid[band], [floor + terms.sum(axis=1)], grid[8], grid[-8],
+            oracle.POINTS_PER_DECADE)
+        _, est, err = estimate(y, dt, None if w is None else np.conj(w),
+                               band, bounds=bounds)
         ok = np.abs(est - folded) <= np.maximum(3 * err, 0.05 * folded)
         assert ok.mean() >= 0.95
 
@@ -386,9 +500,26 @@ def test_default_step_aliases_negligible(omega_hi):
     assert worst < 1e-4
 
 
-def test_duration_precondition():
+def test_duration_precondition(monkeypatch):
+    # The records of a validate run together must span MIN_CORRELATION_TIMES
+    # optical correlation times.  A far band with a fine step falls short,
+    # and validate raises before anything is simulated.
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated")
+
+    monkeypatch.setattr(oracle, "simulate", no_simulation)
     with pytest.raises(SimulationError, match="correlation times"):
-        run(build_state_space(config()), segments=1, samples=16)
+        validate(config(), "baseline", segments=32, omega_lo=1000 * G0,
+                 omega_hi=2000 * G0, dt=math.pi / (60000 * G0))
+
+
+def test_duration_precondition_counts_every_record():
+    # 32 windows at 5-8 gamma0 are 4 records and span enough correlation
+    # times; a 33rd window adds a one-window record, which is short on its
+    # own, and the run stays valid.
+    report = validate(config(), "baseline", segments=33, omega_lo=5 * G0,
+                      omega_hi=8 * G0)
+    assert report.segments == 33
 
 
 def test_reproducible_and_batch_invariant():
