@@ -221,11 +221,18 @@ def cmd_validate(args, argv) -> int:
 
 
 def cmd_replay(args, argv) -> int:
-    with open(args.manifest, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    command = manifest.get("command")
-    if not command:
-        raise UsageError("manifest has no recorded command")
+    try:
+        with open(args.manifest, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read manifest: {exc}") from None
+    command = manifest.get("command") if isinstance(manifest, dict) else None
+    if not (isinstance(command, list) and command
+            and all(isinstance(item, str) for item in command)):
+        raise UsageError("manifest has no recorded command: a JSON object "
+                         "whose 'command' is a non-empty list of strings")
+    if command[0] == "replay":
+        raise UsageError("manifest records a replay, which is not re-run")
     print(f"replaying: trimova {' '.join(command)}")
     return main(command)
 

@@ -51,11 +51,13 @@ For every squeeze kind the drift, and hence the one-step propagator, is
 lower-triangular in the cascade order sum pair -> mechanics -> difference
 pair.  The state recursion is therefore three scalar first-order
 recurrences run in turn, each fed by the states upstream of it, and each is
-evaluated as a two-level blocked prefix scan (Blelloch 1990): all blocks
-advance in lockstep, the states entering them come from the same scan run
-over the block ends, and are then carried in.  A propagator
-with an entry against that order is rejected.  Time is processed in
-chunks, so the working memory does not grow with the record length.
+evaluated as a blocked prefix scan (Blelloch 1990): all blocks of
+_SCAN_BLOCK steps advance in lockstep, the states entering them come from
+the same scan run over the block ends, and are then carried in.  A block
+of 8 steps costs least per element: a larger block makes the scan's two
+transposes write to more streams at once.  A propagator with an entry
+against that order is rejected.  Time is processed in chunks, so the
+working memory does not grow with the record length.
 
 Randomness is counter-based and parallel-safe: each (seed, segment,
 component) triple owns a Philox stream, components 0-4 for the five normals
@@ -84,13 +86,18 @@ run on the calling thread only.
 Memory of ``validate``: it holds the output samples of one ``simulate``
 call at a time: an even number of records, as many as keep its output
 within _CALL_SAMPLES samples (16 MB) and at least 2, a record being
-(WINDOWS_PER_RECORD + 1) half-windows long.  Each thread of
-``simulate`` allocates its chunk, draw and scratch buffers once per call and
-its chunk loop writes into them in place; each periodogram thread has one
-window buffer of _FFT_GROUP windows.  Each group's rFFT is cut to the band
-and binned before the next is taken, the sums are kept per log bin, and
-every per-bin step (subtraction weight, signal coefficient, closed form,
-state-space PSD) runs on the band alone.  The records per call are not
+(WINDOWS_PER_RECORD + 1) half-windows long.  ``simulate`` writes each
+output sample in place, in one contiguous row per segment and port: a kept
+step's output noise, then the read-out of the state.  Each of its threads
+allocates its chunk, draw and scratch buffers once per call, and its chunk
+loop writes into them in place: 2**18 segment-steps of four values (8 MiB
+in all) and 0.6 MiB of draws a thread.  On two threads a call of six
+147,456-sample records measures about 10 MiB besides its output under
+tracemalloc, under 12 MiB.  Each periodogram thread has one window buffer
+of _FFT_GROUP windows, filled by contiguous copies from the port rows.
+Each group's rFFT is cut to the band and binned before the next is taken,
+the sums are kept per log bin, and every per-bin step (subtraction weight,
+signal coefficient, closed form, state-space PSD) runs on the band alone.  The records per call are not
 derived from WORKERS: the time chunk of ``simulate``, and with it the
 last-bit rounding of each record, depends on the records per call, and
 reports must not depend on the core count.
@@ -119,7 +126,7 @@ _CALL_SAMPLES = 1 << 20   # output samples of one simulate call in validate
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
 _FFT_GROUP = 5            # windows per windowed-rFFT group in validate
-_SCAN_BLOCK = 64          # steps per block of the state scan
+_SCAN_BLOCK = 8           # steps per block of the state scan
 _DRAW_BLOCK = 1 << 14     # steps a segment draws at once, so they stay in cache
 _CASCADE = (0, 2, 1)      # sum pair -> mechanics -> difference pair
 _TAYLOR_DEGREE = 18       # of the matrix exponential
@@ -286,7 +293,7 @@ def _in_parallel(task, items: int) -> None:
 class SimulationResult:
     """Output samples of a batch of independent segments."""
 
-    outputs: np.ndarray      # (segments, samples, 2): sum port, difference port
+    outputs: np.ndarray   # (segments, samples, 2): sum port, difference port
     dt: float
 
 
@@ -313,12 +320,17 @@ def simulate(ss: StateSpace, *, segments: int = 1, samples: int, dt: float,
     The state update is a triangular cascade: the sum pair, then the
     mechanics, then the difference pair, each a scalar first-order recurrence
     (see _scan) whose input is its own noise and the upstream states through
-    the off-diagonal propagator entries.  SimulationError is raised when the
-    propagator has an entry against that order.  Time runs in chunks of
-    about 2**19 steps summed over segments, so the working memory besides
-    the returned arrays stays under about 30 MB whatever the record length:
+    the off-diagonal propagator entries, scanned in blocks of _SCAN_BLOCK
+    steps.  SimulationError is raised when the propagator has an entry
+    against that order.  Time runs in chunks of about 2**18 steps summed
+    over segments, so the working memory besides the returned array stays
+    near 10 MiB, under 12 MiB on two threads, whatever the record length:
     the noise of a whole segment is never held at once.  The segments are
     split over WORKERS threads (see the module docstring).
+
+    ``outputs`` is a (segments, samples, 2) view of an array stored port by
+    port: outputs[s, :, p] is contiguous.  The burn-in steps draw their
+    normals but form no output sample.
     """
     if np.any(ss.output_gain[:, 2]) or np.any(ss.feedthrough[:, 2:]):
         raise SimulationError("output map reads beyond the two pairs and "
@@ -335,21 +347,19 @@ def simulate(ss: StateSpace, *, segments: int = 1, samples: int, dt: float,
             "mechanics -> difference pair")
 
     total = burn_in + samples
-    out = np.empty((segments, samples, 2))
-    # 2**19 segment-steps, and no more steps than a segment takes.
-    chunk = min(total, max(1, (8 << 20) // (16 * segments)))
+    out = np.empty((2, segments, samples))   # port rows out[p, s]
+    # 2**18 segment-steps, and no more steps than a segment takes.
+    chunk = min(total, max(1, (4 << 20) // (16 * segments)))
     width = 1 + -(-chunk // _SCAN_BLOCK) * _SCAN_BLOCK
 
     def integrate(lo: int, hi: int) -> None:
         gens = [_segment_generators(seed, segment_offset + s, 5)
                 for s in range(lo, hi)]
         # x[:, :, k] is the state entering step start + k, x[:, :, 1:] holds
-        # the scan inputs until the scan; y holds the output samples.
-        # z holds a segment's draws of up to _DRAW_BLOCK steps; the scans
-        # and the products run in scratch, so the chunk loop allocates no
-        # array of chunk size.
+        # the scan inputs until the scan.  z holds a segment's draws of up to
+        # _DRAW_BLOCK steps; the scans and the products run in scratch, so
+        # the chunk loop allocates no array of chunk size.
         x = np.zeros((3, hi - lo, width))
-        y = np.empty((2, hi - lo, chunk))
         z = np.empty((5, min(chunk, _DRAW_BLOCK)))
         scratch = np.empty((hi - lo) * (width - 1))
 
@@ -358,6 +368,8 @@ def simulate(ss: StateSpace, *, segments: int = 1, samples: int, dt: float,
 
         for start in range(0, total, chunk):
             size = min(chunk, total - start)
+            first = max(0, burn_in - start)   # the chunk's first kept step
+            lag = start - burn_in             # out's index of step start
             for s, seg_gens in enumerate(gens):
                 for at in range(0, size, z.shape[1]):
                     to = min(size, at + z.shape[1])
@@ -365,8 +377,12 @@ def simulate(ss: StateSpace, *, segments: int = 1, samples: int, dt: float,
                         gen.standard_normal(out=z[comp, :to - at])
                     np.einsum("rc,ck->rk", factor[:3], z[:, :to - at],
                               out=x[:, s, 1 + at:to + 1])
-                    np.einsum("rc,ck->rk", factor[3:], z[:, :to - at],
-                              out=y[:, s, at:to])
+                    # A kept step's output noise goes straight to out.
+                    kept = max(at, first)
+                    if kept < to:
+                        np.einsum("rc,ck->rk", factor[3:],
+                                  z[:, kept - at:to - at],
+                                  out=out[:, lo + s, lag + kept:lag + to])
             x[:, :, size + 1:] = 0.0   # zero inputs fill the last block
             stop = 1 + -(-size // _SCAN_BLOCK) * _SCAN_BLOCK
             for i, row in enumerate(_CASCADE):
@@ -375,18 +391,14 @@ def simulate(ss: StateSpace, *, segments: int = 1, samples: int, dt: float,
                     u += times(phi_xx[row, col], x[col, :, :size])
                 _scan(phi_xx[row, row], x[row, :, :stop], scratch)
 
-            first = max(0, burn_in - start)
             if first < size:
-                keep = slice(start + first - burn_in, start + size - burn_in)
-                for p in range(2):
-                    yp = y[p, :, first:size]
-                    for j in range(3):
-                        yp += times(read_x[p, j], x[j, :, first:size])
-                    out[lo:hi, keep, p] = yp
+                for p, j in zip(*np.nonzero(read_x)):   # zero terms skipped
+                    out[p, lo:hi, lag + first:lag + size] += times(
+                        read_x[p, j], x[j, :, first:size])
             x[:, :, 0] = x[:, :, size]
 
     _in_parallel(integrate, segments)
-    return SimulationResult(out, dt)
+    return SimulationResult(out.transpose(1, 2, 0), dt)
 
 
 # --- spectral estimation --------------------------------------------------------

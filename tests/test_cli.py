@@ -399,3 +399,25 @@ def test_replay_reproduces_outputs(tmp_path, monkeypatch):
     (tmp_path / "replayme.csv").unlink()
     assert cli.main(["replay", str(manifest)]) == 0
     assert (tmp_path / "replayme.csv").read_bytes() == original
+
+
+@pytest.mark.parametrize("manifest", [
+    {"command": ["replay", "loop.json"]},
+    [{"command": ["threshold"]}],
+    {"command": "threshold"},
+    None,
+], ids=["names-itself", "list", "string-command", "directory"])
+def test_replay_rejects_malformed_manifest(tmp_path, monkeypatch, capsys,
+                                           manifest):
+    # A replay of a replay would recurse; a list or a string is no command;
+    # a directory is no manifest.
+    monkeypatch.chdir(tmp_path)
+    if manifest is None:
+        (tmp_path / "loop.json").mkdir()
+    else:
+        (tmp_path / "loop.json").write_text(json.dumps(manifest))
+    assert cli.main(["replay", "loop.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines

@@ -5,6 +5,7 @@ import itertools
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -579,14 +580,18 @@ def loop_simulate(ss, *, segments, samples, dt, seed=0, segment_offset=0,
 
 
 def assert_matches_loop(ss, **options):
-    # 250 segments make the time chunk 2097 steps; the burn-in and 2393
-    # samples end in a partial second chunk, and neither chunk is a whole
-    # number of blocks.
+    # 240 segments make simulate's time chunk (2**18 segment-steps) 1092
+    # steps, not a whole number of blocks.  The samples are set from the
+    # model's burn-in so that the record ends in a partial second chunk,
+    # half a block past a block end.
     dt = 0.05 / oracle.max_rate(ss)
-    chunk, tail = 2097, burn_in(ss, dt) + 2393 - 2097
-    assert 0 < tail < chunk and tail % oracle._SCAN_BLOCK
-    assert chunk % oracle._SCAN_BLOCK
-    shape = dict(segments=250, samples=2393, dt=dt, seed=7)
+    segments, block = 240, oracle._SCAN_BLOCK
+    chunk = (4 << 20) // (16 * segments)
+    tail = chunk // 2 // block * block + block // 2
+    samples = chunk + tail - burn_in(ss, dt)
+    assert samples > 0 and 0 < tail < chunk
+    assert tail % block and chunk % block
+    shape = dict(segments=segments, samples=samples, dt=dt, seed=7)
     got = simulate(ss, **shape, **options).outputs
     want = loop_simulate(ss, **shape, **options)
     scale = np.max(np.abs(want), axis=(0, 1))
@@ -693,11 +698,14 @@ def test_discretize_matches_van_loan(kind, lossless):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+# Lengths at the edges of one block and of the upper level for the current
+# block, and fixed lengths that end in whole and in partial blocks at any
+# block of 8 to 64 steps.
 @pytest.mark.parametrize("a", [0.97, 1.0, -0.5, 0.999, -0.99])
-@pytest.mark.parametrize("n", [1, oracle._SCAN_BLOCK - 1, oracle._SCAN_BLOCK,
-                               oracle._SCAN_BLOCK + 1, 3 * oracle._SCAN_BLOCK + 5,
-                               oracle._SCAN_BLOCK * 65,
-                               oracle._SCAN_BLOCK * 131 + 1])
+@pytest.mark.parametrize("n", sorted({
+    1, oracle._SCAN_BLOCK - 1, oracle._SCAN_BLOCK, oracle._SCAN_BLOCK + 1,
+    3 * oracle._SCAN_BLOCK + 5, oracle._SCAN_BLOCK * 65,
+    oracle._SCAN_BLOCK * 131 + 1, 63, 64, 65, 197, 4160, 8385}))
 def test_scan_matches_recurrence(n, a):
     rng = np.random.default_rng(n)
     u = rng.standard_normal((4, n))
@@ -786,6 +794,26 @@ def test_worker_exception_reaches_caller(monkeypatch):
         run(build_state_space(config()), segments=4, samples=4096, seed=1)
     assert next(calls) > 1
     assert not [t for t in threading.enumerate() if t.name == "trimova-oracle"]
+
+
+def test_simulate_working_memory_and_layout(monkeypatch):
+    # A call of the bench's validate shape, six records of 147,456 samples
+    # on two workers: besides its output, the tracemalloc peak stays under
+    # the 12 MiB that simulate's docstring states, and the samples of a
+    # segment's port are one contiguous row.
+    monkeypatch.setattr(oracle, "WORKERS", 2)
+    ss = build_state_space(config("two_photon", 0.5))
+    dt = oracle._band_step(10.0 * G0, ss)
+    tracemalloc.start()
+    try:
+        outputs = simulate(ss, segments=6, samples=147456, dt=dt,
+                           seed=1).outputs
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - outputs.nbytes < 12 * 2**20
+    assert outputs.shape == (6, 147456, 2)
+    assert outputs[3, :, 0].strides == outputs[3, :, 1].strides == (8,)
 
 
 # --- validation harness ------------------------------------------------------------
