@@ -297,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "report exactly")
     p.add_argument("--tolerance", type=float, default=0.05)
     p.add_argument("--dt", type=float, help="integrator step, s; pi/dt must "
-                   "be at least 3*omega-max (default pi/max(3*omega-max, "
-                   "20*fastest rate))")
+                   "be at least 1.5*omega-max (default pi/max(1.5*omega-max, "
+                   "10*fastest rate))")
     p.add_argument("--omega-min", help="comparison band start (rad/s or g0, "
                    "default 0.01g0); the compared band starts at the larger "
                    "of this and the 8th bin of a window")

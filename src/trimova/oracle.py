@@ -38,14 +38,16 @@ unit single-sided PSD (delta correlation strength 1/2), the bath channel
 2*n_T + 1.
 
 ``validate`` sizes its default step to the band, not to the dynamics alone:
-dt = pi / max(3*omega_hi, 20*max_rate), the larger rate of the simulated and
-the nominal model.  Its reference is the expectation of the estimator it
-computes, a Hann periodogram of step-averaged samples: averaging over a step
-multiplies the output PSD S by sinc^2(Omega*dt/2), and sampling folds the
-aliases Omega + 2*pi*m/dt onto each bin.  The white floor (1 for a raw port,
-1 + |w|^2 for the subtracted port with nulling weight w) folds to exactly
-itself, so the reference is floor + sinc^2(Omega*dt/2) * (S - floor); the
-m != 0 terms are dropped, being below 1e-4 of it at the default step.
+dt = pi / max(1.5*omega_hi, 10*max_rate), the larger rate of the simulated
+and the nominal model.  Its references are the expectation of the estimator
+it computes, a Hann periodogram of step-averaged samples, taken exactly
+from the sampled model (_sampled_psd): averaging over a step multiplies the
+output PSD S by sinc^2(Omega*dt/2) and sampling folds every alias
+Omega + 2*pi*m/dt onto each bin; the discrete model that ``simulate`` steps
+holds both.  No alias is dropped, so the step need not keep them
+small; at the default step the aliases m != 0 are up to 5e-4 of the
+reference.  The closed-form reference is the nominal model's with its own
+alias m = 0 replaced by the closed form's, sinc^2(Omega*dt/2) times it.
 
 For every squeeze kind the drift, and hence the one-step propagator, is
 lower-triangular in the cascade order sum pair -> mechanics -> difference
@@ -83,21 +85,21 @@ scipy.linalg.expm: after each call, a thread of scipy's bundled OpenBLAS
 spins for about 130 ms on the core a worker needs.  The public functions
 run on the calling thread only.
 
-Memory of ``validate``: it holds the output samples of one ``simulate``
-call at a time: an even number of records, as many as keep its output
-within _CALL_SAMPLES samples (16 MB) and at least 2, a record being
-(WINDOWS_PER_RECORD + 1) half-windows long.  ``simulate`` writes each
-output sample in place, in one contiguous row per segment and port: a kept
-step's output noise, then the read-out of the state.  Each of its threads
-allocates its chunk, draw and scratch buffers once per call, and its chunk
-loop writes into them in place: 2**18 segment-steps of four values (8 MiB
-in all) and 0.6 MiB of draws a thread.  On two threads a call of six
-147,456-sample records measures about 10 MiB besides its output under
-tracemalloc, under 12 MiB.  Each periodogram thread has one window buffer
-of _FFT_GROUP windows, filled by contiguous copies from the port rows.
-Each group's rFFT is cut to the band and binned before the next is taken,
-the sums are kept per log bin, and every per-bin step (subtraction weight,
-signal coefficient, closed form, state-space PSD) runs on the band alone.  The records per call are not
+Memory of ``validate``: it holds the output samples of one ``simulate`` call
+at a time: an even number of records, as many as keep its output within
+_CALL_SAMPLES samples a port (14 MiB in all) and at least 2, a record being
+(WINDOWS_PER_RECORD + 1) half-windows long.  ``simulate`` writes each output
+sample in place, in one contiguous row per segment and port: a kept step's
+output noise, then the read-out of the state.  Each of its threads allocates
+its chunk, draw and scratch buffers once per call, and its chunk loop writes
+into them in place: 2**18 segment-steps of four values (8 MiB in all) and
+0.6 MiB of draws a thread.  On two threads a call of twelve 73,728-sample
+records measures about 10 MiB besides its output under tracemalloc, under 12
+MiB.  Each periodogram thread has one window buffer of _FFT_GROUP windows,
+filled by contiguous copies from the port rows.  Each group's rFFT is cut to
+the band and binned before the next is taken, the sums are kept per log bin,
+and every per-bin step (subtraction weight, signal coefficient, closed form,
+state-space PSD) runs on the band alone.  The records per call are not
 derived from WORKERS: the time chunk of ``simulate``, and with it the
 last-bit rounding of each record, depends on the records per call, and
 reports must not depend on the core count.
@@ -120,7 +122,7 @@ MIN_SEGMENTS = 32
 MIN_CORRELATION_TIMES = 100.0
 POINTS_PER_DECADE = 40    # log bins per decade of a validation report
 WINDOWS_PER_RECORD = 8    # half-overlapped Hann windows cut from one record
-_CALL_SAMPLES = 1 << 20   # output samples of one simulate call in validate
+_CALL_SAMPLES = 7 << 17   # output samples of one simulate call in validate
 # Threads of simulate and of validate's periodogram stage: every core this
 # process may run on.
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -143,11 +145,12 @@ def max_rate(ss: StateSpace) -> float:
 
 
 def _band_step(omega_hi: float, *models: StateSpace) -> float:
-    """Default step of validate: Nyquist at least 3*omega_hi, so the band is
-    resolved, and at least 20 times the fastest rate of the models, so the
-    aliases the reference drops stay below 1e-4 of it."""
-    return math.pi / max(3.0 * omega_hi,
-                         20.0 * max(max_rate(ss) for ss in models))
+    """Default step of validate: Nyquist at least 1.5*omega_hi, so the band
+    is resolved, and at least 10 times the fastest rate of the models, so
+    the aliases, which both references take from the models, stay a small
+    share of them (up to 5e-4)."""
+    return math.pi / max(1.5 * omega_hi,
+                         10.0 * max(max_rate(ss) for ss in models))
 
 
 def _expm(m: np.ndarray) -> np.ndarray:
@@ -220,6 +223,28 @@ def _discretize(ss: StateSpace, dt: float):
     vals, vecs = np.linalg.eigh(sigma * inv[:, None] * inv[None, :])
     factor = scale[:, None] * vecs * np.sqrt(np.clip(vals, 0.0, None))
     return phi[:3, :3], C @ phi[3:5, :3] / dt, factor
+
+
+def _sampled_psd(ss: StateSpace, dt: float, omega: np.ndarray,
+                 weight=None) -> np.ndarray:
+    """Single-sided PSD of the output samples that ``simulate`` forms from
+    ``ss`` at step dt: of the difference port, plus ``weight`` (per Omega,
+    applied like _add_periodograms' weight) times the sum port when given.
+
+    The samples obey x' = phi_xx x + factor[:3] e, y = read_x x + factor[3:] e
+    (see _discretize), so with z = exp(i*Omega*dt), the rFFT's kernel, they
+    respond to the normals e by h = read_x (z I - phi_xx)^-1 factor[:3] +
+    factor[3:], and the PSD is 2*dt*sum_c |h[1, c] + weight*h[0, c]|^2.
+    That is the PSD of the step averages folded over every alias
+    Omega + 2*pi*m/dt, with the weight held at its value at Omega.
+    """
+    phi_xx, read_x, factor = _discretize(ss, dt)
+    z = np.exp(1j * omega * dt)
+    x = np.linalg.solve(z[:, None, None] * np.eye(3) - phi_xx,
+                        np.broadcast_to(factor[:3], (omega.size, 3, 5)))
+    h = np.einsum("oj,fjc->foc", read_x, x) + factor[3:]
+    row = h[:, 1] if weight is None else h[:, 1] + weight[:, None] * h[:, 0]
+    return 2.0 * dt * np.sum(np.abs(row) ** 2, axis=1)
 
 
 def _scan(a: float, x: np.ndarray, scratch: np.ndarray | None = None) -> None:
@@ -508,9 +533,9 @@ class ValidationReport:
     """Comparison of the simulated spectrum against the closed form.
 
     ``closed_form`` and ``state_space_psd`` are the expectations of the
-    estimate: the closed-form and the simulated model's PSD, each rolled off
-    by sinc^2(Omega*dt/2) above the white floor of the step-averaged
-    samples, then signal-referred (see the module docstring), per log bin.
+    estimate, signal-referred, per log bin: the PSD of the simulated model's
+    step-averaged samples with every alias, and the nominal model's with
+    its alias m = 0 taken from the closed form (see the module docstring).
     ``stderr`` is measured within the windows, the overlap share from the window.
     """
 
@@ -577,7 +602,7 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
     nonzero ``perturb`` on an unsqueezed config raises SimulationError, and
     so do a negative ``seed`` and a band that is not 0 < omega_lo <
     omega_hi.  An explicit ``dt`` must be finite and positive and give
-    pi/dt >= 3*omega_hi; the default is _band_step's.
+    pi/dt >= 1.5*omega_hi; the default is _band_step's.
     """
     if segments < MIN_SEGMENTS:
         raise SimulationError(f"need at least {MIN_SEGMENTS} segments")
@@ -611,10 +636,10 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
     elif not (math.isfinite(dt) and dt > 0.0):
         raise SimulationError(f"dt = {dt} s: the step must be finite and "
                               "positive")
-    elif math.pi / dt < 3.0 * omega_hi:
+    elif math.pi / dt < 1.5 * omega_hi:
         raise SimulationError(
             f"dt = {dt:.3g} s too coarse for the band: Nyquist {math.pi / dt:.3g}"
-            f" rad/s is below 3 * omega_hi = {3.0 * omega_hi:.3g} rad/s")
+            f" rad/s is below 1.5 * omega_hi = {1.5 * omega_hi:.3g} rad/s")
     window = 1 << max(8, math.ceil(math.log2(4.0 * 2.0 * math.pi
                                              / (omega_lo * dt))))
     grid_full = 2.0 * math.pi * np.fft.rfftfreq(window, dt)
@@ -658,18 +683,14 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
             f"duration {duration:.3g} s below {MIN_CORRELATION_TIMES} "
             f"optical correlation times ({MIN_CORRELATION_TIMES * t_corr:.3g} s)")
 
-    # Both references are the expectation of this estimator (see the module
-    # docstring): the output PSD, before signal referring, rolls off by
-    # sinc^2(Omega*dt/2) above the white floor that the step average keeps.
-    floor = 1.0 if weight is None else 1.0 + np.abs(weight) ** 2
+    # Both references are the expectation of this estimator, the PSD of the
+    # sampled model (see the module docstring).  The closed form replaces the
+    # nominal model's own alias m = 0, sinc^2(Omega*dt/2) times its PSD.
+    ss_pred = _sampled_psd(ss_sim, dt, grid, weight) / sig2
     roll = np.sinc(grid * dt / (2.0 * math.pi)) ** 2
-
-    def expected(output_psd: np.ndarray) -> np.ndarray:
-        return (floor + roll * (output_psd - floor)) / sig2
-
-    closed = expected(closed_form_psd(case, config, grid) * sig2)
-    ss_pred = expected(ss_sim.output_psd(grid, ref_weight=None if weight is None
-                                         else np.conj(weight)))
+    closed = _sampled_psd(ss_nom, dt, grid, weight) / sig2 + roll * (
+        closed_form_psd(case, config, grid) - ss_nom.output_psd(
+            grid, ref_weight=None if weight is None else np.conj(weight)) / sig2)
     centers, (closed_b, ss_b), bounds = log_binned(
         grid, [closed, ss_pred], lo, omega_hi, POINTS_PER_DECADE)
 

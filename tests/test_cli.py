@@ -273,10 +273,14 @@ def test_validate_rejects_few_segments(tmp_path, capsys):
     # Nyquist of a 2.2e-7 s step is about 62 gamma0, below the 200 gamma0
     # band end: the report would stop short of the band it claims to check.
     (["--dt", "2.2e-7", "--omega-max", "200g0"], "too coarse"),
+    # Nyquist of a 1e-6 s step is about 14 gamma0, below 1.5 times the
+    # default band end of 10 gamma0.
+    (["--dt", "1e-6"], "too coarse"),
     (["--omega-min", "1g0", "--omega-max", "0.5g0"], "comparison band"),
     (["--dt", "0"], "finite and positive"),
     (["--dt=-1e-7"], "finite and positive"),
-], ids=["dt-too-coarse", "empty-band", "dt-zero", "dt-negative"])
+], ids=["dt-too-coarse", "dt-too-coarse-default-band", "empty-band",
+        "dt-zero", "dt-negative"])
 def test_validate_unusable_band_exits_2(tmp_path, capsys, band, message):
     out = tmp_path / "r.json"
     code = cli.main(["validate", "--case", "baseline", "--segments", "32",
@@ -284,6 +288,16 @@ def test_validate_unusable_band_exits_2(tmp_path, capsys, band, message):
     assert code == 2
     assert message in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_validate_accepts_step_near_band_limit(tmp_path, capsys):
+    # Nyquist of a 9e-7 s step is about 15.5 gamma0, just above 1.5 times
+    # the default band end of 10 gamma0.
+    out = tmp_path / "r.json"
+    code = cli.main(["validate", "--case", "nondeg-sub", "--kappa", "0.5g0",
+                     "--segments", "32", "--dt", "9e-7", "--out", str(out)])
+    assert code in (0, 1), capsys.readouterr().err
+    assert json.loads(out.read_text())["dt"] == 9e-7
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -476,10 +476,10 @@ def test_coarse_step_matches_folded_psd():
 
 
 @pytest.mark.parametrize("omega_hi", [1.0, 10.0])
-def test_default_step_aliases_negligible(omega_hi):
-    # At validate's default step the aliases m != 0 that its reference drops
-    # are below 1e-4 of the expected periodogram, for every case, lossy and
-    # lossless, at both squeeze rates and both pumps.
+def test_sampled_reference_matches_folded_psd(omega_hi):
+    # validate's reference, the PSD of the sampled model, is the folded PSD
+    # of the step averages with every alias, to 1e-8, for every case, lossy
+    # and lossless, at both squeeze rates and both pumps, at the default step.
     omega = np.geomspace(1e-2 * G0, omega_hi * G0, 30, endpoint=False)
     worst = 0.0
     for case, kind in spectra.CASE_KIND.items():
@@ -494,11 +494,12 @@ def test_default_step_aliases_negligible(omega_hi):
             weight = ss.nulling_weight(omega) \
                 if spectra.port_for_case(case) == "subtracted" else None
             floor, terms = folded_psd(ss, omega, dt, weight=weight)
-            own = terms[:, terms.shape[1] // 2]   # the m = 0 term
-            neglected = terms.sum(axis=1) - own
-            reference = floor + own
-            worst = max(worst, np.max(np.abs(neglected) / reference))
-    assert worst < 1e-4
+            # validate's weight acts on rFFT bins: the conjugate (see there).
+            sampled = oracle._sampled_psd(
+                ss, dt, omega, None if weight is None else np.conj(weight))
+            folded = floor + terms.sum(axis=1)
+            worst = max(worst, np.max(np.abs(sampled / folded - 1.0)))
+    assert worst < 1e-8
 
 
 def test_duration_precondition(monkeypatch):
@@ -797,7 +798,7 @@ def test_worker_exception_reaches_caller(monkeypatch):
 
 
 def test_simulate_working_memory_and_layout(monkeypatch):
-    # A call of the bench's validate shape, six records of 147,456 samples
+    # A call of the bench's validate shape, twelve records of 73,728 samples
     # on two workers: besides its output, the tracemalloc peak stays under
     # the 12 MiB that simulate's docstring states, and the samples of a
     # segment's port are one contiguous row.
@@ -806,13 +807,13 @@ def test_simulate_working_memory_and_layout(monkeypatch):
     dt = oracle._band_step(10.0 * G0, ss)
     tracemalloc.start()
     try:
-        outputs = simulate(ss, segments=6, samples=147456, dt=dt,
+        outputs = simulate(ss, segments=12, samples=73728, dt=dt,
                            seed=1).outputs
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak - outputs.nbytes < 12 * 2**20
-    assert outputs.shape == (6, 147456, 2)
+    assert outputs.shape == (12, 73728, 2)
     assert outputs[3, :, 0].strides == outputs[3, :, 1].strides == (8,)
 
 
@@ -926,6 +927,34 @@ def test_validate_averages_exactly_segments_windows(monkeypatch):
     assert calls == [(0, 4), (4, 1)]
     assert cut == [32, 4]
     assert report.segments == 36
+
+
+@pytest.mark.parametrize("frac", [0.5, 0.9])
+def test_default_step_keeps_the_grid(frac):
+    # At half the default step a window holds twice the samples over the
+    # same time, so the rFFT grid, the band and every log bin stay the same,
+    # bit for bit.
+    cfg = config("two_photon", frac)
+    report = validate(cfg, "nondeg-sub", segments=32)
+    fine = validate(cfg, "nondeg-sub", segments=32, dt=report.dt / 2)
+    assert report.grid.size > 0
+    assert np.array_equal(report.grid, fine.grid)
+
+
+def test_validate_caps_call_output(monkeypatch):
+    # The bench's validate, 200 windows of nondeg-sub at kappa = 0.5 gamma0:
+    # no simulate call returns more than 884,736 output samples of a port.
+    sizes, sim = [], oracle.simulate
+
+    def spy_simulate(ss, **kwargs):
+        result = sim(ss, **kwargs)
+        sizes.append(result.outputs.shape[0] * result.outputs.shape[1])
+        return result
+
+    monkeypatch.setattr(oracle, "simulate", spy_simulate)
+    validate(config("two_photon", 0.5), "nondeg-sub", segments=200)
+    assert sum(sizes) == 25 * 73728
+    assert max(sizes) <= 884736
 
 
 def test_validate_rejects_few_segments():
