@@ -48,7 +48,8 @@ RATIO_CAVITY_VS_MECH_FREQ = 0.15   # gamma / omega_m
 RATIO_LOSS_VS_INPUT = 0.1      # gamma_e / gamma0
 MIN_PULSE_CYCLES = 10.0        # omega_m * tau
 
-_ROUND_TRIP_TOL = 1e-12
+# Squeeze kind -> its rate's key in a config file's [squeeze] section.
+RATE_KEY = {"two_photon": "kappa", "degenerate": "upsilon"}
 
 
 def _require_finite(params) -> None:
@@ -234,13 +235,12 @@ class DerivedQuantities:
     and spectra modules read.
 
     n_T:  thermal occupancy of the mechanical bath
-    K0:   normalized pump, rad/s (from DriveConfig.K0 or its input power)
-    N0:   degenerate normalization of the same drive, K0*(g0-ge)/g
+    K0:   normalized pump, rad/s (from DriveConfig.K0 or its input power);
+          both spectral paths scale by the pump rate K0*gamma*(g0-ge)
     """
 
     n_T: float
     K0: float
-    N0: float
 
 
 def _check_stability(squeeze: Squeezing, cavity: OpticalCavity) -> None:
@@ -258,7 +258,8 @@ class SystemConfig:
     """Complete, immutable description of one sensor configuration.
 
     Construction resolves the drive to K0, freezes the derived scalars,
-    raises StabilityError for an overdriven parametric pump, and emits
+    raises StabilityError for an overdriven parametric pump, ConfigError for
+    a drive whose pump rate K0*gamma*(gamma0 - gamma_e) overflows, and emits
     RegimeWarning for soft regime violations.
     """
 
@@ -276,11 +277,14 @@ class SystemConfig:
         K0 = self.drive.K0
         if K0 is None:
             K0 = dimensionless_power(cav, self.mechanical, self.drive.input_power)
-        derived = DerivedQuantities(
-            n_T=self.mechanical.occupancy, K0=K0,
-            N0=K0 * (cav.gamma0 - cav.gamma_e) / cav.gamma)
+        derived = DerivedQuantities(n_T=self.mechanical.occupancy, K0=K0)
         # A finite but huge or tiny drive can overflow a derived quantity.
         _require_finite(derived)
+        # Both spectral paths scale by the pump rate, so it must be finite.
+        pump = K0 * cav.gamma * (cav.gamma0 - cav.gamma_e)
+        if not math.isfinite(pump):
+            raise ConfigError(f"pump rate K0*gamma*(gamma0-gamma_e) must be "
+                              f"finite, got {pump} at K0 = {K0:.6g}")
         object.__setattr__(self, "derived", derived)
         for message in self.regime_findings():
             warnings.warn(message, RegimeWarning, stacklevel=3)
@@ -315,7 +319,7 @@ _SECTION_KEYS = {
     "mechanical": {"mass", "omega_m", "gamma_m", "Q", "temperature"},
     "cavity": {"gamma0", "gamma_e", "length", "omega0", "wavelength"},
     "drive": {"K0", "input_power"},
-    "squeeze": {"type", "kappa", "upsilon"},
+    "squeeze": {"type", *RATE_KEY.values()},
     "signal": {"tau", "psi_f", "F_s0", "f_s0"},
 }
 
@@ -363,17 +367,14 @@ def parse_config(data: dict) -> SystemConfig:
         cavity = OpticalCavity(
             cav_d["gamma0"], cav_d["gamma_e"], cav_d["length"], cav_d["omega0"])
 
-    kind = squeeze_d.get("type", "none")
-    if kind == "two_photon":
-        squeeze = Squeezing("two_photon", squeeze_d.get("kappa", 0.0))
-    elif kind == "degenerate":
-        squeeze = Squeezing("degenerate", squeeze_d.get("upsilon", 0.0))
-    elif kind == "none":
-        if set(squeeze_d) - {"type"}:
-            raise ConfigError("[squeeze] type 'none' takes no rate")
-        squeeze = Squeezing()
-    else:
+    kind = squeeze_d.pop("type", "none")
+    if kind not in ("none", *RATE_KEY):
         raise ConfigError(f"unknown squeeze type {kind!r}")
+    key = RATE_KEY.get(kind)
+    if set(squeeze_d) - {key}:
+        raise ConfigError(f"[squeeze] type {kind!r} takes no rate"
+                          + ("" if key is None else f" but {key!r}"))
+    squeeze = Squeezing(kind, squeeze_d.get(key, 0.0))
 
     drive = DriveConfig(K0=drive_d.get("K0"), input_power=drive_d.get("input_power"))
     signal = SignalPulse(tau=signal_d["tau"], psi_f=signal_d.get("psi_f", 0.0),
@@ -412,10 +413,8 @@ def config_snapshot(config: SystemConfig) -> dict:
         "squeeze": {"type": config.squeeze.kind},
         "signal": {"tau": config.signal.tau, "psi_f": config.signal.psi_f},
     }
-    if config.squeeze.kind == "two_photon":
-        snap["squeeze"]["kappa"] = config.squeeze.rate
-    elif config.squeeze.kind == "degenerate":
-        snap["squeeze"]["upsilon"] = config.squeeze.rate
+    if config.squeeze.kind in RATE_KEY:
+        snap["squeeze"][RATE_KEY[config.squeeze.kind]] = config.squeeze.rate
     if config.signal.f_s0 is not None:
         snap["signal"]["f_s0"] = config.signal.f_s0
     elif config.signal.F_s0 is not None:

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (HBAR, TAU_PRESETS, RegimeWarning, Squeezing, SystemConfig,
-                    braginsky_factor, config_snapshot, json_text, k0_for_n0,
-                    reference_config, reference_rates)
+from .model import (HBAR, RATE_KEY, TAU_PRESETS, RegimeWarning, Squeezing,
+                    SystemConfig, braginsky_factor, config_snapshot, json_text,
+                    k0_for_n0, reference_config, reference_rates)
 from .transfer import (Channel, VACUUM_CHANNELS, build_state_space,
                        guard_subtraction, transfer_coefficients)
 
@@ -80,44 +80,30 @@ def sql_psd(gamma_m: float, omega):
 def closed_form_psd(case: str, config: SystemConfig, omega):
     """Closed-form signal-referred PSD of one measured case.
 
-    The unsqueezed cases are the two-photon forms at rate 0, internal-loss
-    residual included.  ``deg-sub`` raises PoleError
-    where the reference port reflects no vacuum (upsilon = gamma0 - gamma_e,
-    Omega = 0).
+    One expression for every kind: with P = K0*gamma*(gamma0 - gamma_e) the
+    pump rate, imprecision, raw back action and the subtracted port's
+    loss-vacuum residual depend on the kind only through the rate gamma + s
+    of the sum pair that carries the back action: s = +upsilon (degenerate)
+    or -kappa (two-photon; 0 unsqueezed).  The subtracted cases raise
+    PoleError where the reference-port reflection (gamma0 - gamma_e - s +
+    i*Omega)/(gamma + s - i*Omega) vanishes: upsilon = gamma0 - gamma_e at
+    Omega = 0, never under two-photon squeezing.
     """
     _check_case(config, case)
     w = np.asarray(omega, dtype=float)
-    mech, cav = config.mechanical, config.cavity
+    cav, gm = config.cavity, config.mechanical.gamma_m
     g0, ge, g = cav.gamma0, cav.gamma_e, cav.gamma
-    gm = mech.gamma_m
     rate = config.squeeze.rate
-    thermal = 2.0 * gm * (2.0 * config.derived.n_T + 1.0)
-    mech2 = gm**2 + w**2
-    K0 = config.derived.K0
-
-    if CASE_KIND[case] != "degenerate":
-        n = g0 - ge - rate + 1j * w          # squeezed-pair reflection numerator
-        d_plus = g - rate - 1j * w           # antisqueezed-pair response
-        xi_plus2 = np.abs(g0 - ge + rate + 1j * w) ** 2 / np.abs(d_plus) ** 2
-        pump = K0 * g * (g0 - ge)
-        # Back action enters the mechanics through the antisqueezed pair; the
-        # squeezed pair it leaves through also carries the signal and cancels.
-        ba_mag = pump / np.abs(d_plus) ** 2
-        out = thermal + mech2 * (np.abs(n) ** 2 + 4.0 * g0 * ge) / pump
-        if not case.endswith("-sub"):
-            return out + ba_mag * (1.0 + ge / g0)
-        return out + ba_mag * ge / (g0 * xi_plus2)
-
-    # degenerate
-    d = g + rate - 1j * w
-    zeta2 = np.abs(g0 - ge - rate + 1j * w) ** 2 / np.abs(d) ** 2
-    sigma2_loss = 4.0 * g0 * ge / np.abs(d) ** 2
-    strength_mag = config.derived.N0 * g**2 / np.abs(d) ** 2
-    out = thermal + mech2 / strength_mag * (zeta2 + sigma2_loss)
-    if case == "deg-raw":
-        return out + strength_mag * (1.0 + ge / g0)
-    guard_subtraction(g0 - ge - rate + 1j * w, g0)
-    return out + strength_mag * ge / (g0 * zeta2)
+    s = rate if CASE_KIND[case] == "degenerate" else -rate
+    pump = config.derived.K0 * g * (g0 - ge)
+    out = 2.0 * gm * (2.0 * config.derived.n_T + 1.0) \
+        + (gm**2 + w**2) * (np.abs(g0 - ge - rate + 1j * w) ** 2
+                            + 4.0 * g0 * ge) / pump
+    if not case.endswith("-sub"):
+        return out + pump / np.abs(g + s - 1j * w) ** 2 * (1.0 + ge / g0)
+    reflection = g0 - ge - s + 1j * w
+    guard_subtraction(reflection / (g + s - 1j * w))
+    return out + pump / np.abs(reflection) ** 2 * (ge / g0)
 
 
 # --- channel assembly ----------------------------------------------------------
@@ -215,8 +201,12 @@ def ratio_to_sql(series: SpectrumSeries) -> SpectrumSeries:
 
 def detection_threshold_spectral(config: SystemConfig, case: str) -> float:
     """Normalized force amplitude resolvable over the configured pulse's
-    bandwidth: f_min = sqrt(S_f(0) * dOmega / 2pi) with dOmega = 2pi/tau."""
-    value = float(closed_form_psd(case, config, 0.0))
+    bandwidth: f_min = sqrt(S_f(0) * dOmega / 2pi) with dOmega = 2pi/tau;
+    ValueError where S_f(0) overflows."""
+    with np.errstate(over="ignore"):
+        value = float(closed_form_psd(case, config, 0.0))
+    if not math.isfinite(value):
+        raise ValueError(f"{case}: the spectral threshold must be finite")
     return math.sqrt(value / config.signal.tau)
 
 
@@ -334,13 +324,12 @@ def figure_curves(figure_id: str, points: int = 400) -> dict:
     if figure_id not in FIGURES:
         raise ValueError(f"unknown figure id {figure_id!r}")
     spec = FIGURES[figure_id]
-    param = {"two_photon": "kappa", "degenerate": "upsilon",
-             "none": "baseline"}[CASE_KIND[spec.case]]
+    param = RATE_KEY.get(CASE_KIND[spec.case])
     curves = {}
     for frac in spec.rates:
         config = figure_config(figure_id, frac)
         series = spectrum_series(config, spec.case,
                                  default_grid(config, points=points))
-        label = "baseline" if param == "baseline" else f"{param}_{frac:g}g0"
+        label = "baseline" if param is None else f"{param}_{frac:g}g0"
         curves[label] = ratio_to_sql(series)
     return curves

@@ -171,16 +171,14 @@ def build_state_space(config: SystemConfig) -> StateSpace:
     return StateSpace(A, B, C, D, psd, e_f)
 
 
-def guard_subtraction(reflection, scale: float) -> None:
+def guard_subtraction(reflection) -> None:
     """Raise PoleError where the reference port reflects no input vacuum.
 
-    ``reflection`` is the reference-port reflection, or its numerator
-    gamma0 - gamma_e - r_ref + i*Omega (r_ref the sum-pair squeeze rate,
-    -kappa or +upsilon), and ``scale`` its size away from that zero: 1 for
-    the reflection, gamma0 for the numerator.  The subtraction filter
-    divides by it.
+    ``reflection`` is the reference-port reflection of the sum-pair input
+    vacuum, (gamma0 - gamma_e - s + i*Omega)/(gamma + s - i*Omega) with the
+    sum pair decaying at gamma + s; the subtraction filter divides by it.
     """
-    if np.any(np.abs(reflection) <= 1e-14 * scale):
+    if np.any(np.abs(reflection) <= 1e-14):
         raise PoleError("subtraction filter undefined: the reference port "
                         "reflects no input vacuum (upsilon = gamma0 - gamma_e "
                         "at Omega = 0)")
@@ -190,7 +188,7 @@ def _nulling(h: np.ndarray) -> np.ndarray:
     """Nulling weight -h_diff,alpha+ / h_sum,alpha+ of a frequency response
     h[frequency, output, channel]; PoleError where the sum port reflects no
     input vacuum."""
-    guard_subtraction(h[:, 0, 0], 1.0)
+    guard_subtraction(h[:, 0, 0])
     return -h[:, 1, 0] / h[:, 0, 0]
 
 

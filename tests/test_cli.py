@@ -93,11 +93,15 @@ def test_invalid_case_exits_2(tmp_path):
     ["validate", "--case", "baseline", "--omega-max", "inf", "--out", "v.json"],
     # Finite drives whose derived quantities or spectrum overflow.
     ["threshold", "--k0", "1e308"],
+    ["threshold", "--k0", "1e300"],
+    # A finite pump rate against a sum pair at kappa = (1 - 1e-9)*gamma.
+    ["threshold", "--k0", "2e296", "--kappa", "226194.67083227047"],
     ["spectrum", "--case", "baseline", "--k0", "1e308", "--out", "s.csv"],
     ["spectrum", "--case", "baseline", "--power", "1e300", "--out", "s.csv"],
     ["spectrum", "--case", "baseline", "--k0", "1e-300", "--out", "s.csv"],
 ], ids=["kappa-nan", "gamma-m-nan", "tau-nan", "k0-inf", "spectrum-k0-nan",
         "spectrum-omega-min-nan", "validate-omega-max-inf", "k0-huge",
+        "k0-pump-overflow", "k0-edge-overflow",
         "spectrum-k0-huge", "spectrum-power-huge", "spectrum-k0-tiny"])
 def test_non_finite_input_exits_2(tmp_path, monkeypatch, capsys, recwarn,
                                   argv):
@@ -110,6 +114,21 @@ def test_non_finite_input_exits_2(tmp_path, monkeypatch, capsys, recwarn,
     assert "Warning" not in captured.err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("squeeze", [
+    {"type": "two_photon", "upsilon": 5e4},
+    {"type": "degenerate", "kappa": 5e4, "upsilon": 1e4},
+])
+def test_config_with_other_kinds_rate_exits_2(tmp_path, capsys, squeeze):
+    path = write_config(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["squeeze"] = squeeze
+    path.write_text(json.dumps(doc))
+    assert cli.main(["threshold", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "takes no rate" in captured.err
 
 
 def test_threshold_at_two_photon_stability_edge_exits_2(capsys):

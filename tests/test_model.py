@@ -238,6 +238,20 @@ def test_config_rejects_non_finite(section, key, value):
         model.parse_config(doc)
 
 
+@pytest.mark.parametrize("squeeze", [
+    {"type": "two_photon", "upsilon": 5e4},
+    {"type": "degenerate", "kappa": 5e4, "upsilon": 1e4},
+    {"type": "none", "kappa": 0.0},
+], ids=["two-photon-upsilon", "degenerate-kappa", "none-kappa"])
+def test_config_rejects_other_kinds_rate(squeeze):
+    # A squeeze type reads its own rate key only; the other kind's key is an
+    # error, not a silently dropped rate.
+    doc = _config_document()
+    doc["squeeze"] = squeeze
+    with pytest.raises(ConfigError, match="takes no rate"):
+        model.parse_config(doc)
+
+
 def test_config_rejects_ambiguous_inputs():
     doc = _config_document()
     doc["mechanical"]["gamma_m"] = 0.01

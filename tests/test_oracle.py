@@ -452,10 +452,22 @@ def folded_psd(ss, omega, dt, weight=None, aliases=400):
     return floor, terms
 
 
-def test_coarse_step_matches_folded_psd():
+def sampled_vs_folded(ss, dt, omega, weight=None):
+    """Largest relative gap between validate's reference, the PSD of the
+    sampled model, and the folded PSD of the step averages with every
+    alias."""
+    floor, terms = folded_psd(ss, omega, dt, weight=weight)
+    # validate's weight acts on rFFT bins: the conjugate (see there).
+    sampled = oracle._sampled_psd(
+        ss, dt, omega, None if weight is None else np.conj(weight))
+    return np.max(np.abs(sampled / (floor + terms.sum(axis=1)) - 1.0))
+
+
+def test_coarse_step_matches_sampled_psd():
     # Ten times the step cap simulate once imposed (dt * max_rate = 0.5):
     # the exact step stays unbiased, and the periodogram of the step-averaged
-    # samples is the folded PSD, for a raw port and for the subtracted one.
+    # samples is the PSD of the sampled model, for a raw port and for the
+    # subtracted one.
     ss = build_state_space(config("two_photon", 0.5))
     dt = 0.5 / oracle.max_rate(ss)
     samples, segments = 4096, 64
@@ -464,15 +476,23 @@ def test_coarse_step_matches_folded_psd():
     grid = 2 * math.pi * np.fft.rfftfreq(samples, dt)
     band = slice(8, grid.size - 8)
     weight = ss.nulling_weight(grid[band])
-    for w in (None, weight):
-        floor, terms = folded_psd(ss, grid[band], dt, weight=w)
-        _, (folded,), bounds = oracle.log_binned(
-            grid[band], [floor + terms.sum(axis=1)], grid[8], grid[-8],
-            oracle.POINTS_PER_DECADE)
-        _, est, err = estimate(y, dt, None if w is None else np.conj(w),
-                               band, bounds=bounds)
-        ok = np.abs(est - folded) <= np.maximum(3 * err, 0.05 * folded)
+    for w in (None, np.conj(weight)):
+        _, (expected,), bounds = oracle.log_binned(
+            grid[band], [oracle._sampled_psd(ss, dt, grid[band], w)],
+            grid[8], grid[-8], oracle.POINTS_PER_DECADE)
+        _, est, err = estimate(y, dt, w, band, bounds=bounds)
+        ok = np.abs(est - expected) <= np.maximum(3 * err, 0.05 * expected)
         assert ok.mean() >= 0.95
+
+
+def test_coarse_step_sampled_psd_matches_folded_psd():
+    # The coarse step keeps its alias-by-alias check, raw and subtracted.
+    ss = build_state_space(config("two_photon", 0.5))
+    dt = 0.5 / oracle.max_rate(ss)
+    omega = np.geomspace(2 * math.pi * 8 / (4096 * dt), math.pi / dt, 30,
+                         endpoint=False)
+    for weight in (None, ss.nulling_weight(omega)):
+        assert sampled_vs_folded(ss, dt, omega, weight) < 1e-8
 
 
 @pytest.mark.parametrize("omega_hi", [1.0, 10.0])
@@ -493,12 +513,7 @@ def test_sampled_reference_matches_folded_psd(omega_hi):
             dt = oracle._band_step(omega_hi * G0, ss)
             weight = ss.nulling_weight(omega) \
                 if spectra.port_for_case(case) == "subtracted" else None
-            floor, terms = folded_psd(ss, omega, dt, weight=weight)
-            # validate's weight acts on rFFT bins: the conjugate (see there).
-            sampled = oracle._sampled_psd(
-                ss, dt, omega, None if weight is None else np.conj(weight))
-            folded = floor + terms.sum(axis=1)
-            worst = max(worst, np.max(np.abs(sampled / folded - 1.0)))
+            worst = max(worst, sampled_vs_folded(ss, dt, omega, weight))
     assert worst < 1e-8
 
 

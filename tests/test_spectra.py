@@ -223,6 +223,19 @@ def test_reductions_between_cases():
     assert np.all(sub <= shot + thermal)
 
 
+@pytest.mark.parametrize("lossless", [False, True])
+@pytest.mark.parametrize("port", transfer.PORTS)
+def test_closed_form_is_one_expression_at_rate_zero(lossless, port):
+    # The kinds differ only in the sum pair's rate, gamma - kappa against
+    # gamma + upsilon, so at rate 0 their closed forms are the same numbers.
+    w = np.concatenate([[0.0], spectra.default_grid(config(), points=60)])
+    values = [closed_form_psd(case, config(kind, 0.0, lossless=lossless), w)
+              for case, kind in spectra.CASE_KIND.items()
+              if spectra.port_for_case(case) == port]
+    assert len(values) == 3
+    assert all(np.array_equal(v, values[0]) for v in values[1:])
+
+
 # --- SQL ---------------------------------------------------------------------------
 
 def test_sql_psd_values():

@@ -138,7 +138,9 @@ def test_degenerate_response_limits():
     own = raw(ideal, DIFFERENCE, 0.0)
     assert own[Channel.ALPHA_MINUS] == pytest.approx(1.0)
     ref = transfer_coefficients(ideal, "difference", 0.0)
-    assert abs(ref[Channel.ALPHA_PLUS]) ** 2 == pytest.approx(ideal.derived.N0)
+    cav = ideal.cavity
+    n0 = ideal.derived.K0 * (cav.gamma0 - cav.gamma_e) / cav.gamma
+    assert abs(ref[Channel.ALPHA_PLUS]) ** 2 == pytest.approx(n0)
     # The damped-quadrature reflection (g0 - ge - u)/(g + u) at Omega = 0
     # decreases monotonically as the pump grows.
     mags = []
@@ -152,10 +154,14 @@ def test_degenerate_response_limits():
 
 
 def test_degenerate_drive_normalization():
-    cfg = config("degenerate", 0.5)
-    cav = cfg.cavity
-    assert cfg.derived.N0 == pytest.approx(
-        cfg.derived.K0 * (cav.gamma0 - cav.gamma_e) / cav.gamma, rel=1e-14)
+    # k0_for_n0, which sets the drive of fig7-fig9 and of --n0, inverts the
+    # degenerate normalization N0 = K0*(g0 - ge)/g.
+    for lossless in (False, True):
+        cav = config("degenerate", 0.5, lossless=lossless).cavity
+        for n0 in (1.0, math.pi / 28e-6, 1e6):
+            K0 = model.k0_for_n0(n0, cav.gamma0, cav.gamma_e)
+            assert K0 * (cav.gamma0 - cav.gamma_e) / cav.gamma \
+                == pytest.approx(n0, rel=1e-14)
 
 
 def test_port_must_be_named():
