@@ -48,6 +48,9 @@ holds both.  No alias is dropped, so the step need not keep them
 small; at the default step the aliases m != 0 are up to 5e-4 of the
 reference.  The closed-form reference is the nominal model's with its own
 alias m = 0 replaced by the closed form's, sinc^2(Omega*dt/2) times it.
+Every response is one transfer.resolvent, a forward substitution along the
+cascade (below): one of the nominal drift gives the subtraction weight and
+the nominal PSD; unperturbed, one sampled PSD serves both references.
 
 For every squeeze kind the drift, and hence the one-step propagator, is
 lower-triangular in the cascade order sum pair -> mechanics -> difference
@@ -116,13 +119,15 @@ import numpy as np
 
 from .model import SystemConfig, json_text
 from .spectra import closed_form_psd, port_for_case
-from .transfer import StateSpace, build_state_space
+from .transfer import (CASCADE, StateSpace, build_state_space, check_cascade,
+                       nulling, port_psd, read_out, resolvent)
 
 MIN_SEGMENTS = 32
 MIN_CORRELATION_TIMES = 100.0
 POINTS_PER_DECADE = 40    # log bins per decade of a validation report
 WINDOWS_PER_RECORD = 8    # half-overlapped Hann windows cut from one record
 _CALL_SAMPLES = 7 << 17   # output samples of one simulate call in validate
+MAX_WINDOW = 1 << 20      # validate's longest window (figure band: 2**18)
 # Threads of simulate and of validate's periodogram stage: every core this
 # process may run on.
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -130,7 +135,6 @@ WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 _FFT_GROUP = 5            # windows per windowed-rFFT group in validate
 _SCAN_BLOCK = 8           # steps per block of the state scan
 _DRAW_BLOCK = 1 << 14     # steps a segment draws at once, so they stay in cache
-_CASCADE = (0, 2, 1)      # sum pair -> mechanics -> difference pair
 _TAYLOR_DEGREE = 18       # of the matrix exponential
 
 
@@ -139,9 +143,9 @@ class SimulationError(ValueError):
 
 
 def max_rate(ss: StateSpace) -> float:
-    """Fastest rate scale of the model, which sets the default step."""
-    return float(max(np.max(np.abs(np.linalg.eigvals(ss.drift))),
-                     np.max(np.abs(ss.drift))))
+    """Fastest rate of the model, which sets the default step: the largest
+    drift entry, at least every eigenvalue (a diagonal entry)."""
+    return float(np.max(np.abs(ss.drift)))
 
 
 def _band_step(omega_hi: float, *models: StateSpace) -> float:
@@ -239,12 +243,9 @@ def _sampled_psd(ss: StateSpace, dt: float, omega: np.ndarray,
     Omega + 2*pi*m/dt, with the weight held at its value at Omega.
     """
     phi_xx, read_x, factor = _discretize(ss, dt)
-    z = np.exp(1j * omega * dt)
-    x = np.linalg.solve(z[:, None, None] * np.eye(3) - phi_xx,
-                        np.broadcast_to(factor[:3], (omega.size, 3, 5)))
-    h = np.einsum("oj,fjc->foc", read_x, x) + factor[3:]
-    row = h[:, 1] if weight is None else h[:, 1] + weight[:, None] * h[:, 0]
-    return 2.0 * dt * np.sum(np.abs(row) ** 2, axis=1)
+    x = resolvent(phi_xx, np.exp(1j * omega * dt), factor[:3])
+    return 2.0 * dt * port_psd(read_out(read_x, x, factor[3:]), np.ones(5),
+                               weight)
 
 
 def _scan(a: float, x: np.ndarray, scratch: np.ndarray | None = None) -> None:
@@ -365,11 +366,7 @@ def simulate(ss: StateSpace, *, segments: int = 1, samples: int, dt: float,
         if np.all(np.abs(optical.real) > 0) else 0
 
     phi_xx, read_x, factor = _discretize(ss, dt)
-    against = np.triu(phi_xx[np.ix_(_CASCADE, _CASCADE)], 1)
-    if np.any(np.abs(against) > 1e-12 * np.abs(phi_xx).max()):
-        raise SimulationError(
-            "propagator couples against the cascade order sum pair -> "
-            "mechanics -> difference pair")
+    check_cascade(phi_xx, SimulationError)
 
     total = burn_in + samples
     out = np.empty((2, segments, samples))   # port rows out[p, s]
@@ -410,9 +407,9 @@ def simulate(ss: StateSpace, *, segments: int = 1, samples: int, dt: float,
                                   out=out[:, lo + s, lag + kept:lag + to])
             x[:, :, size + 1:] = 0.0   # zero inputs fill the last block
             stop = 1 + -(-size // _SCAN_BLOCK) * _SCAN_BLOCK
-            for i, row in enumerate(_CASCADE):
+            for i, row in enumerate(CASCADE):
                 u = x[row, :, 1:size + 1]
-                for col in _CASCADE[:i]:
+                for col in CASCADE[:i]:
                     u += times(phi_xx[row, col], x[col, :, :size])
                 _scan(phi_xx[row, row], x[row, :, :stop], scratch)
 
@@ -602,7 +599,8 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
     nonzero ``perturb`` on an unsqueezed config raises SimulationError, and
     so do a negative ``seed`` and a band that is not 0 < omega_lo <
     omega_hi.  An explicit ``dt`` must be finite and positive and give
-    pi/dt >= 1.5*omega_hi; the default is _band_step's.
+    pi/dt >= 1.5*omega_hi; the default is _band_step's.  N above MAX_WINDOW
+    raises SimulationError.
     """
     if segments < MIN_SEGMENTS:
         raise SimulationError(f"need at least {MIN_SEGMENTS} segments")
@@ -613,13 +611,13 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
         raise SimulationError(f"perturb = {perturb}: it must be finite")
     if seed < 0:
         raise SimulationError(f"seed = {seed}: it must be nonnegative")
-    simulated = config
+    ss_nom = ss_sim = build_state_space(config)
     if perturb != 0.0:
         if config.squeeze.kind == "none":
             raise SimulationError(f"perturb = {perturb}: an unsqueezed config "
                                   "has no squeeze rate to perturb")
-        simulated = replace(config, squeeze=replace(
-            config.squeeze, rate=config.squeeze.rate * (1.0 + perturb)))
+        ss_sim = build_state_space(replace(config, squeeze=replace(
+            config.squeeze, rate=config.squeeze.rate * (1.0 + perturb))))
     port = port_for_case(case)
     g0 = config.cavity.gamma0
     omega_lo = 1e-2 * g0 if omega_lo is None else omega_lo
@@ -629,8 +627,6 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
             f"comparison band [{omega_lo:.3g}, {omega_hi:.3g}) rad/s: it needs "
             "0 < omega_lo < omega_hi, both finite")
 
-    ss_sim = build_state_space(simulated)
-    ss_nom = build_state_space(config)
     if dt is None:
         dt = _band_step(omega_hi, ss_sim, ss_nom)
     elif not (math.isfinite(dt) and dt > 0.0):
@@ -640,8 +636,11 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
         raise SimulationError(
             f"dt = {dt:.3g} s too coarse for the band: Nyquist {math.pi / dt:.3g}"
             f" rad/s is below 1.5 * omega_hi = {1.5 * omega_hi:.3g} rad/s")
-    window = 1 << max(8, math.ceil(math.log2(4.0 * 2.0 * math.pi
-                                             / (omega_lo * dt))))
+    span = 4.0 * 2.0 * math.pi / (omega_lo * dt)   # four periods of omega_lo
+    if not span <= MAX_WINDOW:   # checked before anything is allocated
+        raise SimulationError(f"a window of {span:.3g} samples at dt = {dt:.3g}"
+                              f" s exceeds MAX_WINDOW = {MAX_WINDOW}")
+    window = 1 << max(8, math.ceil(math.log2(span)))
     grid_full = 2.0 * math.pi * np.fft.rfftfreq(window, dt)
 
     # The first few window bins are biased by the sub-band mechanical wander;
@@ -655,11 +654,12 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
     if grid.size == 0:
         raise SimulationError(f"no frequency bin in the comparison band "
                               f"[{lo:.3g}, {omega_hi:.3g}) rad/s")
-    weight = None
-    if port == "subtracted":
-        # rFFT bins of a real record carry the exp(+i*Omega*t) component, so
-        # the per-bin filter is the conjugate of the exp(-i*Omega*t) weight.
-        weight = np.conj(ss_nom.nulling_weight(grid))
+    # One nominal frequency response gives the subtraction weight and the
+    # nominal PSD.  rFFT bins of a real record carry the exp(+i*Omega*t)
+    # component, so the per-bin filter is the conjugate of the weight.
+    h_nom = ss_nom.frequency_response(grid)
+    nominal = nulling(h_nom) if port == "subtracted" else None
+    weight = None if nominal is None else np.conj(nominal)
 
     # Signal coefficient of the measured raw port (signal referring).
     sig2 = np.abs(ss_nom.signal_response(grid)[:, ss_nom.measured_port]) ** 2
@@ -686,11 +686,14 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
     # Both references are the expectation of this estimator, the PSD of the
     # sampled model (see the module docstring).  The closed form replaces the
     # nominal model's own alias m = 0, sinc^2(Omega*dt/2) times its PSD.
-    ss_pred = _sampled_psd(ss_sim, dt, grid, weight) / sig2
+    # Unperturbed, the simulated model is the nominal one: one sampled PSD.
+    sampled = _sampled_psd(ss_nom, dt, grid, weight) / sig2
+    ss_pred = sampled if ss_sim is ss_nom \
+        else _sampled_psd(ss_sim, dt, grid, weight) / sig2
     roll = np.sinc(grid * dt / (2.0 * math.pi)) ** 2
-    closed = _sampled_psd(ss_nom, dt, grid, weight) / sig2 + roll * (
-        closed_form_psd(case, config, grid) - ss_nom.output_psd(
-            grid, ref_weight=None if weight is None else np.conj(weight)) / sig2)
+    closed = sampled + roll * (closed_form_psd(case, config, grid) - port_psd(
+        h_nom, ss_nom.channel_psd, nominal) / sig2)
+    del h_nom   # not held through the simulation, where the peak RSS is
     centers, (closed_b, ss_b), bounds = log_binned(
         grid, [closed, ss_pred], lo, omega_hi, POINTS_PER_DECADE)
 

@@ -19,9 +19,10 @@ plus the sum port times the nulling weight, defined by exact cancellation
 of the input-vacuum back action.  With internal loss a loss-vacuum residual
 survives.  The sum port is an output of the ``StateSpace`` only, not one of
 PORTS.  One function forms the nulling weight from a frequency response,
-for ``StateSpace.nulling_weight`` and the subtracted port alike, and it
-holds the pole guard: where the sum port reflects no input vacuum
-(upsilon = gamma0 - gamma_e at Omega = 0) it raises PoleError.
+for ``StateSpace.nulling_weight``, the subtracted port and the oracle alike,
+and it holds the pole guard: where the sum port reflects no input vacuum
+(upsilon = gamma0 - gamma_e at Omega = 0) it raises PoleError.  Every
+response is one ``resolvent``, a forward substitution along the CASCADE.
 
 Derivation.  With side modes a+, a-, mechanics b and two-photon squeezing at
 rate kappa, H/hbar = G (a+^ b + a-^ b^ + h.c.) + i kappa (a+^ a-^ - a+ a-)
@@ -75,6 +76,51 @@ VACUUM_CHANNELS = (Channel.ALPHA_PLUS, Channel.ALPHA_MINUS,
                    Channel.EPS_PLUS, Channel.EPS_MINUS)
 # Noise channels of the StateSpace in column order, then the signal force.
 _INPUTS = VACUUM_CHANNELS + (Channel.THERMAL, Channel.SIGNAL)
+CASCADE = (0, 2, 1)   # state order sum pair -> mechanics -> difference pair
+
+
+def check_cascade(m: np.ndarray, error=ValueError) -> None:
+    """Raise ``error`` where m has an entry against CASCADE above 1e-12
+    max|m|."""
+    against = np.triu(m[np.ix_(CASCADE, CASCADE)], 1)
+    if np.any(np.abs(against) > 1e-12 * np.abs(m).max()):
+        raise error("matrix couples against the cascade order sum pair -> "
+                    "mechanics -> difference pair")
+
+
+def resolvent(m: np.ndarray, s: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """(s I - m)^-1 rhs at each s, as x[state, column, frequency]: m is
+    lower-triangular in CASCADE order (check_cascade), so this is a forward
+    substitution along the cascade, in elementwise operations on frequency
+    vectors.  PoleError where an s lies within 1e-14 max|m| of a diagonal
+    entry of m, an eigenvalue."""
+    check_cascade(m)
+    x = np.empty((m.shape[0], rhs.shape[1], s.size), dtype=complex)
+    for i, r in enumerate(CASCADE):
+        gap = s - m[r, r]
+        if np.any(np.abs(gap) <= 1e-14 * np.abs(m).max()):
+            raise PoleError("response evaluated at a pole (stability boundary)")
+        x[r] = rhs[r][:, None] + sum(m[r, c] * x[c] for c in CASCADE[:i]
+                                     if m[r, c])
+        x[r] /= gap
+    return x
+
+
+def read_out(read: np.ndarray, x: np.ndarray, feed=0.0) -> np.ndarray:
+    """read x + feed of states x[state, column, frequency], as the view
+    h[frequency, output, column]; zero terms of ``read`` are skipped."""
+    y = np.zeros((read.shape[0],) + x.shape[1:], complex) + np.asarray(
+        feed)[..., None]
+    for o, j in zip(*np.nonzero(read)):
+        y[o] += read[o, j] * x[j]
+    return y.transpose(2, 0, 1)
+
+
+def port_psd(h: np.ndarray, channel_psd: np.ndarray, weight=None) -> np.ndarray:
+    """PSD of the measured port, or of measured + weight * reference, of a
+    response h[frequency, output, channel] to channels of PSD channel_psd."""
+    row = h[:, 1] if weight is None else h[:, 1] + weight[:, None] * h[:, 0]
+    return sum(p * np.abs(row[:, c]) ** 2 for c, p in enumerate(channel_psd))
 
 
 @dataclass(frozen=True)
@@ -96,42 +142,27 @@ class StateSpace:
     signal_gain: np.ndarray
     measured_port: ClassVar[int] = 1
 
-    def _solve(self, omega, rhs: np.ndarray) -> np.ndarray:
-        """(-i*Omega - A)^-1 rhs at each Omega; PoleError where -i*Omega is
-        an eigenvalue of the drift."""
-        w = np.atleast_1d(np.asarray(omega, dtype=float))
-        eig = np.linalg.eigvals(self.drift)
-        if np.any(np.abs(eig + 1j * w[:, None])
-                  <= 1e-14 * np.max(np.abs(self.drift))):
-            raise PoleError("response evaluated at a pole of the drift "
-                            "(stability boundary)")
-        n = self.drift.shape[0]
-        lhs = -1j * w[:, None, None] * np.eye(n) - self.drift[None, :, :]
-        return np.linalg.solve(lhs, np.broadcast_to(rhs, (w.size,) + rhs.shape))
+    def _respond(self, omega, gain: np.ndarray, feed=0.0) -> np.ndarray:
+        s = -1j * np.atleast_1d(np.asarray(omega, dtype=float))
+        return read_out(self.output_gain, resolvent(self.drift, s, gain), feed)
 
     def frequency_response(self, omega) -> np.ndarray:
         """H[frequency, output, channel] (Fourier kernel exp(-i*Omega*t))."""
-        x = self._solve(omega, self.noise_gain.astype(complex))
-        return np.einsum("oj,fjc->foc", self.output_gain, x) \
-            + self.feedthrough[None, :, :]
+        return self._respond(omega, self.noise_gain, self.feedthrough)
 
     def signal_response(self, omega) -> np.ndarray:
         """Signal-to-output transfer [frequency, output]."""
-        x = self._solve(omega, self.signal_gain[:, None])
-        return np.einsum("oj,fj->fo", self.output_gain, x[:, :, 0])
+        return self._respond(omega, self.signal_gain[:, None])[:, :, 0]
 
     def nulling_weight(self, omega) -> np.ndarray:
         """Reference-port filter cancelling the sum-pair input vacuum."""
-        return _nulling(self.frequency_response(omega))
+        return nulling(self.frequency_response(omega))
 
     def output_psd(self, omega, ref_weight=None) -> np.ndarray:
         """Single-sided PSD of the measured port or of (measured +
         weight*reference)."""
-        h = self.frequency_response(omega)
-        row = h[:, 1, :]
-        if ref_weight is not None:
-            row = row + ref_weight[:, None] * h[:, 0, :]
-        return np.einsum("fc,c->f", np.abs(row) ** 2, self.channel_psd).real
+        return port_psd(self.frequency_response(omega), self.channel_psd,
+                        ref_weight)
 
 
 def build_state_space(config: SystemConfig) -> StateSpace:
@@ -184,7 +215,7 @@ def guard_subtraction(reflection) -> None:
                         "at Omega = 0)")
 
 
-def _nulling(h: np.ndarray) -> np.ndarray:
+def nulling(h: np.ndarray) -> np.ndarray:
     """Nulling weight -h_diff,alpha+ / h_sum,alpha+ of a frequency response
     h[frequency, output, channel]; PoleError where the sum port reflects no
     input vacuum."""
@@ -205,7 +236,7 @@ def transfer_coefficients(config: SystemConfig, port: str, omega) -> dict:
     rows = np.concatenate([h, ss.signal_response(w)[:, :, None]], axis=2)
     row = rows[:, 1]
     if port == "subtracted":
-        row = row + _nulling(h)[:, None] * rows[:, 0]
+        row = row + nulling(h)[:, None] * rows[:, 0]
         row[:, 0] = 0.0   # the weight cancels the input vacuum by definition
     row = row / row[:, -1:]
     row[:, -1] = 1.0

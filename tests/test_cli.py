@@ -353,6 +353,31 @@ def test_bad_band_or_seed_exits_2(tmp_path, monkeypatch, capsys, recwarn,
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("options", [
+    ["--kappa", "0.5g0", "--k0", "1e12"],
+    ["--kappa", "226194.67083227047", "--k0", "2e296"],
+    ["--kappa", "0.5g0", "--omega-min", "1e-300"],
+], ids=["k0-1e12", "k0-2e296", "omega-min-1e-300"])
+def test_validate_oversized_window_exits_2(tmp_path, monkeypatch, capsys,
+                                           options):
+    # A strong drive or a far low band would need a window of gigabytes (or
+    # failed inside numpy with "Maximum allowed size exceeded"); it is
+    # refused with one error line before anything is simulated or written.
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(oracle, "simulate", no_simulation)
+    assert cli.main(["validate", "--case", "nondeg-raw", *options,
+                     "--segments", "32", "--out", "big.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+    assert "exceeds MAX_WINDOW" in captured.err
+    assert not list(tmp_path.iterdir())
+
+
 SUBTRACTED = ["--case", "nondeg-sub", "--kappa", "0.5g0"]
 
 

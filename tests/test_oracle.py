@@ -517,6 +517,36 @@ def test_sampled_reference_matches_folded_psd(omega_hi):
     assert worst < 1e-8
 
 
+class Simulated(Exception):
+    """Raised in place of the first simulate call."""
+
+
+def test_validate_caps_the_window(monkeypatch):
+    # A window of more than MAX_WINDOW samples is refused before anything is
+    # allocated: K0 = 1e12 asks for 2**24 samples at the default band.  The
+    # figure band at every figure rate (2**18 at most) and K0 = 1e8 (2**17)
+    # reach the simulation.
+    def no_simulation(*args, **kwargs):
+        raise Simulated
+
+    monkeypatch.setattr(oracle, "simulate", no_simulation)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SimulationError, match="exceeds MAX_WINDOW"):
+            validate(config("two_photon", 0.5, K0=1e12), "nondeg-raw",
+                     segments=32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    runs = [(config("two_photon", 0.5, K0=1e8), "nondeg-sub", 1e-2 * G0)]
+    runs += [(spectra.figure_config(fid, frac), spec.case, 1e-3 * G0)
+             for fid, spec in spectra.FIGURES.items() for frac in spec.rates]
+    for cfg, case, omega_lo in runs:
+        with pytest.raises(Simulated):
+            validate(cfg, case, segments=32, omega_lo=omega_lo)
+
+
 def test_duration_precondition(monkeypatch):
     # The records of a validate run together must span MIN_CORRELATION_TIMES
     # optical correlation times.  A far band with a fine step falls short,
@@ -865,27 +895,31 @@ def test_validate_negative_control_quick():
 
 def test_validate_evaluates_only_the_compared_band(monkeypatch):
     # Every analytic reference is evaluated on the compared rFFT bins only:
-    # bin 8 and up, omega_lo <= Omega < omega_hi.
-    seen = []
+    # bin 8 and up, omega_lo <= Omega < omega_hi.  Unperturbed, the nominal
+    # frequency response gives both the subtraction weight and the nominal
+    # PSD, and the simulated model is the nominal one: one call each.
+    seen = {}
 
-    def spy(function, position):
+    def spy(owner, name, position):
+        function = getattr(owner, name)
+
         def wrapper(*args, **kwargs):
-            seen.append(np.atleast_1d(args[position]))
+            seen.setdefault(name, []).append(np.atleast_1d(args[position]))
             return function(*args, **kwargs)
-        return wrapper
+        monkeypatch.setattr(owner, name, wrapper)
 
-    monkeypatch.setattr(oracle, "closed_form_psd",
-                        spy(oracle.closed_form_psd, 2))
-    monkeypatch.setattr(oracle.StateSpace, "signal_response",
-                        spy(oracle.StateSpace.signal_response, 1))
-    monkeypatch.setattr(oracle.StateSpace, "frequency_response",
-                        spy(oracle.StateSpace.frequency_response, 1))
+    spy(oracle, "closed_form_psd", 2)
+    spy(oracle, "_sampled_psd", 2)
+    spy(oracle.StateSpace, "signal_response", 1)
+    spy(oracle.StateSpace, "frequency_response", 1)
     omega_lo, omega_hi = 3e-2 * G0, 5.0 * G0
     report = validate(config("two_photon", 0.5), "nondeg-sub", segments=32,
                       seed=3, omega_lo=omega_lo, omega_hi=omega_hi)
     assert report.grid.size > 0
-    assert len(seen) >= 4
-    for omega in seen:
+    assert {name: len(calls) for name, calls in seen.items()} == {
+        "closed_form_psd": 1, "_sampled_psd": 1, "signal_response": 1,
+        "frequency_response": 1}
+    for omega in itertools.chain(*seen.values()):
         spacing = np.min(np.diff(omega))
         assert omega.min() >= max(omega_lo, 8.0 * spacing * (1 - 1e-9))
         assert omega.max() < omega_hi

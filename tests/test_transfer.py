@@ -1,11 +1,13 @@
 """Channel-to-output coefficients: values, identities, symmetries."""
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from trimova import model, transfer
+from trimova import model, oracle, spectra, transfer
 from trimova.model import Squeezing
 from trimova.transfer import Channel, PoleError, transfer_coefficients
 
@@ -293,3 +295,78 @@ def test_channel_set_closed():
     cfg = config("two_photon", 0.5)
     c = transfer_coefficients(cfg, "difference", 0.1 * G0)
     assert set(c) == set(Channel)
+
+
+# --- the cascade resolvent ---------------------------------------------------------
+
+def case_matrix():
+    """(drift, signal-including gains, sampled propagator, its noise factor,
+    step) over 6 cases x lossy/lossless x rate {0, 0.5, 0.9} gamma0 x
+    gamma_m {from Q, 0}, the sampled form at validate's default step."""
+    for (case, kind), lossless, frac, gamma_m in itertools.product(
+            spectra.CASE_KIND.items(), (False, True), (0.0, 0.5, 0.9),
+            (None, 0.0)):
+        if kind == "none" and frac > 0.0:
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", model.RegimeWarning)
+            cfg = config(kind, frac, lossless=lossless, gamma_m=gamma_m)
+        ss = transfer.build_state_space(cfg)
+        dt = oracle._band_step(10.0 * G0, ss)
+        phi_xx, _, factor = oracle._discretize(ss, dt)
+        gains = np.column_stack([ss.noise_gain, ss.signal_gain])
+        yield ss.drift, gains, phi_xx, factor[:3], dt
+
+
+def test_resolvent_matches_dense_solve():
+    # Forward substitution along the cascade against LAPACK's dense solve,
+    # relative to the largest state of each column and frequency, for the
+    # continuous form s = -i*Omega and the sampled form s = exp(i*Omega*dt).
+    worst = 0.0
+    for drift, gains, phi_xx, noise, dt in case_matrix():
+        for m, s, rhs in (
+                (drift, -1j * np.geomspace(1e-6 * G0, 1e3 * G0, 200), gains),
+                (phi_xx, np.exp(1j * dt * np.geomspace(
+                    1e-6 * G0, math.pi / dt, 200)), noise)):
+            got = transfer.resolvent(m, s, rhs)
+            want = np.linalg.solve(
+                s[:, None, None] * np.eye(3) - m,
+                np.broadcast_to(rhs, s.shape + rhs.shape)).transpose(1, 2, 0)
+            # A column of zero gains (a lossless or undamped channel) stays 0.
+            scale = np.max(np.abs(want), axis=0)
+            err = np.max(np.abs(got - want), axis=0)
+            assert np.all(err[scale == 0.0] == 0.0)
+            worst = max(worst, np.max(err[scale > 0.0] / scale[scale > 0.0]))
+    assert worst <= 1e-13
+
+
+def test_resolvent_poles_are_the_eigenvalues():
+    # The guard fires where an eigenvalue-based guard, |s - lambda| <= 1e-14
+    # max|m| for an eigenvalue lambda of m, fires: at, just inside and just
+    # outside that distance from each eigenvalue.
+    for drift, gains, phi_xx, noise, _ in case_matrix():
+        for m, rhs in ((drift, gains), (phi_xx, noise)):
+            tol = 1e-14 * np.max(np.abs(m))
+            eig = np.linalg.eigvals(m)
+            for lam, offset in itertools.product(eig, (0.0, 0.5, 2.0)):
+                s = np.array([lam + offset * tol])
+                if np.any(np.abs(s - eig) <= tol):
+                    with pytest.raises(PoleError):
+                        transfer.resolvent(m, s, rhs)
+                else:
+                    assert np.all(np.isfinite(transfer.resolvent(m, s, rhs)))
+
+
+def test_resolvent_refuses_coupling_against_the_cascade():
+    # An entry feeding a state upstream of it (the measured pair into the
+    # driving pair, the mechanics into the sum pair) is refused, above 1e-12
+    # of the largest entry; a forward substitution would drop it silently.
+    drift = transfer.build_state_space(config("two_photon", 0.5)).drift
+    s = -1j * np.array([0.1, 1.0]) * G0
+    for entry in ((0, 1), (0, 2), (2, 1)):
+        bad = drift.copy()
+        bad[entry] = 1e-11 * np.max(np.abs(drift))
+        with pytest.raises(ValueError, match="cascade order"):
+            transfer.resolvent(bad, s, np.eye(3))
+        bad[entry] = 1e-13 * np.max(np.abs(drift))
+        transfer.resolvent(bad, s, np.eye(3))
