@@ -12,16 +12,17 @@ y = C x + D w (the reflected input D w must be built from the *same* noise
 realization that drove the cavity, or the output spectrum is wrong at order
 one).  ``validate`` estimates single-sided PSDs by averaging the Hann
 periodograms of windows that overlap by half (Welch, IEEE Trans. Audio
-Electroacoust. 15, 70 (1967)), WINDOWS_PER_RECORD of them cut from each
-simulated record, and compares the signal-referred result against the
-closed-form spectra in log bins.  Its periodogram stage, _add_periodograms,
-the one estimator of this module and the one the calibration tests check,
-log-bins each window before averaging, so a log bin's error is measured
-within the windows; only the share of their overlap is taken from the
-window (_window_mean).  The negative control, ``perturb``, simulates a
-perturbed config, a copy whose squeeze rate is scaled by (1 + perturb)
-and which passes the same checks as any config; an unsqueezed config
-refuses it.
+Electroacoust. 15, 70 (1967)), cut from a few long simulated records, and
+compares the signal-referred result against the closed-form spectra in log
+bins.  A record of m windows takes m + 1 hops, so every record boundary
+costs a hop, and the records are as long as memory allows.  Its periodogram
+stage, _add_periodograms, the one estimator of this module and the one the
+calibration tests check, log-bins each window before averaging, so a log
+bin's error is measured within the windows; only the share of their
+overlap is taken from the window (_window_mean).  The negative control,
+``perturb``, simulates a perturbed config, a copy whose squeeze rate is
+scaled by (1 + perturb) and which passes the same checks as any config; an
+unsqueezed config refuses it.
 
 Integration uses the exact one-step propagator: the matrix exponential of
 the drift together with the exact joint covariance of (state increment,
@@ -89,19 +90,20 @@ spins for about 130 ms on the core a worker needs.  The public functions
 run on the calling thread only.
 
 Memory of ``validate``: it holds the output samples of one ``simulate`` call
-at a time: an even number of records, as many as keep its output within
-_CALL_SAMPLES samples a port (14 MiB in all) and at least 2, a record being
-(WINDOWS_PER_RECORD + 1) half-windows long.  ``simulate`` writes each output
-sample in place, in one contiguous row per segment and port: a kept step's
-output noise, then the read-out of the state.  Each of its threads allocates
-its chunk, draw and scratch buffers once per call, and its chunk loop writes
-into them in place: 2**18 segment-steps of four values (8 MiB in all) and
-0.6 MiB of draws a thread.  On two threads a call of twelve 73,728-sample
-records measures about 10 MiB besides its output under tracemalloc, under 12
-MiB.  Each periodogram thread has one window buffer of _FFT_GROUP windows,
-filled by contiguous copies from the port rows.  Each group's rFFT is cut to
-the band and binned before the next is taken, the sums are kept per log bin,
-and every per-bin step (subtraction weight, signal coefficient, closed form,
+at a time: four records of one length (two where four of WINDOWS_PER_RECORD
+windows do not fit), within _CALL_SAMPLES samples a port (14 MiB in all)
+unless they hold WINDOWS_PER_RECORD windows (two of 1.2 M samples at 2**18).
+``simulate`` writes each output sample in place, in one contiguous row per
+segment and port: a kept step's output noise, then the read-out of the
+state.  Each of its threads allocates its chunk, draw and scratch buffers
+once per call, and its chunk loop writes into them in place: 2**18
+segment-steps of four values (8 MiB in all) and 0.6 MiB of draws a thread.
+On two threads a call of four 212,992-sample records, the bench's, measures
+about 10 MiB besides its output under tracemalloc, under 12 MiB.  Each
+periodogram thread has one window buffer of _FFT_GROUP windows, filled by
+contiguous copies from the port rows.  Each group's rFFT is cut to the band
+and binned before the next is taken, the sums are kept per log bin, and
+every per-bin step (subtraction weight, signal coefficient, closed form,
 state-space PSD) runs on the band alone.  The records per call are not
 derived from WORKERS: the time chunk of ``simulate``, and with it the
 last-bit rounding of each record, depends on the records per call, and
@@ -125,8 +127,8 @@ from .transfer import (CASCADE, StateSpace, build_state_space, check_cascade,
 MIN_SEGMENTS = 32
 MIN_CORRELATION_TIMES = 100.0
 POINTS_PER_DECADE = 40    # log bins per decade of a validation report
-WINDOWS_PER_RECORD = 8    # half-overlapped Hann windows cut from one record
-_CALL_SAMPLES = 7 << 17   # output samples of one simulate call in validate
+WINDOWS_PER_RECORD = 8    # windows validate's longest record may always hold
+_CALL_SAMPLES = 7 << 17   # output samples a port of a validate simulate call
 MAX_WINDOW = 1 << 20      # validate's longest window (figure band: 2**18)
 # Threads of simulate and of validate's periodogram stage: every core this
 # process may run on.
@@ -427,9 +429,10 @@ def simulate(ss: StateSpace, *, segments: int = 1, samples: int, dt: float,
 
 def _add_periodograms(sums: np.ndarray, records: np.ndarray, hop: int,
                       dt: float, band: slice, weight, sig2: np.ndarray,
-                      bounds: np.ndarray) -> None:
-    """Add the log-binned periodograms of the records' Hann windows into
-    sums[0] and their squares into sums[1], one column a log bin.
+                      bounds: np.ndarray, windows: int | None = None) -> None:
+    """Add the log-binned periodograms of the records' first ``windows``
+    Hann windows (all by default), record by record, into sums[0] and their
+    squares into sums[1], one column a log bin.
 
     A window is 2*hop samples long and the next starts hop samples later, so
     a record of (m + 1)*hop samples holds m windows, each overlapping its
@@ -443,7 +446,8 @@ def _add_periodograms(sums: np.ndarray, records: np.ndarray, hop: int,
     """
     size = 2 * hop
     per_record = records.shape[1] // hop - 1
-    windows = records.shape[0] * per_record
+    if windows is None:
+        windows = records.shape[0] * per_record
     win = np.hanning(size)
     norm = float(np.sum(win**2))
     groups = -(-windows // _FFT_GROUP)
@@ -579,18 +583,21 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
     """Simulate one measured case and compare with its closed-form spectrum.
 
     The estimate averages ``segments`` Hann windows of N samples, the next
-    starting N/2 samples later.  They are cut from records of
-    WINDOWS_PER_RECORD consecutive windows, (WINDOWS_PER_RECORD + 1)*N/2
-    samples each, one ``simulate`` segment a record; the windows left over
-    come from one shorter record, so exactly ``segments`` windows are
-    averaged.  N is the power of 2 (at least 256) that spans four periods
-    of omega_lo, and the compared band starts at the larger of omega_lo and
-    the 8th window bin.  A grid point agrees when |estimate - closed| <=
-    max(3*stderr, tolerance*closed); the run passes when at least 95% of
-    points agree.  The points are log bins, POINTS_PER_DECADE a decade; a
-    bin's stderr is measured within the windows, and only the share of
-    their overlap is taken from the window (_window_mean).  The records
-    must span MIN_CORRELATION_TIMES optical correlation times in all.
+    starting N/2 samples later.  They are cut from records of consecutive
+    windows, one ``simulate`` segment a record, four records a call (two
+    where four records of WINDOWS_PER_RECORD windows exceed _CALL_SAMPLES
+    samples): the fewest calls, each within _CALL_SAMPLES samples unless
+    its records hold WINDOWS_PER_RECORD windows, the windows split evenly.
+    Fewer than four windows of the last call may be simulated and not
+    averaged, so exactly ``segments`` windows are averaged.  N is the power
+    of 2 (at least 256) that spans four periods of omega_lo, and the
+    compared band starts at the larger of omega_lo and the 8th window bin.
+    A grid point agrees when |estimate - closed| <= max(3*stderr,
+    tolerance*closed); the run passes when at least 95% of points agree.
+    The points are log bins, POINTS_PER_DECADE a decade; a bin's stderr is
+    measured within the windows, and only the share of their overlap is
+    taken from the window (_window_mean).  The records must span
+    MIN_CORRELATION_TIMES optical correlation times in all.
 
     ``perturb`` is the designed-mismatch negative control: the simulated
     model is built from a copy of ``config`` with the squeeze rate scaled by
@@ -664,19 +671,19 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
     # Signal coefficient of the measured raw port (signal referring).
     sig2 = np.abs(ss_nom.signal_response(grid)[:, ss_nom.measured_port]) ** 2
 
-    # Records of WINDOWS_PER_RECORD windows, hop samples apart, and one
-    # shorter record for the windows left over.  A call's record count is
-    # set by the record length alone: even, so that two workers share it
-    # evenly, and as many as keep its output within _CALL_SAMPLES samples.
+    # Records of windows hop samples apart, per_call a call: four, which
+    # one, two or four workers share evenly, or two where four records of
+    # WINDOWS_PER_RECORD windows overflow _CALL_SAMPLES.  A record holds at
+    # most the windows that keep a call within it, or WINDOWS_PER_RECORD.
+    # The fewest calls hold the windows, split evenly; the last call ends
+    # with the windows (fewer than per_call) simulated and not averaged.
     hop = window // 2
-    full, left = divmod(segments, WINDOWS_PER_RECORD)
-    record = (WINDOWS_PER_RECORD + 1) * hop
-    per_call = max(2, _CALL_SAMPLES // record // 2 * 2)
-    calls = [(first, min(per_call, full - first), record)
-             for first in range(0, full, per_call)]
-    if left:
-        calls.append((full, 1, (left + 1) * hop))
-    duration = dt * sum(records * length for _, records, length in calls)
+    per_call = 2 if 4 * (WINDOWS_PER_RECORD + 1) * hop > _CALL_SAMPLES else 4
+    most = max(WINDOWS_PER_RECORD, _CALL_SAMPLES // (per_call * hop) - 1)
+    calls = -(-segments // (per_call * most))
+    per, extra = divmod(-(-segments // per_call), calls)
+    lengths = [(per + 1 + (c >= calls - extra)) * hop for c in range(calls)]
+    duration = per_call * dt * sum(lengths)
     t_corr = 1.0 / np.max(np.abs(np.linalg.eigvals(ss_sim.drift[:2, :2]).real))
     if duration < MIN_CORRELATION_TIMES * t_corr:
         raise SimulationError(
@@ -698,12 +705,14 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
         grid, [closed, ss_pred], lo, omega_hi, POINTS_PER_DECADE)
 
     sums = np.zeros((2, centers.size))
-    for first, records, length in calls:
+    for c, length in enumerate(lengths):
         # The call's output samples live only through this call.
         _add_periodograms(sums, simulate(
-            ss_sim, segments=records, samples=length, dt=dt, seed=seed,
-            segment_offset=first).outputs, hop, dt, band, weight, sig2, bounds)
-    est_b, err_b = _window_mean(sums, segments, full + (left > 0), hop,
+            ss_sim, segments=per_call, samples=length, dt=dt, seed=seed,
+            segment_offset=c * per_call).outputs, hop, dt, band, weight, sig2,
+            bounds, per_call * (length // hop - 1)
+            - (c + 1 == calls) * (-segments % per_call))
+    est_b, err_b = _window_mean(sums, segments, per_call * calls, hop,
                                 np.diff(bounds))
 
     ok = np.abs(est_b - closed_b) <= np.maximum(3.0 * err_b,

@@ -236,8 +236,13 @@ def transfer_coefficients(config: SystemConfig, port: str, omega) -> dict:
     rows = np.concatenate([h, ss.signal_response(w)[:, :, None]], axis=2)
     row = rows[:, 1]
     if port == "subtracted":
-        row = row + nulling(h)[:, None] * rows[:, 0]
+        weight = nulling(h)
+        row = row + weight[:, None] * rows[:, 0]
         row[:, 0] = 0.0   # the weight cancels the input vacuum by definition
+        # eps+ enters, like alpha+, only through the sum-pair state: its
+        # residual is alpha+'s reflection scaled by their gain ratio.
+        row[:, 2] = weight * (-ss.feedthrough[0, 0] * ss.noise_gain[0, 2]
+                              / ss.noise_gain[0, 0])
     row = row / row[:, -1:]
     row[:, -1] = 1.0
     return {ch: row[:, i] for i, ch in enumerate(_INPUTS)}

@@ -2,11 +2,13 @@
 
 import dataclasses
 import itertools
+import json
 import math
 import sys
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,11 +236,11 @@ def test_log_bin_error_calibration():
 
 
 def test_log_bin_error_calibration_overlapped():
-    # validate's layout: records of WINDOWS_PER_RECORD half-overlapped
-    # windows, 96 windows in all.  With the overlap share of the window
-    # error the chi^2/dof averages 1 over seeds 0-9 (1.03); without it, 1.10.
-    per_record = oracle.WINDOWS_PER_RECORD
-    chi2 = log_bin_chi2(2048, 96 // per_record, per_record)
+    # validate's layout: a few long records of half-overlapped windows, here
+    # two of 48, 96 windows in all.  With the overlap share of the window
+    # error the chi^2/dof averages 1 over seeds 0-9 (1.03; 12 records of 8
+    # windows read 1.03, 4 of 24 read 1.02).
+    chi2 = log_bin_chi2(2048, 2, 48)
     assert abs(np.mean(chi2) - 1.0) < 0.1
 
 
@@ -246,7 +248,8 @@ def test_log_bin_error_calibration_lorentzian():
     # A steep spectrum: the Lorentzian's corner, (1 - pole)/dt, lies a
     # decade below the band, so its PSD falls as 1/Omega^2 through every
     # log bin and no bin is white.  The error, measured across windows,
-    # calibrates as on white noise: chi^2/dof 1.03 over seeds 0-9.
+    # calibrates as on white noise: chi^2/dof 1.03 over seeds 0-9, in 12
+    # records of WINDOWS_PER_RECORD windows.
     per_record = oracle.WINDOWS_PER_RECORD
     chi2 = log_bin_chi2(2048, 96 // per_record, per_record, pole=0.999)
     assert abs(np.mean(chi2) - 1.0) < 0.1
@@ -561,17 +564,17 @@ def test_duration_precondition(monkeypatch):
 
 
 def test_duration_precondition_counts_every_record():
-    # 32 windows at 5-8 gamma0 are 4 records and span enough correlation
-    # times; a 33rd window adds a one-window record, which is short on its
-    # own, and the run stays valid.
+    # 33 windows at 5-8 gamma0 are 4 records of 9 windows, the last 3
+    # simulated but not averaged: 5,120 samples in all, where
+    # MIN_CORRELATION_TIMES take 381.  The run stays valid on this path.
     report = validate(config(), "baseline", segments=33, omega_lo=5 * G0,
                       omega_hi=8 * G0)
     assert report.segments == 33
 
 
 def test_reproducible_and_batch_invariant():
-    # validate's records: WINDOWS_PER_RECORD + 1 hops each, the streams keyed
-    # by record index, whichever call and position simulates a record.
+    # Records of WINDOWS_PER_RECORD + 1 hops, the streams keyed by record
+    # index, whichever call and position simulates a record.
     ss = build_state_space(config("degenerate", 0.4))
     samples = (oracle.WINDOWS_PER_RECORD + 1) * 512
     a = run(ss, segments=3, samples=samples, seed=31)
@@ -812,17 +815,18 @@ def test_simulate_independent_of_worker_count(monkeypatch, segments, samples,
 
 
 def test_validate_report_independent_of_worker_count(monkeypatch):
-    # Calls of the fewest records, 2: 44 windows are 5 records of 8 and one
-    # of 4, simulated 2 + 2 + 1 + 1, each call with a partial last group.
+    # With no room in _CALL_SAMPLES, two records a call of at most
+    # WINDOWS_PER_RECORD windows: 44 windows are 4 records of 7 and 2 of 8,
+    # simulated 2 + 2 + 2, each call with a partial last group.
     monkeypatch.setattr(oracle, "_CALL_SAMPLES", 1)
     cfg = config("two_photon", 0.5)
     texts = []
-    for workers in (1, 2):
+    for workers in (1, 2, 3):
         monkeypatch.setattr(oracle, "WORKERS", workers)
         report = validate(cfg, "nondeg-sub", segments=44, seed=2,
                           omega_lo=3e-2 * G0)
         texts.append(model.json_text(report.to_json_dict()))
-    assert texts[0] == texts[1]
+    assert texts[0] == texts[1] == texts[2]
 
 
 def test_worker_exception_reaches_caller(monkeypatch):
@@ -843,7 +847,7 @@ def test_worker_exception_reaches_caller(monkeypatch):
 
 
 def test_simulate_working_memory_and_layout(monkeypatch):
-    # A call of the bench's validate shape, twelve records of 73,728 samples
+    # A call of the bench's validate shape, four records of 212,992 samples
     # on two workers: besides its output, the tracemalloc peak stays under
     # the 12 MiB that simulate's docstring states, and the samples of a
     # segment's port are one contiguous row.
@@ -852,13 +856,13 @@ def test_simulate_working_memory_and_layout(monkeypatch):
     dt = oracle._band_step(10.0 * G0, ss)
     tracemalloc.start()
     try:
-        outputs = simulate(ss, segments=12, samples=73728, dt=dt,
+        outputs = simulate(ss, segments=4, samples=212992, dt=dt,
                            seed=1).outputs
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak - outputs.nbytes < 12 * 2**20
-    assert outputs.shape == (12, 73728, 2)
+    assert outputs.shape == (4, 212992, 2)
     assert outputs[3, :, 0].strides == outputs[3, :, 1].strides == (8,)
 
 
@@ -927,8 +931,8 @@ def test_validate_evaluates_only_the_compared_band(monkeypatch):
 
 def test_validate_simulates_the_model_it_builds(monkeypatch):
     # validate builds the nominal and the perturbed model once each, and
-    # every call integrates that same perturbed model: 40 windows are 5
-    # records, simulated 2 + 2 + 1.
+    # every call integrates that same perturbed model: 40 windows are 6
+    # records of at most WINDOWS_PER_RECORD windows, simulated 2 + 2 + 2.
     monkeypatch.setattr(oracle, "_CALL_SAMPLES", 1)
     cfg = config("two_photon", 0.5)
     perturbed = build_state_space(dataclasses.replace(
@@ -955,26 +959,27 @@ def test_validate_simulates_the_model_it_builds(monkeypatch):
 
 
 def test_validate_averages_exactly_segments_windows(monkeypatch):
-    # 36 windows are 4 records of WINDOWS_PER_RECORD windows and one of 4;
-    # the records are keyed 0-4 and every window is averaged once.
+    # 36 windows of 4,096 samples are 4 records of 9 windows, keyed 0-3 and
+    # simulated in one call, and every window is averaged once.
     calls, cut = [], []
     sim, add = oracle.simulate, oracle._add_periodograms
 
     def spy_simulate(ss, **kwargs):
-        calls.append((kwargs["segment_offset"], kwargs["segments"]))
+        calls.append((kwargs["segment_offset"], kwargs["segments"],
+                      kwargs["samples"]))
         return sim(ss, **kwargs)
 
     def spy_add(sums, records, hop, *args):
-        cut.append(records.shape[0] * (records.shape[1] // hop - 1))
+        cut.append((records.shape[0] * (records.shape[1] // hop - 1),
+                    args[-1]))
         return add(sums, records, hop, *args)
 
     monkeypatch.setattr(oracle, "simulate", spy_simulate)
     monkeypatch.setattr(oracle, "_add_periodograms", spy_add)
     report = validate(config(), "baseline", segments=36, seed=4,
                       omega_lo=3e-2 * G0)
-    assert oracle.WINDOWS_PER_RECORD == 8
-    assert calls == [(0, 4), (4, 1)]
-    assert cut == [32, 4]
+    assert calls == [(0, 4, 10 * 2048)]
+    assert cut == [(36, 36)]
     assert report.segments == 36
 
 
@@ -992,7 +997,8 @@ def test_default_step_keeps_the_grid(frac):
 
 def test_validate_caps_call_output(monkeypatch):
     # The bench's validate, 200 windows of nondeg-sub at kappa = 0.5 gamma0:
-    # no simulate call returns more than 884,736 output samples of a port.
+    # 8 records of 25 windows, 26 hops of 8,192 samples each, four a call,
+    # so no simulate call returns more than 851,968 output samples of a port.
     sizes, sim = [], oracle.simulate
 
     def spy_simulate(ss, **kwargs):
@@ -1002,8 +1008,115 @@ def test_validate_caps_call_output(monkeypatch):
 
     monkeypatch.setattr(oracle, "simulate", spy_simulate)
     validate(config("two_photon", 0.5), "nondeg-sub", segments=200)
-    assert sum(sizes) == 25 * 73728
-    assert max(sizes) <= 884736
+    assert sum(sizes) == 8 * 26 * 8192 == 1703936
+    assert max(sizes) <= 851968
+
+
+def fixed_record_calls(segments, hop):
+    """(records, hops a record) of each simulate call in the layout of
+    records of WINDOWS_PER_RECORD windows, an even number a call within
+    _CALL_SAMPLES, and one shorter record for the windows left over."""
+    per = oracle.WINDOWS_PER_RECORD
+    full, left = divmod(segments, per)
+    step = max(2, oracle._CALL_SAMPLES // ((per + 1) * hop) // 2 * 2)
+    calls = [(min(step, full - first), per + 1)
+             for first in range(0, full, step)]
+    return calls + [(1, left + 1)] * (left > 0)
+
+
+@pytest.mark.parametrize("segments", [32, 33, 36, 200, 201])
+@pytest.mark.parametrize("omega_lo, hop", [(1e-2 * G0, 1 << 13),
+                                           (6.25e-4 * G0, 1 << 17)],
+                         ids=["bench", "figure-band"])
+def test_validate_record_layout(monkeypatch, segments, omega_lo, hop):
+    # validate's record layout at the bench config and at a figure-band
+    # window of 2**18 samples, with simulate and the periodogram stage
+    # replaced by spies, so nothing is simulated.  Every call holds an even
+    # number of equal records; only the last call leaves simulated windows
+    # unaveraged, fewer than its records, and exactly ``segments`` are
+    # averaged.  On two and on four workers the busiest one steps no more
+    # hops than in the fixed-record layout, and in all at most 2 hops more
+    # are stepped.
+    calls, added, means = [], [], []
+    mean = oracle._window_mean
+
+    def spy_simulate(ss, *, segments, samples, dt, seed, segment_offset):
+        calls.append((segment_offset, segments, samples))
+        return oracle.SimulationResult(
+            np.broadcast_to(np.zeros(1), (segments, samples, 2)), dt)
+
+    def spy_add(sums, records, step, *args):
+        added.append((records.shape[0] * (records.shape[1] // step - 1),
+                      args[-1], step))
+
+    def spy_mean(sums, windows, records, *args):
+        means.append((windows, records))
+        return mean(sums, windows, records, *args)
+
+    monkeypatch.setattr(oracle, "simulate", spy_simulate)
+    monkeypatch.setattr(oracle, "_add_periodograms", spy_add)
+    monkeypatch.setattr(oracle, "_window_mean", spy_mean)
+    validate(config("two_photon", 0.5), "nondeg-sub", segments=segments,
+             omega_lo=omega_lo)
+    assert {step for _, _, step in added} == {hop}
+    assert [first for first, _, _ in calls] == list(itertools.accumulate(
+        [0] + [records for _, records, _ in calls[:-1]]))
+    assert len(added) == len(calls)
+    for i, ((_, records, samples), (simulated, averaged, _)) in enumerate(
+            zip(calls, added)):
+        assert records >= 2 and records % 2 == 0 and samples % hop == 0
+        unaveraged = simulated - averaged
+        assert unaveraged == 0 or i == len(calls) - 1
+        assert 0 <= unaveraged < records
+    assert sum(averaged for _, averaged, _ in added) == segments
+    assert means == [(segments, sum(records for _, records, _ in calls))]
+    hops = [(records, samples // hop) for _, records, samples in calls]
+    fixed = fixed_record_calls(segments, hop)
+    for workers in (2, 4):   # _in_parallel's largest part of a call
+        assert sum(-(-n // min(workers, n)) * h for n, h in hops) \
+            <= sum(-(-n // min(workers, n)) * h for n, h in fixed)
+    assert sum(n * h for n, h in hops) <= sum(n * h for n, h in fixed) + 2
+    if segments == 200:   # 8 records of 25 windows; 18 of 8 and 8 of 7
+        assert hops == ([(4, 26)] * 2 if hop == 1 << 13
+                        else [(2, 8)] * 4 + [(2, 9)] * 9)
+
+
+def test_add_periodograms_first_windows():
+    # _add_periodograms adds the first ``windows`` windows, record by
+    # record: two records of three windows, the last window left out, add
+    # what the first record and two windows of the second add.
+    dt, hop = 1e-4, 256
+    records = white_records(np.random.default_rng(2), 2, 4 * hop, dt)
+    bins = np.arange(hop - 1)
+    sums, want = np.zeros((2, hop - 2)), np.zeros((2, hop - 2))
+    args = (hop, dt, slice(1, hop), None, np.ones(hop - 1), bins)
+    oracle._add_periodograms(sums, records, *args, 5)
+    oracle._add_periodograms(want, records[:1], *args)
+    oracle._add_periodograms(want, records[1:, :3 * hop], *args)
+    assert np.allclose(sums, want, rtol=1e-12)
+    oracle._add_periodograms(want, records[1:, 2 * hop:], *args)
+    assert not np.allclose(sums, want, rtol=1e-12)
+
+
+def test_validate_references_pinned_and_worker_independent(monkeypatch):
+    # The bench's validate, seed 1: the record layout moves no reference.
+    # grid, dt, closed_form and state_space_psd equal, bit for bit, the
+    # values stored in validate_references.json, taken with records of
+    # WINDOWS_PER_RECORD windows; the whole report is the same on one, two
+    # and four workers.
+    with open(Path(__file__).with_name("validate_references.json"),
+              encoding="utf-8") as fh:
+        stored = json.load(fh)
+    texts = []
+    for workers in (1, 2, 4):
+        monkeypatch.setattr(oracle, "WORKERS", workers)
+        report = validate(config("two_photon", 0.5), "nondeg-sub",
+                          segments=200, seed=1)
+        texts.append(model.json_text(report.to_json_dict()))
+    assert texts[0] == texts[1] == texts[2]
+    doc = report.to_json_dict()
+    for name, values in stored.items():
+        assert doc[name] == values, name
 
 
 def test_validate_rejects_few_segments():

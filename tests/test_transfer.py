@@ -4,6 +4,7 @@ import itertools
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -274,6 +275,57 @@ def test_degenerate_residual_bracket():
     bracket = c[Channel.EPS_PLUS] * raw(cfg, DIFFERENCE, w)[Channel.SIGNAL] \
         / prefactor
     assert bracket == pytest.approx(-math.sqrt(GE / G0) / zeta, rel=1e-12)
+
+
+def mp_subtracted_loss_residual(ss, omega):
+    """The subtracted port's eps+ coefficient of ``ss``, signal-referred,
+    at each omega, from the model's own matrices in 50-digit arithmetic:
+    h = C (s I - A)^-1 B + D at s = -i*Omega, weight -h_diff,alpha+ /
+    h_sum,alpha+, then (h_diff + weight*h_sum) of eps+ over that of the
+    signal."""
+    with mpmath.workdps(50):
+        A, B, C, D, e = (mpmath.matrix(m.tolist()) for m in (
+            ss.drift, ss.noise_gain, ss.output_gain, ss.feedthrough,
+            ss.signal_gain))
+        out = []
+        for w in omega:
+            inv = mpmath.inverse(-1j * mpmath.mpf(float(w)) * mpmath.eye(3)
+                                 - A)
+            h, sig = C * inv * B + D, C * inv * e
+            weight = -h[1, 0] / h[0, 0]
+            out.append(complex((h[1, 2] + weight * h[0, 2])
+                               / (sig[1] + weight * sig[0])))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("figure_id, bound", [("fig5", 2e-15),
+                                              ("fig6", 2e-15),
+                                              ("fig8", 1e-14)])
+def test_subtracted_loss_residual_matches_high_precision(figure_id, bound):
+    # At kappa = 0.9 gamma0 the difference and the weighted sum terms of the
+    # two-photon eps+ residual are about 20 times larger than the residual;
+    # formed from the weight and the gain ratio it keeps full precision:
+    # within 2e-15 of a 50-digit evaluation of the same model (7e-16
+    # measured).  Degenerate (fig8) no terms cancel, and the error is the
+    # nulling weight's own: 4.3e-15 on the weight, 4.4e-15 here.
+    cfg = spectra.figure_config(figure_id, 0.9)
+    w = spectra.default_grid(cfg, points=100)
+    want = mp_subtracted_loss_residual(transfer.build_state_space(cfg), w)
+    got = transfer_coefficients(cfg, "subtracted", w)[Channel.EPS_PLUS]
+    assert np.max(np.abs(got / want - 1.0)) <= bound
+
+
+@pytest.mark.parametrize("kind, lossless, gamma_m", itertools.product(
+    ["none", "degenerate", "two_photon"], [False, True], [None, 0.0]))
+def test_subtracted_loss_residual_structure(kind, lossless, gamma_m):
+    # The subtracted eps+ residual is alpha+'s reflection times the weight
+    # and the gain ratio, exact while alpha+ and eps+ drive only the
+    # sum-pair state, the difference port reflects no alpha+ and no port
+    # reflects eps+.
+    ss = transfer.build_state_space(config(kind, 0.9, lossless, gamma_m))
+    assert not ss.noise_gain[1:, [0, 2]].any()
+    assert ss.feedthrough[1, 0] == 0.0
+    assert not ss.feedthrough[:, 2].any()
 
 
 def test_conjugate_symmetry():
