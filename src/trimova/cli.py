@@ -70,19 +70,20 @@ def _resolve_config(args) -> SystemConfig:
     base = _base_config(args)
     g0 = base.cavity.gamma0
     squeeze = base.squeeze
-    if args.kappa is not None:
-        squeeze = Squeezing("two_photon", parse_rate(args.kappa, g0))
-    if args.upsilon is not None:
-        if args.kappa is not None:
-            raise UsageError("give at most one of --kappa/--upsilon")
-        squeeze = Squeezing("degenerate", parse_rate(args.upsilon, g0))
+    rates = {kind: vars(args)[key] for kind, key in model.RATE_KEY.items()
+             if vars(args)[key] is not None}
+    if len(rates) > 1:
+        raise UsageError("give at most one of " + "/".join(
+            f"--{key}" for key in model.RATE_KEY.values()))
+    for kind, text in rates.items():
+        squeeze = Squeezing(kind, parse_rate(text, g0))
 
     drives = [f"--{name}" for name in ("k0", "power", "n0")
               if vars(args)[name] is not None]
     if len(drives) > 1:
         raise UsageError(f"give at most one of --k0/--power/--n0, "
                          f"got {' and '.join(drives)}")
-    drive = DriveConfig(K0=base.derived.K0)
+    drive = DriveConfig(K0=base.K0)
     if args.k0 is not None:
         drive = DriveConfig(K0=parse_rate(args.k0, g0))
     if args.power is not None:
@@ -240,8 +241,9 @@ def _add_config_options(p: argparse.ArgumentParser):
     p.add_argument("--tau-preset", choices=tuple(model.TAU_PRESETS),
                    help="pulse-length preset for the built-in configuration: "
                         "table1 = 28 us (default), fig3 = 0.28 ms")
-    p.add_argument("--kappa", help="two-photon squeeze rate (rad/s or '0.9g0')")
-    p.add_argument("--upsilon", help="degenerate squeeze rate (rad/s or '0.9g0')")
+    for kind, key in model.RATE_KEY.items():
+        p.add_argument(f"--{key}", help=f"{kind.replace('_', '-')} squeeze "
+                                        "rate (rad/s or '0.9g0')")
     p.add_argument("--gamma-m", help="override mechanical half linewidth")
     p.add_argument("--tau", type=float, help="override pulse length, s")
     p.add_argument("--k0", help="normalized pump (rad/s or g0 units)")

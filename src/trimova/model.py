@@ -1,4 +1,4 @@
-"""Physical parameters and derived quantities of the three-mode force sensor.
+"""Physical parameters of the three-mode force sensor.
 
 The sensor couples a mechanical oscillator (a light membrane) to an optical
 cavity supporting three modes spaced by the mechanical frequency.  The central
@@ -8,9 +8,10 @@ either pairwise (two-photon, rate ``kappa``) or individually (degenerate,
 rate ``upsilon``).
 
 Everything here is plain bookkeeping: unit-checked parameter containers,
-regime validation, and the scalar quantities (thermal occupancy, normalized
-pump) that the transfer and spectra modules consume.  All rates are angular
-(rad/s) and all other units SI.
+regime validation, and the two scalars every spectrum scales with, the
+thermal occupancy (``MechanicalOscillator.occupancy``) and the pump rate
+(``SystemConfig.pump_rate``).  All rates are angular (rad/s) and all other
+units SI.
 """
 
 from __future__ import annotations
@@ -66,9 +67,11 @@ def thermal_occupancy(omega_m: float, temperature: float) -> float:
         raise ConfigError("omega_m must be positive")
     if temperature < 0:
         raise ConfigError("temperature must be nonnegative")
-    if temperature == 0:
+    thermal = K_B * temperature
+    # Past hbar*omega_m/kB*T = 709.78 exp overflows, and n_T is below 1e-308.
+    if HBAR * omega_m > 709.78 * thermal:
         return 0.0
-    return 1.0 / math.expm1(HBAR * omega_m / (K_B * temperature))
+    return 1.0 / math.expm1(HBAR * omega_m / thermal)
 
 
 def braginsky_factor(n_T: float, omega_m: float, tau: float, quality: float) -> float:
@@ -115,6 +118,9 @@ class MechanicalOscillator:
             raise ConfigError("gamma_m and temperature must be nonnegative")
         if self.gamma_m >= self.omega_m:
             raise ConfigError("oscillator must be underdamped (gamma_m < omega_m)")
+        # A finite but huge temperature can overflow the occupancy.
+        if not math.isfinite(self.occupancy):
+            raise ConfigError(f"n_T must be finite, got {self.occupancy}")
 
     @classmethod
     def from_quality_factor(cls, mass, omega_m, quality, temperature):
@@ -128,6 +134,7 @@ class MechanicalOscillator:
 
     @property
     def occupancy(self) -> float:
+        """Thermal occupancy n_T of the mechanical bath."""
         return thermal_occupancy(self.omega_m, self.temperature)
 
 
@@ -229,20 +236,6 @@ class SignalPulse:
                 raise ConfigError("signal amplitude must be positive")
 
 
-@dataclass(frozen=True)
-class DerivedQuantities:
-    """Scalar quantities fixed at configuration time, the ones the transfer
-    and spectra modules read.
-
-    n_T:  thermal occupancy of the mechanical bath
-    K0:   normalized pump, rad/s (from DriveConfig.K0 or its input power);
-          both spectral paths scale by the pump rate K0*gamma*(g0-ge)
-    """
-
-    n_T: float
-    K0: float
-
-
 def _check_stability(squeeze: Squeezing, cavity: OpticalCavity) -> None:
     # The antisqueezed pair decays at gamma - rate (the sum pair under
     # two-photon squeezing) and must stay damped, so the bound is strict.
@@ -257,10 +250,10 @@ def _check_stability(squeeze: Squeezing, cavity: OpticalCavity) -> None:
 class SystemConfig:
     """Complete, immutable description of one sensor configuration.
 
-    Construction resolves the drive to K0, freezes the derived scalars,
-    raises StabilityError for an overdriven parametric pump, ConfigError for
-    a drive whose pump rate K0*gamma*(gamma0 - gamma_e) overflows, and emits
-    RegimeWarning for soft regime violations.
+    Construction resolves the drive to the normalized pump ``K0`` (rad/s,
+    from DriveConfig.K0 or its input power), raises StabilityError for an
+    overdriven parametric pump, ConfigError for a drive whose K0 or pump rate
+    overflows, and emits RegimeWarning for soft regime violations.
     """
 
     mechanical: MechanicalOscillator
@@ -269,25 +262,29 @@ class SystemConfig:
     drive: DriveConfig = field(default_factory=lambda: DriveConfig(K0=1.0))
     signal: SignalPulse = field(
         default_factory=lambda: SignalPulse(tau=TAU_PRESETS["table1"]))
-    derived: DerivedQuantities = field(init=False, repr=False)
+    K0: float = field(init=False)
 
     def __post_init__(self):
         _check_stability(self.squeeze, self.cavity)
-        cav = self.cavity
         K0 = self.drive.K0
         if K0 is None:
-            K0 = dimensionless_power(cav, self.mechanical, self.drive.input_power)
-        derived = DerivedQuantities(n_T=self.mechanical.occupancy, K0=K0)
-        # A finite but huge or tiny drive can overflow a derived quantity.
-        _require_finite(derived)
-        # Both spectral paths scale by the pump rate, so it must be finite.
-        pump = K0 * cav.gamma * (cav.gamma0 - cav.gamma_e)
-        if not math.isfinite(pump):
+            K0 = dimensionless_power(self.cavity, self.mechanical,
+                                     self.drive.input_power)
+        object.__setattr__(self, "K0", K0)
+        # A finite but huge or tiny drive can overflow K0 or the pump rate.
+        _require_finite(self)
+        if not math.isfinite(self.pump_rate):
             raise ConfigError(f"pump rate K0*gamma*(gamma0-gamma_e) must be "
-                              f"finite, got {pump} at K0 = {K0:.6g}")
-        object.__setattr__(self, "derived", derived)
+                              f"finite, got {self.pump_rate} at K0 = {K0:.6g}")
         for message in self.regime_findings():
             warnings.warn(message, RegimeWarning, stacklevel=3)
+
+    @property
+    def pump_rate(self) -> float:
+        """Pump rate P = K0*gamma*(gamma0 - gamma_e), the scale of both
+        spectral paths' back action and imprecision."""
+        cav = self.cavity
+        return self.K0 * cav.gamma * (cav.gamma0 - cav.gamma_e)
 
     def regime_findings(self) -> list[str]:
         """Soft separation-of-scale violations, as warning strings."""
@@ -409,7 +406,7 @@ def config_snapshot(config: SystemConfig) -> dict:
                        "gamma_m": mech.gamma_m, "temperature": mech.temperature},
         "cavity": {"gamma0": cav.gamma0, "gamma_e": cav.gamma_e,
                    "length": cav.length, "omega0": cav.omega0},
-        "drive": {"K0": config.derived.K0},
+        "drive": {"K0": config.K0},
         "squeeze": {"type": config.squeeze.kind},
         "signal": {"tau": config.signal.tau, "psi_f": config.signal.psi_f},
     }

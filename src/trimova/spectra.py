@@ -95,8 +95,8 @@ def closed_form_psd(case: str, config: SystemConfig, omega):
     g0, ge, g = cav.gamma0, cav.gamma_e, cav.gamma
     rate = config.squeeze.rate
     s = rate if CASE_KIND[case] == "degenerate" else -rate
-    pump = config.derived.K0 * g * (g0 - ge)
-    out = 2.0 * gm * (2.0 * config.derived.n_T + 1.0) \
+    pump = config.pump_rate
+    out = 2.0 * gm * (2.0 * config.mechanical.occupancy + 1.0) \
         + (gm**2 + w**2) * (np.abs(g0 - ge - rate + 1j * w) ** 2
                             + 4.0 * g0 * ge) / pump
     if not case.endswith("-sub"):
@@ -248,7 +248,7 @@ def detection_threshold_time_domain(config: SystemConfig) -> ThresholdReport:
         warnings.warn(f"gamma_m*tau = {mech.gamma_m * tau:.3g} is not small; "
                       "short-pulse threshold formulas degrade",
                       RegimeWarning, stacklevel=2)
-    n_T = config.derived.n_T
+    n_T = mech.occupancy
     gm = mech.gamma_m
     band = 2.0 * math.pi / tau
     k_star = math.sqrt(gm**2 + band**2 / 3.0)

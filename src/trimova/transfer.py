@@ -178,7 +178,7 @@ def build_state_space(config: SystemConfig) -> StateSpace:
     g0, ge, g = cav.gamma0, cav.gamma_e, cav.gamma
     rate = config.squeeze.rate
 
-    c = math.sqrt(config.derived.K0 * g * (g0 - ge) / (2.0 * g0))
+    c = math.sqrt(config.pump_rate / (2.0 * g0))
 
     A = np.zeros((3, 3))
     A[0, 0] = -(g + rate if config.squeeze.kind == "degenerate" else g - rate)
@@ -197,7 +197,7 @@ def build_state_space(config: SystemConfig) -> StateSpace:
     D = np.zeros((2, 5))
     D[0, 0] = D[1, 1] = -1.0
 
-    psd = np.array([1.0, 1.0, 1.0, 1.0, 2.0 * config.derived.n_T + 1.0])
+    psd = np.array([1.0, 1.0, 1.0, 1.0, 2.0 * mech.occupancy + 1.0])
     e_f = np.array([0.0, 0.0, 1.0])
     return StateSpace(A, B, C, D, psd, e_f)
 

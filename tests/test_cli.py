@@ -91,7 +91,7 @@ def test_invalid_case_exits_2(tmp_path):
     ["spectrum", "--case", "baseline", "--k0", "nan", "--out", "s.csv"],
     ["spectrum", "--case", "baseline", "--omega-min", "nan", "--out", "s.csv"],
     ["validate", "--case", "baseline", "--omega-max", "inf", "--out", "v.json"],
-    # Finite drives whose derived quantities or spectrum overflow.
+    # Finite drives whose K0, pump rate or spectrum overflow.
     ["threshold", "--k0", "1e308"],
     ["threshold", "--k0", "1e300"],
     # A finite pump rate against a sum pair at kappa = (1 - 1e-9)*gamma.
@@ -173,6 +173,18 @@ def test_conflicting_drive_options_exit_2(tmp_path, capsys, drives):
     assert "at most one of --k0/--power/--n0" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
     assert cli.main(["threshold"] + drives) == 2
+
+
+def test_squeeze_options_are_the_rate_keys(capsys):
+    # --kappa and --upsilon set the kind whose [squeeze] rate key they are.
+    parser = cli.build_parser()
+    for kind, key in model.RATE_KEY.items():
+        args = parser.parse_args(["threshold", f"--{key}", "0.5g0"])
+        assert cli._resolve_config(args).squeeze.kind == kind
+    assert cli.main(["threshold", "--kappa", "0.5g0", "--upsilon", "0.5g0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: give at most one of --kappa/--upsilon\n"
 
 
 def test_env_var_config(tmp_path, monkeypatch):

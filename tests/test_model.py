@@ -1,4 +1,4 @@
-"""Parameter containers, derived scalars, regime checks, config files."""
+"""Parameter containers, occupancy and pump rate, regime checks, config files."""
 
 import json
 import math
@@ -30,6 +30,14 @@ def test_thermal_occupancy_reference_value():
 
 def test_thermal_occupancy_zero_temperature():
     assert model.thermal_occupancy(OMEGA_M, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("temperature", [5e-324, 1e-9])
+def test_thermal_occupancy_near_zero_temperature(temperature):
+    # Near 0 K exp(hbar*omega_m/kB*T) overflows (at 1 nK) or kB*T underflows
+    # to 0 (at 5e-324 K); the bath is empty either way.
+    assert model.thermal_occupancy(OMEGA_M, temperature) == 0.0
+    MechanicalOscillator(5e-8, OMEGA_M, 1.0, temperature)
 
 
 def test_thermal_occupancy_high_temperature_doubling():
@@ -69,7 +77,7 @@ def test_input_power_order_of_magnitude(reference):
     # K0 = pi/tau corresponds to roughly ten milliwatt drive; the parameter
     # table and the conversion only agree to order of magnitude.
     cav, mech = reference.cavity, reference.mechanical
-    assert model.dimensionless_power(cav, mech, 1e-3) < reference.derived.K0 \
+    assert model.dimensionless_power(cav, mech, 1e-3) < reference.K0 \
         < model.dimensionless_power(cav, mech, 1e-1)
 
 
@@ -188,7 +196,7 @@ def test_config_file_round_trip(tmp_path):
     assert cfg.squeeze.kind == "two_photon"
     snap = model.config_snapshot(cfg)
     again = model.parse_config(snap)
-    assert again.derived.K0 == pytest.approx(cfg.derived.K0, rel=1e-12)
+    assert again.K0 == pytest.approx(cfg.K0, rel=1e-12)
     assert again.cavity.omega0 == cfg.cavity.omega0
 
 
@@ -203,7 +211,7 @@ def test_config_styles_equivalent():
         "cavity": {"gamma0": doc["cavity"]["gamma0"],
                    "gamma_e": doc["cavity"]["gamma_e"], "length": 0.1,
                    "omega0": cfg.cavity.omega0},
-        "drive": {"K0": cfg.derived.K0},
+        "drive": {"K0": cfg.K0},
         "squeeze": doc["squeeze"],
         "signal": {"tau": 28e-6, "f_s0": 1.0},
     }
@@ -236,6 +244,22 @@ def test_config_rejects_non_finite(section, key, value):
     doc[section][key] = value
     with pytest.raises(ConfigError, match="must be finite"):
         model.parse_config(doc)
+
+
+def test_config_rejects_overflowing_occupancy():
+    # A finite temperature so high that hbar*omega_m/(kB*T) is subnormal
+    # overflows n_T; the config refuses it rather than carry inf into every
+    # spectrum.
+    doc = _config_document()
+    doc["mechanical"]["temperature"] = 1e308
+    with pytest.raises(ConfigError, match=r"^n_T must be finite, got inf$"):
+        model.parse_config(doc)
+
+
+def test_pump_rate_is_k0_gamma_gamma0_minus_gamma_e(reference):
+    cav = reference.cavity
+    assert reference.pump_rate \
+        == reference.K0 * (cav.gamma0 + cav.gamma_e) * (cav.gamma0 - cav.gamma_e)
 
 
 @pytest.mark.parametrize("squeeze", [

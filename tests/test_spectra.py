@@ -35,9 +35,9 @@ def config(kind="none", frac=0.0, lossless=False, gamma_m=None, K0=None,
 def baseline_reference(cfg, w):
     """Literal no-squeezing spectrum: thermal + shot + back action."""
     gm = cfg.mechanical.gamma_m
-    n_T = cfg.derived.n_T
+    n_T = cfg.mechanical.occupancy
     g = cfg.cavity.gamma
-    pump = np.abs(cfg.derived.K0 * g * g / (g * g + w * w) * np.exp(0j))
+    pump = np.abs(cfg.K0 * g * g / (g * g + w * w) * np.exp(0j))
     # lossless cavity: |pump response| = K0*g^2/|g - iW|^2
     return 2 * gm * (2 * n_T + 1) + (gm**2 + w**2) / pump + pump
 
@@ -53,10 +53,10 @@ def test_baseline_quantum_only():
     mech = model.MechanicalOscillator(5e-8, 2 * math.pi * 350e3, 0.0, 0.0)
     base = config(lossless=True)
     cfg = model.SystemConfig(mech, base.cavity, Squeezing(),
-                             model.DriveConfig(K0=base.derived.K0),
+                             model.DriveConfig(K0=base.K0),
                              base.signal)
     w = spectra.default_grid(cfg, points=20)
-    pump = cfg.derived.K0 * base.cavity.gamma**2 / np.abs(
+    pump = cfg.K0 * base.cavity.gamma**2 / np.abs(
         base.cavity.gamma - 1j * w) ** 2
     assert np.allclose(closed_form_psd("baseline", cfg, w),
                        w**2 / pump + pump, rtol=1e-12)
@@ -218,7 +218,7 @@ def test_reductions_between_cases():
     # with squeezing but no loss the subtraction removes back action fully
     pumped = config("two_photon", 0.7, lossless=True)
     sub = closed_form_psd("nondeg-sub", pumped, w)
-    thermal = 2 * pumped.mechanical.gamma_m * (2 * pumped.derived.n_T + 1)
+    thermal = 2 * pumped.mechanical.gamma_m * (2 * pumped.mechanical.occupancy + 1)
     shot = closed_form_psd("nondeg-raw", pumped, w) - thermal
     assert np.all(sub <= shot + thermal)
 
@@ -271,7 +271,7 @@ def test_ratio_minimum_at_pump_crossing():
     # attains exactly 1 where W = P(W), the real root of
     # W^3 + g^2*W - K0*g^2 = 0, and is at least 1 everywhere.
     cfg = config(lossless=True, gamma_m=0.0)
-    k0, g = cfg.derived.K0, cfg.cavity.gamma
+    k0, g = cfg.K0, cfg.cavity.gamma
     roots = np.roots([1.0, 0.0, g**2, -k0 * g**2])
     crossing = float(roots[np.argmin(np.abs(roots.imag))].real)
     value = closed_form_psd("baseline", cfg, crossing)
@@ -317,7 +317,7 @@ def test_subtracted_thermal_floor():
     # thermal term.
     cfg = config(K0=1e12, lossless=True)
     w = spectra.default_grid(cfg, points=20, hi=0.1)
-    thermal = 2 * cfg.mechanical.gamma_m * (2 * cfg.derived.n_T + 1)
+    thermal = 2 * cfg.mechanical.gamma_m * (2 * cfg.mechanical.occupancy + 1)
     values = closed_form_psd("baseline-sub", cfg, w)
     assert np.allclose(values, thermal, rtol=1e-3)
     # With internal loss the loss-vacuum back action survives subtraction:
@@ -384,7 +384,7 @@ def test_loss_residual_scaling():
     def expected(cfg):
         cav = cfg.cavity
         d_m = cav.gamma + kappa - 1j * w
-        ba = cfg.derived.K0 * cav.gamma * (cav.gamma0 - cav.gamma_e) / np.abs(d_m) ** 2
+        ba = cfg.K0 * cav.gamma * (cav.gamma0 - cav.gamma_e) / np.abs(d_m) ** 2
         xi_p2 = np.abs(cav.gamma0 - cav.gamma_e + kappa + 1j * w) ** 2 \
             / np.abs(cav.gamma - kappa - 1j * w) ** 2
         return (ba * cav.gamma_e / (cav.gamma0 * xi_p2)).item()
@@ -463,7 +463,7 @@ def test_quantum_terms_ratio_is_inverse_sqrt3():
     mech = model.MechanicalOscillator(5e-8, 2 * math.pi * 350e3, 0.0, 0.0)
     base = config()
     cfg = model.SystemConfig(mech, base.cavity, Squeezing(),
-                             model.DriveConfig(K0=base.derived.K0), base.signal)
+                             model.DriveConfig(K0=base.K0), base.signal)
     report = spectra.detection_threshold_time_domain(cfg)
     ratio = report.band_integrated_f**2 / report.sql_form_f**2
     assert ratio == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-12)
@@ -479,7 +479,7 @@ def test_spectral_and_time_domain_same_scale():
     base = config(lossless=True)
     report = spectra.detection_threshold_time_domain(
         model.SystemConfig(mech, base.cavity, Squeezing(),
-                           model.DriveConfig(K0=base.derived.K0), base.signal))
+                           model.DriveConfig(K0=base.K0), base.signal))
     cfg = model.SystemConfig(mech, base.cavity, Squeezing(),
                              model.DriveConfig(K0=report.pump_optimum),
                              base.signal)
@@ -516,7 +516,7 @@ def test_series_csv_json_round_trip(tmp_path):
     assert doc["case"] == "nondeg-raw"
     assert doc["config"]["squeeze"]["type"] == "two_photon"
     rebuilt = model.parse_config(doc["config"])
-    assert rebuilt.derived.K0 == pytest.approx(cfg.derived.K0, rel=1e-12)
+    assert rebuilt.K0 == pytest.approx(cfg.K0, rel=1e-12)
 
 
 def test_series_output_deterministic(tmp_path):
@@ -546,4 +546,4 @@ def test_unknown_figure_rejected():
 def test_fig3_uses_long_pulse():
     cfg = spectra.figure_config("fig3", 0.0)
     assert cfg.signal.tau == pytest.approx(0.28e-3)
-    assert cfg.derived.K0 == pytest.approx(math.pi / 0.28e-3)
+    assert cfg.K0 == pytest.approx(math.pi / 0.28e-3)

@@ -83,7 +83,7 @@ def test_loss_leakage_values():
     cav = model.OpticalCavity(4e4, 1e4, base.cavity.length, base.cavity.omega0)
     with pytest.warns(model.RegimeWarning, match="internal loss"):
         cfg = model.SystemConfig(base.mechanical, cav, Squeezing(),
-                                 model.DriveConfig(K0=base.derived.K0),
+                                 model.DriveConfig(K0=base.K0),
                                  base.signal)
     leak = raw(cfg, SUM, 0.0)[Channel.EPS_PLUS]
     assert leak == pytest.approx(0.8, rel=1e-14)
@@ -119,11 +119,11 @@ def test_optomechanical_gain_limits():
     # response of the antisqueezed sum pair that drives the mechanics.
     ideal = config(lossless=True)
     ba = transfer_coefficients(ideal, "difference", 0.0)[Channel.ALPHA_PLUS]
-    assert abs(ba) ** 2 == pytest.approx(ideal.derived.K0, rel=1e-14)
+    assert abs(ba) ** 2 == pytest.approx(ideal.K0, rel=1e-14)
     pumped = config("two_photon", 0.9)
     w = np.array([0.0, 0.3 * G0, 1e4 * G0])
     ba = transfer_coefficients(pumped, "difference", w)[Channel.ALPHA_PLUS]
-    K0, kappa = pumped.derived.K0, pumped.squeeze.rate
+    K0, kappa = pumped.K0, pumped.squeeze.rate
     expected = K0 * (G0 + GE) * (G0 - GE) / np.abs(G0 + GE - kappa - 1j * w) ** 2
     assert np.abs(ba) ** 2 == pytest.approx(expected, rel=1e-13)
     assert abs(ba[-1]) ** 2 < 1e-6 * K0
@@ -142,7 +142,7 @@ def test_degenerate_response_limits():
     assert own[Channel.ALPHA_MINUS] == pytest.approx(1.0)
     ref = transfer_coefficients(ideal, "difference", 0.0)
     cav = ideal.cavity
-    n0 = ideal.derived.K0 * (cav.gamma0 - cav.gamma_e) / cav.gamma
+    n0 = ideal.K0 * (cav.gamma0 - cav.gamma_e) / cav.gamma
     assert abs(ref[Channel.ALPHA_PLUS]) ** 2 == pytest.approx(n0)
     # The damped-quadrature reflection (g0 - ge - u)/(g + u) at Omega = 0
     # decreases monotonically as the pump grows.
@@ -194,7 +194,7 @@ def test_difference_port_back_action_ideal():
     g = cfg.cavity.gamma
     c = raw(cfg, DIFFERENCE, w)
     xi = complex(g, w) / complex(g, -w)
-    pump = cfg.derived.K0 * g * g / (g**2 - (-1j * w) ** 2)
+    pump = cfg.K0 * g * g / (g**2 - (-1j * w) ** 2)
     expected = -xi * pump / complex(gm, -w)
     assert c[Channel.ALPHA_PLUS] == pytest.approx(expected, rel=1e-12)
 
@@ -243,7 +243,7 @@ def test_subtraction_residual_with_loss():
     unreferenced = c[Channel.EPS_PLUS] * sig
     gm = cfg.mechanical.gamma_m
     k = cfg.squeeze.rate
-    xi_pump = cfg.derived.K0 * (G0 + GE) * (G0 - GE) \
+    xi_pump = cfg.K0 * (G0 + GE) * (G0 - GE) \
         / (complex(G0 + GE + k, -w) * complex(G0 + GE - k, -w))
     xi_plus = complex(G0 - GE + k, w) / complex(G0 + GE - k, -w)
     expected = xi_pump / complex(gm, -w) * math.sqrt(GE / G0) / xi_plus
@@ -270,7 +270,7 @@ def test_degenerate_residual_bracket():
     u = cfg.squeeze.rate
     c = transfer_coefficients(cfg, "subtracted", w)
     zeta = complex(G0 - GE - u, w) / complex(G0 + GE + u, -w)
-    strength = cfg.derived.K0 * (G0 + GE) * (G0 - GE) / complex(G0 + GE + u, -w) ** 2
+    strength = cfg.K0 * (G0 + GE) * (G0 - GE) / complex(G0 + GE + u, -w) ** 2
     prefactor = -strength / complex(cfg.mechanical.gamma_m, -w)
     bracket = c[Channel.EPS_PLUS] * raw(cfg, DIFFERENCE, w)[Channel.SIGNAL] \
         / prefactor
