@@ -67,11 +67,12 @@ def thermal_occupancy(omega_m: float, temperature: float) -> float:
         raise ConfigError("omega_m must be positive")
     if temperature < 0:
         raise ConfigError("temperature must be nonnegative")
-    thermal = K_B * temperature
+    quantum, thermal = HBAR * omega_m, K_B * temperature
     # Past hbar*omega_m/kB*T = 709.78 exp overflows, and n_T is below 1e-308.
-    if HBAR * omega_m > 709.78 * thermal:
+    if quantum > 709.78 * thermal or thermal == 0.0:
         return 0.0
-    return 1.0 / math.expm1(HBAR * omega_m / thermal)
+    # Below omega_m ~ 5e-290 rad/s hbar*omega_m underflows: n_T is unbounded.
+    return 1.0 / math.expm1(quantum / thermal) if quantum else math.inf
 
 
 def braginsky_factor(n_T: float, omega_m: float, tau: float, quality: float) -> float:

@@ -10,19 +10,20 @@ loss vacua and the mechanical bath.  ``simulate`` integrates the
 the two output time series through that model's own output map
 y = C x + D w (the reflected input D w must be built from the *same* noise
 realization that drove the cavity, or the output spectrum is wrong at order
-one).  ``validate`` estimates single-sided PSDs by averaging the Hann
-periodograms of windows that overlap by half (Welch, IEEE Trans. Audio
-Electroacoust. 15, 70 (1967)), cut from a few long simulated records, and
-compares the signal-referred result against the closed-form spectra in log
-bins.  A record of m windows takes m + 1 hops, so every record boundary
-costs a hop, and the records are as long as memory allows.  Its periodogram
-stage, _add_periodograms, the one estimator of this module and the one the
-calibration tests check, log-bins each window before averaging, so a log
-bin's error is measured within the windows; only the share of their
-overlap is taken from the window (_window_mean).  The negative control,
-``perturb``, simulates a perturbed config, a copy whose squeeze rate is
-scaled by (1 + perturb) and which passes the same checks as any config; an
-unsqueezed config refuses it.
+one).  Its burn-in and ``validate``'s shortest record count correlation
+times of the slower optical pair (optical_decay).  ``validate`` estimates
+single-sided PSDs by averaging the Hann periodograms of windows that overlap
+by half (Welch, IEEE Trans. Audio Electroacoust. 15, 70 (1967)), cut from a
+few long simulated records, and compares the signal-referred result against
+the closed-form spectra in log bins.  A record of m windows takes m + 1
+hops, so every record boundary costs a hop, and the records are as long as
+memory allows.  Its periodogram stage, _add_periodograms, the one estimator
+of this module and the one the calibration tests check, log-bins each window
+before averaging, so a log bin's error is measured within the windows; only
+the share of their overlap is taken from the window (_window_mean).  The
+negative control, ``perturb``, simulates a perturbed config, a copy whose
+squeeze rate is scaled by (1 + perturb) and which passes the same checks as
+any config; an unsqueezed config refuses it.
 
 Integration uses the exact one-step propagator: the matrix exponential of
 the drift together with the exact joint covariance of (state increment,
@@ -148,6 +149,14 @@ def max_rate(ss: StateSpace) -> float:
     """Fastest rate of the model, which sets the default step: the largest
     drift entry, at least every eigenvalue (a diagonal entry)."""
     return float(np.max(np.abs(ss.drift)))
+
+
+def optical_decay(ss: StateSpace) -> float:
+    """Decay rate of the slower optical pair: a diagonal entry of the drift."""
+    decay = float(min(-ss.drift[0, 0], -ss.drift[1, 1]))
+    if not decay > 0.0:
+        raise SimulationError(f"an optical pair does not decay ({decay:.3g} /s)")
+    return decay
 
 
 def _band_step(omega_hi: float, *models: StateSpace) -> float:
@@ -337,13 +346,13 @@ def simulate(ss: StateSpace, *, segments: int = 1, samples: int, dt: float,
 
     Each segment is an independent realization (its own noise streams keyed
     by absolute segment index) that starts from rest and is kept after a
-    burn-in of ten times the slowest optical decay.  Output samples are step
-    averages of y = C x + D w, the model's own output map, of the same
-    realization that drove the state: a step's five normals carry the exact
-    covariance of its state noise and output noise, cross terms included
-    (see _discretize).  C may read the two pairs and D their input vacua
-    (channels 0 and 1), and SimulationError is raised for any other entry.
-    The step is exact at any dt.
+    burn-in of ten correlation times of the slower optical pair (see
+    optical_decay).  Output samples are step averages of y = C x + D w, the
+    model's own output map, of the same realization that drove the state: a
+    step's five normals carry the exact covariance of its state noise and
+    output noise, cross terms included (see _discretize).  C may read the
+    two pairs and D their input vacua (channels 0 and 1), and SimulationError
+    is raised for any other entry.  The step is exact at any dt.
 
     The state update is a triangular cascade: the sum pair, then the
     mechanics, then the difference pair, each a scalar first-order recurrence
@@ -363,9 +372,7 @@ def simulate(ss: StateSpace, *, segments: int = 1, samples: int, dt: float,
     if np.any(ss.output_gain[:, 2]) or np.any(ss.feedthrough[:, 2:]):
         raise SimulationError("output map reads beyond the two pairs and "
                               "their input vacua")
-    optical = np.linalg.eigvals(ss.drift[:2, :2])
-    burn_in = int(math.ceil(10.0 / (min(abs(optical.real)) * dt))) \
-        if np.all(np.abs(optical.real) > 0) else 0
+    burn_in = int(math.ceil(10.0 / (optical_decay(ss) * dt)))
 
     phi_xx, read_x, factor = _discretize(ss, dt)
     check_cascade(phi_xx, SimulationError)
@@ -597,7 +604,7 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
     The points are log bins, POINTS_PER_DECADE a decade; a bin's stderr is
     measured within the windows, and only the share of their overlap is
     taken from the window (_window_mean).  The records must span
-    MIN_CORRELATION_TIMES optical correlation times in all.
+    MIN_CORRELATION_TIMES slower-pair correlation times (optical_decay) in all.
 
     ``perturb`` is the designed-mismatch negative control: the simulated
     model is built from a copy of ``config`` with the squeeze rate scaled by
@@ -684,11 +691,11 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
     per, extra = divmod(-(-segments // per_call), calls)
     lengths = [(per + 1 + (c >= calls - extra)) * hop for c in range(calls)]
     duration = per_call * dt * sum(lengths)
-    t_corr = 1.0 / np.max(np.abs(np.linalg.eigvals(ss_sim.drift[:2, :2]).real))
+    t_corr = 1.0 / optical_decay(ss_sim)
     if duration < MIN_CORRELATION_TIMES * t_corr:
         raise SimulationError(
-            f"duration {duration:.3g} s below {MIN_CORRELATION_TIMES} "
-            f"optical correlation times ({MIN_CORRELATION_TIMES * t_corr:.3g} s)")
+            f"duration {duration:.3g} s below {MIN_CORRELATION_TIMES} correlation times"
+            f" of the slower optical pair ({MIN_CORRELATION_TIMES * t_corr:.3g} s)")
 
     # Both references are the expectation of this estimator, the PSD of the
     # sampled model (see the module docstring).  The closed form replaces the

@@ -10,7 +10,7 @@ threshold f_min = sqrt(S/tau).
 Every measured case has two independent evaluation routes:
 
 * ``closed_form_psd`` evaluates the closed-form expressions directly from
-  the cavity rates, with no shared code;
+  the cavity rates, sharing only the pole guard transfer.guard_subtraction;
 * ``spectrum_series`` assembles |coefficient|^2-weighted channel sums from
   the transfer coefficients, which the transfer module reads from the
   frequency response of its ``StateSpace``, the same linear model the

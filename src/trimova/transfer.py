@@ -236,8 +236,7 @@ def transfer_coefficients(config: SystemConfig, port: str, omega) -> dict:
     rows = np.concatenate([h, ss.signal_response(w)[:, :, None]], axis=2)
     row = rows[:, 1]
     if port == "subtracted":
-        weight = nulling(h)
-        row = row + weight[:, None] * rows[:, 0]
+        weight = nulling(h)   # the sum port responds to alpha+ and eps+ only
         row[:, 0] = 0.0   # the weight cancels the input vacuum by definition
         # eps+ enters, like alpha+, only through the sum-pair state: its
         # residual is alpha+'s reflection scaled by their gain ratio.

@@ -139,6 +139,33 @@ def test_threshold_at_two_photon_stability_edge_exits_2(capsys):
     assert "reaches gamma0+gamma_e" in captured.err
 
 
+def write_underflowing_config(tmp_path, temperature):
+    """A config file at omega_m = 1e-300 rad/s, where hbar*omega_m underflows
+    to 0."""
+    path = write_config(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["mechanical"] = {"mass": 5e-8, "omega_m": 1e-300, "gamma_m": 0.0,
+                         "temperature": temperature}
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_underflowing_mechanical_quantum_at_zero_temperature(tmp_path, capsys):
+    path = write_underflowing_config(tmp_path, 0.0)
+    with pytest.warns(model.RegimeWarning):
+        assert cli.main(["threshold", "--json", "--config", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["n_T"] == 0.0
+
+
+def test_underflowing_mechanical_quantum_exits_2(tmp_path, capsys):
+    # At T > 0 the occupancy has no bound, and the config is refused.
+    path = write_underflowing_config(tmp_path, 20.0)
+    assert cli.main(["threshold", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n_T must be finite, got inf\n"
+
+
 def test_stability_error_exits_2(tmp_path, capsys):
     code = cli.main(["spectrum", "--case", "nondeg-raw", "--kappa", "1.01g0",
                      "--out", str(tmp_path / "x.csv")])

@@ -563,6 +563,29 @@ def test_duration_precondition(monkeypatch):
                  omega_hi=2000 * G0, dt=math.pi / (60000 * G0))
 
 
+def test_duration_precondition_counts_the_slowest_pair(monkeypatch):
+    # At kappa = 0.9 gamma0 the sum pair decays at 0.103 gamma0 and the
+    # difference pair at 1.903 gamma0.  Windows from 0.6 gamma0 span 78.6
+    # correlation times of the slower pair, 1,450 of the faster: the
+    # precondition counts the slower one, the one simulate burns in.
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated")
+
+    monkeypatch.setattr(oracle, "simulate", no_simulation)
+    with pytest.raises(SimulationError, match="correlation times"):
+        validate(config("two_photon", 0.9), "nondeg-raw", segments=32,
+                 omega_lo=0.6 * G0)
+
+
+def test_simulate_refuses_a_pair_that_does_not_decay():
+    # A sum pair at kappa = gamma has no correlation time and no burn-in.
+    ss = build_state_space(config("two_photon", 0.5))
+    drift = ss.drift.copy()
+    drift[0, 0] = 0.0
+    with pytest.raises(SimulationError, match="does not decay"):
+        run(dataclasses.replace(ss, drift=drift), samples=4096)
+
+
 def test_duration_precondition_counts_every_record():
     # 33 windows at 5-8 gamma0 are 4 records of 9 windows, the last 3
     # simulated but not averaged: 5,120 samples in all, where

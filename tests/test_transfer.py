@@ -321,11 +321,24 @@ def test_subtracted_loss_residual_structure(kind, lossless, gamma_m):
     # The subtracted eps+ residual is alpha+'s reflection times the weight
     # and the gain ratio, exact while alpha+ and eps+ drive only the
     # sum-pair state, the difference port reflects no alpha+ and no port
-    # reflects eps+.
-    ss = transfer.build_state_space(config(kind, 0.9, lossless, gamma_m))
+    # reflects eps+.  The sum pair is fed by no other state or channel and
+    # the sum port reads nothing else, so the sum port responds to alpha+
+    # and eps+ only: the subtracted port differs from the difference port
+    # in those two coefficients alone.
+    cfg = config(kind, 0.9, lossless, gamma_m)
+    ss = transfer.build_state_space(cfg)
     assert not ss.noise_gain[1:, [0, 2]].any()
     assert ss.feedthrough[1, 0] == 0.0
     assert not ss.feedthrough[:, 2].any()
+    assert not ss.drift[0, 1:].any()
+    assert not ss.noise_gain[0, [1, 3, 4]].any()
+    assert ss.signal_gain[0] == 0.0
+    assert not ss.output_gain[0, 1:].any()
+    assert not ss.feedthrough[0, 1:].any()
+    sub, diff = (transfer_coefficients(cfg, port, grid(cfg))
+                 for port in ("subtracted", "difference"))
+    for ch in set(Channel) - {Channel.ALPHA_PLUS, Channel.EPS_PLUS}:
+        assert np.array_equal(sub[ch], diff[ch])
 
 
 def test_conjugate_symmetry():
