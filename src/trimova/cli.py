@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -67,7 +68,9 @@ def _base_config(args) -> SystemConfig:
 
 
 def _resolve_config(args) -> SystemConfig:
-    base = _base_config(args)
+    with warnings.catch_warnings():   # the config returned reports findings
+        warnings.simplefilter("ignore", model.RegimeWarning)
+        base = _base_config(args)
     g0 = base.cavity.gamma0
     squeeze = base.squeeze
     rates = {kind: vars(args)[key] for kind, key in model.RATE_KEY.items()

@@ -46,10 +46,10 @@ it computes, a Hann periodogram of step-averaged samples, taken exactly
 from the sampled model (_sampled_psd): averaging over a step multiplies the
 output PSD S by sinc^2(Omega*dt/2) and sampling folds every alias
 Omega + 2*pi*m/dt onto each bin; the discrete model that ``simulate`` steps
-holds both.  No alias is dropped, so the step need not keep them
-small; at the default step the aliases m != 0 are up to 5e-4 of the
-reference.  The closed-form reference is the nominal model's with its own
-alias m = 0 replaced by the closed form's, sinc^2(Omega*dt/2) times it.
+holds both.  No alias is dropped, so the step need not keep them small; at
+the default step the aliases m != 0 are up to 5e-4 of the reference.  The
+closed-form reference is the nominal model's with its own alias m = 0
+replaced by the closed form's, sinc^2(Omega*dt/2) times it.
 Every response is one transfer.resolvent, a forward substitution along the
 cascade (below): one of the nominal drift gives the subtraction weight and
 the nominal PSD; unperturbed, one sampled PSD serves both references.
@@ -63,32 +63,30 @@ _SCAN_BLOCK steps advance in lockstep, the states entering them come from
 the same scan run over the block ends, and are then carried in.  A block
 of 8 steps costs least per element: a larger block makes the scan's two
 transposes write to more streams at once.  A propagator with an entry
-against that order is rejected.  Time is processed in chunks, so the
-working memory does not grow with the record length.
+against that order is rejected.  Time is processed in chunks of _CHUNK
+steps, so the working memory does not grow with the record length.
 
 Randomness is counter-based and parallel-safe: each (seed, segment,
 component) triple owns a Philox stream, components 0-4 for the five normals
-of a step, so results are reproducible and independent of batching.  A
-segment of ``simulate`` is one record of ``validate``: its streams are keyed
-by record index, whichever call simulates it.
+of a step.  A segment of ``simulate`` is one record of ``validate``, keyed
+by record index and advanced alone, so its samples depend only on the
+model, dt, the seed, its index and its length.
 
 ``simulate`` and the periodogram stage of ``validate`` run on WORKERS
 threads, one for each core the process may run on.  ``simulate`` splits the
-segments into contiguous parts, one thread each, and a thread owns its
-segments for the whole record: their draws, noise mixing, the three scans
-and the output samples.  The periodogram stage gives each thread whole
-groups of _FFT_GROUP windows and adds the per-group sums in group order.
-A segment's arithmetic is the same whichever thread runs it, so outputs and
-reports do not depend on the core count.  The threads spend their time in
-the generators, einsum, the FFT and elementwise array operations, which
-release the interpreter lock.  They make no BLAS call: a multithreaded
-BLAS (OpenBLAS) lets its own idle threads spin after every small product,
-and from several callers those would take the cores the workers need.  The
-discretization runs on the calling thread, in products of 14 x 14 matrices
-that numpy's BLAS runs on that thread alone.  It does not call
-scipy.linalg.expm: after each call, a thread of scipy's bundled OpenBLAS
-spins for about 130 ms on the core a worker needs.  The public functions
-run on the calling thread only.
+segments into contiguous parts, one thread each, and a thread runs its
+segments one after another, each for the whole record.  The periodogram
+stage gives each thread whole groups of _FFT_GROUP windows and adds the
+per-group sums in group order, so outputs and reports do not depend on the
+core count.  The threads spend their time in the generators, einsum, the
+FFT and elementwise array operations, which release the interpreter lock.
+They make no BLAS call: a multithreaded BLAS (OpenBLAS) lets its own idle
+threads spin after every small product, and from several callers those
+would take the cores the workers need.  The discretization runs on the
+calling thread, in products of 14 x 14 matrices that numpy's BLAS runs on
+that thread alone.  It does not call scipy.linalg.expm: after each call, a
+thread of scipy's bundled OpenBLAS spins for about 130 ms on the core a
+worker needs.  The public functions run on the calling thread only.
 
 Memory of ``validate``: it holds the output samples of one ``simulate`` call
 at a time: four records of one length (two where four of WINDOWS_PER_RECORD
@@ -96,19 +94,17 @@ windows do not fit), within _CALL_SAMPLES samples a port (14 MiB in all)
 unless they hold WINDOWS_PER_RECORD windows (two of 1.2 M samples at 2**18).
 ``simulate`` writes each output sample in place, in one contiguous row per
 segment and port: a kept step's output noise, then the read-out of the
-state.  Each of its threads allocates its chunk, draw and scratch buffers
-once per call, and its chunk loop writes into them in place: 2**18
-segment-steps of four values (8 MiB in all) and 0.6 MiB of draws a thread.
-On two threads a call of four 212,992-sample records, the bench's, measures
-about 10 MiB besides its output under tracemalloc, under 12 MiB.  Each
-periodogram thread has one window buffer of _FFT_GROUP windows, filled by
-contiguous copies from the port rows.  Each group's rFFT is cut to the band
-and binned before the next is taken, the sums are kept per log bin, and
-every per-bin step (subtraction weight, signal coefficient, closed form,
-state-space PSD) runs on the band alone.  The records per call are not
-derived from WORKERS: the time chunk of ``simulate``, and with it the
-last-bit rounding of each record, depends on the records per call, and
-reports must not depend on the core count.
+state.  Each of its threads allocates once per call the states of a chunk
+(three rows of _CHUNK + 1 values), one scratch row and the draws, about
+4.6 MiB; on two threads a call of the bench's four 212,992-sample records
+measures about 10 MiB besides its output under tracemalloc, under 12 MiB.
+Each periodogram thread has one window buffer of _FFT_GROUP windows, filled
+by contiguous copies from the port rows.  Each group's rFFT is cut to the
+band and binned before the next is taken, the sums are kept per log bin,
+and every per-bin step (subtraction weight, signal coefficient, closed
+form, state-space PSD) runs on the band alone.  The records per call are
+fixed, not derived from WORKERS: with the _FFT_GROUP window groups they set
+the order in which the windows are summed, and so define the report.
 """
 
 from __future__ import annotations
@@ -137,6 +133,7 @@ WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
 _FFT_GROUP = 5            # windows per windowed-rFFT group in validate
 _SCAN_BLOCK = 8           # steps per block of the state scan
+_CHUNK = 1 << 17          # steps simulate advances a segment at a time
 _DRAW_BLOCK = 1 << 14     # steps a segment draws at once, so they stay in cache
 _TAYLOR_DEGREE = 18       # of the matrix exponential
 
@@ -359,11 +356,11 @@ def simulate(ss: StateSpace, *, segments: int = 1, samples: int, dt: float,
     (see _scan) whose input is its own noise and the upstream states through
     the off-diagonal propagator entries, scanned in blocks of _SCAN_BLOCK
     steps.  SimulationError is raised when the propagator has an entry
-    against that order.  Time runs in chunks of about 2**18 steps summed
-    over segments, so the working memory besides the returned array stays
-    near 10 MiB, under 12 MiB on two threads, whatever the record length:
-    the noise of a whole segment is never held at once.  The segments are
-    split over WORKERS threads (see the module docstring).
+    against that order.  Each segment is advanced alone, in chunks of
+    _CHUNK steps, so its samples do not depend on the other segments of the
+    call, and the working memory besides the returned array, about 4.6 MiB
+    a thread, does not grow with the record.  The segments are split over
+    WORKERS threads (see the module docstring).
 
     ``outputs`` is a (segments, samples, 2) view of an array stored port by
     port: outputs[s, :, p] is contiguous.  The burn-in steps draw their
@@ -379,54 +376,53 @@ def simulate(ss: StateSpace, *, segments: int = 1, samples: int, dt: float,
 
     total = burn_in + samples
     out = np.empty((2, segments, samples))   # port rows out[p, s]
-    # 2**18 segment-steps, and no more steps than a segment takes.
-    chunk = min(total, max(1, (4 << 20) // (16 * segments)))
+    chunk = min(total, _CHUNK)
     width = 1 + -(-chunk // _SCAN_BLOCK) * _SCAN_BLOCK
 
     def integrate(lo: int, hi: int) -> None:
-        gens = [_segment_generators(seed, segment_offset + s, 5)
-                for s in range(lo, hi)]
-        # x[:, :, k] is the state entering step start + k, x[:, :, 1:] holds
-        # the scan inputs until the scan.  z holds a segment's draws of up to
+        # x[:, k] is the state entering step start + k, x[:, 1:] holds the
+        # scan inputs until the scan.  z holds the draws of up to
         # _DRAW_BLOCK steps; the scans and the products run in scratch, so
         # the chunk loop allocates no array of chunk size.
-        x = np.zeros((3, hi - lo, width))
+        x = np.empty((3, width))
         z = np.empty((5, min(chunk, _DRAW_BLOCK)))
-        scratch = np.empty((hi - lo) * (width - 1))
+        scratch = np.empty(width - 1)
 
         def times(c: float, a: np.ndarray) -> np.ndarray:
-            return np.multiply(c, a, out=scratch[:a.size].reshape(a.shape))
+            return np.multiply(c, a, out=scratch[:a.size])
 
-        for start in range(0, total, chunk):
-            size = min(chunk, total - start)
-            first = max(0, burn_in - start)   # the chunk's first kept step
-            lag = start - burn_in             # out's index of step start
-            for s, seg_gens in enumerate(gens):
+        for s in range(lo, hi):
+            gens = _segment_generators(seed, segment_offset + s, 5)
+            x[:, 0] = 0.0   # from rest
+            for start in range(0, total, chunk):
+                size = min(chunk, total - start)
+                first = max(0, burn_in - start)   # first kept step
+                lag = start - burn_in             # out's index of start
                 for at in range(0, size, z.shape[1]):
                     to = min(size, at + z.shape[1])
-                    for comp, gen in enumerate(seg_gens):
+                    for comp, gen in enumerate(gens):
                         gen.standard_normal(out=z[comp, :to - at])
                     np.einsum("rc,ck->rk", factor[:3], z[:, :to - at],
-                              out=x[:, s, 1 + at:to + 1])
+                              out=x[:, 1 + at:to + 1])
                     # A kept step's output noise goes straight to out.
                     kept = max(at, first)
                     if kept < to:
                         np.einsum("rc,ck->rk", factor[3:],
                                   z[:, kept - at:to - at],
-                                  out=out[:, lo + s, lag + kept:lag + to])
-            x[:, :, size + 1:] = 0.0   # zero inputs fill the last block
-            stop = 1 + -(-size // _SCAN_BLOCK) * _SCAN_BLOCK
-            for i, row in enumerate(CASCADE):
-                u = x[row, :, 1:size + 1]
-                for col in CASCADE[:i]:
-                    u += times(phi_xx[row, col], x[col, :, :size])
-                _scan(phi_xx[row, row], x[row, :, :stop], scratch)
+                                  out=out[:, s, lag + kept:lag + to])
+                x[:, size + 1:] = 0.0   # zero inputs fill the last block
+                stop = 1 + -(-size // _SCAN_BLOCK) * _SCAN_BLOCK
+                for i, row in enumerate(CASCADE):
+                    u = x[row, 1:size + 1]
+                    for col in CASCADE[:i]:
+                        u += times(phi_xx[row, col], x[col, :size])
+                    _scan(phi_xx[row, row], x[row, :stop], scratch)
 
-            if first < size:
-                for p, j in zip(*np.nonzero(read_x)):   # zero terms skipped
-                    out[p, lo:hi, lag + first:lag + size] += times(
-                        read_x[p, j], x[j, :, first:size])
-            x[:, :, 0] = x[:, :, size]
+                if first < size:
+                    for p, j in zip(*np.nonzero(read_x)):   # nonzero terms
+                        out[p, s, lag + first:lag + size] += times(
+                            read_x[p, j], x[j, first:size])
+                x[:, 0] = x[:, size]
 
     _in_parallel(integrate, segments)
     return SimulationResult(out.transpose(1, 2, 0), dt)
@@ -678,12 +674,8 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
     # Signal coefficient of the measured raw port (signal referring).
     sig2 = np.abs(ss_nom.signal_response(grid)[:, ss_nom.measured_port]) ** 2
 
-    # Records of windows hop samples apart, per_call a call: four, which
-    # one, two or four workers share evenly, or two where four records of
-    # WINDOWS_PER_RECORD windows overflow _CALL_SAMPLES.  A record holds at
-    # most the windows that keep a call within it, or WINDOWS_PER_RECORD.
-    # The fewest calls hold the windows, split evenly; the last call ends
-    # with the windows (fewer than per_call) simulated and not averaged.
+    # The record layout of the docstring, windows hop samples apart.  Four
+    # records a call, which one, two or four workers share evenly.
     hop = window // 2
     per_call = 2 if 4 * (WINDOWS_PER_RECORD + 1) * hop > _CALL_SAMPLES else 4
     most = max(WINDOWS_PER_RECORD, _CALL_SAMPLES // (per_call * hop) - 1)

@@ -240,7 +240,8 @@ def detection_threshold_time_domain(config: SystemConfig) -> ThresholdReport:
     K* = sqrt(gamma_m^2 + (2pi/tau)^2/3).  sql-form: use the SQL density at
     the band edge scale instead.  At n_T = gamma_m = 0 the two quantum terms
     differ by exactly 1/sqrt(3).  Also reports the pure quantum limit
-    F_SQL = (4/tau)*sqrt(pi*hbar*m*omega_m/sqrt(3)).
+    F_SQL = (4/tau)*sqrt(pi*hbar*m*omega_m/sqrt(3)); ValueError where its
+    radicand or 2*hbar*omega_m*m is 0 or not finite.
     """
     mech = config.mechanical
     tau = config.signal.tau
@@ -256,8 +257,11 @@ def detection_threshold_time_domain(config: SystemConfig) -> ThresholdReport:
     band_f2 = 2.0 * (thermal_rate + 2.0 * k_star / tau)      # f_s0^2
     sqlform_f2 = 2.0 * (thermal_rate + 4.0 * math.pi / tau**2)
     scale2 = 2.0 * HBAR * mech.omega_m * mech.mass            # F^2 = f^2 * scale2
-    f_sql = (4.0 / tau) * math.sqrt(math.pi * HBAR * mech.mass * mech.omega_m
-                                    / math.sqrt(3.0))
+    sql2 = math.pi * HBAR * mech.mass * mech.omega_m / math.sqrt(3.0)
+    if not (0.0 < scale2 < math.inf and 0.0 < sql2 < math.inf):
+        raise ValueError(f"force scale 2*hbar*omega_m*m = {scale2:.3g} J kg: "
+                         "it must be positive and finite")
+    f_sql = (4.0 / tau) * math.sqrt(sql2)
     return ThresholdReport(
         tau=tau,
         n_T=n_T,

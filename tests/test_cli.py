@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -139,27 +140,69 @@ def test_threshold_at_two_photon_stability_edge_exits_2(capsys):
     assert "reaches gamma0+gamma_e" in captured.err
 
 
-def write_underflowing_config(tmp_path, temperature):
-    """A config file at omega_m = 1e-300 rad/s, where hbar*omega_m underflows
-    to 0."""
+def write_mechanics_config(tmp_path, temperature, omega_m=1e-300,
+                           mass=5e-8):
+    """A config file with these mechanics at gamma_m = 0, by default at
+    omega_m = 1e-300 rad/s, where hbar*omega_m underflows to 0."""
     path = write_config(tmp_path)
     doc = json.loads(path.read_text())
-    doc["mechanical"] = {"mass": 5e-8, "omega_m": 1e-300, "gamma_m": 0.0,
+    doc["mechanical"] = {"mass": mass, "omega_m": omega_m, "gamma_m": 0.0,
                          "temperature": temperature}
     path.write_text(json.dumps(doc))
     return path
 
 
+def assert_force_scale_refused(path, capsys):
+    # Text and JSON: one error line, nothing on stdout.
+    for extra in ([], ["--json"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", model.RegimeWarning)
+            assert cli.main(["threshold", "--config", str(path)] + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: force scale 2*hbar*omega_m*m")
+        assert captured.err.count("\n") == 1
+
+
 def test_underflowing_mechanical_quantum_at_zero_temperature(tmp_path, capsys):
-    path = write_underflowing_config(tmp_path, 0.0)
-    with pytest.warns(model.RegimeWarning):
-        assert cli.main(["threshold", "--json", "--config", str(path)]) == 0
-    assert json.loads(capsys.readouterr().out)["n_T"] == 0.0
+    # n_T = 0, but 2*hbar*omega_m*m underflows to 0: every force in newtons
+    # would read 0.
+    assert_force_scale_refused(write_mechanics_config(tmp_path, 0.0),
+                               capsys)
+
+
+def test_overflowing_mechanical_quantum(tmp_path, capsys):
+    # m = omega_m = 1e200: 2*hbar*omega_m*m overflows, every force would
+    # read inf.
+    path = write_mechanics_config(tmp_path, 20.0, omega_m=1e200, mass=1e200)
+    assert_force_scale_refused(path, capsys)
+
+
+def test_config_run_reports_each_regime_finding_once(tmp_path):
+    # The file has gamma_e/gamma0 = 0.25 and gamma_m/gamma = 0.25; each
+    # finding is reported once, and the gamma_m one not at all once
+    # --gamma-m 0 clears it.
+    path = write_config(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["cavity"]["gamma_e"] = 0.25 * G0
+    doc["mechanical"] = {"mass": 5e-8, "omega_m": 2 * math.pi * 350e3,
+                         "gamma_m": 0.25 * G0, "temperature": 20.0}
+    path.write_text(json.dumps(doc))
+    for extra, gamma_m_found in (([], True), (["--gamma-m", "0"], False)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["threshold", "--json", "--config", str(path)]
+                            + extra) == 0
+        found = [str(w.message) for w in caught
+                 if issubclass(w.category, model.RegimeWarning)]
+        assert len(found) == len(set(found)), found
+        assert sum("gamma_e/gamma0 = 0.25" in m for m in found) == 1
+        assert sum("gamma_m/gamma" in m for m in found) == gamma_m_found
 
 
 def test_underflowing_mechanical_quantum_exits_2(tmp_path, capsys):
     # At T > 0 the occupancy has no bound, and the config is refused.
-    path = write_underflowing_config(tmp_path, 20.0)
+    path = write_mechanics_config(tmp_path, 20.0)
     assert cli.main(["threshold", "--config", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -651,14 +651,13 @@ def loop_simulate(ss, *, segments, samples, dt, seed=0, segment_offset=0,
     return out
 
 
-def assert_matches_loop(ss, **options):
-    # 240 segments make simulate's time chunk (2**18 segment-steps) 1092
-    # steps, not a whole number of blocks.  The samples are set from the
-    # model's burn-in so that the record ends in a partial second chunk,
-    # half a block past a block end.
+def assert_matches_loop(monkeypatch, ss, **options):
+    # A time chunk of 1092 steps, not a whole number of blocks.  The samples
+    # are set from the model's burn-in so that each record ends in a partial
+    # second chunk, half a block past a block end.
     dt = 0.05 / oracle.max_rate(ss)
-    segments, block = 240, oracle._SCAN_BLOCK
-    chunk = (4 << 20) // (16 * segments)
+    segments, block, chunk = 240, oracle._SCAN_BLOCK, 1092
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
     tail = chunk // 2 // block * block + block // 2
     samples = chunk + tail - burn_in(ss, dt)
     assert samples > 0 and 0 < tail < chunk
@@ -673,13 +672,13 @@ def assert_matches_loop(ss, **options):
 
 
 @pytest.mark.parametrize("kind", ["none", "two_photon", "degenerate"])
-def test_cascade_matches_step_loop(kind):
-    assert_matches_loop(build_state_space(config(kind, 0.5)))
+def test_cascade_matches_step_loop(monkeypatch, kind):
+    assert_matches_loop(monkeypatch, build_state_space(config(kind, 0.5)))
 
 
-def test_cascade_matches_step_loop_damped_mechanics():
+def test_cascade_matches_step_loop_damped_mechanics(monkeypatch):
     # gamma_m > 0: the mechanical factor is below 1.
-    assert_matches_loop(build_state_space(
+    assert_matches_loop(monkeypatch, build_state_space(
         config("two_photon", 0.5, gamma_m=G0 / 20.0)))
 
 
@@ -687,9 +686,10 @@ def test_cascade_matches_step_loop_damped_mechanics():
     (np.array([1.0, 0.0, 2.0, 0.5, 3.0]), {}),
     (None, {"segment_offset": 5}),
 ], ids=["channel-scale", "offset"])
-def test_cascade_matches_step_loop_options(scale, options):
+def test_cascade_matches_step_loop_options(monkeypatch, scale, options):
     ss = build_state_space(config("two_photon", 0.3))
-    assert_matches_loop(ss if scale is None else scaled(ss, scale), **options)
+    assert_matches_loop(monkeypatch, ss if scale is None else scaled(ss, scale),
+                        **options)
 
 
 def covariance_close(got, want):
@@ -808,20 +808,26 @@ def test_cascade_rejects_upstream_coupling():
 
 # --- worker threads ----------------------------------------------------------------
 
-@pytest.mark.parametrize("segments, samples, force_only, offset", [
-    (40, 14000, False, 0),
-    (7, 4096, True, 5),
-    (2, 4096, False, 0),
+@pytest.mark.parametrize("segments, samples, force_only, offset, chunk", [
+    (40, 14000, False, 0, 8191),
+    (7, 4096, True, 5, None),
+    (2, 4096, False, 0, None),
 ], ids=["two-chunks", "signal-offset", "fewer-segments-than-workers"])
 def test_simulate_independent_of_worker_count(monkeypatch, segments, samples,
-                                              force_only, offset):
+                                              force_only, offset, chunk):
     # Three workers split the segments unevenly and outnumber the cores of
     # a two-core host; a short switch interval interleaves them more often.
-    # signal-offset: only the bath force, which enters the mechanics where a
-    # signal force does, drives the model, from segment 5 on.
+    # two-chunks: a time chunk of 8191 steps, not a whole number of blocks,
+    # and each record ends in a partial second chunk.  signal-offset: only
+    # the bath force, which enters the mechanics where a signal force does,
+    # drives the model, from segment 5 on.
     ss = build_state_space(config("two_photon", 0.5))
     if force_only:
         ss = scaled(ss, [0, 0, 0, 0, 1.0])
+    if chunk is not None:
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        total = burn_in(ss, 0.05 / oracle.max_rate(ss)) + samples
+        assert chunk < total < 2 * chunk and chunk % oracle._SCAN_BLOCK
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -835,6 +841,26 @@ def test_simulate_independent_of_worker_count(monkeypatch, segments, samples,
     assert np.any(sims[0].outputs)
     for sim in sims[1:]:
         assert np.array_equal(sim.outputs, sims[0].outputs)
+
+
+@pytest.mark.parametrize("chunk", [None, 4099],
+                         ids=["default-chunk", "short-chunk"])
+def test_record_independent_of_batching(monkeypatch, chunk):
+    # A record of about 100,000 samples is the same, bit for bit, simulated
+    # alone and as the middle of three on one, two and three workers: its
+    # samples depend only on the model, dt, the seed, its index and its
+    # length.  short-chunk: 4099 steps a chunk, not a whole number of
+    # blocks, so the record ends in a partial chunk.
+    if chunk is not None:
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    ss = build_state_space(config("two_photon", 0.5))
+    shape = dict(samples=100_003, seed=5)
+    alone = run(ss, segments=1, segment_offset=1, **shape).outputs[0]
+    assert np.any(alone)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(oracle, "WORKERS", workers)
+        middle = run(ss, segments=3, **shape).outputs[1]
+        assert np.array_equal(middle, alone), workers
 
 
 def test_validate_report_independent_of_worker_count(monkeypatch):
@@ -872,7 +898,7 @@ def test_worker_exception_reaches_caller(monkeypatch):
 def test_simulate_working_memory_and_layout(monkeypatch):
     # A call of the bench's validate shape, four records of 212,992 samples
     # on two workers: besides its output, the tracemalloc peak stays under
-    # the 12 MiB that simulate's docstring states, and the samples of a
+    # the 12 MiB that the module docstring states, and the samples of a
     # segment's port are one contiguous row.
     monkeypatch.setattr(oracle, "WORKERS", 2)
     ss = build_state_space(config("two_photon", 0.5))
