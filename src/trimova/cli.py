@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
-import hashlib
 import json
 import math
 import os
@@ -106,25 +105,19 @@ def _resolve_config(args) -> SystemConfig:
     return SystemConfig(mech, base.cavity, squeeze, drive, signal)
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
-
-
 def _write_manifest(stem: Path, argv: list[str], config: SystemConfig | None,
-                    outputs: list[Path], seed: int | None = None) -> Path:
+                    outputs: dict[Path, str], seed: int | None = None) -> Path:
     manifest = {
         "tool": "trimova",
         "version": __version__,
         "command": list(argv),
         "config": config_snapshot(config) if config is not None else None,
         "seed": seed,
-        "outputs": [{"path": str(p), "sha256": _sha256(p)} for p in outputs],
+        "outputs": [{"path": str(p), "sha256": h} for p, h in outputs.items()],
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     path = stem.with_suffix(stem.suffix + ".manifest.json")
-    path.write_text(json_text(manifest), encoding="utf-8")
+    model.write_text(path, json_text(manifest))
     return path
 
 
@@ -141,27 +134,23 @@ def cmd_spectrum(args, argv) -> int:
     if args.sql_ratio:
         series = spectra.ratio_to_sql(series)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    series.write_csv(out)
     side = out.with_suffix(".json")
-    series.write_json(side)
-    _write_manifest(out, argv, config, [out, side])
+    outputs = {out: series.write_csv(out), side: series.write_json(side)}
+    _write_manifest(out, argv, config, outputs)
     print(f"wrote {out} ({series.grid.size} rows) and {side}")
     return 0
 
 
 def cmd_figure(args, argv) -> int:
     outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     curves = spectra.figure_curves(args.id, points=args.points)
     spec = spectra.FIGURES[args.id]
-    outputs = []
+    outputs = {}
     for label, series in curves.items():
         path = outdir / f"{args.id}_{label}.csv"
-        series.write_csv(path)
-        outputs.append(path)
+        outputs[path] = series.write_csv(path)
     sidecar = outdir / f"{args.id}_preset.json"
-    sidecar.write_text(json_text({
+    outputs[sidecar] = model.write_text(sidecar, json_text({
         "figure": args.id,
         "case": spec.case,
         "rates_of_gamma0": list(spec.rates),
@@ -171,8 +160,7 @@ def cmd_figure(args, argv) -> int:
         "gamma_m": 0.0,
         "note": spec.note,
         "curves": {label: f"{args.id}_{label}.csv" for label in curves},
-    }), encoding="utf-8")
-    outputs.append(sidecar)
+    }))
     _write_manifest(outdir / args.id, argv, None, outputs)
     print(f"wrote {len(curves)} curves for {args.id} into {outdir}")
     return 0
@@ -211,9 +199,8 @@ def cmd_validate(args, argv) -> int:
                              perturb=args.perturb_kappa, dt=args.dt,
                              omega_lo=lo, omega_hi=hi)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    report.write_json(out)
-    _write_manifest(out, argv, config, [out], seed=args.seed)
+    _write_manifest(out, argv, config, {out: report.write_json(out)},
+                    seed=args.seed)
     status = "PASS" if report.passed else "FAIL"
     print(f"{status} {args.case}: {100 * report.pass_fraction:.1f}% of "
           f"{report.grid.size} grid points within max(3*stderr, "

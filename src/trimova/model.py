@@ -20,6 +20,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field, fields
+from pathlib import Path
 
 # Exact SI 2019 values of the reduced Planck and the Boltzmann constants.
 HBAR = 6.62607015e-34 / (2 * math.pi)   # J s
@@ -322,12 +323,6 @@ _SECTION_KEYS = {
 }
 
 
-def _reject_unknown(section: str, data: dict) -> None:
-    unknown = set(data) - _SECTION_KEYS[section]
-    if unknown:
-        raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
-
-
 def parse_config(data: dict) -> SystemConfig:
     """Build a SystemConfig from a parsed JSON document (strict schema)."""
     if not isinstance(data, dict):
@@ -345,7 +340,9 @@ def parse_config(data: dict) -> SystemConfig:
     signal_d = dict(data.get("signal", {"tau": TAU_PRESETS["table1"]}))
     for name, d in [("mechanical", mech_d), ("cavity", cav_d), ("drive", drive_d),
                     ("squeeze", squeeze_d), ("signal", signal_d)]:
-        _reject_unknown(name, d)
+        unknown = sorted(set(d) - _SECTION_KEYS[name])
+        if unknown:
+            raise ConfigError(f"unknown keys in [{name}]: {unknown}")
 
     if ("gamma_m" in mech_d) == ("Q" in mech_d):
         raise ConfigError("[mechanical] needs exactly one of gamma_m or Q")
@@ -397,6 +394,17 @@ def json_text(doc) -> str:
     callers serialize before opening a file and a failure writes nothing.
     """
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def write_text(path, text: str) -> str:
+    """Write serialized ``text`` to ``path`` as UTF-8 with its newlines as
+    given, creating the parent directory; the sha256 hex digest of the bytes
+    written."""
+    import hashlib   # here, so that importing trimova does not load OpenSSL
+    data = text.encode("utf-8")
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    Path(path).write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def config_snapshot(config: SystemConfig) -> dict:

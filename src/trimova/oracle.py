@@ -116,7 +116,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import SystemConfig, json_text
+from .model import SystemConfig, json_text, write_text
 from .spectra import closed_form_psd, port_for_case
 from .transfer import (CASCADE, StateSpace, build_state_space, check_cascade,
                        nulling, port_psd, read_out, resolvent)
@@ -573,10 +573,8 @@ class ValidationReport:
             out[name] = [float(x) for x in getattr(self, name)]
         return out
 
-    def write_json(self, path) -> None:
-        text = json_text(self.to_json_dict())
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    def write_json(self, path) -> str:
+        return write_text(path, json_text(self.to_json_dict()))
 
 
 def validate(config: SystemConfig, case: str, *, segments: int = 200,

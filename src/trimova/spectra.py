@@ -31,7 +31,7 @@ import numpy as np
 
 from .model import (HBAR, RATE_KEY, TAU_PRESETS, RegimeWarning, Squeezing,
                     SystemConfig, braginsky_factor, config_snapshot, json_text,
-                    k0_for_n0, reference_config, reference_rates)
+                    k0_for_n0, reference_config, reference_rates, write_text)
 from .transfer import (Channel, VACUUM_CHANNELS, build_state_space,
                        guard_subtraction, transfer_coefficients)
 
@@ -54,11 +54,8 @@ def port_for_case(case: str) -> str:
 
 def _check_case(config: SystemConfig, case: str) -> None:
     port_for_case(case)   # rejects unknown case names
-    kind = CASE_KIND[case]
-    actual = config.squeeze.kind
-    if kind == "none" and actual != "none":
-        raise ValueError(f"case {case!r} requires no squeezing, config has {actual!r}")
-    if kind != "none" and actual not in ("none", kind):
+    kind, actual = CASE_KIND[case], config.squeeze.kind
+    if actual not in ("none", kind):   # a squeezed case also runs unsqueezed
         raise ValueError(f"case {case!r} requires {kind!r} squeezing, "
                          f"config has {actual!r}")
 
@@ -132,10 +129,8 @@ class SpectrumSeries:
                              for k, v in self.budget.items()}
         return out
 
-    def write_json(self, path) -> None:
-        text = json_text(self.to_json_dict())
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    def write_json(self, path) -> str:
+        return write_text(path, json_text(self.to_json_dict()))
 
     def csv_text(self) -> str:
         cols = ["omega_rad_s", "value"]
@@ -154,10 +149,8 @@ class SpectrumSeries:
             buf.write(",".join(f"{x:.17g}" for x in row) + "\n")
         return buf.getvalue()
 
-    def write_csv(self, path) -> None:
-        text = self.csv_text()
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    def write_csv(self, path) -> str:
+        return write_text(path, self.csv_text())
 
 
 def spectrum_series(config: SystemConfig, case: str, omega,
@@ -241,7 +234,8 @@ def detection_threshold_time_domain(config: SystemConfig) -> ThresholdReport:
     the band edge scale instead.  At n_T = gamma_m = 0 the two quantum terms
     differ by exactly 1/sqrt(3).  Also reports the pure quantum limit
     F_SQL = (4/tau)*sqrt(pi*hbar*m*omega_m/sqrt(3)); ValueError where its
-    radicand or 2*hbar*omega_m*m is 0 or not finite.
+    radicand, 2*hbar*omega_m*m or a reported value is 0 or not finite (n_T
+    and B may be 0).
     """
     mech = config.mechanical
     tau = config.signal.tau
@@ -249,30 +243,34 @@ def detection_threshold_time_domain(config: SystemConfig) -> ThresholdReport:
         warnings.warn(f"gamma_m*tau = {mech.gamma_m * tau:.3g} is not small; "
                       "short-pulse threshold formulas degrade",
                       RegimeWarning, stacklevel=2)
-    n_T = mech.occupancy
-    gm = mech.gamma_m
-    band = 2.0 * math.pi / tau
-    k_star = math.sqrt(gm**2 + band**2 / 3.0)
+    n_T, gm = mech.occupancy, mech.gamma_m
+    band = 2.0 * math.pi / tau   # products, not **: inf or 0, never raise
+    k_star = math.sqrt(gm * gm + band * band / 3.0)
     thermal_rate = 2.0 * gm * (2.0 * n_T + 1.0) / tau
     band_f2 = 2.0 * (thermal_rate + 2.0 * k_star / tau)      # f_s0^2
-    sqlform_f2 = 2.0 * (thermal_rate + 4.0 * math.pi / tau**2)
+    sqlform_f2 = 2.0 * (thermal_rate + 2.0 * band / tau)     # 4pi/tau^2
     scale2 = 2.0 * HBAR * mech.omega_m * mech.mass            # F^2 = f^2 * scale2
     sql2 = math.pi * HBAR * mech.mass * mech.omega_m / math.sqrt(3.0)
     if not (0.0 < scale2 < math.inf and 0.0 < sql2 < math.inf):
         raise ValueError(f"force scale 2*hbar*omega_m*m = {scale2:.3g} J kg: "
                          "it must be positive and finite")
-    f_sql = (4.0 / tau) * math.sqrt(sql2)
-    return ThresholdReport(
+    report = ThresholdReport(
         tau=tau,
         n_T=n_T,
         braginsky=braginsky_factor(n_T, mech.omega_m, tau, mech.quality_factor),
         pump_optimum=k_star,
         band_integrated_force=math.sqrt(band_f2 * scale2),
         sql_form_force=math.sqrt(sqlform_f2 * scale2),
-        sql_limit_force=f_sql,
+        sql_limit_force=(4.0 / tau) * math.sqrt(sql2),
         band_integrated_f=math.sqrt(band_f2),
         sql_form_f=math.sqrt(sqlform_f2),
     )
+    for name, value in report.to_json_dict().items():
+        if not (0.0 < value < math.inf
+                or value == 0.0 and name in ("n_T", "braginsky")):
+            raise ValueError(f"pulse length tau = {tau:.3g} s gives {name} = "
+                             f"{value:.3g}: it must be positive and finite")
+    return report
 
 
 # --- figure presets --------------------------------------------------------------

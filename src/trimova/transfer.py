@@ -226,7 +226,8 @@ def nulling(h: np.ndarray) -> np.ndarray:
 def transfer_coefficients(config: SystemConfig, port: str, omega) -> dict:
     """Signal-referred coefficient map Channel -> complex array over
     ``omega`` of one port (see PORTS): every coefficient divided by the
-    signal coefficient, which leaves exactly 1 in the signal slot."""
+    signal coefficient, which leaves exactly 1 in the signal slot; ValueError
+    where a quotient is not finite (a signal coefficient 0 or too small)."""
     if port not in PORTS:
         raise ValueError(f"unknown port {port!r}; expected one of {PORTS}")
     w = np.asarray(omega, dtype=float)
@@ -242,6 +243,13 @@ def transfer_coefficients(config: SystemConfig, port: str, omega) -> dict:
         # residual is alpha+'s reflection scaled by their gain ratio.
         row[:, 2] = weight * (-ss.feedthrough[0, 0] * ss.noise_gain[0, 2]
                               / ss.noise_gain[0, 0])
-    row = row / row[:, -1:]
+    sig = row[:, -1]
+    with np.errstate(all="ignore"):   # refused below, without warnings
+        row = row / sig[:, None]
+    finite = np.isfinite(row).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"{port} port at Omega = {np.ravel(w)[i]:.3g} rad/s: the "
+                         f"noise over signal coefficient {abs(sig[i]):.3g} is not finite")
     row[:, -1] = 1.0
     return {ch: row[:, i] for i, ch in enumerate(_INPUTS)}

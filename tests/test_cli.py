@@ -1,5 +1,6 @@
 """Command-line interface: outputs, manifests, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -178,6 +179,41 @@ def test_overflowing_mechanical_quantum(tmp_path, capsys):
     assert_force_scale_refused(path, capsys)
 
 
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+@pytest.mark.parametrize("argv", [
+    ["--tau", "1e-200"],                      # (2pi/tau)^2 overflows
+    ["--gamma-m", "0", "--tau", "1e200"],     # K* underflows to 0
+], ids=["tau-short", "tau-long-gamma-m-0"])
+def test_threshold_out_of_range_tau_exits_2(capsys, argv, extra):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", model.RegimeWarning)
+        assert cli.main(["threshold", *argv, *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: pulse length tau")
+    assert captured.err.count("\n") == 1
+
+
+def test_threshold_long_tau_values_finite_and_positive(capsys):
+    # tau = 1e200 s: tau^2 overflows and (2pi/tau)^2 underflows, yet every
+    # reported value is finite and positive.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", model.RegimeWarning)
+        assert cli.main(["threshold", "--json", "--tau", "1e200"]) == 0
+        doc = json.loads(capsys.readouterr().out,
+                         parse_constant=reject_constant)
+        assert cli.main(["threshold", "--tau", "1e200"]) == 0
+        text = capsys.readouterr().out
+    spectral = doc.pop("spectral_f")
+    values = list(doc.values()) + list(spectral.values())
+    assert len(values) == 11
+    assert all(0.0 < v < math.inf for v in values), doc
+    printed = [float(line.split(":")[1].split()[0])
+               for line in text.splitlines()]
+    assert len(printed) == 9
+    assert all(0.0 < v < math.inf for v in printed), text
+
+
 def test_config_run_reports_each_regime_finding_once(tmp_path):
     # The file has gamma_e/gamma0 = 0.25 and gamma_m/gamma = 0.25; each
     # finding is reported once, and the gamma_m one not at all once
@@ -316,11 +352,51 @@ def _nan_report():
     lambda path: _nan_series().write_csv(path.with_suffix(".csv")),
     lambda path: _nan_report().write_json(path),
     lambda path: cli._write_manifest(path.with_suffix(""), ["threshold"], None,
-                                     [], seed=math.nan),
+                                     {}, seed=math.nan),
 ], ids=["spectrum-json", "spectrum-csv", "validation-report", "manifest"])
 def test_json_writers_reject_nan_and_write_nothing(tmp_path, write):
     with pytest.raises(ValueError):
         write(tmp_path / "out.json")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--case", "nondeg-sub", "--kappa", "0.5g0", "--budget",
+     "--out", "out/s.csv"],
+    ["figure", "fig8", "--points", "50", "--out-dir", "figs"],
+    ["validate", "--case", "baseline", "--segments", "32", "--omega-min",
+     "0.05g0", "--out", "v/report.json"],
+], ids=["spectrum-budget", "figure-fig8", "validate"])
+def test_manifest_digests_match_files_on_disk(tmp_path, monkeypatch, argv):
+    # Each writer hashes the bytes it writes; the manifest records those
+    # digests without reading the files back, so they must match the disk.
+    # Output directories are created by the writer itself.
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) in (0, 1)
+    manifests = list(tmp_path.rglob("*.manifest.json"))
+    assert len(manifests) == 1
+    outputs = json.loads(manifests[0].read_text())["outputs"]
+    assert outputs
+    for entry in outputs:
+        data = Path(entry["path"]).read_bytes()
+        assert entry["sha256"] == hashlib.sha256(data).hexdigest()
+    written = [p for p in tmp_path.rglob("*") if p.is_file()]
+    assert len(written) == len(outputs) + 1
+    assert not [p for p in written if b"\r" in p.read_bytes()]
+
+
+def test_spectrum_past_signal_underflow_exits_2_with_one_line(tmp_path):
+    # A fresh interpreter, so that stderr holds whatever numpy would print.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "trimova.cli", "spectrum", "--case", "baseline",
+         "--omega-max", "1e200", "--out", "w.csv"], cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=120)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ")
+    assert done.stderr.count("\n") == 1, done.stderr
     assert not list(tmp_path.iterdir())
 
 

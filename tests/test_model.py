@@ -1,5 +1,6 @@
 """Parameter containers, occupancy and pump rate, regime checks, config files."""
 
+import hashlib
 import json
 import math
 
@@ -281,3 +282,14 @@ def test_config_rejects_ambiguous_inputs():
     doc["mechanical"]["gamma_m"] = 0.01
     with pytest.raises(ConfigError):
         model.parse_config(doc)
+
+
+def test_write_text_creates_parent_and_returns_digest_of_bytes(tmp_path):
+    path = tmp_path / "missing" / "deeper" / "out.csv"
+    text = "omega,γ0\n1,2\n"
+    digest = model.write_text(path, text)
+    data = path.read_bytes()
+    # UTF-8, and "\n" written as given on every platform.
+    assert data == text.encode("utf-8")
+    assert b"\r" not in data
+    assert digest == hashlib.sha256(data).hexdigest()

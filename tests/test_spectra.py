@@ -85,6 +85,17 @@ def test_dual_path(case, kind, frac, lossless):
     assert np.all(assembled >= 0) and np.all(np.isfinite(assembled))
 
 
+@pytest.mark.parametrize("omega", [1e160, 1e200])
+@pytest.mark.parametrize("case", ["baseline", "nondeg-sub"])
+def test_spectrum_refuses_vanishing_signal_coefficient(case, omega):
+    # Past Omega ~ 8e157 rad/s the signal coefficient is subnormal or 0, so
+    # referring the noise to it overflows: one ValueError, no numpy warning
+    # (the suite turns RuntimeWarning into an error).
+    cfg = config("two_photon", 0.5) if case.startswith("nondeg") else config()
+    with pytest.raises(ValueError, match="signal coefficient"):
+        spectrum_series(cfg, case, np.array([G0, omega]))
+
+
 @pytest.mark.parametrize("case", ["nondeg-raw", "nondeg-sub"])
 def test_closed_form_finite_where_pump_response_cancels(case):
     # At kappa = gamma0 - gamma_e the squeezed-pair reflection and the pump
