@@ -3,7 +3,8 @@
 Every run that writes files also writes a manifest (command line, config
 snapshot, seeds, output hashes) sufficient to reproduce them bit-identically;
 ``trimova replay <manifest>`` re-executes the recorded command.  Exit codes:
-0 success, 1 validation failure, 2 usage or configuration error.
+0 success, 1 validation failure, 2 usage or configuration error.  Each regime
+finding (``model.RegimeWarning``) prints to stderr as one ``warning:`` line.
 
 Rate-valued options accept either rad/s or multiples of the input-coupler
 rate with a ``g0`` suffix (``--kappa 0.9g0``).  The default configuration
@@ -25,8 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, model, oracle, spectra
-from .model import (DriveConfig, Squeezing, SystemConfig, config_snapshot,
-                    json_text, load_config, reference_config)
+from .model import (Squeezing, SystemConfig, config_snapshot, json_text,
+                    load_config, reference_config)
 from .transfer import PoleError
 
 ENV_CONFIG = "TRIMOVA_CONFIG"
@@ -60,6 +61,9 @@ def positive_int(text: str) -> int:
 def _base_config(args) -> SystemConfig:
     path = args.config or os.environ.get(ENV_CONFIG)
     if path:
+        if args.tau_preset:
+            raise UsageError(f"--tau-preset is for the built-in configuration "
+                             f"only, not with the config file {path}")
         if not Path(path).is_file():
             raise UsageError(f"config file not found: {path}")
         return load_config(path)
@@ -71,38 +75,35 @@ def _resolve_config(args) -> SystemConfig:
         warnings.simplefilter("ignore", model.RegimeWarning)
         base = _base_config(args)
     g0 = base.cavity.gamma0
-    squeeze = base.squeeze
+    changes = {}
     rates = {kind: vars(args)[key] for kind, key in model.RATE_KEY.items()
              if vars(args)[key] is not None}
     if len(rates) > 1:
         raise UsageError("give at most one of " + "/".join(
             f"--{key}" for key in model.RATE_KEY.values()))
     for kind, text in rates.items():
-        squeeze = Squeezing(kind, parse_rate(text, g0))
+        changes["squeeze"] = Squeezing(kind, parse_rate(text, g0))
 
     drives = [f"--{name}" for name in ("k0", "power", "n0")
               if vars(args)[name] is not None]
     if len(drives) > 1:
         raise UsageError(f"give at most one of --k0/--power/--n0, "
                          f"got {' and '.join(drives)}")
-    drive = DriveConfig(K0=base.K0)
     if args.k0 is not None:
-        drive = DriveConfig(K0=parse_rate(args.k0, g0))
+        changes["K0"] = parse_rate(args.k0, g0)
     if args.power is not None:
-        drive = DriveConfig(input_power=float(args.power))
+        changes["K0"] = model.dimensionless_power(base.cavity, base.mechanical,
+                                                  args.power)
     if args.n0 is not None:
-        drive = DriveConfig(K0=model.k0_for_n0(parse_rate(args.n0, g0), g0,
-                                               base.cavity.gamma_e))
+        changes["K0"] = model.k0_for_n0(parse_rate(args.n0, g0), g0,
+                                        base.cavity.gamma_e)
 
-    mech = base.mechanical
     if args.gamma_m is not None:
-        mech = model.MechanicalOscillator(mech.mass, mech.omega_m,
-                                          parse_rate(args.gamma_m, g0),
-                                          mech.temperature)
-    signal = base.signal
+        changes["mechanical"] = dataclasses.replace(
+            base.mechanical, gamma_m=parse_rate(args.gamma_m, g0))
     if args.tau is not None:
-        signal = dataclasses.replace(signal, tau=float(args.tau))
-    return SystemConfig(mech, base.cavity, squeeze, drive, signal)
+        changes["signal"] = dataclasses.replace(base.signal, tau=args.tau)
+    return dataclasses.replace(base, **changes)
 
 
 def _write_manifest(stem: Path, argv: list[str], config: SystemConfig | None,
@@ -122,6 +123,9 @@ def _write_manifest(stem: Path, argv: list[str], config: SystemConfig | None,
 
 
 def cmd_spectrum(args, argv) -> int:
+    if args.budget and args.sql_ratio:
+        raise UsageError("--budget and --sql-ratio cannot be combined: the "
+                         "SQL ratio carries no per-channel columns")
     config = _resolve_config(args)
     g0 = config.cavity.gamma0
     lo = parse_rate(args.omega_min, g0) if args.omega_min else 1e-3 * g0
@@ -229,7 +233,7 @@ def _add_config_options(p: argparse.ArgumentParser):
     p.add_argument("--config", "-c", help="JSON configuration file "
                    f"(default: ${ENV_CONFIG} or built-in membrane preset)")
     p.add_argument("--tau-preset", choices=tuple(model.TAU_PRESETS),
-                   help="pulse-length preset for the built-in configuration: "
+                   help="pulse-length preset, built-in configuration only: "
                         "table1 = 28 us (default), fig3 = 0.28 ms")
     for kind, key in model.RATE_KEY.items():
         p.add_argument(f"--{key}", help=f"{kind.replace('_', '-')} squeeze "
@@ -308,11 +312,17 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args, argv)
-    except (UsageError, PoleError, FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():   # findings print without their source
+        show = warnings.showwarning
+        warnings.showwarning = lambda message, category, *rest: (
+            print(f"warning: {message}", file=sys.stderr)
+            if issubclass(category, model.RegimeWarning)
+            else show(message, category, *rest))
+        try:
+            return args.func(args, argv)
+        except (UsageError, PoleError, FileNotFoundError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

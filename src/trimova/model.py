@@ -12,6 +12,11 @@ regime validation, and the two scalars every spectrum scales with, the
 thermal occupancy (``MechanicalOscillator.occupancy``) and the pump rate
 (``SystemConfig.pump_rate``).  All rates are angular (rad/s) and all other
 units SI.
+
+Each container stores one quantity per parameter, and an alternative input is
+resolved to it where it arrives: Q to gamma_m (``from_quality_factor``), a
+wavelength to omega0 (``from_wavelength``), and an input power or the
+degenerate normalization N0 to K0 (``dimensionless_power``, ``k0_for_n0``).
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 # Exact SI 2019 values of the reduced Planck and the Boltzmann constants.
@@ -91,6 +96,8 @@ def dimensionless_power(cavity: "OpticalCavity", mech: "MechanicalOscillator",
                         input_power: float) -> float:
     """Normalized pump K0 = 4*g0*w0*P / (m*wm*L^2*g^2*(g0-ge)), units rad/s
     (OpticalCavity requires gamma_e < gamma0, so it is never singular)."""
+    if not math.isfinite(input_power):
+        raise ConfigError(f"input_power must be finite, got {input_power}")
     g0, ge = cavity.gamma0, cavity.gamma_e
     g = cavity.gamma
     return (4.0 * g0 * cavity.omega0 * input_power
@@ -197,23 +204,6 @@ class Squeezing:
 
 
 @dataclass(frozen=True)
-class DriveConfig:
-    """Cavity drive, given as exactly one of normalized pump K0 (rad/s) or
-    input power (W)."""
-
-    K0: float | None = None
-    input_power: float | None = None
-
-    def __post_init__(self):
-        _require_finite(self)
-        if (self.K0 is None) == (self.input_power is None):
-            raise ConfigError("give exactly one of K0 or input_power")
-        value = self.K0 if self.K0 is not None else self.input_power
-        if value <= 0:
-            raise ConfigError("drive must be positive")
-
-
-@dataclass(frozen=True)
 class SignalPulse:
     """Resonant square force pulse of length tau (s) and phase psi_f (rad).
 
@@ -250,34 +240,29 @@ def _check_stability(squeeze: Squeezing, cavity: OpticalCavity) -> None:
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Complete, immutable description of one sensor configuration.
+    """Complete, immutable description of one sensor configuration, driven
+    at the normalized pump ``K0`` (rad/s).
 
-    Construction resolves the drive to the normalized pump ``K0`` (rad/s,
-    from DriveConfig.K0 or its input power), raises StabilityError for an
-    overdriven parametric pump, ConfigError for a drive whose K0 or pump rate
-    overflows, and emits RegimeWarning for soft regime violations.
+    Construction raises ConfigError for a K0 that is not finite and positive
+    or whose pump rate overflows, StabilityError for an overdriven parametric
+    pump, and emits RegimeWarning for soft regime violations.
     """
 
     mechanical: MechanicalOscillator
     cavity: OpticalCavity
-    squeeze: Squeezing = field(default_factory=Squeezing)
-    drive: DriveConfig = field(default_factory=lambda: DriveConfig(K0=1.0))
-    signal: SignalPulse = field(
-        default_factory=lambda: SignalPulse(tau=TAU_PRESETS["table1"]))
-    K0: float = field(init=False)
+    squeeze: Squeezing
+    K0: float
+    signal: SignalPulse
 
     def __post_init__(self):
-        _check_stability(self.squeeze, self.cavity)
-        K0 = self.drive.K0
-        if K0 is None:
-            K0 = dimensionless_power(self.cavity, self.mechanical,
-                                     self.drive.input_power)
-        object.__setattr__(self, "K0", K0)
-        # A finite but huge or tiny drive can overflow K0 or the pump rate.
         _require_finite(self)
+        if self.K0 <= 0:
+            raise ConfigError("drive must be positive")
+        _check_stability(self.squeeze, self.cavity)
+        # A finite but huge or tiny K0 can overflow the pump rate.
         if not math.isfinite(self.pump_rate):
             raise ConfigError(f"pump rate K0*gamma*(gamma0-gamma_e) must be "
-                              f"finite, got {self.pump_rate} at K0 = {K0:.6g}")
+                              f"finite, got {self.pump_rate} at K0 = {self.K0:.6g}")
         for message in self.regime_findings():
             warnings.warn(message, RegimeWarning, stacklevel=3)
 
@@ -371,10 +356,14 @@ def parse_config(data: dict) -> SystemConfig:
                           + ("" if key is None else f" but {key!r}"))
     squeeze = Squeezing(kind, squeeze_d.get(key, 0.0))
 
-    drive = DriveConfig(K0=drive_d.get("K0"), input_power=drive_d.get("input_power"))
+    K0, power = drive_d.get("K0"), drive_d.get("input_power")
+    if (K0 is None) == (power is None):
+        raise ConfigError("give exactly one of K0 or input_power")
+    if K0 is None:
+        K0 = dimensionless_power(cavity, mech, power)
     signal = SignalPulse(tau=signal_d["tau"], psi_f=signal_d.get("psi_f", 0.0),
                          F_s0=signal_d.get("F_s0"), f_s0=signal_d.get("f_s0"))
-    return SystemConfig(mech, cavity, squeeze, drive, signal)
+    return SystemConfig(mech, cavity, squeeze, K0, signal)
 
 
 def load_config(path) -> SystemConfig:
@@ -454,22 +443,21 @@ def reference_rates() -> tuple[float, float]:
     return g * split, g * (1.0 - split)
 
 
-def reference_config(tau_preset: str | float = "table1",
+def reference_config(tau_preset: str = "table1",
                      squeeze: Squeezing | None = None,
                      K0: float | None = None,
                      gamma_m: float | None = None,
                      lossless: bool = False) -> SystemConfig:
     """Membrane reference configuration.
 
-    tau_preset: 'table1' (28 us, default), 'fig3' (0.28 ms), or a time in
-    seconds.  The drive defaults to K0 = pi/tau.  ``gamma_m`` overrides the
+    tau_preset: 'table1' (28 us, default) or 'fig3' (0.28 ms).  The drive
+    defaults to K0 = pi/tau.  ``gamma_m`` overrides the
     Q = 1e8 damping (0 is accepted, for SQL-ratio curves); ``lossless`` zeroes
     the internal loss for ideal-case checks.
     """
-    tau = TAU_PRESETS.get(tau_preset, tau_preset) if isinstance(tau_preset, str) \
-        else float(tau_preset)
-    if isinstance(tau, str):
-        raise ConfigError(f"unknown tau preset {tau!r}")
+    if tau_preset not in TAU_PRESETS:
+        raise ConfigError(f"unknown tau preset {tau_preset!r}")
+    tau = TAU_PRESETS[tau_preset]
     omega_m = 2.0 * math.pi * _REF["freq"]
     if gamma_m is None:
         mech = MechanicalOscillator.from_quality_factor(
@@ -481,6 +469,6 @@ def reference_config(tau_preset: str | float = "table1",
     if lossless:
         g0, ge = g0 + ge, 0.0
     cavity = OpticalCavity.from_wavelength(g0, ge, _REF["length"], _REF["wavelength"])
-    drive = DriveConfig(K0=math.pi / tau if K0 is None else K0)
-    return SystemConfig(mech, cavity, squeeze or Squeezing(), drive,
+    return SystemConfig(mech, cavity, squeeze or Squeezing(),
+                        math.pi / tau if K0 is None else K0,
                         SignalPulse(tau=tau, f_s0=1.0))

@@ -214,10 +214,10 @@ def test_threshold_long_tau_values_finite_and_positive(capsys):
     assert all(0.0 < v < math.inf for v in printed), text
 
 
-def test_config_run_reports_each_regime_finding_once(tmp_path):
+def test_config_run_reports_each_regime_finding_once(tmp_path, capsys):
     # The file has gamma_e/gamma0 = 0.25 and gamma_m/gamma = 0.25; each
-    # finding is reported once, and the gamma_m one not at all once
-    # --gamma-m 0 clears it.
+    # finding is reported once, as one stderr line, and the gamma_m one not
+    # at all once --gamma-m 0 clears it.
     path = write_config(tmp_path)
     doc = json.loads(path.read_text())
     doc["cavity"]["gamma_e"] = 0.25 * G0
@@ -225,12 +225,12 @@ def test_config_run_reports_each_regime_finding_once(tmp_path):
                          "gamma_m": 0.25 * G0, "temperature": 20.0}
     path.write_text(json.dumps(doc))
     for extra, gamma_m_found in (([], True), (["--gamma-m", "0"], False)):
-        with warnings.catch_warnings(record=True) as caught:
+        with warnings.catch_warnings():
             warnings.simplefilter("always")
             assert cli.main(["threshold", "--json", "--config", str(path)]
                             + extra) == 0
-        found = [str(w.message) for w in caught
-                 if issubclass(w.category, model.RegimeWarning)]
+        found = capsys.readouterr().err.splitlines()
+        assert all(m.startswith("warning: ") for m in found), found
         assert len(found) == len(set(found)), found
         assert sum("gamma_e/gamma0 = 0.25" in m for m in found) == 1
         assert sum("gamma_m/gamma" in m for m in found) == gamma_m_found
@@ -385,18 +385,73 @@ def test_manifest_digests_match_files_on_disk(tmp_path, monkeypatch, argv):
     assert not [p for p in written if b"\r" in p.read_bytes()]
 
 
-def test_spectrum_past_signal_underflow_exits_2_with_one_line(tmp_path):
-    # A fresh interpreter, so that stderr holds whatever numpy would print.
+def run_fresh(cwd, *argv) -> subprocess.CompletedProcess:
+    """``trimova *argv`` in a fresh interpreter, so that stderr holds
+    whatever Python and numpy would print."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-m", "trimova.cli", "spectrum", "--case", "baseline",
-         "--omega-max", "1e200", "--out", "w.csv"], cwd=tmp_path,
+    return subprocess.run(
+        [sys.executable, "-m", "trimova.cli", *argv], cwd=cwd,
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
         timeout=120)
+
+
+def test_spectrum_past_signal_underflow_exits_2_with_one_line(tmp_path):
+    done = run_fresh(tmp_path, "spectrum", "--case", "baseline",
+                     "--omega-max", "1e200", "--out", "w.csv")
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr.startswith("error: ")
     assert done.stderr.count("\n") == 1, done.stderr
+    assert not list(tmp_path.iterdir())
+
+
+def test_regime_warning_is_one_line(tmp_path):
+    # Each finding is one "warning:" line, naming no source file.
+    done = run_fresh(tmp_path, "threshold", "--tau", "1e200")
+    assert done.returncode == 0
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning: gamma_m*tau"), \
+        lines
+    done = run_fresh(tmp_path, "threshold", "--tau", "1e-200")
+    assert done.returncode == 2
+    lines = done.stderr.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["warning", "error"], \
+        lines
+    assert ".py" not in done.stderr
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_power_names_input_power(capsys, value):
+    assert cli.main(["threshold", "--power", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: input_power must be finite, got {value}\n"
+
+
+def test_tau_preset_with_config_file_exits_2(tmp_path, monkeypatch, capsys):
+    # The preset shapes the built-in configuration only; a config file sets
+    # its own tau, given by option or by environment variable.
+    path = write_config(tmp_path)
+    for argv, env in ((["--config", str(path)], None), ([], str(path))):
+        if env is not None:
+            monkeypatch.setenv(cli.ENV_CONFIG, env)
+        assert cli.main(["threshold", "--tau-preset", "fig3", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --tau-preset")
+        assert captured.err.count("\n") == 1
+
+
+def test_spectrum_budget_with_sql_ratio_exits_2(tmp_path, monkeypatch,
+                                                capsys):
+    # The SQL ratio carries no budget columns: refused before any output.
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["spectrum", "--case", "baseline", "--budget",
+                     "--sql-ratio", "--out", "s.csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --budget and --sql-ratio")
+    assert captured.err.count("\n") == 1
     assert not list(tmp_path.iterdir())
 
 

@@ -1,5 +1,6 @@
 """Parameter containers, occupancy and pump rate, regime checks, config files."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -10,7 +11,7 @@ from hypothesis import given, strategies as st
 from scipy.constants import hbar, k as k_B
 
 from trimova import model
-from trimova.model import (ConfigError, DriveConfig, MechanicalOscillator,
+from trimova.model import (ConfigError, MechanicalOscillator,
                            OpticalCavity, RegimeWarning, SignalPulse,
                            Squeezing, StabilityError, SystemConfig)
 from trimova.transfer import build_state_space
@@ -132,8 +133,7 @@ def test_resolved_sideband_warning(reference):
     wide = OpticalCavity(0.25 * mech.omega_m, 0.25 * mech.omega_m / 300, 0.1,
                          reference.cavity.omega0)
     with pytest.warns(RegimeWarning, match="sidebands"):
-        SystemConfig(mech, wide, Squeezing(), DriveConfig(K0=1e5),
-                     SignalPulse(tau=28e-6))
+        SystemConfig(mech, wide, Squeezing(), 1e5, SignalPulse(tau=28e-6))
 
 
 def test_loss_ratio_warning(reference):
@@ -141,13 +141,13 @@ def test_loss_ratio_warning(reference):
     lossy = OpticalCavity(cav.gamma0, 0.2 * cav.gamma0, cav.length, cav.omega0)
     with pytest.warns(RegimeWarning, match="loss"):
         SystemConfig(reference.mechanical, lossy, Squeezing(),
-                     DriveConfig(K0=1e5), SignalPulse(tau=28e-6))
+                     1e5, SignalPulse(tau=28e-6))
 
 
 def test_short_pulse_warning(reference):
     with pytest.warns(RegimeWarning, match="pulse"):
         SystemConfig(reference.mechanical, reference.cavity, Squeezing(),
-                     DriveConfig(K0=1e5), SignalPulse(tau=1e-6))
+                     1e5, SignalPulse(tau=1e-6))
 
 
 def test_underdamped_required():
@@ -161,15 +161,18 @@ def test_loss_cannot_exceed_coupler():
 
 
 def test_drive_exactly_one():
-    with pytest.raises(ConfigError):
-        DriveConfig()
-    with pytest.raises(ConfigError):
-        DriveConfig(K0=1.0, input_power=1.0)
+    doc = _config_document()
+    doc["drive"] = {}
+    with pytest.raises(ConfigError, match="exactly one of K0 or input_power"):
+        model.parse_config(doc)
+    doc["drive"] = {"K0": 1e5, "input_power": 1e-3}
+    with pytest.raises(ConfigError, match="exactly one of K0 or input_power"):
+        model.parse_config(doc)
 
 
 def test_signal_amplitude_relations(reference):
     cfg = SystemConfig(reference.mechanical, reference.cavity, Squeezing(),
-                       DriveConfig(K0=1e5), SignalPulse(tau=28e-6, F_s0=1e-12))
+                       1e5, SignalPulse(tau=28e-6, F_s0=1e-12))
     signal = model.config_snapshot(cfg)["signal"]
     assert signal["F_s0"] == 1e-12 and "f_s0" not in signal
     with pytest.raises(ConfigError):
@@ -199,6 +202,14 @@ def test_config_file_round_trip(tmp_path):
     again = model.parse_config(snap)
     assert again.K0 == pytest.approx(cfg.K0, rel=1e-12)
     assert again.cavity.omega0 == cfg.cavity.omega0
+
+
+def test_snapshot_round_trip_is_equal():
+    # The document gives Q, wavelength and input power; the config stores
+    # gamma_m, omega0 and K0 alone, so the snapshot rebuilds an equal config.
+    cfg = model.parse_config(_config_document())
+    assert model.parse_config(model.config_snapshot(cfg)) == cfg
+    assert dataclasses.replace(cfg) == cfg
 
 
 def test_config_styles_equivalent():

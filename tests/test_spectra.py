@@ -52,8 +52,7 @@ def test_assembled_matches_baseline_reference():
 def test_baseline_quantum_only():
     mech = model.MechanicalOscillator(5e-8, 2 * math.pi * 350e3, 0.0, 0.0)
     base = config(lossless=True)
-    cfg = model.SystemConfig(mech, base.cavity, Squeezing(),
-                             model.DriveConfig(K0=base.K0),
+    cfg = model.SystemConfig(mech, base.cavity, Squeezing(), base.K0,
                              base.signal)
     w = spectra.default_grid(cfg, points=20)
     pump = cfg.K0 * base.cavity.gamma**2 / np.abs(
@@ -384,8 +383,7 @@ def test_loss_residual_scaling():
         cav = model.OpticalCavity(g0, ge, 0.1, config().cavity.omega0)
         mech = config().mechanical
         cfg = model.SystemConfig(mech, cav, Squeezing("two_photon", kappa),
-                                 model.DriveConfig(K0=math.pi / 28e-6),
-                                 model.SignalPulse(tau=28e-6))
+                                 math.pi / 28e-6, model.SignalPulse(tau=28e-6))
         w = np.array([0.01 * gamma])
         return float(backaction(cfg, "nondeg-sub", w)[0]), cfg, w
 
@@ -473,8 +471,8 @@ def test_time_domain_thresholds():
 def test_quantum_terms_ratio_is_inverse_sqrt3():
     mech = model.MechanicalOscillator(5e-8, 2 * math.pi * 350e3, 0.0, 0.0)
     base = config()
-    cfg = model.SystemConfig(mech, base.cavity, Squeezing(),
-                             model.DriveConfig(K0=base.K0), base.signal)
+    cfg = model.SystemConfig(mech, base.cavity, Squeezing(), base.K0,
+                             base.signal)
     report = spectra.detection_threshold_time_domain(cfg)
     ratio = report.band_integrated_f**2 / report.sql_form_f**2
     assert ratio == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-12)
@@ -489,11 +487,10 @@ def test_spectral_and_time_domain_same_scale():
     mech = model.MechanicalOscillator(5e-8, 2 * math.pi * 350e3, 0.0, 0.0)
     base = config(lossless=True)
     report = spectra.detection_threshold_time_domain(
-        model.SystemConfig(mech, base.cavity, Squeezing(),
-                           model.DriveConfig(K0=base.K0), base.signal))
+        model.SystemConfig(mech, base.cavity, Squeezing(), base.K0,
+                           base.signal))
     cfg = model.SystemConfig(mech, base.cavity, Squeezing(),
-                             model.DriveConfig(K0=report.pump_optimum),
-                             base.signal)
+                             report.pump_optimum, base.signal)
     # At Omega = 0 the pump response equals its flat (resonance) value.
     spectral = spectra.detection_threshold_spectral(cfg, "baseline")
     assert 1.0 <= report.band_integrated_f / spectral <= 2.5

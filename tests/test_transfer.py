@@ -82,8 +82,7 @@ def test_loss_leakage_values():
     base = config()
     cav = model.OpticalCavity(4e4, 1e4, base.cavity.length, base.cavity.omega0)
     with pytest.warns(model.RegimeWarning, match="internal loss"):
-        cfg = model.SystemConfig(base.mechanical, cav, Squeezing(),
-                                 model.DriveConfig(K0=base.K0),
+        cfg = model.SystemConfig(base.mechanical, cav, Squeezing(), base.K0,
                                  base.signal)
     leak = raw(cfg, SUM, 0.0)[Channel.EPS_PLUS]
     assert leak == pytest.approx(0.8, rel=1e-14)
