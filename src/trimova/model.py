@@ -451,9 +451,9 @@ def reference_config(tau_preset: str = "table1",
     """Membrane reference configuration.
 
     tau_preset: 'table1' (28 us, default) or 'fig3' (0.28 ms).  The drive
-    defaults to K0 = pi/tau.  ``gamma_m`` overrides the
-    Q = 1e8 damping (0 is accepted, for SQL-ratio curves); ``lossless`` zeroes
-    the internal loss for ideal-case checks.
+    defaults to K0 = pi/tau.  ``gamma_m`` overrides the Q = 1e8 damping (0 is
+    accepted, for SQL-ratio curves); ``lossless`` zeroes the internal loss for
+    ideal-case checks.
     """
     if tau_preset not in TAU_PRESETS:
         raise ConfigError(f"unknown tau preset {tau_preset!r}")

@@ -428,18 +428,22 @@ def test_non_finite_power_names_input_power(capsys, value):
     assert captured.err == f"error: input_power must be finite, got {value}\n"
 
 
-def test_tau_preset_with_config_file_exits_2(tmp_path, monkeypatch, capsys):
-    # The preset shapes the built-in configuration only; a config file sets
-    # its own tau, given by option or by environment variable.
+@pytest.mark.parametrize("by_env", [False, True], ids=["option", "env"])
+def test_tau_preset_with_config_file_exits_2(tmp_path, monkeypatch, capsys,
+                                             by_env):
+    # The preset shapes the built-in configuration only; a config file,
+    # given by option or by environment variable, sets its own tau.
     path = write_config(tmp_path)
-    for argv, env in ((["--config", str(path)], None), ([], str(path))):
-        if env is not None:
-            monkeypatch.setenv(cli.ENV_CONFIG, env)
-        assert cli.main(["threshold", "--tau-preset", "fig3", *argv]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: --tau-preset")
-        assert captured.err.count("\n") == 1
+    argv = ["threshold", "--tau-preset", "fig3"]
+    if by_env:
+        monkeypatch.setenv(cli.ENV_CONFIG, str(path))
+    else:
+        argv += ["--config", str(path)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --tau-preset")
+    assert captured.err.count("\n") == 1
 
 
 def test_spectrum_budget_with_sql_ratio_exits_2(tmp_path, monkeypatch,
