@@ -17,14 +17,19 @@ Each container stores one quantity per parameter, and an alternative input is
 resolved to it where it arrives: Q to gamma_m (``from_quality_factor``), a
 wavelength to omega0 (``from_wavelength``), and an input power or the
 degenerate normalization N0 to K0 (``dimensionless_power``, ``k0_for_n0``).
+A config file's [mechanical], [cavity] and [signal] hold their container's
+fields by name, [drive] K0 and [squeeze] a type and its rate, and a section
+may give its one alternative input instead.  Every value but [squeeze] type
+is a JSON number or null (absent), checked once by ``parse_config``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
 # Exact SI 2019 values of the reduced Planck and the Boltzmann constants.
@@ -132,10 +137,10 @@ class MechanicalOscillator:
             raise ConfigError(f"n_T must be finite, got {self.occupancy}")
 
     @classmethod
-    def from_quality_factor(cls, mass, omega_m, quality, temperature):
-        if quality <= 0.5:
+    def from_quality_factor(cls, mass, omega_m, Q, temperature):
+        if Q <= 0.5:
             raise ConfigError("quality factor must exceed 1/2")
-        return cls(mass, omega_m, omega_m / (2.0 * quality), temperature)
+        return cls(mass, omega_m, omega_m / (2.0 * Q), temperature)
 
     @property
     def quality_factor(self) -> float:
@@ -228,16 +233,6 @@ class SignalPulse:
                 raise ConfigError("signal amplitude must be positive")
 
 
-def _check_stability(squeeze: Squeezing, cavity: OpticalCavity) -> None:
-    # The antisqueezed pair decays at gamma - rate (the sum pair under
-    # two-photon squeezing) and must stay damped, so the bound is strict.
-    g = cavity.gamma
-    if squeeze.kind != "none" and squeeze.rate >= g:
-        kind = squeeze.kind.replace("_", "-")
-        raise StabilityError(
-            f"{kind} rate {squeeze.rate:.6g} reaches gamma0+gamma_e = {g:.6g}")
-
-
 @dataclass(frozen=True)
 class SystemConfig:
     """Complete, immutable description of one sensor configuration, driven
@@ -258,13 +253,23 @@ class SystemConfig:
         _require_finite(self)
         if self.K0 <= 0:
             raise ConfigError("drive must be positive")
-        _check_stability(self.squeeze, self.cavity)
+        # The antisqueezed pair decays at gamma - rate (the sum pair under
+        # two-photon squeezing) and must stay damped, so the bound is strict.
+        squeeze, g = self.squeeze, self.cavity.gamma
+        if squeeze.kind != "none" and squeeze.rate >= g:
+            raise StabilityError(f"{squeeze.kind.replace('_', '-')} rate "
+                                 f"{squeeze.rate:.6g} reaches gamma0+gamma_e = {g:.6g}")
         # A finite but huge or tiny K0 can overflow the pump rate.
         if not math.isfinite(self.pump_rate):
             raise ConfigError(f"pump rate K0*gamma*(gamma0-gamma_e) must be "
                               f"finite, got {self.pump_rate} at K0 = {self.K0:.6g}")
+        # Name the first caller outside trimova and dataclasses' replace and __init__.
+        frame, level = sys._getframe(), 1
+        while frame and frame.f_globals.get("__name__", "").partition(".")[0] in (
+                __package__, "dataclasses"):
+            frame, level = frame.f_back, level + 1
         for message in self.regime_findings():
-            warnings.warn(message, RegimeWarning, stacklevel=3)
+            warnings.warn(message, RegimeWarning, stacklevel=level)
 
     @property
     def pump_rate(self) -> float:
@@ -299,13 +304,31 @@ class SystemConfig:
 
 # --- configuration files -----------------------------------------------------
 
-_SECTION_KEYS = {
-    "mechanical": {"mass", "omega_m", "gamma_m", "Q", "temperature"},
-    "cavity": {"gamma0", "gamma_e", "length", "omega0", "wavelength"},
-    "drive": {"K0", "input_power"},
-    "squeeze": {"type", *RATE_KEY.values()},
-    "signal": {"tau", "psi_f", "F_s0", "f_s0"},
-}
+_CONTAINERS = {"mechanical": MechanicalOscillator, "cavity": OpticalCavity,
+               "signal": SignalPulse}
+_ALTERNATIVE = {"mechanical": ("gamma_m", "Q"), "cavity": ("omega0", "wavelength"),
+                "drive": ("K0", "input_power")}
+_SECTION_KEYS = {name: {*_ALTERNATIVE.get(name, ()), *(f.name for f in fields(cls))}
+                 for name, cls in _CONTAINERS.items()}
+_SECTION_KEYS.update(drive=set(_ALTERNATIVE["drive"]),
+                     squeeze={"type", *RATE_KEY.values()})
+
+
+def _number(section: str, key: str, value) -> float:
+    """A config value as a float: a JSON number, not a boolean, in float range."""
+    if isinstance(value, float) or (type(value) is int
+                                    and abs(value) <= sys.float_info.max):
+        return float(value)
+    raise ConfigError(f"[{section}] {key} must be a number in float range or "
+                      f"null, got {type(value).__name__}")
+
+
+def _one_of(name: str, d: dict) -> bool:
+    """True if section d gives its alternative input, False if its field; not both."""
+    field, alternative = _ALTERNATIVE[name]
+    if (field in d) == (alternative in d):
+        raise ConfigError(f"[{name}] needs exactly one of {field} or {alternative}")
+    return alternative in d
 
 
 def parse_config(data: dict) -> SystemConfig:
@@ -315,38 +338,32 @@ def parse_config(data: dict) -> SystemConfig:
     unknown = set(data) - set(_SECTION_KEYS)
     if unknown:
         raise ConfigError(f"unknown sections: {sorted(unknown)}")
-    try:
-        mech_d = dict(data["mechanical"])
-        cav_d = dict(data["cavity"])
-        drive_d = dict(data["drive"])
-    except KeyError as exc:
-        raise ConfigError(f"missing section {exc}") from None
-    squeeze_d = dict(data.get("squeeze", {"type": "none"}))
-    signal_d = dict(data.get("signal", {"tau": TAU_PRESETS["table1"]}))
-    for name, d in [("mechanical", mech_d), ("cavity", cav_d), ("drive", drive_d),
-                    ("squeeze", squeeze_d), ("signal", signal_d)]:
-        unknown = sorted(set(d) - _SECTION_KEYS[name])
+    data = {"squeeze": {}, "signal": {"tau": TAU_PRESETS["table1"]},   # if left out
+            **{key: section for key, section in data.items() if section is not None}}
+    sections = {}
+    for name, keys in _SECTION_KEYS.items():
+        section = data.get(name)
+        if not isinstance(section, dict):
+            raise ConfigError(f"missing section {name!r}" if section is None else
+                              f"[{name}] must be a JSON object, "
+                              f"got {type(section).__name__}")
+        unknown = sorted(set(section) - keys)
         if unknown:
             raise ConfigError(f"unknown keys in [{name}]: {unknown}")
+        sections[name] = d = {key: value if key == "type" else _number(name, key, value)
+                              for key, value in section.items() if value is not None}
+        given = {*d, *_ALTERNATIVE.get(name, ())}   # _one_of checks the pair
+        for item in fields(_CONTAINERS[name]) if name in _CONTAINERS else ():
+            if item.default is MISSING and item.name not in given:
+                raise ConfigError(f"[{name}] needs {item.name}")
 
-    if ("gamma_m" in mech_d) == ("Q" in mech_d):
-        raise ConfigError("[mechanical] needs exactly one of gamma_m or Q")
-    if "Q" in mech_d:
-        mech = MechanicalOscillator.from_quality_factor(
-            mech_d["mass"], mech_d["omega_m"], mech_d["Q"], mech_d["temperature"])
-    else:
-        mech = MechanicalOscillator(
-            mech_d["mass"], mech_d["omega_m"], mech_d["gamma_m"], mech_d["temperature"])
+    mech_d, cav_d, drive_d = (sections[n] for n in ("mechanical", "cavity", "drive"))
+    mech = (MechanicalOscillator.from_quality_factor
+            if _one_of("mechanical", mech_d) else MechanicalOscillator)(**mech_d)
+    cavity = (OpticalCavity.from_wavelength
+              if _one_of("cavity", cav_d) else OpticalCavity)(**cav_d)
 
-    if ("omega0" in cav_d) == ("wavelength" in cav_d):
-        raise ConfigError("[cavity] needs exactly one of omega0 or wavelength")
-    if "wavelength" in cav_d:
-        cavity = OpticalCavity.from_wavelength(
-            cav_d["gamma0"], cav_d["gamma_e"], cav_d["length"], cav_d["wavelength"])
-    else:
-        cavity = OpticalCavity(
-            cav_d["gamma0"], cav_d["gamma_e"], cav_d["length"], cav_d["omega0"])
-
+    squeeze_d = sections["squeeze"]
     kind = squeeze_d.pop("type", "none")
     if kind not in ("none", *RATE_KEY):
         raise ConfigError(f"unknown squeeze type {kind!r}")
@@ -356,23 +373,17 @@ def parse_config(data: dict) -> SystemConfig:
                           + ("" if key is None else f" but {key!r}"))
     squeeze = Squeezing(kind, squeeze_d.get(key, 0.0))
 
-    K0, power = drive_d.get("K0"), drive_d.get("input_power")
-    if (K0 is None) == (power is None):
-        raise ConfigError("give exactly one of K0 or input_power")
-    if K0 is None:
-        K0 = dimensionless_power(cavity, mech, power)
-    signal = SignalPulse(tau=signal_d["tau"], psi_f=signal_d.get("psi_f", 0.0),
-                         F_s0=signal_d.get("F_s0"), f_s0=signal_d.get("f_s0"))
-    return SystemConfig(mech, cavity, squeeze, K0, signal)
+    K0 = (dimensionless_power(cavity, mech, drive_d["input_power"])
+          if _one_of("drive", drive_d) else drive_d["K0"])
+    return SystemConfig(mech, cavity, squeeze, K0, SignalPulse(**sections["signal"]))
 
 
 def load_config(path) -> SystemConfig:
     """Read a JSON configuration file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:   # bad JSON, bad UTF-8 or an over-long integer
+        raise ConfigError(f"{path}: {exc}") from None
     return parse_config(data)
 
 
@@ -397,24 +408,14 @@ def write_text(path, text: str) -> str:
 
 
 def config_snapshot(config: SystemConfig) -> dict:
-    """JSON-serializable snapshot, round-trippable through parse_config."""
-    mech, cav = config.mechanical, config.cavity
-    snap = {
-        "mechanical": {"mass": mech.mass, "omega_m": mech.omega_m,
-                       "gamma_m": mech.gamma_m, "temperature": mech.temperature},
-        "cavity": {"gamma0": cav.gamma0, "gamma_e": cav.gamma_e,
-                   "length": cav.length, "omega0": cav.omega0},
-        "drive": {"K0": config.K0},
-        "squeeze": {"type": config.squeeze.kind},
-        "signal": {"tau": config.signal.tau, "psi_f": config.signal.psi_f},
-    }
-    if config.squeeze.kind in RATE_KEY:
-        snap["squeeze"][RATE_KEY[config.squeeze.kind]] = config.squeeze.rate
-    if config.signal.f_s0 is not None:
-        snap["signal"]["f_s0"] = config.signal.f_s0
-    elif config.signal.F_s0 is not None:
-        snap["signal"]["F_s0"] = config.signal.F_s0
-    return snap
+    """JSON-serializable snapshot, round-trippable through parse_config: each
+    container's fields by name, less those that are None."""
+    squeeze = config.squeeze
+    rate = {RATE_KEY[squeeze.kind]: squeeze.rate} if squeeze.kind in RATE_KEY else {}
+    snap = {name: {key: v for key, v in asdict(getattr(config, name)).items()
+                   if v is not None} for name in _CONTAINERS}
+    return snap | {"drive": {"K0": config.K0},
+                   "squeeze": {"type": squeeze.kind, **rate}}
 
 
 # --- reference parameter set --------------------------------------------------
@@ -459,12 +460,10 @@ def reference_config(tau_preset: str = "table1",
         raise ConfigError(f"unknown tau preset {tau_preset!r}")
     tau = TAU_PRESETS[tau_preset]
     omega_m = 2.0 * math.pi * _REF["freq"]
-    if gamma_m is None:
-        mech = MechanicalOscillator.from_quality_factor(
-            _REF["mass"], omega_m, _REF["quality"], _REF["temperature"])
-    else:
-        mech = MechanicalOscillator(_REF["mass"], omega_m, gamma_m,
-                                    _REF["temperature"])
+    mech = MechanicalOscillator.from_quality_factor(
+        _REF["mass"], omega_m, _REF["quality"], _REF["temperature"])
+    if gamma_m is not None:
+        mech = replace(mech, gamma_m=gamma_m)
     g0, ge = reference_rates()
     if lossless:
         g0, ge = g0 + ge, 0.0

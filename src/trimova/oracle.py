@@ -323,7 +323,7 @@ def _in_parallel(task, items: int) -> None:
         raise errors[0]
 
 
-@dataclass
+@dataclass(eq=False)
 class SimulationResult:
     """Output samples of a batch of independent segments."""
 
@@ -532,7 +532,7 @@ def log_binned(grid, columns, lo: float, hi: float, per_decade: int):
 
 # --- validation harness -----------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class ValidationReport:
     """Comparison of the simulated spectrum against the closed form.
 

@@ -105,7 +105,7 @@ def closed_form_psd(case: str, config: SystemConfig, omega):
 
 # --- channel assembly ----------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class SpectrumSeries:
     """One spectrum over a frequency grid, with its configuration snapshot."""
 

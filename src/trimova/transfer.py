@@ -123,7 +123,7 @@ def port_psd(h: np.ndarray, channel_psd: np.ndarray, weight=None) -> np.ndarray:
     return sum(p * np.abs(row[:, c]) ** 2 for c, p in enumerate(channel_psd))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateSpace:
     """Linear Langevin model x' = A x + B w + e_f f(t), y = C x + D w.
 

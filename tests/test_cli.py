@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from test_model import MALFORMED, malformed_document
 from trimova import cli, model, oracle, spectra
 
 G0, GE = model.reference_rates()
@@ -131,6 +132,18 @@ def test_config_with_other_kinds_rate_exits_2(tmp_path, capsys, squeeze):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "takes no rate" in captured.err
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_config_file_exits_2(tmp_path, capsys, name):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(malformed_document(name)))
+    assert cli.main(["threshold", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert MALFORMED[name][1] in captured.err
 
 
 def test_threshold_at_two_photon_stability_edge_exits_2(capsys):

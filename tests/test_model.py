@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -286,6 +287,86 @@ def test_config_rejects_other_kinds_rate(squeeze):
     doc["squeeze"] = squeeze
     with pytest.raises(ConfigError, match="takes no rate"):
         model.parse_config(doc)
+
+
+# Malformed documents, each one edit of _config_document(), with the section
+# and key their error must name.
+MALFORMED = {
+    "power-string": (lambda d: d["drive"].update(input_power="1e-3"),
+                     "[drive] input_power"),
+    "gamma0-null": (lambda d: d["cavity"].update(gamma0=None), "[cavity] needs gamma0"),
+    "no-mass": (lambda d: d["mechanical"].pop("mass"), "[mechanical] needs mass"),
+    "mechanical-list": (lambda d: d.update(mechanical=[1, 2]), "[mechanical]"),
+    "mass-400-digits": (lambda d: d["mechanical"].update(mass=10**400),
+                        "[mechanical] mass"),
+    "gamma0-true": (lambda d: d["cavity"].update(gamma0=True), "[cavity] gamma0"),
+}
+
+
+def malformed_document(name):
+    doc = _config_document()
+    MALFORMED[name][0](doc)
+    return doc
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_config_rejects_malformed_document(name):
+    # A wrong JSON type, a missing key or a non-object section is a
+    # ConfigError naming where it is, never a TypeError or a KeyError, and a
+    # boolean is not read as a number.
+    with pytest.raises(ConfigError) as info:
+        model.parse_config(malformed_document(name))
+    assert MALFORMED[name][1] in str(info.value)
+
+
+def test_config_null_counts_as_absent():
+    doc = _config_document()
+    doc["drive"]["K0"] = None
+    doc["signal"]["F_s0"] = None
+    doc["squeeze"] = None
+    cfg = model.parse_config(doc)
+    assert cfg.squeeze == Squeezing()
+    assert cfg == dataclasses.replace(model.parse_config(_config_document()),
+                                      squeeze=Squeezing())
+
+
+def test_config_integers_are_read_as_floats():
+    doc = _config_document()
+    doc["mechanical"]["temperature"] = 20
+    cfg = model.parse_config(doc)
+    assert type(cfg.mechanical.temperature) is float
+    assert cfg == model.parse_config(_config_document())
+
+
+def test_snapshot_holds_container_fields_by_name(reference):
+    # The snapshot reads the containers' fields, so a field added to one is
+    # snapshotted with no further edit; a None amplitude is left out.
+    snap = model.config_snapshot(reference)
+    for section in ("mechanical", "cavity", "signal"):
+        params = getattr(reference, section)
+        names = {f.name for f in dataclasses.fields(params)
+                 if getattr(params, f.name) is not None}
+        assert set(snap[section]) == names
+    assert "F_s0" not in snap["signal"] and snap["signal"]["f_s0"] == 1.0
+    assert snap["drive"] == {"K0": reference.K0}
+    assert model.parse_config(snap) == reference
+
+
+def test_regime_warning_names_the_caller():
+    # A direct build and a dataclasses.replace build both attribute the
+    # finding to this file, so two call sites give two warnings even under
+    # the default once-per-location filter.
+    ref = model.reference_config()
+    short = SignalPulse(tau=1e-6)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        SystemConfig(ref.mechanical, ref.cavity, Squeezing(), ref.K0, short)
+        dataclasses.replace(ref, signal=short)
+        dataclasses.replace(ref, signal=short)
+    pulse = [w for w in caught if issubclass(w.category, RegimeWarning)]
+    assert len(pulse) == 3
+    assert all(w.filename == __file__ for w in pulse)
+    assert len({w.lineno for w in pulse}) == 3
 
 
 def test_config_rejects_ambiguous_inputs():

@@ -1176,3 +1176,20 @@ def test_validate_references_pinned_and_worker_independent(monkeypatch):
 def test_validate_rejects_few_segments():
     with pytest.raises(SimulationError):
         validate(config(), "baseline", segments=8)
+
+
+def test_array_results_compare_by_identity():
+    # Dataclasses of arrays compare and hash by identity: a generated
+    # field-wise == would ask numpy for the truth value of an array.
+    cfg = config()
+    pairs = [(build_state_space(cfg), build_state_space(cfg)),
+             (spectra.spectrum_series(cfg, "baseline", [1.0, 2.0]),
+              spectra.spectrum_series(cfg, "baseline", [1.0, 2.0])),
+             (oracle.SimulationResult(np.zeros((1, 4, 2)), 1e-6),
+              oracle.SimulationResult(np.zeros((1, 4, 2)), 1e-6))]
+    names = [f.name for f in dataclasses.fields(oracle.ValidationReport)]
+    pairs.append(tuple(oracle.ValidationReport(**dict.fromkeys(names, np.zeros(3)))
+                       for _ in range(2)))
+    for a, b in pairs:
+        assert a == a and a != b
+        assert hash(a) != hash(b)
