@@ -382,7 +382,7 @@ def load_config(path) -> SystemConfig:
     """Read a JSON configuration file."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:   # bad JSON, bad UTF-8 or an over-long integer
+    except (ValueError, RecursionError) as exc:   # not JSON, or nested too deep
         raise ConfigError(f"{path}: {exc}") from None
     return parse_config(data)
 

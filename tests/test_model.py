@@ -319,6 +319,16 @@ def test_config_rejects_malformed_document(name):
     assert MALFORMED[name][1] in str(info.value)
 
 
+@pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000, "{"],
+                         ids=["nested", "truncated"])
+def test_load_config_refuses_what_json_cannot_read(tmp_path, text):
+    # Every unreadable file is a ConfigError naming it, so the CLI exits 2.
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="config.json: "):
+        model.load_config(path)
+
+
 def test_config_null_counts_as_absent():
     doc = _config_document()
     doc["drive"]["K0"] = None
