@@ -4,7 +4,8 @@ Every run that writes files also writes a manifest (command line, config
 snapshot, seeds, output hashes) sufficient to reproduce them bit-identically;
 ``trimova replay <manifest>`` re-executes the recorded command.  Exit codes:
 0 success, 1 validation failure, 2 usage or configuration error.  Each regime
-finding (``model.RegimeWarning``) prints to stderr as one ``warning:`` line.
+finding of the resolved config (``SystemConfig.regime_findings``) prints to
+stderr once, as one ``warning:`` line, before the command runs.
 
 Rate-valued options accept either rad/s or multiples of the input-coupler
 rate with a ``g0`` suffix (``--kappa 0.9g0``).  The default configuration
@@ -20,7 +21,6 @@ import json
 import math
 import os
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -71,9 +71,7 @@ def _base_config(args) -> SystemConfig:
 
 
 def _resolve_config(args) -> SystemConfig:
-    with warnings.catch_warnings():   # the config returned reports findings
-        warnings.simplefilter("ignore", model.RegimeWarning)
-        base = _base_config(args)
+    base = _base_config(args)
     g0 = base.cavity.gamma0
     changes = {}
     rates = {kind: vars(args)[key] for kind, key in model.RATE_KEY.items()
@@ -103,7 +101,10 @@ def _resolve_config(args) -> SystemConfig:
             base.mechanical, gamma_m=parse_rate(args.gamma_m, g0))
     if args.tau is not None:
         changes["signal"] = dataclasses.replace(base.signal, tau=args.tau)
-    return dataclasses.replace(base, **changes)
+    config = dataclasses.replace(base, **changes)
+    for finding in config.regime_findings():
+        print(f"warning: {finding}", file=sys.stderr)
+    return config
 
 
 def _write_manifest(stem: Path, argv: list[str], config: SystemConfig | None,
@@ -216,7 +217,7 @@ def cmd_replay(args, argv) -> int:
     try:
         with open(args.manifest, encoding="utf-8") as fh:
             manifest = json.load(fh)
-    except OSError as exc:
+    except (OSError, RecursionError) as exc:   # unreadable, or nested too deep
         raise UsageError(f"cannot read manifest: {exc}") from None
     command = manifest.get("command") if isinstance(manifest, dict) else None
     if not (isinstance(command, list) and command
@@ -312,17 +313,11 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    with warnings.catch_warnings():   # findings print without their source
-        show = warnings.showwarning
-        warnings.showwarning = lambda message, category, *rest: (
-            print(f"warning: {message}", file=sys.stderr)
-            if issubclass(category, model.RegimeWarning)
-            else show(message, category, *rest))
-        try:
-            return args.func(args, argv)
-        except (UsageError, PoleError, FileNotFoundError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    try:
+        return args.func(args, argv)
+    except (UsageError, PoleError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-import warnings
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -48,17 +47,14 @@ class StabilityError(ValueError):
     """Parametric pump exceeds the decay it must stay below."""
 
 
-class RegimeWarning(UserWarning):
-    """Parameters leave the regime the closed-form model assumes."""
-
-
-# Warn thresholds for the separation-of-scales conditions.  The cavity/mechanics
-# ratio uses 0.15: the reference membrane set sits at gamma/omega_m = 36/350 =
-# 0.103 and is considered in-regime.
+# Thresholds of the separation-of-scales conditions ``regime_findings``
+# reports.  The cavity/mechanics ratio uses 0.15: the reference membrane set
+# sits at gamma/omega_m = 36/350 = 0.103 and is considered in-regime.
 RATIO_MECH_VS_CAVITY = 0.1     # gamma_m / gamma
 RATIO_CAVITY_VS_MECH_FREQ = 0.15   # gamma / omega_m
 RATIO_LOSS_VS_INPUT = 0.1      # gamma_e / gamma0
 MIN_PULSE_CYCLES = 10.0        # omega_m * tau
+MAX_DECAY_IN_PULSE = 0.1       # gamma_m * tau
 
 # Squeeze kind -> its rate's key in a config file's [squeeze] section.
 RATE_KEY = {"two_photon": "kappa", "degenerate": "upsilon"}
@@ -140,6 +136,8 @@ class MechanicalOscillator:
     def from_quality_factor(cls, mass, omega_m, Q, temperature):
         if Q <= 0.5:
             raise ConfigError("quality factor must exceed 1/2")
+        if not math.isfinite(Q):
+            raise ConfigError(f"Q must be finite, got {Q}")
         return cls(mass, omega_m, omega_m / (2.0 * Q), temperature)
 
     @property
@@ -174,6 +172,9 @@ class OpticalCavity:
 
     @classmethod
     def from_wavelength(cls, gamma0, gamma_e, length, wavelength):
+        if not 0.0 < wavelength < math.inf:
+            raise ConfigError(f"wavelength must be finite and positive, "
+                              f"got {wavelength}")
         return cls(gamma0, gamma_e, length, 2.0 * math.pi * 299792458.0 / wavelength)
 
     @property
@@ -239,8 +240,9 @@ class SystemConfig:
     at the normalized pump ``K0`` (rad/s).
 
     Construction raises ConfigError for a K0 that is not finite and positive
-    or whose pump rate overflows, StabilityError for an overdriven parametric
-    pump, and emits RegimeWarning for soft regime violations.
+    or whose pump rate overflows and StabilityError for an overdriven
+    parametric pump; it has no other effect.  Soft regime violations are
+    data, listed by ``regime_findings``.
     """
 
     mechanical: MechanicalOscillator
@@ -263,13 +265,6 @@ class SystemConfig:
         if not math.isfinite(self.pump_rate):
             raise ConfigError(f"pump rate K0*gamma*(gamma0-gamma_e) must be "
                               f"finite, got {self.pump_rate} at K0 = {self.K0:.6g}")
-        # Name the first caller outside trimova and dataclasses' replace and __init__.
-        frame, level = sys._getframe(), 1
-        while frame and frame.f_globals.get("__name__", "").partition(".")[0] in (
-                __package__, "dataclasses"):
-            frame, level = frame.f_back, level + 1
-        for message in self.regime_findings():
-            warnings.warn(message, RegimeWarning, stacklevel=level)
 
     @property
     def pump_rate(self) -> float:
@@ -279,7 +274,8 @@ class SystemConfig:
         return self.K0 * cav.gamma * (cav.gamma0 - cav.gamma_e)
 
     def regime_findings(self) -> list[str]:
-        """Soft separation-of-scale violations, as warning strings."""
+        """Soft separation-of-scale violations, one message each: the only
+        place a regime finding is worded."""
         mech, cavity = self.mechanical, self.cavity
         out = []
         g = cavity.gamma
@@ -299,6 +295,10 @@ class SystemConfig:
         if wm_tau < MIN_PULSE_CYCLES:
             out.append(f"omega_m*tau = {wm_tau:.3g} is below {MIN_PULSE_CYCLES}; "
                        "the pulse is not many-cycle resonant")
+        gm_tau = mech.gamma_m * self.signal.tau
+        if gm_tau > MAX_DECAY_IN_PULSE:
+            out.append(f"gamma_m*tau = {gm_tau:.3g} is not small; "
+                       "short-pulse threshold formulas degrade")
         return out
 
 

@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import io
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (HBAR, RATE_KEY, TAU_PRESETS, RegimeWarning, Squeezing,
-                    SystemConfig, braginsky_factor, config_snapshot, json_text,
-                    k0_for_n0, reference_config, reference_rates, write_text)
+from .model import (HBAR, RATE_KEY, TAU_PRESETS, Squeezing, SystemConfig,
+                    braginsky_factor, config_snapshot, json_text, k0_for_n0,
+                    reference_config, reference_rates, write_text)
 from .transfer import (Channel, VACUUM_CHANNELS, build_state_space,
                        guard_subtraction, transfer_coefficients)
 
@@ -235,14 +234,11 @@ def detection_threshold_time_domain(config: SystemConfig) -> ThresholdReport:
     differ by exactly 1/sqrt(3).  Also reports the pure quantum limit
     F_SQL = (4/tau)*sqrt(pi*hbar*m*omega_m/sqrt(3)); ValueError where its
     radicand, 2*hbar*omega_m*m or a reported value is 0 or not finite (n_T
-    and B may be 0).
+    and B may be 0).  The formulas assume gamma_m*tau is small, one of the
+    config's ``regime_findings``.
     """
     mech = config.mechanical
     tau = config.signal.tau
-    if mech.gamma_m * tau > 0.1:
-        warnings.warn(f"gamma_m*tau = {mech.gamma_m * tau:.3g} is not small; "
-                      "short-pulse threshold formulas degrade",
-                      RegimeWarning, stacklevel=2)
     n_T, gm = mech.occupancy, mech.gamma_m
     band = 2.0 * math.pi / tau   # products, not **: inf or 0, never raise
     k_star = math.sqrt(gm * gm + band * band / 3.0)
@@ -315,10 +311,8 @@ def figure_config(figure_id: str, rate_fraction: float) -> SystemConfig:
         else Squeezing(kind, rate_fraction * g0)
     pump = spec.drive_units * math.pi / TAU_PRESETS[spec.tau_preset]
     K0 = k0_for_n0(pump, g0, ge) if spec.drive == "N0" else pump
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        return reference_config(tau_preset=spec.tau_preset, squeeze=squeeze,
-                                K0=K0, gamma_m=0.0)
+    return reference_config(tau_preset=spec.tau_preset, squeeze=squeeze,
+                            K0=K0, gamma_m=0.0)
 
 
 def figure_curves(figure_id: str, points: int = 400) -> dict:

@@ -1,12 +1,12 @@
 """Command-line interface: outputs, manifests, determinism, exit codes."""
 
+import dataclasses
 import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -166,16 +166,21 @@ def write_mechanics_config(tmp_path, temperature, omega_m=1e-300,
     return path
 
 
+def finding_lines(config) -> list[str]:
+    """The CLI's stderr lines for the regime findings of ``config``."""
+    return [f"warning: {m}" for m in config.regime_findings()]
+
+
 def assert_force_scale_refused(path, capsys):
-    # Text and JSON: one error line, nothing on stdout.
+    # Text and JSON: the config's findings, then one error line; nothing on
+    # stdout.
     for extra in ([], ["--json"]):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", model.RegimeWarning)
-            assert cli.main(["threshold", "--config", str(path)] + extra) == 2
+        assert cli.main(["threshold", "--config", str(path)] + extra) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: force scale 2*hbar*omega_m*m")
-        assert captured.err.count("\n") == 1
+        *warned, error = captured.err.splitlines()
+        assert warned == finding_lines(model.load_config(path))
+        assert error.startswith("error: force scale 2*hbar*omega_m*m")
 
 
 def test_underflowing_mechanical_quantum_at_zero_temperature(tmp_path, capsys):
@@ -193,30 +198,29 @@ def test_overflowing_mechanical_quantum(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("extra", [[], ["--json"]])
-@pytest.mark.parametrize("argv", [
-    ["--tau", "1e-200"],                      # (2pi/tau)^2 overflows
-    ["--gamma-m", "0", "--tau", "1e200"],     # K* underflows to 0
+@pytest.mark.parametrize("argv, findings", [
+    (["--tau", "1e-200"], ["omega_m*tau"]),          # (2pi/tau)^2 overflows
+    (["--gamma-m", "0", "--tau", "1e200"], []),      # K* underflows to 0
 ], ids=["tau-short", "tau-long-gamma-m-0"])
-def test_threshold_out_of_range_tau_exits_2(capsys, argv, extra):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", model.RegimeWarning)
-        assert cli.main(["threshold", *argv, *extra]) == 2
+def test_threshold_out_of_range_tau_exits_2(capsys, argv, findings, extra):
+    # The resolved config's findings print before the one error line.
+    assert cli.main(["threshold", *argv, *extra]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: pulse length tau")
-    assert captured.err.count("\n") == 1
+    *warned, error = captured.err.splitlines()
+    assert [line.split(" =")[0] for line in warned] == \
+        [f"warning: {name}" for name in findings]
+    assert error.startswith("error: pulse length tau")
 
 
 def test_threshold_long_tau_values_finite_and_positive(capsys):
     # tau = 1e200 s: tau^2 overflows and (2pi/tau)^2 underflows, yet every
     # reported value is finite and positive.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", model.RegimeWarning)
-        assert cli.main(["threshold", "--json", "--tau", "1e200"]) == 0
-        doc = json.loads(capsys.readouterr().out,
-                         parse_constant=reject_constant)
-        assert cli.main(["threshold", "--tau", "1e200"]) == 0
-        text = capsys.readouterr().out
+    assert cli.main(["threshold", "--json", "--tau", "1e200"]) == 0
+    doc = json.loads(capsys.readouterr().out,
+                     parse_constant=reject_constant)
+    assert cli.main(["threshold", "--tau", "1e200"]) == 0
+    text = capsys.readouterr().out
     spectral = doc.pop("spectral_f")
     values = list(doc.values()) + list(spectral.values())
     assert len(values) == 11
@@ -238,10 +242,8 @@ def test_config_run_reports_each_regime_finding_once(tmp_path, capsys):
                          "gamma_m": 0.25 * G0, "temperature": 20.0}
     path.write_text(json.dumps(doc))
     for extra, gamma_m_found in (([], True), (["--gamma-m", "0"], False)):
-        with warnings.catch_warnings():
-            warnings.simplefilter("always")
-            assert cli.main(["threshold", "--json", "--config", str(path)]
-                            + extra) == 0
+        assert cli.main(["threshold", "--json", "--config", str(path)]
+                        + extra) == 0
         found = capsys.readouterr().err.splitlines()
         assert all(m.startswith("warning: ") for m in found), found
         assert len(found) == len(set(found)), found
@@ -431,6 +433,20 @@ def test_regime_warning_is_one_line(tmp_path):
     assert [line.split(":")[0] for line in lines] == ["warning", "error"], \
         lines
     assert ".py" not in done.stderr
+
+
+def test_perturbed_validate_reports_each_finding_once(tmp_path):
+    # validate builds a perturbed copy of the config; the findings are the
+    # resolved config's, printed once each before the run.
+    done = run_fresh(tmp_path, "validate", "--case", "nondeg-sub", "--kappa",
+                     "0.5g0", "--tau", "1e-6", "--segments", "32",
+                     "--perturb-kappa", "0.1")
+    assert done.returncode in (0, 1), done.stderr
+    ref = model.reference_config(squeeze=model.Squeezing("two_photon", 0.5 * G0))
+    short = dataclasses.replace(ref, signal=dataclasses.replace(ref.signal,
+                                                                tau=1e-6))
+    assert [m.split(" =")[0] for m in short.regime_findings()] == ["omega_m*tau"]
+    assert done.stderr.splitlines() == finding_lines(short)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -694,18 +710,40 @@ def test_replay_reproduces_outputs(tmp_path, monkeypatch):
     [{"command": ["threshold"]}],
     {"command": "threshold"},
     None,
-], ids=["names-itself", "list", "string-command", "directory"])
+    "[" * 100_000 + "]" * 100_000,
+], ids=["names-itself", "list", "string-command", "directory", "nested"])
 def test_replay_rejects_malformed_manifest(tmp_path, monkeypatch, capsys,
                                            manifest):
     # A replay of a replay would recurse; a list or a string is no command;
-    # a directory is no manifest.
+    # a directory is no manifest, nor is JSON nested past the parser's depth.
     monkeypatch.chdir(tmp_path)
     if manifest is None:
         (tmp_path / "loop.json").mkdir()
     else:
-        (tmp_path / "loop.json").write_text(json.dumps(manifest))
+        (tmp_path / "loop.json").write_text(
+            manifest if isinstance(manifest, str) else json.dumps(manifest))
     assert cli.main(["replay", "loop.json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--case", "baseline", "--out", "afile/x.csv"],
+    ["figure", "fig3", "--out-dir", "afile"],
+    ["spectrum", "--case", "baseline", "--out", "d.csv"],
+], ids=["spectrum-under-a-file", "figure-into-a-file", "spectrum-onto-a-dir"])
+def test_unwritable_output_path_exits_2(tmp_path, monkeypatch, capsys, argv):
+    # A path that cannot be written is one error line and exit 2, and
+    # nothing else is written.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("")
+    (tmp_path / "d.csv").mkdir()
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["afile", "d.csv"]
+    assert (tmp_path / "afile").read_text() == ""

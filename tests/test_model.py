@@ -13,7 +13,7 @@ from scipy.constants import hbar, k as k_B
 
 from trimova import model
 from trimova.model import (ConfigError, MechanicalOscillator,
-                           OpticalCavity, RegimeWarning, SignalPulse,
+                           OpticalCavity, SignalPulse,
                            Squeezing, StabilityError, SystemConfig)
 from trimova.transfer import build_state_space
 
@@ -107,9 +107,8 @@ def test_wavelength_round_trip(wavelength):
     assert abs(cav.wavelength - wavelength) <= 1e-12 * wavelength
 
 
-def test_reference_config_clean(recwarn, reference):
+def test_reference_config_clean(reference):
     assert reference.regime_findings() == []
-    assert not [w for w in recwarn.list if issubclass(w.category, RegimeWarning)]
 
 
 def test_stability_two_photon_bound(reference):
@@ -133,22 +132,43 @@ def test_resolved_sideband_warning(reference):
     mech = reference.mechanical
     wide = OpticalCavity(0.25 * mech.omega_m, 0.25 * mech.omega_m / 300, 0.1,
                          reference.cavity.omega0)
-    with pytest.warns(RegimeWarning, match="sidebands"):
-        SystemConfig(mech, wide, Squeezing(), 1e5, SignalPulse(tau=28e-6))
+    config = SystemConfig(mech, wide, Squeezing(), 1e5, SignalPulse(tau=28e-6))
+    assert [m for m in config.regime_findings() if "sidebands" in m] == [
+        "gamma/omega_m = 0.251 exceeds 0.15; sidebands are not well resolved"]
 
 
 def test_loss_ratio_warning(reference):
     cav = reference.cavity
     lossy = OpticalCavity(cav.gamma0, 0.2 * cav.gamma0, cav.length, cav.omega0)
-    with pytest.warns(RegimeWarning, match="loss"):
-        SystemConfig(reference.mechanical, lossy, Squeezing(),
-                     1e5, SignalPulse(tau=28e-6))
+    config = SystemConfig(reference.mechanical, lossy, Squeezing(),
+                          1e5, SignalPulse(tau=28e-6))
+    assert config.regime_findings() == [
+        "gamma_e/gamma0 = 0.2 exceeds 0.1; internal loss is not small against "
+        "the input coupler"]
 
 
 def test_short_pulse_warning(reference):
-    with pytest.warns(RegimeWarning, match="pulse"):
-        SystemConfig(reference.mechanical, reference.cavity, Squeezing(),
-                     1e5, SignalPulse(tau=1e-6))
+    # A finding is data: neither a build nor a replace emits a warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        config = SystemConfig(reference.mechanical, reference.cavity,
+                              Squeezing(), 1e5, SignalPulse(tau=1e-6))
+        assert dataclasses.replace(config, K0=2e5).regime_findings() \
+            == config.regime_findings()
+    assert config.regime_findings() == [
+        "omega_m*tau = 2.2 is below 10.0; the pulse is not many-cycle resonant"]
+
+
+def test_long_pulse_finding_is_last(reference):
+    # gamma_m*tau > 0.1 is the last finding, after the pulse-cycle one.
+    mech = dataclasses.replace(reference.mechanical, gamma_m=0.3 * OMEGA_M)
+    config = SystemConfig(mech, reference.cavity, Squeezing(), 1e5,
+                          SignalPulse(tau=1e-6))
+    assert [m.split(" =")[0] for m in config.regime_findings()] == [
+        "gamma_m/gamma", "omega_m*tau", "gamma_m*tau"]
+    assert config.regime_findings()[-1] == (
+        "gamma_m*tau = 0.66 is not small; short-pulse threshold formulas "
+        "degrade")
 
 
 def test_underdamped_required():
@@ -300,6 +320,19 @@ MALFORMED = {
     "mass-400-digits": (lambda d: d["mechanical"].update(mass=10**400),
                         "[mechanical] mass"),
     "gamma0-true": (lambda d: d["cavity"].update(gamma0=True), "[cavity] gamma0"),
+    # An alternative input is refused by its own name, not by what it sets.
+    "Q-nan": (lambda d: d["mechanical"].update(Q=math.nan),
+              "Q must be finite, got nan"),
+    "Q-inf": (lambda d: d["mechanical"].update(Q=math.inf),
+              "Q must be finite, got inf"),
+    "Q-half": (lambda d: d["mechanical"].update(Q=0.5),
+               "quality factor must exceed 1/2"),
+    "wavelength-0": (lambda d: d["cavity"].update(wavelength=0),
+                     "wavelength must be finite and positive, got 0.0"),
+    "wavelength-nan": (lambda d: d["cavity"].update(wavelength=math.nan),
+                       "wavelength must be finite and positive, got nan"),
+    "wavelength-negative": (lambda d: d["cavity"].update(wavelength=-1),
+                            "wavelength must be finite and positive, got -1.0"),
 }
 
 
@@ -360,23 +393,6 @@ def test_snapshot_holds_container_fields_by_name(reference):
     assert "F_s0" not in snap["signal"] and snap["signal"]["f_s0"] == 1.0
     assert snap["drive"] == {"K0": reference.K0}
     assert model.parse_config(snap) == reference
-
-
-def test_regime_warning_names_the_caller():
-    # A direct build and a dataclasses.replace build both attribute the
-    # finding to this file, so two call sites give two warnings even under
-    # the default once-per-location filter.
-    ref = model.reference_config()
-    short = SignalPulse(tau=1e-6)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("default")
-        SystemConfig(ref.mechanical, ref.cavity, Squeezing(), ref.K0, short)
-        dataclasses.replace(ref, signal=short)
-        dataclasses.replace(ref, signal=short)
-    pulse = [w for w in caught if issubclass(w.category, RegimeWarning)]
-    assert len(pulse) == 3
-    assert all(w.filename == __file__ for w in pulse)
-    assert len({w.lineno for w in pulse}) == 3
 
 
 def test_config_rejects_ambiguous_inputs():

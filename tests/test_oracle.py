@@ -7,7 +7,6 @@ import math
 import sys
 import threading
 import tracemalloc
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +15,7 @@ import scipy.linalg
 import scipy.signal
 
 from trimova import model, oracle, spectra
-from trimova.model import RegimeWarning, Squeezing, StabilityError
+from trimova.model import Squeezing, StabilityError
 from trimova.oracle import (SimulationError, build_state_space, simulate,
                             validate)
 
@@ -25,10 +24,8 @@ G0, GE = model.reference_rates()
 
 def config(kind="none", frac=0.0, lossless=False, gamma_m=None, K0=None):
     squeeze = Squeezing() if kind == "none" else Squeezing(kind, frac * G0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        return model.reference_config(squeeze=squeeze, lossless=lossless,
-                                      gamma_m=gamma_m, K0=K0)
+    return model.reference_config(squeeze=squeeze, lossless=lossless,
+                                  gamma_m=gamma_m, K0=K0)
 
 
 def run(ss, **options):

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
 from trimova import model, oracle, spectra, transfer
-from trimova.model import RegimeWarning, Squeezing, StabilityError
+from trimova.model import Squeezing, StabilityError
 from trimova.spectra import closed_form_psd, spectrum_series, sql_psd
 from trimova.transfer import Channel, PoleError, build_state_space
 
@@ -24,10 +24,8 @@ def config(kind="none", frac=0.0, lossless=False, gamma_m=None, K0=None,
     if N0 is not None:
         K0 = N0 * (G0 + GE) / (G0 - GE)
     squeeze = Squeezing() if kind == "none" else Squeezing(kind, frac * G0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        return model.reference_config(squeeze=squeeze, lossless=lossless,
-                                      gamma_m=gamma_m, K0=K0)
+    return model.reference_config(squeeze=squeeze, lossless=lossless,
+                                  gamma_m=gamma_m, K0=K0)
 
 
 # --- baseline closed form (independent arithmetic) --------------------------------
@@ -99,9 +97,7 @@ def test_spectrum_refuses_vanishing_signal_coefficient(case, omega):
 def test_closed_form_finite_where_pump_response_cancels(case):
     # At kappa = gamma0 - gamma_e the squeezed-pair reflection and the pump
     # response share a zero/pole at Omega = 0 that cancels in the spectrum.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        cfg = model.reference_config(squeeze=Squeezing("two_photon", G0 - GE))
+    cfg = model.reference_config(squeeze=Squeezing("two_photon", G0 - GE))
     w = np.concatenate([[0.0], np.geomspace(1e-6 * G0, 10 * G0, 60)])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -116,9 +112,7 @@ def test_degenerate_subtraction_pole():
     # Omega = 0, so the subtraction filter is undefined there; both paths,
     # and the state-space nulling weight that validate uses, refuse it with
     # the same error, and the paths agree just beside it.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        cfg = model.reference_config(squeeze=Squeezing("degenerate", G0 - GE))
+    cfg = model.reference_config(squeeze=Squeezing("degenerate", G0 - GE))
     paths = (lambda w: closed_form_psd("deg-sub", cfg, w),
              lambda w: spectrum_series(cfg, "deg-sub", w).values)
     messages = set()
@@ -146,10 +140,8 @@ def test_paths_agree_on_drawn_configs(lossless, kind, rate, k0_decades,
         else Squeezing(kind, rate * (G0 + GE))
     gamma_m = 0.0 if gamma_m_decades is None else 10.0**gamma_m_decades * G0
     K0 = 10.0**k0_decades * math.pi / model.TAU_PRESETS["table1"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        cfg = model.reference_config(squeeze=squeeze, lossless=lossless,
-                                     gamma_m=gamma_m, K0=K0)
+    cfg = model.reference_config(squeeze=squeeze, lossless=lossless,
+                                 gamma_m=gamma_m, K0=K0)
     w = np.geomspace(1e-4 * G0, 10 * G0, 40)
     for case in (c for c, k in spectra.CASE_KIND.items() if k == kind):
         closed = closed_form_psd(case, cfg, w)
@@ -182,11 +174,9 @@ def test_stability_edge_fails_loudly(lossless, kind, offset, k0_decades,
     K0 = 10.0**k0_decades * math.pi / model.TAU_PRESETS["table1"]
     rate = (G0 + GE) * (1.0 + offset)
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RegimeWarning)
-            cfg = model.reference_config(squeeze=Squeezing(kind, rate),
-                                         lossless=lossless, gamma_m=gamma_m,
-                                         K0=K0)
+        cfg = model.reference_config(squeeze=Squeezing(kind, rate),
+                                     lossless=lossless, gamma_m=gamma_m,
+                                     K0=K0)
     except StabilityError:
         assert rate >= G0 + GE
         return
@@ -310,11 +300,9 @@ def test_raw_port_imprecision_backaction_product_on_sql(frac):
     # Lossless two-photon raw port at gamma_m = 0: imprecision (difference
     # vacua) times back action (sum vacua) is Omega^2, the SQL product, at
     # every squeeze rate (Clerk et al., RMP 82, 1155 (2010)).
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        cfg = model.reference_config(
-            squeeze=Squeezing("two_photon", frac * (G0 + GE)), lossless=True,
-            gamma_m=0.0)
+    cfg = model.reference_config(
+        squeeze=Squeezing("two_photon", frac * (G0 + GE)), lossless=True,
+        gamma_m=0.0)
     w = spectra.default_grid(cfg, points=60)
     budget = spectrum_series(cfg, "nondeg-raw", w, budget=True).budget
     imprecision = budget["alpha_minus"] + budget["eps_minus"]
@@ -497,10 +485,16 @@ def test_spectral_and_time_domain_same_scale():
 
 
 def test_threshold_warns_for_long_pulses():
+    # The threshold formulas' gamma_m*tau condition is the config's last
+    # finding; the threshold itself reports it no second way.
     base = config()
     cfg = dataclasses.replace(
         base, signal=dataclasses.replace(base.signal, tau=30.0))
-    with pytest.warns(RegimeWarning, match="short-pulse"):
+    assert cfg.regime_findings() == [
+        "gamma_m*tau = 0.33 is not small; short-pulse threshold formulas "
+        "degrade"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         spectra.detection_threshold_time_domain(cfg)
 
 
