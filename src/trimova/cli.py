@@ -217,8 +217,9 @@ def cmd_replay(args, argv) -> int:
     try:
         with open(args.manifest, encoding="utf-8") as fh:
             manifest = json.load(fh)
-    except (OSError, RecursionError) as exc:   # unreadable, or nested too deep
-        raise UsageError(f"cannot read manifest: {exc}") from None
+    except (OSError, ValueError, RecursionError) as exc:   # no JSON document
+        raise UsageError(f"cannot read manifest {args.manifest}: {exc}") \
+            from None
     command = manifest.get("command") if isinstance(manifest, dict) else None
     if not (isinstance(command, list) and command
             and all(isinstance(item, str) for item in command)):

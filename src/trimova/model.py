@@ -99,10 +99,16 @@ def dimensionless_power(cavity: "OpticalCavity", mech: "MechanicalOscillator",
     (OpticalCavity requires gamma_e < gamma0, so it is never singular)."""
     if not math.isfinite(input_power):
         raise ConfigError(f"input_power must be finite, got {input_power}")
+    if input_power <= 0.0:
+        raise ConfigError(f"input_power must be positive, got {input_power}")
     g0, ge = cavity.gamma0, cavity.gamma_e
     g = cavity.gamma
-    return (4.0 * g0 * cavity.omega0 * input_power
-            / (mech.mass * mech.omega_m * cavity.length**2 * g**2 * (g0 - ge)))
+    K0 = (4.0 * g0 * cavity.omega0 * input_power
+          / (mech.mass * mech.omega_m * cavity.length**2 * g**2 * (g0 - ge)))
+    if not math.isfinite(K0):
+        raise ConfigError(f"K0 of input_power = {input_power} W must be "
+                          f"finite, got {K0}")
+    return K0
 
 
 def k0_for_n0(N0: float, gamma0: float, gamma_e: float) -> float:
@@ -175,7 +181,11 @@ class OpticalCavity:
         if not 0.0 < wavelength < math.inf:
             raise ConfigError(f"wavelength must be finite and positive, "
                               f"got {wavelength}")
-        return cls(gamma0, gamma_e, length, 2.0 * math.pi * 299792458.0 / wavelength)
+        omega0 = 2.0 * math.pi * 299792458.0 / wavelength
+        if not math.isfinite(omega0):
+            raise ConfigError(f"carrier 2*pi*c/wavelength of wavelength = "
+                              f"{wavelength} m must be finite, got {omega0}")
+        return cls(gamma0, gamma_e, length, omega0)
 
     @property
     def gamma(self) -> float:

@@ -51,8 +51,9 @@ the default step the aliases m != 0 are up to 5e-4 of the reference.  The
 closed-form reference is the nominal model's with its own alias m = 0
 replaced by the closed form's, sinc^2(Omega*dt/2) times it.
 Every response is one transfer.resolvent, a forward substitution along the
-cascade (below): one of the nominal drift gives the subtraction weight and
-the nominal PSD; unperturbed, one sampled PSD serves both references.
+cascade (below).  One ``StateSpace.port_response``, the measured port's
+owner, gives the nominal weight, signal coefficient and PSD; unperturbed,
+one sampled PSD serves both references.
 
 For every squeeze kind the drift, and hence the one-step propagator, is
 lower-triangular in the cascade order sum pair -> mechanics -> difference
@@ -119,7 +120,7 @@ import numpy as np
 from .model import SystemConfig, json_text, write_text
 from .spectra import closed_form_psd, port_for_case
 from .transfer import (CASCADE, StateSpace, build_state_space, check_cascade,
-                       nulling, port_psd, read_out, resolvent)
+                       port_psd, read_out, resolvent)
 
 MIN_SEGMENTS = 32
 MIN_CORRELATION_TIMES = 100.0
@@ -252,8 +253,9 @@ def _sampled_psd(ss: StateSpace, dt: float, omega: np.ndarray,
     """
     phi_xx, read_x, factor = _discretize(ss, dt)
     x = resolvent(phi_xx, np.exp(1j * omega * dt), factor[:3])
-    return 2.0 * dt * port_psd(read_out(read_x, x, factor[3:]), np.ones(5),
-                               weight)
+    h = read_out(read_x, x, factor[3:])
+    row = h[:, 1] if weight is None else h[:, 1] + weight[:, None] * h[:, 0]
+    return 2.0 * dt * port_psd(row, np.ones(5))
 
 
 def _scan(a: float, x: np.ndarray, scratch: np.ndarray | None = None) -> None:
@@ -662,15 +664,14 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
     if grid.size == 0:
         raise SimulationError(f"no frequency bin in the comparison band "
                               f"[{lo:.3g}, {omega_hi:.3g}) rad/s")
-    # One nominal frequency response gives the subtraction weight and the
-    # nominal PSD.  rFFT bins of a real record carry the exp(+i*Omega*t)
-    # component, so the per-bin filter is the conjugate of the weight.
-    h_nom = ss_nom.frequency_response(grid)
-    nominal = nulling(h_nom) if port == "subtracted" else None
+    # One nominal port response gives the subtraction weight, the signal
+    # coefficient and the nominal PSD.  rFFT bins of a real record carry the
+    # exp(+i*Omega*t) component, so the per-bin filter is the conjugate.
+    row, nominal = ss_nom.port_response(grid, port)
     weight = None if nominal is None else np.conj(nominal)
-
-    # Signal coefficient of the measured raw port (signal referring).
-    sig2 = np.abs(ss_nom.signal_response(grid)[:, ss_nom.measured_port]) ** 2
+    sig2 = np.abs(row[:, -1]) ** 2
+    nominal_psd = port_psd(row, ss_nom.channel_psd) / sig2
+    del row   # not held through the simulation, where the peak RSS is
 
     # The record layout of the docstring, windows hop samples apart.  Four
     # records a call, which one, two or four workers share evenly.
@@ -695,9 +696,8 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
     ss_pred = sampled if ss_sim is ss_nom \
         else _sampled_psd(ss_sim, dt, grid, weight) / sig2
     roll = np.sinc(grid * dt / (2.0 * math.pi)) ** 2
-    closed = sampled + roll * (closed_form_psd(case, config, grid) - port_psd(
-        h_nom, ss_nom.channel_psd, nominal) / sig2)
-    del h_nom   # not held through the simulation, where the peak RSS is
+    closed = sampled + roll * (closed_form_psd(case, config, grid)
+                               - nominal_psd)
     centers, (closed_b, ss_b), bounds = log_binned(
         grid, [closed, ss_pred], lo, omega_hi, POINTS_PER_DECADE)
 

@@ -51,12 +51,14 @@ def port_for_case(case: str) -> str:
     return "subtracted" if case.endswith("-sub") else "difference"
 
 
-def _check_case(config: SystemConfig, case: str) -> None:
-    port_for_case(case)   # rejects unknown case names
+def _check_case(config: SystemConfig, case: str) -> str:
+    """Port of a case that ``config`` can run (see port_for_case)."""
+    port = port_for_case(case)   # rejects unknown case names
     kind, actual = CASE_KIND[case], config.squeeze.kind
     if actual not in ("none", kind):   # a squeezed case also runs unsqueezed
         raise ValueError(f"case {case!r} requires {kind!r} squeezing, "
                          f"config has {actual!r}")
+    return port
 
 
 def default_grid(config: SystemConfig, points: int = 400,
@@ -85,7 +87,7 @@ def closed_form_psd(case: str, config: SystemConfig, omega):
     i*Omega)/(gamma + s - i*Omega) vanishes: upsilon = gamma0 - gamma_e at
     Omega = 0, never under two-photon squeezing.
     """
-    _check_case(config, case)
+    port = _check_case(config, case)
     w = np.asarray(omega, dtype=float)
     cav, gm = config.cavity, config.mechanical.gamma_m
     g0, ge, g = cav.gamma0, cav.gamma_e, cav.gamma
@@ -95,7 +97,7 @@ def closed_form_psd(case: str, config: SystemConfig, omega):
     out = 2.0 * gm * (2.0 * config.mechanical.occupancy + 1.0) \
         + (gm**2 + w**2) * (np.abs(g0 - ge - rate + 1j * w) ** 2
                             + 4.0 * g0 * ge) / pump
-    if not case.endswith("-sub"):
+    if port == "difference":
         return out + pump / np.abs(g + s - 1j * w) ** 2 * (1.0 + ge / g0)
     reflection = g0 - ge - s + 1j * w
     guard_subtraction(reflection / (g + s - 1j * w))
@@ -160,9 +162,8 @@ def spectrum_series(config: SystemConfig, case: str, omega,
     ValueError where a drive too weak for its signal coefficient makes a
     channel overflow.
     """
-    _check_case(config, case)
     grid = np.asarray(omega, dtype=float)
-    coeffs = transfer_coefficients(config, port_for_case(case), grid)
+    coeffs = transfer_coefficients(config, _check_case(config, case), grid)
     psd = build_state_space(config).channel_psd
     with np.errstate(over="ignore"):
         parts = {ch.value: np.abs(coeffs[ch]) ** 2 * psd[i] for i, ch
@@ -194,12 +195,12 @@ def ratio_to_sql(series: SpectrumSeries) -> SpectrumSeries:
 def detection_threshold_spectral(config: SystemConfig, case: str) -> float:
     """Normalized force amplitude resolvable over the configured pulse's
     bandwidth: f_min = sqrt(S_f(0) * dOmega / 2pi) with dOmega = 2pi/tau;
-    ValueError where S_f(0) overflows."""
+    ValueError where S_f(0)/tau overflows."""
     with np.errstate(over="ignore"):
-        value = float(closed_form_psd(case, config, 0.0))
+        value = float(closed_form_psd(case, config, 0.0)) / config.signal.tau
     if not math.isfinite(value):
         raise ValueError(f"{case}: the spectral threshold must be finite")
-    return math.sqrt(value / config.signal.tau)
+    return math.sqrt(value)
 
 
 @dataclass(frozen=True)

@@ -11,18 +11,16 @@ once, as a ``StateSpace``, with two outputs:
 * the difference port, measured: its own vacua, the signal and thermal
   forces, and the back action fed into the mechanics by the sum-pair vacua.
 
-``transfer_coefficients`` reads from the model's frequency response the
-signal-referred coefficient with which every input channel (input-port
-vacuum, internal-loss vacuum, thermal force, signal force) appears in one
-of the measured PORTS: "difference", or "subtracted", the difference port
-plus the sum port times the nulling weight, defined by exact cancellation
-of the input-vacuum back action.  With internal loss a loss-vacuum residual
-survives.  The sum port is an output of the ``StateSpace`` only, not one of
-PORTS.  One function forms the nulling weight from a frequency response,
-for ``StateSpace.nulling_weight``, the subtracted port and the oracle alike,
-and it holds the pole guard: where the sum port reflects no input vacuum
-(upsilon = gamma0 - gamma_e at Omega = 0) it raises PoleError.  Every
-response is one ``resolvent``, a forward substitution along the CASCADE.
+``StateSpace.port_response`` owns the measured PORTS: from one response it
+forms the coefficient of every input channel (input-port vacuum,
+internal-loss vacuum, thermal force, signal force) in "difference", or in
+"subtracted", the difference port plus the sum port times the nulling
+weight, which cancels the input-vacuum back action exactly.  It alone forms
+that weight, behind the pole guard: where the sum port reflects no input
+vacuum (upsilon = gamma0 - gamma_e at Omega = 0) it raises PoleError.  The
+loss-vacuum residual that survives internal loss is formed without
+cancellation, and ``transfer_coefficients`` refers the row to the signal.
+Every response is one ``resolvent``, a forward substitution along the CASCADE.
 
 Derivation.  With side modes a+, a-, mechanics b and two-photon squeezing at
 rate kappa, H/hbar = G (a+^ b + a-^ b^ + h.c.) + i kappa (a+^ a-^ - a+ a-)
@@ -116,10 +114,9 @@ def read_out(read: np.ndarray, x: np.ndarray, feed=0.0) -> np.ndarray:
     return y.transpose(2, 0, 1)
 
 
-def port_psd(h: np.ndarray, channel_psd: np.ndarray, weight=None) -> np.ndarray:
-    """PSD of the measured port, or of measured + weight * reference, of a
-    response h[frequency, output, channel] to channels of PSD channel_psd."""
-    row = h[:, 1] if weight is None else h[:, 1] + weight[:, None] * h[:, 0]
+def port_psd(row: np.ndarray, channel_psd: np.ndarray) -> np.ndarray:
+    """PSD of a port that responds by row[frequency, channel] to channels of
+    PSD channel_psd; columns past channel_psd (the signal) are not read."""
     return sum(p * np.abs(row[:, c]) ** 2 for c, p in enumerate(channel_psd))
 
 
@@ -154,15 +151,38 @@ class StateSpace:
         """Signal-to-output transfer [frequency, output]."""
         return self._respond(omega, self.signal_gain[:, None])[:, :, 0]
 
+    def port_response(self, omega, port: str):
+        """(row, weight) of a measured port (see PORTS) from one response:
+        row[frequency, input] over _INPUTS, and the sum port's nulling
+        weight, None for "difference".  Subtracted, alpha+ is 0 by the
+        weight's definition, and eps+, which like alpha+ enters through the
+        sum-pair state only, is alpha+'s reflection scaled by their gain
+        ratio: no column cancels."""
+        if port not in PORTS:
+            raise ValueError(f"unknown port {port!r}; expected one of {PORTS}")
+        h = self._respond(omega, np.c_[self.noise_gain, self.signal_gain],
+                          np.c_[self.feedthrough, np.zeros(2)])
+        row = h[:, self.measured_port]
+        if port == "difference":
+            return row, None
+        guard_subtraction(h[:, 0, 0])
+        weight = -h[:, 1, 0] / h[:, 0, 0]
+        row[:, 0] = 0.0
+        row[:, 2] = weight * (-self.feedthrough[0, 0] * self.noise_gain[0, 2]
+                              / self.noise_gain[0, 0])
+        return row, weight
+
     def nulling_weight(self, omega) -> np.ndarray:
         """Reference-port filter cancelling the sum-pair input vacuum."""
-        return nulling(self.frequency_response(omega))
+        return self.port_response(omega, "subtracted")[1]
 
     def output_psd(self, omega, ref_weight=None) -> np.ndarray:
         """Single-sided PSD of the measured port or of (measured +
-        weight*reference)."""
-        return port_psd(self.frequency_response(omega), self.channel_psd,
-                        ref_weight)
+        weight*reference), the weighted sum formed directly."""
+        h = self.frequency_response(omega)
+        row = h[:, 1] if ref_weight is None \
+            else h[:, 1] + ref_weight[:, None] * h[:, 0]
+        return port_psd(row, self.channel_psd)
 
 
 def build_state_space(config: SystemConfig) -> StateSpace:
@@ -215,41 +235,20 @@ def guard_subtraction(reflection) -> None:
                         "at Omega = 0)")
 
 
-def nulling(h: np.ndarray) -> np.ndarray:
-    """Nulling weight -h_diff,alpha+ / h_sum,alpha+ of a frequency response
-    h[frequency, output, channel]; PoleError where the sum port reflects no
-    input vacuum."""
-    guard_subtraction(h[:, 0, 0])
-    return -h[:, 1, 0] / h[:, 0, 0]
-
-
 def transfer_coefficients(config: SystemConfig, port: str, omega) -> dict:
     """Signal-referred coefficient map Channel -> complex array over
-    ``omega`` of one port (see PORTS): every coefficient divided by the
-    signal coefficient, which leaves exactly 1 in the signal slot; ValueError
-    where a quotient is not finite (a signal coefficient 0 or too small)."""
-    if port not in PORTS:
-        raise ValueError(f"unknown port {port!r}; expected one of {PORTS}")
-    w = np.asarray(omega, dtype=float)
-    ss = build_state_space(config)
-    h = ss.frequency_response(w)
-    # rows[frequency, output, input], inputs in _INPUTS order.
-    rows = np.concatenate([h, ss.signal_response(w)[:, :, None]], axis=2)
-    row = rows[:, 1]
-    if port == "subtracted":
-        weight = nulling(h)   # the sum port responds to alpha+ and eps+ only
-        row[:, 0] = 0.0   # the weight cancels the input vacuum by definition
-        # eps+ enters, like alpha+, only through the sum-pair state: its
-        # residual is alpha+'s reflection scaled by their gain ratio.
-        row[:, 2] = weight * (-ss.feedthrough[0, 0] * ss.noise_gain[0, 2]
-                              / ss.noise_gain[0, 0])
+    ``omega`` of one port (see PORTS): the row of StateSpace.port_response
+    divided by its signal coefficient, which leaves exactly 1 in the signal
+    slot; ValueError where a quotient is not finite (a signal coefficient 0
+    or too small)."""
+    row = build_state_space(config).port_response(omega, port)[0]
     sig = row[:, -1]
     with np.errstate(all="ignore"):   # refused below, without warnings
         row = row / sig[:, None]
     finite = np.isfinite(row).all(axis=1)
     if not finite.all():
         i = int(np.argmin(finite))
-        raise ValueError(f"{port} port at Omega = {np.ravel(w)[i]:.3g} rad/s: the "
+        raise ValueError(f"{port} port at Omega = {np.ravel(omega)[i]:.3g} rad/s: the "
                          f"noise over signal coefficient {abs(sig[i]):.3g} is not finite")
     row[:, -1] = 1.0
     return {ch: row[:, i] for i, ch in enumerate(_INPUTS)}

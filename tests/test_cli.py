@@ -102,10 +102,13 @@ def test_invalid_case_exits_2(tmp_path):
     ["spectrum", "--case", "baseline", "--k0", "1e308", "--out", "s.csv"],
     ["spectrum", "--case", "baseline", "--power", "1e300", "--out", "s.csv"],
     ["spectrum", "--case", "baseline", "--k0", "1e-300", "--out", "s.csv"],
+    # A positive K0 whose spectral threshold S_f(0)/tau overflows.
+    ["threshold", "--power", "1e-320"],
 ], ids=["kappa-nan", "gamma-m-nan", "tau-nan", "k0-inf", "spectrum-k0-nan",
         "spectrum-omega-min-nan", "validate-omega-max-inf", "k0-huge",
         "k0-pump-overflow", "k0-edge-overflow",
-        "spectrum-k0-huge", "spectrum-power-huge", "spectrum-k0-tiny"])
+        "spectrum-k0-huge", "spectrum-power-huge", "spectrum-k0-tiny",
+        "power-tiny"])
 def test_non_finite_input_exits_2(tmp_path, monkeypatch, capsys, recwarn,
                                   argv):
     monkeypatch.chdir(tmp_path)
@@ -457,6 +460,20 @@ def test_non_finite_power_names_input_power(capsys, value):
     assert captured.err == f"error: input_power must be finite, got {value}\n"
 
 
+@pytest.mark.parametrize("value, message", [
+    ("-1", "input_power must be positive, got -1.0"),
+    ("0", "input_power must be positive, got 0.0"),
+    ("1e308", "K0 of input_power = 1e+308 W must be finite, got inf"),
+], ids=["negative", "zero", "huge"])
+def test_bad_power_names_input_power(capsys, value, message):
+    # A power that is not positive, or whose K0 overflows, is refused by its
+    # own name, not by the K0 it would set.
+    assert cli.main(["threshold", "--power", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("by_env", [False, True], ids=["option", "env"])
 def test_tau_preset_with_config_file_exits_2(tmp_path, monkeypatch, capsys,
                                              by_env):
@@ -711,14 +728,21 @@ def test_replay_reproduces_outputs(tmp_path, monkeypatch):
     {"command": "threshold"},
     None,
     "[" * 100_000 + "]" * 100_000,
-], ids=["names-itself", "list", "string-command", "directory", "nested"])
+    "{",
+    b"\xff",
+], ids=["names-itself", "list", "string-command", "directory", "nested",
+        "truncated", "not-utf8"])
 def test_replay_rejects_malformed_manifest(tmp_path, monkeypatch, capsys,
                                            manifest):
     # A replay of a replay would recurse; a list or a string is no command;
-    # a directory is no manifest, nor is JSON nested past the parser's depth.
+    # a directory is no manifest, nor is JSON nested past the parser's
+    # depth, nor text that is not JSON or not UTF-8: the error of a manifest
+    # that cannot be read names it.
     monkeypatch.chdir(tmp_path)
     if manifest is None:
         (tmp_path / "loop.json").mkdir()
+    elif isinstance(manifest, bytes):
+        (tmp_path / "loop.json").write_bytes(manifest)
     else:
         (tmp_path / "loop.json").write_text(
             manifest if isinstance(manifest, str) else json.dumps(manifest))
@@ -726,7 +750,10 @@ def test_replay_rejects_malformed_manifest(tmp_path, monkeypatch, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    unreadable = manifest is None or isinstance(manifest, (str, bytes))
+    prefix = "error: cannot read manifest loop.json: " if unreadable \
+        else "error: "
+    assert len(lines) == 1 and lines[0].startswith(prefix), lines
 
 
 @pytest.mark.parametrize("argv", [

@@ -86,7 +86,10 @@ def test_input_power_order_of_magnitude(reference):
 
 def test_dimensionless_power_properties(reference):
     cav, mech = reference.cavity, reference.mechanical
-    assert model.dimensionless_power(cav, mech, 0.0) == 0.0
+    # No power is no drive: refused by its own name, like a negative one.
+    for power in (0.0, -1e-3):
+        with pytest.raises(ConfigError, match="input_power must be positive"):
+            model.dimensionless_power(cav, mech, power)
     k1 = model.dimensionless_power(cav, mech, 1e-3)
     assert model.dimensionless_power(cav, mech, 2e-3) == pytest.approx(2 * k1)
     # gamma_e = gamma0 makes the normalization singular: the cavity itself
@@ -333,6 +336,11 @@ MALFORMED = {
                        "wavelength must be finite and positive, got nan"),
     "wavelength-negative": (lambda d: d["cavity"].update(wavelength=-1),
                             "wavelength must be finite and positive, got -1.0"),
+    # 2*pi*c/wavelength overflows, so the carrier would be infinite.
+    "wavelength-tiny": (lambda d: d["cavity"].update(wavelength=1e-320),
+                        "wavelength = 1e-320 m must be finite, got inf"),
+    "power-0": (lambda d: d["drive"].update(input_power=0),
+                "input_power must be positive, got 0.0"),
 }
 
 

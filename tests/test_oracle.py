@@ -945,9 +945,10 @@ def test_validate_negative_control_quick():
 
 def test_validate_evaluates_only_the_compared_band(monkeypatch):
     # Every analytic reference is evaluated on the compared rFFT bins only:
-    # bin 8 and up, omega_lo <= Omega < omega_hi.  Unperturbed, the nominal
-    # frequency response gives both the subtraction weight and the nominal
-    # PSD, and the simulated model is the nominal one: one call each.
+    # bin 8 and up, omega_lo <= Omega < omega_hi.  Unperturbed, one nominal
+    # port response gives the subtraction weight, the signal coefficient and
+    # the nominal PSD, and the simulated model is the nominal one: one call
+    # each, and no other response.
     seen = {}
 
     def spy(owner, name, position):
@@ -960,15 +961,14 @@ def test_validate_evaluates_only_the_compared_band(monkeypatch):
 
     spy(oracle, "closed_form_psd", 2)
     spy(oracle, "_sampled_psd", 2)
-    spy(oracle.StateSpace, "signal_response", 1)
-    spy(oracle.StateSpace, "frequency_response", 1)
+    for name in ("port_response", "signal_response", "frequency_response"):
+        spy(oracle.StateSpace, name, 1)
     omega_lo, omega_hi = 3e-2 * G0, 5.0 * G0
     report = validate(config("two_photon", 0.5), "nondeg-sub", segments=32,
                       seed=3, omega_lo=omega_lo, omega_hi=omega_hi)
     assert report.grid.size > 0
     assert {name: len(calls) for name, calls in seen.items()} == {
-        "closed_form_psd": 1, "_sampled_psd": 1, "signal_response": 1,
-        "frequency_response": 1}
+        "closed_form_psd": 1, "_sampled_psd": 1, "port_response": 1}
     for omega in itertools.chain(*seen.values()):
         spacing = np.min(np.diff(omega))
         assert omega.min() >= max(omega_lo, 8.0 * spacing * (1 - 1e-9))

@@ -167,9 +167,12 @@ def test_degenerate_drive_normalization():
 
 def test_port_must_be_named():
     cfg = config()
+    ss = transfer.build_state_space(cfg)
     for port in ("sum", "subtract", "phase", math.pi / 2):
         with pytest.raises(ValueError, match="port"):
             transfer_coefficients(cfg, port, 0.1 * G0)
+        with pytest.raises(ValueError, match="unknown port"):
+            ss.port_response(0.1 * G0, port)
 
 
 # --- full output vectors ---------------------------------------------------------
@@ -337,6 +340,24 @@ def test_subtracted_loss_residual_structure(kind, lossless, gamma_m):
                  for port in ("subtracted", "difference"))
     for ch in set(Channel) - {Channel.ALPHA_PLUS, Channel.EPS_PLUS}:
         assert np.array_equal(sub[ch], diff[ch])
+
+
+@pytest.mark.parametrize("figure_id", ["fig5", "fig6"])
+def test_subtracted_port_sum_matches_assembled_spectrum(figure_id):
+    # The oracle's nominal reference is the signal-referred channel sum of
+    # port_response's subtracted row, whose columns are formed without
+    # cancellation: within 5e-15 of the assembled spectrum (1.7e-15
+    # measured) and of the independent closed form (2.0e-15) at kappa = 0.9
+    # gamma0.  The direct sum h_diff + w*h_sum misses both by 2.8e-14 there.
+    cfg = spectra.figure_config(figure_id, 0.9)
+    w = spectra.default_grid(cfg, points=2000)
+    ss = transfer.build_state_space(cfg)
+    row, weight = ss.port_response(w, "subtracted")
+    assert np.array_equal(weight, ss.nulling_weight(w))
+    got = transfer.port_psd(row, ss.channel_psd) / np.abs(row[:, -1]) ** 2
+    for want in (spectra.spectrum_series(cfg, "nondeg-sub", w).values,
+                 spectra.closed_form_psd("nondeg-sub", cfg, w)):
+        assert np.max(np.abs(got / want - 1.0)) <= 5e-15
 
 
 def test_conjugate_symmetry():
