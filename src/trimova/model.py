@@ -93,27 +93,34 @@ def braginsky_factor(n_T: float, omega_m: float, tau: float, quality: float) -> 
     return n_T * omega_m * tau / quality
 
 
+def _drive_k0(name: str, value: float, unit: str, K0: float) -> float:
+    """K0 set by the drive input ``name``, refused by that name where the
+    input is not finite and positive or the K0 it sets is not finite."""
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
+    if value <= 0.0:
+        raise ConfigError(f"{name} must be positive, got {value}")
+    if not math.isfinite(K0):
+        raise ConfigError(f"K0 of {name} = {value}{unit} must be finite, "
+                          f"got {K0}")
+    return K0
+
+
 def dimensionless_power(cavity: "OpticalCavity", mech: "MechanicalOscillator",
                         input_power: float) -> float:
     """Normalized pump K0 = 4*g0*w0*P / (m*wm*L^2*g^2*(g0-ge)), units rad/s
     (OpticalCavity requires gamma_e < gamma0, so it is never singular)."""
-    if not math.isfinite(input_power):
-        raise ConfigError(f"input_power must be finite, got {input_power}")
-    if input_power <= 0.0:
-        raise ConfigError(f"input_power must be positive, got {input_power}")
     g0, ge = cavity.gamma0, cavity.gamma_e
     g = cavity.gamma
-    K0 = (4.0 * g0 * cavity.omega0 * input_power
-          / (mech.mass * mech.omega_m * cavity.length**2 * g**2 * (g0 - ge)))
-    if not math.isfinite(K0):
-        raise ConfigError(f"K0 of input_power = {input_power} W must be "
-                          f"finite, got {K0}")
-    return K0
+    return _drive_k0("input_power", input_power, " W", (
+        4.0 * g0 * cavity.omega0 * input_power
+        / (mech.mass * mech.omega_m * cavity.length**2 * g**2 * (g0 - ge))))
 
 
 def k0_for_n0(N0: float, gamma0: float, gamma_e: float) -> float:
     """Normalized pump K0 whose degenerate normalization K0*(g0-ge)/g is N0."""
-    return N0 * (gamma0 + gamma_e) / (gamma0 - gamma_e)
+    return _drive_k0("N0", N0, " rad/s",
+                     N0 * (gamma0 + gamma_e) / (gamma0 - gamma_e))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ before averaging, so a log bin's error is measured within the windows; only
 the share of their overlap is taken from the window (_window_mean).  The
 negative control, ``perturb``, simulates a perturbed config, a copy whose
 squeeze rate is scaled by (1 + perturb) and which passes the same checks as
-any config; an unsqueezed config refuses it.
+any config; a config of squeeze rate 0 refuses it.
 
 Integration uses the exact one-step propagator: the matrix exponential of
 the drift together with the exact joint covariance of (state increment,
@@ -94,7 +94,7 @@ at a time: four records of one length (two where four of WINDOWS_PER_RECORD
 windows do not fit), within _CALL_SAMPLES samples a port (14 MiB in all)
 unless they hold WINDOWS_PER_RECORD windows (two of 1.2 M samples at 2**18).
 ``simulate`` writes each output sample in place, in one contiguous row per
-segment and port: a kept step's output noise, then the read-out of the
+segment and port: every step's output noise, then the read-out of the
 state.  Each of its threads allocates once per call the states of a chunk
 (three rows of _CHUNK + 1 values), one scratch row and the draws, about
 4.6 MiB; on two threads a call of the bench's four 212,992-sample records
@@ -330,7 +330,6 @@ class SimulationResult:
     """Output samples of a batch of independent segments."""
 
     outputs: np.ndarray   # (segments, samples, 2): sum port, difference port
-    dt: float
 
 
 def _segment_generators(seed: int, segment: int, components: int):
@@ -365,8 +364,8 @@ def simulate(ss: StateSpace, *, segments: int = 1, samples: int, dt: float,
     WORKERS threads (see the module docstring).
 
     ``outputs`` is a (segments, samples, 2) view of an array stored port by
-    port: outputs[s, :, p] is contiguous.  The burn-in steps draw their
-    normals but form no output sample.
+    port: outputs[s, :, p] is contiguous.  Every step forms its output
+    sample; the burn-in's lead each row and are dropped as a prefix.
     """
     if np.any(ss.output_gain[:, 2]) or np.any(ss.feedthrough[:, 2:]):
         raise SimulationError("output map reads beyond the two pairs and "
@@ -377,7 +376,7 @@ def simulate(ss: StateSpace, *, segments: int = 1, samples: int, dt: float,
     check_cascade(phi_xx, SimulationError)
 
     total = burn_in + samples
-    out = np.empty((2, segments, samples))   # port rows out[p, s]
+    out = np.empty((2, segments, total))   # port rows out[p, s]
     chunk = min(total, _CHUNK)
     width = 1 + -(-chunk // _SCAN_BLOCK) * _SCAN_BLOCK
 
@@ -398,20 +397,15 @@ def simulate(ss: StateSpace, *, segments: int = 1, samples: int, dt: float,
             x[:, 0] = 0.0   # from rest
             for start in range(0, total, chunk):
                 size = min(chunk, total - start)
-                first = max(0, burn_in - start)   # first kept step
-                lag = start - burn_in             # out's index of start
                 for at in range(0, size, z.shape[1]):
                     to = min(size, at + z.shape[1])
                     for comp, gen in enumerate(gens):
                         gen.standard_normal(out=z[comp, :to - at])
                     np.einsum("rc,ck->rk", factor[:3], z[:, :to - at],
                               out=x[:, 1 + at:to + 1])
-                    # A kept step's output noise goes straight to out.
-                    kept = max(at, first)
-                    if kept < to:
-                        np.einsum("rc,ck->rk", factor[3:],
-                                  z[:, kept - at:to - at],
-                                  out=out[:, s, lag + kept:lag + to])
+                    # A step's output noise goes straight to out.
+                    np.einsum("rc,ck->rk", factor[3:], z[:, :to - at],
+                              out=out[:, s, start + at:start + to])
                 x[:, size + 1:] = 0.0   # zero inputs fill the last block
                 stop = 1 + -(-size // _SCAN_BLOCK) * _SCAN_BLOCK
                 for i, row in enumerate(CASCADE):
@@ -420,14 +414,13 @@ def simulate(ss: StateSpace, *, segments: int = 1, samples: int, dt: float,
                         u += times(phi_xx[row, col], x[col, :size])
                     _scan(phi_xx[row, row], x[row, :stop], scratch)
 
-                if first < size:
-                    for p, j in zip(*np.nonzero(read_x)):   # nonzero terms
-                        out[p, s, lag + first:lag + size] += times(
-                            read_x[p, j], x[j, first:size])
+                for p, j in zip(*np.nonzero(read_x)):   # nonzero terms
+                    out[p, s, start:start + size] += times(read_x[p, j],
+                                                           x[j, :size])
                 x[:, 0] = x[:, size]
 
     _in_parallel(integrate, segments)
-    return SimulationResult(out.transpose(1, 2, 0), dt)
+    return SimulationResult(out[:, :, burn_in:].transpose(1, 2, 0))
 
 
 # --- spectral estimation --------------------------------------------------------
@@ -606,9 +599,9 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
     model is built from a copy of ``config`` with the squeeze rate scaled by
     (1 + perturb), checked like any config, while every analytic reference
     (closed form, signal coefficient, subtraction filter) stays nominal.  A
-    nonzero ``perturb`` on an unsqueezed config raises SimulationError, and
-    so do a negative ``seed`` and a band that is not 0 < omega_lo <
-    omega_hi.  An explicit ``dt`` must be finite and positive and give
+    nonzero ``perturb`` at squeeze rate 0 raises SimulationError, and so do
+    a negative ``seed`` and a band that is not 0 < omega_lo < omega_hi.  An
+    explicit ``dt`` must be finite and positive and give
     pi/dt >= 1.5*omega_hi; the default is _band_step's.  N above MAX_WINDOW
     raises SimulationError.
     """
@@ -623,7 +616,7 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
         raise SimulationError(f"seed = {seed}: it must be nonnegative")
     ss_nom = ss_sim = build_state_space(config)
     if perturb != 0.0:
-        if config.squeeze.kind == "none":
+        if config.squeeze.rate == 0.0:   # kind "none" has rate 0 too
             raise SimulationError(f"perturb = {perturb}: an unsqueezed config "
                                   "has no squeeze rate to perturb")
         ss_sim = build_state_space(replace(config, squeeze=replace(

@@ -31,7 +31,7 @@ import numpy as np
 from .model import (HBAR, RATE_KEY, TAU_PRESETS, Squeezing, SystemConfig,
                     braginsky_factor, config_snapshot, json_text, k0_for_n0,
                     reference_config, reference_rates, write_text)
-from .transfer import (Channel, VACUUM_CHANNELS, build_state_space,
+from .transfer import (Channel, VACUUM_CHANNELS, channel_psd,
                        guard_subtraction, transfer_coefficients)
 
 # Measured case -> squeeze kind it belongs to; raw cases precede their
@@ -157,14 +157,14 @@ class SpectrumSeries:
 def spectrum_series(config: SystemConfig, case: str, omega,
                     budget: bool = False) -> SpectrumSeries:
     """Assembled spectrum of a named case over ``omega``: each channel's
-    |signal-referred coefficient|^2 times its StateSpace.channel_psd, summed.
+    |signal-referred coefficient|^2 times its transfer.channel_psd, summed.
 
     ValueError where a drive too weak for its signal coefficient makes a
     channel overflow.
     """
     grid = np.asarray(omega, dtype=float)
     coeffs = transfer_coefficients(config, _check_case(config, case), grid)
-    psd = build_state_space(config).channel_psd
+    psd = channel_psd(config)
     with np.errstate(over="ignore"):
         parts = {ch.value: np.abs(coeffs[ch]) ** 2 * psd[i] for i, ch
                  in enumerate(VACUUM_CHANNELS + (Channel.THERMAL,))}

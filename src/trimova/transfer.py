@@ -217,9 +217,15 @@ def build_state_space(config: SystemConfig) -> StateSpace:
     D = np.zeros((2, 5))
     D[0, 0] = D[1, 1] = -1.0
 
-    psd = np.array([1.0, 1.0, 1.0, 1.0, 2.0 * mech.occupancy + 1.0])
     e_f = np.array([0.0, 0.0, 1.0])
-    return StateSpace(A, B, C, D, psd, e_f)
+    return StateSpace(A, B, C, D, channel_psd(config), e_f)
+
+
+def channel_psd(config: SystemConfig) -> np.ndarray:
+    """Single-sided PSDs of the StateSpace noise channels: 1 for each
+    vacuum, 2*n_T + 1 for the mechanical bath."""
+    return np.array([1.0, 1.0, 1.0, 1.0,
+                     2.0 * config.mechanical.occupancy + 1.0])
 
 
 def guard_subtraction(reflection) -> None:

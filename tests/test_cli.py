@@ -460,15 +460,18 @@ def test_non_finite_power_names_input_power(capsys, value):
     assert captured.err == f"error: input_power must be finite, got {value}\n"
 
 
-@pytest.mark.parametrize("value, message", [
-    ("-1", "input_power must be positive, got -1.0"),
-    ("0", "input_power must be positive, got 0.0"),
-    ("1e308", "K0 of input_power = 1e+308 W must be finite, got inf"),
-], ids=["negative", "zero", "huge"])
-def test_bad_power_names_input_power(capsys, value, message):
-    # A power that is not positive, or whose K0 overflows, is refused by its
-    # own name, not by the K0 it would set.
-    assert cli.main(["threshold", "--power", value]) == 2
+@pytest.mark.parametrize("option, value, message", [
+    ("--power", "-1", "input_power must be positive, got -1.0"),
+    ("--power", "0", "input_power must be positive, got 0.0"),
+    ("--power", "1e308", "K0 of input_power = 1e+308 W must be finite, got inf"),
+    ("--n0", "-1", "N0 must be positive, got -1.0"),
+    ("--n0", "0", "N0 must be positive, got 0.0"),
+    ("--n0", "1e308", "K0 of N0 = 1e+308 rad/s must be finite, got inf"),
+], ids=["negative", "zero", "huge", "n0-negative", "n0-zero", "n0-huge"])
+def test_bad_power_names_input_power(capsys, option, value, message):
+    # A power or N0 that is not positive, or whose K0 overflows, is refused
+    # by its own name, not by the K0 it would set.
+    assert cli.main(["threshold", option, value]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
@@ -649,14 +652,20 @@ SUBTRACTED = ["--case", "nondeg-sub", "--kappa", "0.5g0"]
     (SUBTRACTED + ["--tolerance", "nan"], "tolerance = nan: it must be finite"),
     (SUBTRACTED + ["--perturb-kappa", "nan"], "perturb = nan: it must be finite"),
     (["--case", "baseline", "--perturb-kappa", "5"], "no squeeze rate to perturb"),
+    (["--case", "nondeg-sub", "--kappa", "0", "--perturb-kappa", "0.1"],
+     "no squeeze rate to perturb"),
+    (["--case", "deg-sub", "--upsilon", "0", "--perturb-kappa", "0.1"],
+     "no squeeze rate to perturb"),
     (SUBTRACTED + ["--perturb-kappa", "-3"], "rate must be nonnegative"),
 ], ids=["tolerance-negative", "tolerance-nan", "perturb-nan",
-        "perturb-unsqueezed", "perturb-negative-rate"])
+        "perturb-unsqueezed", "perturb-kappa-zero", "perturb-upsilon-zero",
+        "perturb-negative-rate"])
 def test_validate_rejects_meaningless_values(tmp_path, monkeypatch, capsys,
                                              options, message):
     # Refused before any simulation: a negative tolerance passes every bin,
     # a NaN would fail only after the whole run, or deep in numpy, and a
-    # negative control must perturb a squeeze rate into another valid one.
+    # negative control must perturb a squeeze rate into another valid one
+    # (a zero rate, of any kind, perturbs into itself).
     def no_simulation(*args, **kwargs):
         raise AssertionError("simulated")
 

@@ -28,9 +28,14 @@ def config(kind="none", frac=0.0, lossless=False, gamma_m=None, K0=None):
                                   gamma_m=gamma_m, K0=K0)
 
 
+def step(ss):
+    """run's default step: 0.05 / the fastest rate of ``ss``."""
+    return 0.05 / oracle.max_rate(ss)
+
+
 def run(ss, **options):
-    """simulate, at a step of 0.05 / fastest rate unless one is given."""
-    options.setdefault("dt", 0.05 / oracle.max_rate(ss))
+    """simulate, at step(ss) unless a step is given."""
+    options.setdefault("dt", step(ss))
     return simulate(ss, **options)
 
 
@@ -352,11 +357,11 @@ def test_adjacent_window_correlation():
 
 
 def test_empty_cavity_passthrough():
-    sim = run(empty_cavity(config(lossless=True)), segments=64, samples=4096,
-              seed=11)
+    ss = empty_cavity(config(lossless=True))
+    sim = run(ss, segments=64, samples=4096, seed=11)
     # The estimator reads the difference port; swapped, the sum port.
     for outputs in (sim.outputs, sim.outputs[:, :, ::-1]):
-        _, psd, stderr = estimate(outputs, sim.dt)
+        _, psd, stderr = estimate(outputs, step(ss))
         band = psd[4:-4]
         mean = band.mean()
         assert abs(mean - 1.0) < 0.02
@@ -371,7 +376,7 @@ def test_lorentzian_half_power_point():
     # half-power point at the pole.
     ss = reading_pairs(empty_cavity(config(lossless=True)), [[0, 0], [1, 0]])
     sim = run(ss, segments=96, samples=8192, seed=13)
-    grid, psd, _ = estimate(sim.outputs, sim.dt)
+    grid, psd, _ = estimate(sim.outputs, step(ss))
     centers, (smoothed,), _ = oracle.log_binned(
         grid[1:], [psd[1:]], 0.05 * G0, 5 * G0, per_decade=12)
     half = (2.0 / G0) / 2.0
@@ -385,7 +390,7 @@ def test_lorentzian_half_power_point():
 def test_segment_doubling_halves_variance():
     ss = empty_cavity(config(lossless=True))
     sims = {n: run(ss, segments=n, samples=2048, seed=17) for n in (64, 128)}
-    errs = {n: estimate(s.outputs, s.dt)[2][5:900].mean()
+    errs = {n: estimate(s.outputs, step(ss))[2][5:900].mean()
             for n, s in sims.items()}
     ratio = errs[64] ** 2 / errs[128] ** 2
     assert abs(ratio - 2.0) < 0.4
@@ -405,7 +410,7 @@ def test_back_action_signature():
     ss = build_state_space(config("two_photon", 0.3))
     drive_only = run(scaled(ss, [1.0, 0, 1.0, 0, 0]), segments=48,
                      samples=16384, seed=19)
-    w, psd, _ = estimate(drive_only.outputs, drive_only.dt)
+    w, psd, _ = estimate(drive_only.outputs, step(ss))
     sel = (w > 5e-2 * G0) & (w < 0.5 * G0)
     h = ss.frequency_response(w[sel])
     predicted = (np.abs(h[:, 1, 0]) ** 2 + np.abs(h[:, 1, 2]) ** 2).real
@@ -877,10 +882,13 @@ def test_validate_report_independent_of_worker_count(monkeypatch):
 
 def test_worker_exception_reaches_caller(monkeypatch):
     # The first scan call fails; the other worker runs on and is joined.
+    # The scans run on the oracle's named workers, so the last line checks
+    # that none is left.
     monkeypatch.setattr(oracle, "WORKERS", 2)
-    scan, calls = oracle._scan, itertools.count()
+    scan, calls, names = oracle._scan, itertools.count(), set()
 
     def failing_once(a, x, *scratch):
+        names.add(threading.current_thread().name)
         if next(calls) == 0:
             raise RuntimeError("scan failed")
         scan(a, x, *scratch)
@@ -889,6 +897,7 @@ def test_worker_exception_reaches_caller(monkeypatch):
     with pytest.raises(RuntimeError, match="scan failed"):
         run(build_state_space(config()), segments=4, samples=4096, seed=1)
     assert next(calls) > 1
+    assert names == {"trimova-oracle"}
     assert not [t for t in threading.enumerate() if t.name == "trimova-oracle"]
 
 
@@ -1089,7 +1098,7 @@ def test_validate_record_layout(monkeypatch, segments, omega_lo, hop):
     def spy_simulate(ss, *, segments, samples, dt, seed, segment_offset):
         calls.append((segment_offset, segments, samples))
         return oracle.SimulationResult(
-            np.broadcast_to(np.zeros(1), (segments, samples, 2)), dt)
+            np.broadcast_to(np.zeros(1), (segments, samples, 2)))
 
     def spy_add(sums, records, step, *args):
         added.append((records.shape[0] * (records.shape[1] // step - 1),
@@ -1182,8 +1191,8 @@ def test_array_results_compare_by_identity():
     pairs = [(build_state_space(cfg), build_state_space(cfg)),
              (spectra.spectrum_series(cfg, "baseline", [1.0, 2.0]),
               spectra.spectrum_series(cfg, "baseline", [1.0, 2.0])),
-             (oracle.SimulationResult(np.zeros((1, 4, 2)), 1e-6),
-              oracle.SimulationResult(np.zeros((1, 4, 2)), 1e-6))]
+             (oracle.SimulationResult(np.zeros((1, 4, 2))),
+              oracle.SimulationResult(np.zeros((1, 4, 2))))]
     names = [f.name for f in dataclasses.fields(oracle.ValidationReport)]
     pairs.append(tuple(oracle.ValidationReport(**dict.fromkeys(names, np.zeros(3)))
                        for _ in range(2)))

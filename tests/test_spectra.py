@@ -47,6 +47,23 @@ def test_assembled_matches_baseline_reference():
     assert np.allclose(got, baseline_reference(cfg, w), rtol=1e-12)
 
 
+def test_spectrum_series_builds_one_state_space(monkeypatch):
+    # The channel PSDs come from the config, so a spectrum, with or without
+    # its budget, builds its model once, inside transfer_coefficients.
+    builds, build = [], build_state_space
+
+    def spy(cfg):
+        builds.append(cfg)
+        return build(cfg)
+
+    for module in (transfer, spectra):
+        monkeypatch.setattr(module, "build_state_space", spy, raising=False)
+    cfg = config("two_photon", 0.5)
+    for budget in (False, True):
+        spectrum_series(cfg, "nondeg-sub", [1.0, 2.0], budget=budget)
+    assert builds == [cfg, cfg]
+
+
 def test_baseline_quantum_only():
     mech = model.MechanicalOscillator(5e-8, 2 * math.pi * 350e3, 0.0, 0.0)
     base = config(lossless=True)
