@@ -37,16 +37,16 @@ class UsageError(Exception):
     pass
 
 
-def parse_rate(text: str, gamma0: float) -> float:
+def parse_rate(option: str, text: str, gamma0: float) -> float:
     """A finite rate in rad/s, or relative to the input coupler via a g0
-    suffix."""
+    suffix, given to ``option``, which the refusals name."""
     text = text.strip()
     try:
         value = float(text[:-2]) * gamma0 if text.endswith("g0") else float(text)
     except ValueError:
-        raise UsageError(f"cannot parse rate {text!r}") from None
+        raise UsageError(f"cannot parse {option} {text!r}") from None
     if not math.isfinite(value):
-        raise UsageError(f"rate {text!r} must be finite")
+        raise UsageError(f"{option} {text!r} must be finite")
     return value
 
 
@@ -80,7 +80,8 @@ def _resolve_config(args) -> SystemConfig:
         raise UsageError("give at most one of " + "/".join(
             f"--{key}" for key in model.RATE_KEY.values()))
     for kind, text in rates.items():
-        changes["squeeze"] = Squeezing(kind, parse_rate(text, g0))
+        changes["squeeze"] = Squeezing(
+            kind, parse_rate(f"--{model.RATE_KEY[kind]}", text, g0))
 
     drives = [f"--{name}" for name in ("k0", "power", "n0")
               if vars(args)[name] is not None]
@@ -88,17 +89,17 @@ def _resolve_config(args) -> SystemConfig:
         raise UsageError(f"give at most one of --k0/--power/--n0, "
                          f"got {' and '.join(drives)}")
     if args.k0 is not None:
-        changes["K0"] = parse_rate(args.k0, g0)
+        changes["K0"] = parse_rate("--k0", args.k0, g0)
     if args.power is not None:
         changes["K0"] = model.dimensionless_power(base.cavity, base.mechanical,
                                                   args.power)
     if args.n0 is not None:
-        changes["K0"] = model.k0_for_n0(parse_rate(args.n0, g0), g0,
+        changes["K0"] = model.k0_for_n0(parse_rate("--n0", args.n0, g0), g0,
                                         base.cavity.gamma_e)
 
     if args.gamma_m is not None:
         changes["mechanical"] = dataclasses.replace(
-            base.mechanical, gamma_m=parse_rate(args.gamma_m, g0))
+            base.mechanical, gamma_m=parse_rate("--gamma-m", args.gamma_m, g0))
     if args.tau is not None:
         changes["signal"] = dataclasses.replace(base.signal, tau=args.tau)
     config = dataclasses.replace(base, **changes)
@@ -129,8 +130,10 @@ def cmd_spectrum(args, argv) -> int:
                          "SQL ratio carries no per-channel columns")
     config = _resolve_config(args)
     g0 = config.cavity.gamma0
-    lo = parse_rate(args.omega_min, g0) if args.omega_min else 1e-3 * g0
-    hi = parse_rate(args.omega_max, g0) if args.omega_max else 10.0 * g0
+    lo = (parse_rate("--omega-min", args.omega_min, g0) if args.omega_min
+          else 1e-3 * g0)
+    hi = (parse_rate("--omega-max", args.omega_max, g0) if args.omega_max
+          else 10.0 * g0)
     if not 0.0 < lo < hi:
         raise UsageError(f"grid band [{lo:.3g}, {hi:.3g}] rad/s: it needs "
                          "0 < omega-min < omega-max")
@@ -197,8 +200,10 @@ def cmd_threshold(args, argv) -> int:
 def cmd_validate(args, argv) -> int:
     config = _resolve_config(args)
     g0 = config.cavity.gamma0
-    lo = parse_rate(args.omega_min, g0) if args.omega_min else None
-    hi = parse_rate(args.omega_max, g0) if args.omega_max else None
+    lo = (parse_rate("--omega-min", args.omega_min, g0) if args.omega_min
+          else None)
+    hi = (parse_rate("--omega-max", args.omega_max, g0) if args.omega_max
+          else None)
     report = oracle.validate(config, args.case, segments=args.segments,
                              seed=args.seed, tolerance=args.tolerance,
                              perturb=args.perturb_kappa, dt=args.dt,

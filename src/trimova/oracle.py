@@ -50,10 +50,10 @@ holds both.  No alias is dropped, so the step need not keep them small; at
 the default step the aliases m != 0 are up to 5e-4 of the reference.  The
 closed-form reference is the nominal model's with its own alias m = 0
 replaced by the closed form's, sinc^2(Omega*dt/2) times it.
-Every response is one transfer.resolvent, a forward substitution along the
-cascade (below).  One ``StateSpace.port_response``, the measured port's
-owner, gives the nominal weight, signal coefficient and PSD; unperturbed,
-one sampled PSD serves both references.
+Every response, continuous or sampled at z = exp(i*Omega*dt), is formed by
+transfer.response, a forward substitution along the cascade (below).  One
+``StateSpace.port_response`` gives the nominal weight, signal coefficient
+and PSD; unperturbed, one sampled PSD serves both references.
 
 For every squeeze kind the drift, and hence the one-step propagator, is
 lower-triangular in the cascade order sum pair -> mechanics -> difference
@@ -113,14 +113,14 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .model import SystemConfig, json_text, write_text
 from .spectra import closed_form_psd, port_for_case
 from .transfer import (CASCADE, StateSpace, build_state_space, check_cascade,
-                       port_psd, read_out, resolvent)
+                       port_psd, response)
 
 MIN_SEGMENTS = 32
 MIN_CORRELATION_TIMES = 100.0
@@ -252,8 +252,7 @@ def _sampled_psd(ss: StateSpace, dt: float, omega: np.ndarray,
     Omega + 2*pi*m/dt, with the weight held at its value at Omega.
     """
     phi_xx, read_x, factor = _discretize(ss, dt)
-    x = resolvent(phi_xx, np.exp(1j * omega * dt), factor[:3])
-    h = read_out(read_x, x, factor[3:])
+    h = response(phi_xx, factor[:3], read_x, factor[3:], np.exp(1j * omega * dt))
     row = h[:, 1] if weight is None else h[:, 1] + weight[:, None] * h[:, 0]
     return 2.0 * dt * port_psd(row, np.ones(5))
 
@@ -553,20 +552,12 @@ class ValidationReport:
     state_space_psd: np.ndarray   # what the simulated dynamics predict
 
     def to_json_dict(self) -> dict:
-        out = {
-            "case": self.case,
-            "passed": bool(self.passed),
-            "pass_fraction": float(self.pass_fraction),
-            "tolerance": float(self.tolerance),
-            "segments": int(self.segments),
-            "seed": int(self.seed),
-            "dt": float(self.dt),
-            "perturb": float(self.perturb),
-        }
-        for name in ("grid", "estimate", "stderr", "closed_form",
-                     "state_space_psd"):
-            out[name] = [float(x) for x in getattr(self, name)]
-        return out
+        """Every field by name, cast by its annotation: an array to a list
+        of floats."""
+        cast = {"str": str, "bool": bool, "int": int, "float": float,
+                "np.ndarray": lambda a: [float(x) for x in a]}
+        return {f.name: cast[f.type](getattr(self, f.name))
+                for f in fields(self)}
 
     def write_json(self, path) -> str:
         return write_text(path, json_text(self.to_json_dict()))

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -218,10 +218,7 @@ class ThresholdReport:
     sql_form_f: float
 
     def to_json_dict(self) -> dict:
-        return {k: float(getattr(self, k)) for k in (
-            "tau", "n_T", "braginsky", "pump_optimum",
-            "band_integrated_force", "sql_form_force", "sql_limit_force",
-            "band_integrated_f", "sql_form_f")}
+        return {f.name: float(getattr(self, f.name)) for f in fields(self)}
 
 
 def detection_threshold_time_domain(config: SystemConfig) -> ThresholdReport:

@@ -20,7 +20,8 @@ that weight, behind the pole guard: where the sum port reflects no input
 vacuum (upsilon = gamma0 - gamma_e at Omega = 0) it raises PoleError.  The
 loss-vacuum residual that survives internal loss is formed without
 cancellation, and ``transfer_coefficients`` refers the row to the signal.
-Every response is one ``resolvent``, a forward substitution along the CASCADE.
+Every response, of this model and of the oracle's sampled one, is formed by
+``response``: one ``resolvent``, a forward substitution along the CASCADE.
 
 Derivation.  With side modes a+, a-, mechanics b and two-photon squeezing at
 rate kappa, H/hbar = G (a+^ b + a-^ b^ + h.c.) + i kappa (a+^ a-^ - a+ a-)
@@ -104,11 +105,13 @@ def resolvent(m: np.ndarray, s: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def read_out(read: np.ndarray, x: np.ndarray, feed=0.0) -> np.ndarray:
-    """read x + feed of states x[state, column, frequency], as the view
-    h[frequency, output, column]; zero terms of ``read`` are skipped."""
-    y = np.zeros((read.shape[0],) + x.shape[1:], complex) + np.asarray(
-        feed)[..., None]
+def response(drift: np.ndarray, gain: np.ndarray, read: np.ndarray,
+             feed: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """read (s I - drift)^-1 gain + feed at each s, as the view
+    h[frequency, output, column]: one ``resolvent``, then the read-out in
+    elementwise operations, zero terms of ``read`` skipped."""
+    x = resolvent(drift, s, gain)
+    y = np.zeros((read.shape[0],) + x.shape[1:], complex) + feed[..., None]
     for o, j in zip(*np.nonzero(read)):
         y[o] += read[o, j] * x[j]
     return y.transpose(2, 0, 1)
@@ -139,17 +142,17 @@ class StateSpace:
     signal_gain: np.ndarray
     measured_port: ClassVar[int] = 1
 
-    def _respond(self, omega, gain: np.ndarray, feed=0.0) -> np.ndarray:
+    def response(self, omega) -> np.ndarray:
+        """H[frequency, output, input] over _INPUTS, the noise channels then
+        the signal force (Fourier kernel exp(-i*Omega*t))."""
         s = -1j * np.atleast_1d(np.asarray(omega, dtype=float))
-        return read_out(self.output_gain, resolvent(self.drift, s, gain), feed)
-
-    def frequency_response(self, omega) -> np.ndarray:
-        """H[frequency, output, channel] (Fourier kernel exp(-i*Omega*t))."""
-        return self._respond(omega, self.noise_gain, self.feedthrough)
+        gain = np.c_[self.noise_gain, self.signal_gain]
+        feed = np.c_[self.feedthrough, np.zeros(2)]
+        return response(self.drift, gain, self.output_gain, feed, s)
 
     def signal_response(self, omega) -> np.ndarray:
         """Signal-to-output transfer [frequency, output]."""
-        return self._respond(omega, self.signal_gain[:, None])[:, :, 0]
+        return self.response(omega)[:, :, -1]
 
     def port_response(self, omega, port: str):
         """(row, weight) of a measured port (see PORTS) from one response:
@@ -160,8 +163,7 @@ class StateSpace:
         ratio: no column cancels."""
         if port not in PORTS:
             raise ValueError(f"unknown port {port!r}; expected one of {PORTS}")
-        h = self._respond(omega, np.c_[self.noise_gain, self.signal_gain],
-                          np.c_[self.feedthrough, np.zeros(2)])
+        h = self.response(omega)
         row = h[:, self.measured_port]
         if port == "difference":
             return row, None
@@ -179,7 +181,7 @@ class StateSpace:
     def output_psd(self, omega, ref_weight=None) -> np.ndarray:
         """Single-sided PSD of the measured port or of (measured +
         weight*reference), the weighted sum formed directly."""
-        h = self.frequency_response(omega)
+        h = self.response(omega)
         row = h[:, 1] if ref_weight is None \
             else h[:, 1] + ref_weight[:, None] * h[:, 0]
         return port_psd(row, self.channel_psd)

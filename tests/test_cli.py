@@ -36,12 +36,35 @@ def write_config(tmp_path, lossless=False, kappa=0.0):
 
 
 def test_parse_rate():
-    assert cli.parse_rate("0.9g0", 100.0) == pytest.approx(90.0)
-    assert cli.parse_rate("123.5", 100.0) == 123.5
-    with pytest.raises(cli.UsageError):
-        cli.parse_rate("abc", 100.0)
-    with pytest.raises(cli.UsageError, match="finite"):
-        cli.parse_rate("-inf", 100.0)
+    assert cli.parse_rate("--kappa", "0.9g0", 100.0) == pytest.approx(90.0)
+    assert cli.parse_rate("--kappa", "123.5", 100.0) == 123.5
+    with pytest.raises(cli.UsageError, match="^cannot parse --k0 'abc'$"):
+        cli.parse_rate("--k0", "abc", 100.0)
+    with pytest.raises(cli.UsageError, match="^--n0 '-inf' must be finite$"):
+        cli.parse_rate("--n0", "-inf", 100.0)
+    with pytest.raises(cli.UsageError, match="^--gamma-m 'nang0' must be finite$"):
+        cli.parse_rate("--gamma-m", " nang0 ", 100.0)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["threshold", "--n0", "nan"], "--n0 'nan' must be finite"),
+    (["threshold", "--k0", "inf"], "--k0 'inf' must be finite"),
+    (["threshold", "--upsilon", "infg0"], "--upsilon 'infg0' must be finite"),
+    (["spectrum", "--case", "baseline", "--omega-max", "abc", "--out", "s.csv"],
+     "cannot parse --omega-max 'abc'"),
+    (["validate", "--case", "baseline", "--omega-min", "1e-3x", "--out", "v.json"],
+     "cannot parse --omega-min '1e-3x'"),
+], ids=["n0-nan", "k0-inf", "upsilon-inf", "spectrum-omega-max-abc",
+        "validate-omega-min-junk"])
+def test_bad_rate_names_its_option(tmp_path, monkeypatch, capsys, argv, message):
+    # A rate that does not parse or is not finite is refused by the option
+    # it was given to, before anything is computed or written.
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_spectrum_matches_closed_form(tmp_path):

@@ -101,7 +101,7 @@ def test_state_space_matches_analytic_coefficients():
     cfg = config("two_photon", 0.5)
     ss = build_state_space(cfg)
     w = np.geomspace(1e-3 * G0, 10 * G0, 15)
-    h = ss.frequency_response(w)
+    h = ss.response(w)
     k = cfg.squeeze.rate
     # Reflection of the antisqueezed (sum) and squeezed (difference) pairs,
     # and the loss admixture of the sum pair, by literal arithmetic.
@@ -412,7 +412,7 @@ def test_back_action_signature():
                      samples=16384, seed=19)
     w, psd, _ = estimate(drive_only.outputs, step(ss))
     sel = (w > 5e-2 * G0) & (w < 0.5 * G0)
-    h = ss.frequency_response(w[sel])
+    h = ss.response(w[sel])
     predicted = (np.abs(h[:, 1, 0]) ** 2 + np.abs(h[:, 1, 2]) ** 2).real
     ratio = psd[sel] / predicted
     assert abs(ratio.mean() - 1.0) < 0.1
@@ -449,7 +449,7 @@ def folded_psd(ss, omega, dt, weight=None, aliases=400):
     terms = np.empty((omega.size, shift.size))
     for part in np.array_split(np.arange(omega.size), -(-omega.size // 32)):
         om = omega[part, None] + shift[None, :]
-        h = ss.frequency_response(om.ravel()).reshape(om.shape + (2, 5))
+        h = ss.response(om.ravel())[..., :5].reshape(om.shape + (2, 5))
         row = h[..., 1, :] + w[part, None, None] * h[..., 0, :]
         s = np.einsum("fmc,c->fm", np.abs(row) ** 2, ss.channel_psd)
         terms[part] = np.sinc(om * dt / (2 * math.pi)) ** 2 \
@@ -952,12 +952,25 @@ def test_validate_negative_control_quick():
     assert np.median(agree) < 0.1
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the per-bin nulling "
+                   "weight on the Hann-windowed sum port cannot cancel the "
+                   "back action at low bins; filtering whole records fixes it")
+@pytest.mark.parametrize("lossless", [False, True], ids=["lossy", "lossless"])
+def test_subtracted_verdict_item1(lossless):
+    # The subtracted port at kappa = 0.9 gamma0, the paper's claim, reads
+    # 0.905 of 200 windows (FAIL) with the per-bin weight.
+    g0 = model.reference_config(lossless=lossless).cavity.gamma0
+    cfg = model.reference_config(squeeze=Squeezing("two_photon", 0.9 * g0),
+                                 lossless=lossless)
+    assert validate(cfg, "nondeg-sub", segments=200, seed=1).passed
+
+
 def test_validate_evaluates_only_the_compared_band(monkeypatch):
     # Every analytic reference is evaluated on the compared rFFT bins only:
     # bin 8 and up, omega_lo <= Omega < omega_hi.  Unperturbed, one nominal
-    # port response gives the subtraction weight, the signal coefficient and
-    # the nominal PSD, and the simulated model is the nominal one: one call
-    # each, and no other response.
+    # port response, one StateSpace.response, gives the subtraction weight,
+    # the signal coefficient and the nominal PSD, and the simulated model is
+    # the nominal one: one call each, and no other response.
     seen = {}
 
     def spy(owner, name, position):
@@ -970,14 +983,15 @@ def test_validate_evaluates_only_the_compared_band(monkeypatch):
 
     spy(oracle, "closed_form_psd", 2)
     spy(oracle, "_sampled_psd", 2)
-    for name in ("port_response", "signal_response", "frequency_response"):
+    for name in ("port_response", "signal_response", "response"):
         spy(oracle.StateSpace, name, 1)
     omega_lo, omega_hi = 3e-2 * G0, 5.0 * G0
     report = validate(config("two_photon", 0.5), "nondeg-sub", segments=32,
                       seed=3, omega_lo=omega_lo, omega_hi=omega_hi)
     assert report.grid.size > 0
     assert {name: len(calls) for name, calls in seen.items()} == {
-        "closed_form_psd": 1, "_sampled_psd": 1, "port_response": 1}
+        "closed_form_psd": 1, "_sampled_psd": 1, "port_response": 1,
+        "response": 1}
     for omega in itertools.chain(*seen.values()):
         spacing = np.min(np.diff(omega))
         assert omega.min() >= max(omega_lo, 8.0 * spacing * (1 - 1e-9))

@@ -30,9 +30,7 @@ SUM, DIFFERENCE = 0, 1   # StateSpace outputs
 def raw(cfg, output, w):
     """Unreferenced coefficient map Channel -> values of one StateSpace
     output: its noise response, then its signal response."""
-    ss = transfer.build_state_space(cfg)
-    row = np.concatenate([ss.frequency_response(w)[:, output],
-                          ss.signal_response(w)[:, output, None]], axis=1)
+    row = transfer.build_state_space(cfg).response(w)[:, output]
     return {ch: row[:, i] for i, ch in enumerate(transfer._INPUTS)}
 
 
