@@ -124,16 +124,21 @@ def _write_manifest(stem: Path, argv: list[str], config: SystemConfig | None,
     return path
 
 
+def _band(args, g0: float) -> tuple:
+    """(--omega-min, --omega-max) in rad/s, each None where not given."""
+    return tuple(None if text is None else parse_rate(option, text, g0)
+                 for option, text in (("--omega-min", args.omega_min),
+                                      ("--omega-max", args.omega_max)))
+
+
 def cmd_spectrum(args, argv) -> int:
     if args.budget and args.sql_ratio:
         raise UsageError("--budget and --sql-ratio cannot be combined: the "
                          "SQL ratio carries no per-channel columns")
     config = _resolve_config(args)
     g0 = config.cavity.gamma0
-    lo = (parse_rate("--omega-min", args.omega_min, g0) if args.omega_min
-          else 1e-3 * g0)
-    hi = (parse_rate("--omega-max", args.omega_max, g0) if args.omega_max
-          else 10.0 * g0)
+    lo, hi = _band(args, g0)
+    lo, hi = 1e-3 * g0 if lo is None else lo, 10.0 * g0 if hi is None else hi
     if not 0.0 < lo < hi:
         raise UsageError(f"grid band [{lo:.3g}, {hi:.3g}] rad/s: it needs "
                          "0 < omega-min < omega-max")
@@ -178,7 +183,7 @@ def cmd_threshold(args, argv) -> int:
     config = _resolve_config(args)
     report = spectra.detection_threshold_time_domain(config)
     spectral = {case: spectra.detection_threshold_spectral(config, case)
-                for case, kind in spectra.CASE_KIND.items()
+                for case, (kind, _) in spectra.CASES.items()
                 if kind == config.squeeze.kind}
     if args.json:
         payload = report.to_json_dict()
@@ -199,11 +204,7 @@ def cmd_threshold(args, argv) -> int:
 
 def cmd_validate(args, argv) -> int:
     config = _resolve_config(args)
-    g0 = config.cavity.gamma0
-    lo = (parse_rate("--omega-min", args.omega_min, g0) if args.omega_min
-          else None)
-    hi = (parse_rate("--omega-max", args.omega_max, g0) if args.omega_max
-          else None)
+    lo, hi = _band(args, config.cavity.gamma0)
     report = oracle.validate(config, args.case, segments=args.segments,
                              seed=args.seed, tolerance=args.tolerance,
                              perturb=args.perturb_kappa, dt=args.dt,
@@ -321,8 +322,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, argv)
-    except (UsageError, PoleError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (UsageError, PoleError, OSError, ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -218,7 +218,7 @@ class Squeezing:
 
     def __post_init__(self):
         _require_finite(self)
-        if self.kind not in ("none", "two_photon", "degenerate"):
+        if self.kind not in ("none", *RATE_KEY):
             raise ConfigError(f"unknown squeezing kind {self.kind!r}")
         if self.rate < 0:
             raise ConfigError("squeezing rate must be nonnegative")

@@ -118,7 +118,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .model import SystemConfig, json_text, write_text
-from .spectra import closed_form_psd, port_for_case
+from .spectra import check_case, closed_form_psd
 from .transfer import (CASCADE, StateSpace, build_state_space, check_cascade,
                        port_psd, response)
 
@@ -605,6 +605,7 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
         raise SimulationError(f"perturb = {perturb}: it must be finite")
     if seed < 0:
         raise SimulationError(f"seed = {seed}: it must be nonnegative")
+    port = check_case(config, case)
     ss_nom = ss_sim = build_state_space(config)
     if perturb != 0.0:
         if config.squeeze.rate == 0.0:   # kind "none" has rate 0 too
@@ -612,7 +613,6 @@ def validate(config: SystemConfig, case: str, *, segments: int = 200,
                                   "has no squeeze rate to perturb")
         ss_sim = build_state_space(replace(config, squeeze=replace(
             config.squeeze, rate=config.squeeze.rate * (1.0 + perturb))))
-    port = port_for_case(case)
     g0 = config.cavity.gamma0
     omega_lo = 1e-2 * g0 if omega_lo is None else omega_lo
     omega_hi = 10.0 * g0 if omega_hi is None else omega_hi

@@ -34,27 +34,25 @@ from .model import (HBAR, RATE_KEY, TAU_PRESETS, Squeezing, SystemConfig,
 from .transfer import (Channel, VACUUM_CHANNELS, channel_psd,
                        guard_subtraction, transfer_coefficients)
 
-# Measured case -> squeeze kind it belongs to; raw cases precede their
-# subtracted partners.
-CASE_KIND = {
-    "baseline": "none", "baseline-sub": "none",
-    "nondeg-raw": "two_photon", "nondeg-sub": "two_photon",
-    "deg-raw": "degenerate", "deg-sub": "degenerate",
+# Measured case -> (squeeze kind it belongs to, transfer port it reads);
+# raw cases precede their subtracted partners.
+CASES = {
+    "baseline": ("none", "difference"),
+    "baseline-sub": ("none", "subtracted"),
+    "nondeg-raw": ("two_photon", "difference"),
+    "nondeg-sub": ("two_photon", "subtracted"),
+    "deg-raw": ("degenerate", "difference"),
+    "deg-sub": ("degenerate", "subtracted"),
 }
-CASES = tuple(CASE_KIND)
 
 
-def port_for_case(case: str) -> str:
-    """Transfer port ("difference" or "subtracted") of a named spectrum case."""
-    if case not in CASE_KIND:
-        raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
-    return "subtracted" if case.endswith("-sub") else "difference"
-
-
-def _check_case(config: SystemConfig, case: str) -> str:
-    """Port of a case that ``config`` can run (see port_for_case)."""
-    port = port_for_case(case)   # rejects unknown case names
-    kind, actual = CASE_KIND[case], config.squeeze.kind
+def check_case(config: SystemConfig, case: str) -> str:
+    """Transfer port of a case that ``config`` can run; ValueError for an
+    unknown case or one of the other squeeze kind."""
+    if case not in CASES:
+        raise ValueError(f"unknown case {case!r}; expected one of "
+                         f"{tuple(CASES)}")
+    (kind, port), actual = CASES[case], config.squeeze.kind
     if actual not in ("none", kind):   # a squeezed case also runs unsqueezed
         raise ValueError(f"case {case!r} requires {kind!r} squeezing, "
                          f"config has {actual!r}")
@@ -87,12 +85,12 @@ def closed_form_psd(case: str, config: SystemConfig, omega):
     i*Omega)/(gamma + s - i*Omega) vanishes: upsilon = gamma0 - gamma_e at
     Omega = 0, never under two-photon squeezing.
     """
-    port = _check_case(config, case)
+    port = check_case(config, case)
     w = np.asarray(omega, dtype=float)
     cav, gm = config.cavity, config.mechanical.gamma_m
     g0, ge, g = cav.gamma0, cav.gamma_e, cav.gamma
     rate = config.squeeze.rate
-    s = rate if CASE_KIND[case] == "degenerate" else -rate
+    s = rate if config.squeeze.kind == "degenerate" else -rate
     pump = config.pump_rate
     out = 2.0 * gm * (2.0 * config.mechanical.occupancy + 1.0) \
         + (gm**2 + w**2) * (np.abs(g0 - ge - rate + 1j * w) ** 2
@@ -163,7 +161,7 @@ def spectrum_series(config: SystemConfig, case: str, omega,
     channel overflow.
     """
     grid = np.asarray(omega, dtype=float)
-    coeffs = transfer_coefficients(config, _check_case(config, case), grid)
+    coeffs = transfer_coefficients(config, check_case(config, case), grid)
     psd = channel_psd(config)
     with np.errstate(over="ignore"):
         parts = {ch.value: np.abs(coeffs[ch]) ** 2 * psd[i] for i, ch
@@ -304,7 +302,7 @@ def figure_config(figure_id: str, rate_fraction: float) -> SystemConfig:
     """Reference configuration for one curve of a published-figure preset."""
     spec = FIGURES[figure_id]
     g0, ge = reference_rates()
-    kind = CASE_KIND[spec.case]
+    kind = CASES[spec.case][0]
     squeeze = Squeezing() if kind == "none" \
         else Squeezing(kind, rate_fraction * g0)
     pump = spec.drive_units * math.pi / TAU_PRESETS[spec.tau_preset]
@@ -318,7 +316,7 @@ def figure_curves(figure_id: str, points: int = 400) -> dict:
     if figure_id not in FIGURES:
         raise ValueError(f"unknown figure id {figure_id!r}")
     spec = FIGURES[figure_id]
-    param = RATE_KEY.get(CASE_KIND[spec.case])
+    param = RATE_KEY.get(CASES[spec.case][0])
     curves = {}
     for frac in spec.rates:
         config = figure_config(figure_id, frac)

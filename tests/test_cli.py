@@ -54,8 +54,19 @@ def test_parse_rate():
      "cannot parse --omega-max 'abc'"),
     (["validate", "--case", "baseline", "--omega-min", "1e-3x", "--out", "v.json"],
      "cannot parse --omega-min '1e-3x'"),
+    # An empty band option is refused, not taken as absent.
+    (["spectrum", "--case", "baseline", "--omega-min", "", "--points", "3",
+      "--out", "e.csv"], "cannot parse --omega-min ''"),
+    (["spectrum", "--case", "baseline", "--omega-max", "", "--points", "3",
+      "--out", "e.csv"], "cannot parse --omega-max ''"),
+    (["validate", "--case", "baseline", "--omega-min", "", "--segments", "32",
+      "--out", "v.json"], "cannot parse --omega-min ''"),
+    (["validate", "--case", "baseline", "--omega-max", "", "--segments", "32",
+      "--out", "v.json"], "cannot parse --omega-max ''"),
 ], ids=["n0-nan", "k0-inf", "upsilon-inf", "spectrum-omega-max-abc",
-        "validate-omega-min-junk"])
+        "validate-omega-min-junk", "spectrum-omega-min-empty",
+        "spectrum-omega-max-empty", "validate-omega-min-empty",
+        "validate-omega-max-empty"])
 def test_bad_rate_names_its_option(tmp_path, monkeypatch, capsys, argv, message):
     # A rate that does not parse or is not finite is refused by the option
     # it was given to, before anything is computed or written.
@@ -100,6 +111,21 @@ def test_missing_config_no_partial_output(tmp_path, capsys):
                      "--case", "baseline", "--out", str(out)])
     assert code == 2
     assert "not found" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_memory_error_exits_2_with_one_line(tmp_path, monkeypatch, capsys):
+    # A grid too large to allocate (spectrum --points 100000000 asks the
+    # resolvent for 26.8 GiB) is one error line, exit 2 and no output file.
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 26.8 GiB")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(spectra, "spectrum_series", no_memory)
+    assert cli.main(["spectrum", "--case", "baseline", "--out", "big.csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Unable to allocate 26.8 GiB\n"
     assert not list(tmp_path.iterdir())
 
 

@@ -130,6 +130,23 @@ def test_validate_rejects_unstable_perturbation(monkeypatch):
                  perturb=1.5)
 
 
+def test_validate_refuses_a_case_of_the_other_kind_before_any_model(
+        monkeypatch):
+    # spectra.check_case refuses deg-sub on a two-photon config before the
+    # state space is built.
+    builds = []
+
+    def counting_build(*args, **kwargs):
+        builds.append(args)
+        return build_state_space(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "build_state_space", counting_build)
+    with pytest.raises(ValueError, match="^case 'deg-sub' requires "
+                       "'degenerate' squeezing, config has 'two_photon'$"):
+        validate(config("two_photon", 0.5), "deg-sub", segments=32)
+    assert builds == []
+
+
 def test_degenerate_state_space_psd_matches_closed_form():
     cfg = config("degenerate", 0.5)
     ss = build_state_space(cfg)
@@ -507,7 +524,7 @@ def test_sampled_reference_matches_folded_psd(omega_hi):
     # and lossless, at both squeeze rates and both pumps, at the default step.
     omega = np.geomspace(1e-2 * G0, omega_hi * G0, 30, endpoint=False)
     worst = 0.0
-    for case, kind in spectra.CASE_KIND.items():
+    for case, (kind, port) in spectra.CASES.items():
         for lossless, frac, pump in itertools.product(
                 (False, True), (0.5, 0.9), (1.0, 4.0)):
             if kind == "none" and frac == 0.9:
@@ -517,7 +534,7 @@ def test_sampled_reference_matches_folded_psd(omega_hi):
             ss = build_state_space(cfg)
             dt = oracle._band_step(omega_hi * G0, ss)
             weight = ss.nulling_weight(omega) \
-                if spectra.port_for_case(case) == "subtracted" else None
+                if port == "subtracted" else None
             worst = max(worst, sampled_vs_folded(ss, dt, omega, weight))
     assert worst < 1e-8
 

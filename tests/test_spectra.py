@@ -160,7 +160,7 @@ def test_paths_agree_on_drawn_configs(lossless, kind, rate, k0_decades,
     cfg = model.reference_config(squeeze=squeeze, lossless=lossless,
                                  gamma_m=gamma_m, K0=K0)
     w = np.geomspace(1e-4 * G0, 10 * G0, 40)
-    for case in (c for c, k in spectra.CASE_KIND.items() if k == kind):
+    for case in (c for c, (k, _) in spectra.CASES.items() if k == kind):
         closed = closed_form_psd(case, cfg, w)
         assembled = spectrum_series(cfg, case, w).values
         for values in (closed, assembled):
@@ -201,7 +201,7 @@ def test_stability_edge_fails_loudly(lossless, kind, offset, k0_decades,
              lambda case, w: spectrum_series(cfg, case, w).values]
     # Omega = 0 on its own, so that a pole there does not skip the rest.
     grids = [np.array([0.0]), np.geomspace(1e-4 * G0, 10 * G0, 40)]
-    for case in (c for c, k in spectra.CASE_KIND.items() if k == kind):
+    for case in (c for c, (k, _) in spectra.CASES.items() if k == kind):
         for path, w in itertools.product(paths, grids):
             try:
                 values = path(case, w)
@@ -218,10 +218,18 @@ def test_case_requires_matching_squeezing():
     cfg = config("two_photon", 0.5)
     with pytest.raises(ValueError):
         closed_form_psd("baseline", cfg, 1e3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^case 'deg-raw' requires "
+                       "'degenerate' squeezing, config has 'two_photon'$"):
         closed_form_psd("deg-raw", cfg, 1e3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unknown case 'not-a-case'; "
+                       r"expected one of \('baseline', 'baseline-sub', "
+                       r"'nondeg-raw', 'nondeg-sub', 'deg-raw', 'deg-sub'\)$"):
         closed_form_psd("not-a-case", config(), 1e3)
+    # Every case runs unsqueezed, and a squeezed one under its own kind.
+    assert {case: spectra.check_case(config(), case) for case in spectra.CASES} \
+        == {case: port for case, (_, port) in spectra.CASES.items()}
+    assert [spectra.check_case(config("degenerate", 0.5), case)
+            for case in ("deg-raw", "deg-sub")] == ["difference", "subtracted"]
 
 
 def test_reductions_between_cases():
@@ -247,8 +255,8 @@ def test_closed_form_is_one_expression_at_rate_zero(lossless, port):
     # gamma + upsilon, so at rate 0 their closed forms are the same numbers.
     w = np.concatenate([[0.0], spectra.default_grid(config(), points=60)])
     values = [closed_form_psd(case, config(kind, 0.0, lossless=lossless), w)
-              for case, kind in spectra.CASE_KIND.items()
-              if spectra.port_for_case(case) == port]
+              for case, (kind, case_port) in spectra.CASES.items()
+              if case_port == port]
     assert len(values) == 3
     assert all(np.array_equal(v, values[0]) for v in values[1:])
 

@@ -385,8 +385,8 @@ def case_matrix():
     """(drift, signal-including gains, sampled propagator, its noise factor,
     step) over 6 cases x lossy/lossless x rate {0, 0.5, 0.9} gamma0 x
     gamma_m {from Q, 0}, the sampled form at validate's default step."""
-    for (case, kind), lossless, frac, gamma_m in itertools.product(
-            spectra.CASE_KIND.items(), (False, True), (0.0, 0.5, 0.9),
+    for (case, (kind, _)), lossless, frac, gamma_m in itertools.product(
+            spectra.CASES.items(), (False, True), (0.0, 0.5, 0.9),
             (None, 0.0)):
         if kind == "none" and frac > 0.0:
             continue
