@@ -58,6 +58,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def nonempty(text: str) -> str:
+    """argparse type for paths, which an empty string does not name."""
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 def _base_config(args) -> SystemConfig:
     path = args.config or os.environ.get(ENV_CONFIG)
     if path:
@@ -238,7 +245,8 @@ def cmd_replay(args, argv) -> int:
 
 
 def _add_config_options(p: argparse.ArgumentParser):
-    p.add_argument("--config", "-c", help="JSON configuration file "
+    p.add_argument("--config", "-c", type=nonempty,
+                   help="JSON configuration file "
                    f"(default: ${ENV_CONFIG} or built-in membrane preset)")
     p.add_argument("--tau-preset", choices=tuple(model.TAU_PRESETS),
                    help="pulse-length preset, built-in configuration only: "
@@ -272,13 +280,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="add per-channel noise columns")
     p.add_argument("--sql-ratio", action="store_true",
                    help="emit the ratio to the SQL instead of the PSD")
-    p.add_argument("--out", "-o", default="spectrum.csv")
+    p.add_argument("--out", "-o", type=nonempty, default="spectrum.csv")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("figure", help="reproduce a published-figure dataset")
     p.add_argument("id", choices=sorted(spectra.FIGURES))
     p.add_argument("--points", type=positive_int, default=400)
-    p.add_argument("--out-dir", default=".")
+    p.add_argument("--out-dir", type=nonempty, default=".")
     p.set_defaults(func=cmd_figure)
 
     p = sub.add_parser("threshold", help="detection thresholds and scales")
@@ -307,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perturb-kappa", type=float, default=0.0,
                    help="scale the simulated squeeze rate by (1+x): "
                         "negative control")
-    p.add_argument("--out", "-o", default="validation_report.json")
+    p.add_argument("--out", "-o", type=nonempty,
+                   default="validation_report.json")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("replay", help="re-run the command recorded in a manifest")

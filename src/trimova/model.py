@@ -199,10 +199,6 @@ class OpticalCavity:
         """Total half rate gamma0 + gamma_e (exact sum)."""
         return self.gamma0 + self.gamma_e
 
-    @property
-    def wavelength(self) -> float:
-        return 2.0 * math.pi * 299792458.0 / self.omega0
-
 
 @dataclass(frozen=True)
 class Squeezing:

@@ -271,7 +271,6 @@ def detection_threshold_time_domain(config: SystemConfig) -> ThresholdReport:
 class FigureSpec:
     """One published-figure dataset: SQL-ratio curves at gamma_m = 0."""
 
-    figure_id: str
     case: str
     rates: tuple            # squeeze rates as fractions of gamma0
     drive: str              # "K0" or "N0"
@@ -281,19 +280,19 @@ class FigureSpec:
 
 
 FIGURES = {
-    "fig3": FigureSpec("fig3", "baseline", (0.0,), "K0", 1.0, "fig3",
+    "fig3": FigureSpec("baseline", (0.0,), "K0", 1.0, "fig3",
                        "no squeezing; quantum noise against the SQL"),
-    "fig4": FigureSpec("fig4", "nondeg-raw", (0.0, 0.5, 0.9), "K0", 1.0, "table1",
+    "fig4": FigureSpec("nondeg-raw", (0.0, 0.5, 0.9), "K0", 1.0, "table1",
                        "two-photon squeezing, raw difference port"),
-    "fig5": FigureSpec("fig5", "nondeg-sub", (0.0, 0.5, 0.9), "K0", 1.0, "table1",
+    "fig5": FigureSpec("nondeg-sub", (0.0, 0.5, 0.9), "K0", 1.0, "table1",
                        "two-photon squeezing, back action subtracted"),
-    "fig6": FigureSpec("fig6", "nondeg-sub", (0.0, 0.5, 0.9), "K0", 4.0, "table1",
+    "fig6": FigureSpec("nondeg-sub", (0.0, 0.5, 0.9), "K0", 4.0, "table1",
                        "as fig5 at four times the pump"),
-    "fig7": FigureSpec("fig7", "deg-raw", (0.0, 0.5, 0.9), "N0", 1.0, "table1",
+    "fig7": FigureSpec("deg-raw", (0.0, 0.5, 0.9), "N0", 1.0, "table1",
                        "degenerate squeezing, raw difference port"),
-    "fig8": FigureSpec("fig8", "deg-sub", (0.0, 0.5, 0.9), "N0", 1.0, "table1",
+    "fig8": FigureSpec("deg-sub", (0.0, 0.5, 0.9), "N0", 1.0, "table1",
                        "degenerate squeezing, back action subtracted"),
-    "fig9": FigureSpec("fig9", "deg-sub", (0.0, 0.5, 0.9), "N0", 4.0, "table1",
+    "fig9": FigureSpec("deg-sub", (0.0, 0.5, 0.9), "N0", 4.0, "table1",
                        "as fig8 at four times the pump"),
 }
 

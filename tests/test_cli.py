@@ -16,6 +16,7 @@ from test_model import MALFORMED, malformed_document
 from trimova import cli, model, oracle, spectra
 
 G0, GE = model.reference_rates()
+SUBTRACTED = ["--case", "nondeg-sub", "--kappa", "0.5g0"]
 
 
 def write_config(tmp_path, lossless=False, kappa=0.0):
@@ -433,7 +434,13 @@ def test_json_writers_reject_nan_and_write_nothing(tmp_path, write):
     ["figure", "fig8", "--points", "50", "--out-dir", "figs"],
     ["validate", "--case", "baseline", "--segments", "32", "--omega-min",
      "0.05g0", "--out", "v/report.json"],
-], ids=["spectrum-budget", "figure-fig8", "validate"])
+    # An odd window count, and a band start of 1e-3 gamma0, whose windows
+    # are ten times the default's.
+    ["validate", *SUBTRACTED, "--segments", "201", "--out", "v/odd.json"],
+    ["validate", *SUBTRACTED, "--segments", "32", "--omega-min", "1e-3g0",
+     "--out", "v/low.json"],
+], ids=["spectrum-budget", "figure-fig8", "validate", "validate-201-windows",
+        "validate-low-band"])
 def test_manifest_digests_match_files_on_disk(tmp_path, monkeypatch, argv):
     # Each writer hashes the bytes it writes; the manifest records those
     # digests without reading the files back, so they must match the disk.
@@ -693,9 +700,6 @@ def test_validate_oversized_window_exits_2(tmp_path, monkeypatch, capsys,
     assert not list(tmp_path.iterdir())
 
 
-SUBTRACTED = ["--case", "nondeg-sub", "--kappa", "0.5g0"]
-
-
 @pytest.mark.parametrize("options, message", [
     (SUBTRACTED + ["--tolerance", "-1"], "tolerance = -1.0: it must be finite"),
     (SUBTRACTED + ["--tolerance", "nan"], "tolerance = nan: it must be finite"),
@@ -706,15 +710,19 @@ SUBTRACTED = ["--case", "nondeg-sub", "--kappa", "0.5g0"]
     (["--case", "deg-sub", "--upsilon", "0", "--perturb-kappa", "0.1"],
      "no squeeze rate to perturb"),
     (SUBTRACTED + ["--perturb-kappa", "-3"], "rate must be nonnegative"),
+    (["--case", "nondeg-raw", "--kappa", "0.9g0", "--omega-min", "0.6g0"],
+     "correlation times of the slower optical pair"),
 ], ids=["tolerance-negative", "tolerance-nan", "perturb-nan",
         "perturb-unsqueezed", "perturb-kappa-zero", "perturb-upsilon-zero",
-        "perturb-negative-rate"])
+        "perturb-negative-rate", "records-short-of-correlation-times"])
 def test_validate_rejects_meaningless_values(tmp_path, monkeypatch, capsys,
                                              options, message):
-    # Refused before any simulation: a negative tolerance passes every bin,
-    # a NaN would fail only after the whole run, or deep in numpy, and a
-    # negative control must perturb a squeeze rate into another valid one
-    # (a zero rate, of any kind, perturbs into itself).
+    # Refused with one error line before any simulation: a negative
+    # tolerance passes every bin, a NaN would fail only after the whole run,
+    # or deep in numpy, a negative control must perturb a squeeze rate into
+    # another valid one (a zero rate, of any kind, perturbs into itself), and
+    # 32 windows that start at 0.6 gamma0 span too few correlation times of
+    # the slow pair at kappa = 0.9 gamma0.
     def no_simulation(*args, **kwargs):
         raise AssertionError("simulated")
 
@@ -722,7 +730,11 @@ def test_validate_rejects_meaningless_values(tmp_path, monkeypatch, capsys,
     code = cli.main(["validate", *options, "--segments", "32",
                      "--out", str(tmp_path / "r.json")])
     assert code == 2
-    assert message in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert message in captured.err
     assert not list(tmp_path.iterdir())
 
 
@@ -741,23 +753,25 @@ def test_validate_gamma_m_zero_gives_verdict(tmp_path, capsys, case):
     assert all(math.isfinite(v) for name in columns for v in doc[name])
 
 
-def test_validate_pass_and_fail(tmp_path, capsys):
-    out = tmp_path / "report.json"
-    code = cli.main(["validate", "--case", "deg-raw", "--upsilon", "0.5g0",
-                     "--segments", "48", "--seed", "4",
-                     "--omega-min", "0.03g0", "--out", str(out)])
-    assert code == 0
-    assert "PASS" in capsys.readouterr().out
-    doc = json.loads(out.read_text())
-    assert doc["passed"] is True
+DEGENERATE = ["--case", "deg-raw", "--upsilon", "0.5g0", "--segments", "48",
+              "--seed", "4", "--omega-min", "0.03g0"]
 
-    bad = tmp_path / "control.json"
-    code = cli.main(["validate", "--case", "deg-raw", "--upsilon", "0.5g0",
-                     "--segments", "48", "--seed", "4", "--perturb-kappa", "0.2",
-                     "--omega-min", "0.03g0", "--out", str(bad)])
-    assert code == 1
-    assert "FAIL" in capsys.readouterr().out
-    assert json.loads(bad.read_text())["passed"] is False
+
+@pytest.mark.parametrize("options, code", [
+    (DEGENERATE, 0),
+    (DEGENERATE + ["--perturb-kappa", "0.2"], 1),
+    (SUBTRACTED + ["--segments", "100"], 0),
+    (["--case", "nondeg-raw", "--kappa", "0.5g0", "--segments", "100"], 0),
+    (SUBTRACTED + ["--segments", "100", "--perturb-kappa", "0.1"], 1),
+], ids=["deg-raw", "deg-raw-control", "nondeg-sub", "nondeg-raw",
+        "nondeg-sub-control"])
+def test_validate_pass_and_fail(tmp_path, capsys, options, code):
+    # The verdict is the exit code: 0 for PASS, 1 for a FAIL such as the
+    # perturbed negative control's.
+    out = tmp_path / "report.json"
+    assert cli.main(["validate", *options, "--out", str(out)]) == code
+    assert ("PASS", "FAIL")[code] in capsys.readouterr().out
+    assert json.loads(out.read_text())["passed"] is (code == 0)
 
 
 def test_validate_deterministic(tmp_path):
@@ -818,17 +832,39 @@ def test_replay_rejects_malformed_manifest(tmp_path, monkeypatch, capsys,
     ["spectrum", "--case", "baseline", "--out", "afile/x.csv"],
     ["figure", "fig3", "--out-dir", "afile"],
     ["spectrum", "--case", "baseline", "--out", "d.csv"],
-], ids=["spectrum-under-a-file", "figure-into-a-file", "spectrum-onto-a-dir"])
+    ["spectrum", "--case", "baseline", "--out", ""],
+    ["validate", "--case", "baseline", "--out", ""],
+    ["figure", "fig3", "--out-dir", ""],
+    ["threshold", "--config", ""],
+], ids=["spectrum-under-a-file", "figure-into-a-file", "spectrum-onto-a-dir",
+        "spectrum-out-empty", "validate-out-empty", "figure-out-dir-empty",
+        "threshold-config-empty"])
 def test_unwritable_output_path_exits_2(tmp_path, monkeypatch, capsys, argv):
     # A path that cannot be written is one error line and exit 2, and
-    # nothing else is written.
+    # nothing else is written.  An empty path names no file: argparse
+    # refuses it by its option, as it does --points 0, before any config is
+    # resolved.
+    def no_config(*args, **kwargs):
+        raise AssertionError("config resolved")
+
     monkeypatch.chdir(tmp_path)
     (tmp_path / "afile").write_text("")
     (tmp_path / "d.csv").mkdir()
-    assert cli.main(argv) == 2
-    captured = capsys.readouterr()
+    if argv[-1]:
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    else:
+        monkeypatch.setattr(cli, "_base_config", no_config)
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        error = captured.err.splitlines()[-1]
+        assert error.startswith(f"trimova {argv[0]}: error: argument "
+                                f"{argv[-2]}"), error
+        assert error.endswith(": must not be empty"), error
     assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: "), lines
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["afile", "d.csv"]
     assert (tmp_path / "afile").read_text() == ""

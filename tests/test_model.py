@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.constants import hbar, k as k_B
+from scipy.constants import c, hbar, k as k_B
 
 from trimova import model
 from trimova.model import (ConfigError, MechanicalOscillator,
@@ -107,7 +107,7 @@ def test_quality_factor_round_trip(quality):
 @given(st.floats(2e-7, 1e-5))
 def test_wavelength_round_trip(wavelength):
     cav = OpticalCavity.from_wavelength(1e5, 0.0, 0.1, wavelength)
-    assert abs(cav.wavelength - wavelength) <= 1e-12 * wavelength
+    assert cav.omega0 == 2.0 * math.pi * c / wavelength
 
 
 def test_reference_config_clean(reference):
