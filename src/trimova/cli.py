@@ -3,13 +3,14 @@
 Every run that writes files also writes a manifest (command line, config
 snapshot, seeds, output hashes) sufficient to reproduce them bit-identically;
 ``trimova replay <manifest>`` re-executes the recorded command.  Exit codes:
-0 success, 1 validation failure, 2 usage or configuration error.  Each regime
-finding of the resolved config (``SystemConfig.regime_findings``) prints to
-stderr once, as one ``warning:`` line, before the command runs.
+0 success, 1 validation failure, 2 usage or configuration error.  Every
+refusal, argparse's included, prints one ``error:`` line to stderr, and
+``main`` returns 2 for it.  Each regime finding of the resolved config
+(``SystemConfig.regime_findings``) prints to stderr once, as one ``warning:``
+line, before the command runs.
 
 Rate-valued options accept either rad/s or multiples of the input-coupler
-rate with a ``g0`` suffix (``--kappa 0.9g0``).  The default configuration
-file may be set through the ``TRIMOVA_CONFIG`` environment variable.
+rate with a ``g0`` suffix (``--kappa 0.9g0``).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import dataclasses
 import datetime
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -30,11 +30,17 @@ from .model import (Squeezing, SystemConfig, config_snapshot, json_text,
                     load_config, reference_config)
 from .transfer import PoleError
 
-ENV_CONFIG = "TRIMOVA_CONFIG"
-
 
 class UsageError(Exception):
     pass
+
+
+class Parser(argparse.ArgumentParser):
+    """An argparse parser whose refusals reach ``main`` as a UsageError;
+    its subparsers are of the same class."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def parse_rate(option: str, text: str, gamma0: float) -> float:
@@ -66,14 +72,10 @@ def nonempty(text: str) -> str:
 
 
 def _base_config(args) -> SystemConfig:
-    path = args.config or os.environ.get(ENV_CONFIG)
-    if path:
-        if args.tau_preset:
-            raise UsageError(f"--tau-preset is for the built-in configuration "
-                             f"only, not with the config file {path}")
-        if not Path(path).is_file():
-            raise UsageError(f"config file not found: {path}")
-        return load_config(path)
+    if args.config is not None:
+        if not Path(args.config).is_file():
+            raise UsageError(f"config file not found: {args.config}")
+        return load_config(args.config)
     return reference_config(tau_preset=args.tau_preset or "table1")
 
 
@@ -81,20 +83,10 @@ def _resolve_config(args) -> SystemConfig:
     base = _base_config(args)
     g0 = base.cavity.gamma0
     changes = {}
-    rates = {kind: vars(args)[key] for kind, key in model.RATE_KEY.items()
-             if vars(args)[key] is not None}
-    if len(rates) > 1:
-        raise UsageError("give at most one of " + "/".join(
-            f"--{key}" for key in model.RATE_KEY.values()))
-    for kind, text in rates.items():
-        changes["squeeze"] = Squeezing(
-            kind, parse_rate(f"--{model.RATE_KEY[kind]}", text, g0))
-
-    drives = [f"--{name}" for name in ("k0", "power", "n0")
-              if vars(args)[name] is not None]
-    if len(drives) > 1:
-        raise UsageError(f"give at most one of --k0/--power/--n0, "
-                         f"got {' and '.join(drives)}")
+    for kind, key in model.RATE_KEY.items():
+        if vars(args)[key] is not None:
+            changes["squeeze"] = Squeezing(
+                kind, parse_rate(f"--{key}", vars(args)[key], g0))
     if args.k0 is not None:
         changes["K0"] = parse_rate("--k0", args.k0, g0)
     if args.power is not None:
@@ -139,9 +131,11 @@ def _band(args, g0: float) -> tuple:
 
 
 def cmd_spectrum(args, argv) -> int:
-    if args.budget and args.sql_ratio:
-        raise UsageError("--budget and --sql-ratio cannot be combined: the "
-                         "SQL ratio carries no per-channel columns")
+    out = Path(args.out)
+    side = out.with_suffix(".json")
+    if side == out:
+        raise UsageError(f"--out {args.out} would be overwritten by the "
+                         "spectrum's JSON file: give it another suffix")
     config = _resolve_config(args)
     g0 = config.cavity.gamma0
     lo, hi = _band(args, g0)
@@ -153,8 +147,6 @@ def cmd_spectrum(args, argv) -> int:
     series = spectra.spectrum_series(config, args.case, grid, budget=args.budget)
     if args.sql_ratio:
         series = spectra.ratio_to_sql(series)
-    out = Path(args.out)
-    side = out.with_suffix(".json")
     outputs = {out: series.write_csv(out), side: series.write_json(side)}
     _write_manifest(out, argv, config, outputs)
     print(f"wrote {out} ({series.grid.size} rows) and {side}")
@@ -245,25 +237,29 @@ def cmd_replay(args, argv) -> int:
 
 
 def _add_config_options(p: argparse.ArgumentParser):
-    p.add_argument("--config", "-c", type=nonempty,
-                   help="JSON configuration file "
-                   f"(default: ${ENV_CONFIG} or built-in membrane preset)")
-    p.add_argument("--tau-preset", choices=tuple(model.TAU_PRESETS),
-                   help="pulse-length preset, built-in configuration only: "
-                        "table1 = 28 us (default), fig3 = 0.28 ms")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--config", "-c", type=nonempty,
+                        help="JSON configuration file (default: built-in "
+                             "membrane preset)")
+    source.add_argument("--tau-preset", choices=tuple(model.TAU_PRESETS),
+                        help="pulse-length preset of the built-in "
+                             "configuration only: table1 = 28 us (default), "
+                             "fig3 = 0.28 ms")
+    squeeze = p.add_mutually_exclusive_group()
     for kind, key in model.RATE_KEY.items():
-        p.add_argument(f"--{key}", help=f"{kind.replace('_', '-')} squeeze "
-                                        "rate (rad/s or '0.9g0')")
+        squeeze.add_argument(f"--{key}", help=f"{kind.replace('_', '-')} "
+                                              "squeeze rate (rad/s or '0.9g0')")
     p.add_argument("--gamma-m", help="override mechanical half linewidth")
     p.add_argument("--tau", type=float, help="override pulse length, s")
-    p.add_argument("--k0", help="normalized pump (rad/s or g0 units)")
-    p.add_argument("--n0", help="degenerate-normalized pump; sets the "
-                                "equivalent K0")
-    p.add_argument("--power", type=float, help="input power, W")
+    drive = p.add_mutually_exclusive_group()
+    drive.add_argument("--k0", help="normalized pump (rad/s or g0 units)")
+    drive.add_argument("--n0", help="degenerate-normalized pump; sets the "
+                                    "equivalent K0")
+    drive.add_argument("--power", type=float, help="input power, W")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = Parser(
         prog="trimova",
         description="Quantum noise spectra, SQL ratios and detection "
                     "thresholds of a three-mode optomechanical force sensor")
@@ -276,10 +272,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega-min", help="grid start (rad/s or g0 units)")
     p.add_argument("--omega-max", help="grid end (rad/s or g0 units)")
     p.add_argument("--points", type=positive_int, default=400)
-    p.add_argument("--budget", action="store_true",
-                   help="add per-channel noise columns")
-    p.add_argument("--sql-ratio", action="store_true",
-                   help="emit the ratio to the SQL instead of the PSD")
+    # The SQL ratio carries no per-channel columns.
+    columns = p.add_mutually_exclusive_group()
+    columns.add_argument("--budget", action="store_true",
+                         help="add per-channel noise columns")
+    columns.add_argument("--sql-ratio", action="store_true",
+                         help="emit the ratio to the SQL instead of the PSD")
     p.add_argument("--out", "-o", type=nonempty, default="spectrum.csv")
     p.set_defaults(func=cmd_spectrum)
 
@@ -327,9 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args, argv)
     except (UsageError, PoleError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

@@ -64,13 +64,31 @@ def test_parse_rate():
       "--out", "v.json"], "cannot parse --omega-min ''"),
     (["validate", "--case", "baseline", "--omega-max", "", "--segments", "32",
       "--out", "v.json"], "cannot parse --omega-max ''"),
+    # argparse's refusals take the same one line: a missing or unknown
+    # option, no command, and each pair of options that exclude each other,
+    # here given in the other order than in the pair's own test.
+    (["spectrum", "--out", "s.csv"],
+     "the following arguments are required: --case"),
+    (["threshold", "--bogus"], "unrecognized arguments: --bogus"),
+    ([], "the following arguments are required: command"),
+    (["threshold", "--upsilon", "0.5g0", "--kappa", "0.5g0"],
+     "argument --kappa: not allowed with argument --upsilon"),
+    (["threshold", "--n0", "1g0", "--k0", "1g0"],
+     "argument --k0: not allowed with argument --n0"),
+    (["spectrum", "--case", "baseline", "--sql-ratio", "--budget",
+      "--out", "s.csv"], "argument --budget: not allowed with argument --sql-ratio"),
+    (["threshold", "--tau-preset", "fig3", "--config", "config.json"],
+     "argument --config/-c: not allowed with argument --tau-preset"),
 ], ids=["n0-nan", "k0-inf", "upsilon-inf", "spectrum-omega-max-abc",
         "validate-omega-min-junk", "spectrum-omega-min-empty",
         "spectrum-omega-max-empty", "validate-omega-min-empty",
-        "validate-omega-max-empty"])
+        "validate-omega-max-empty", "missing-case", "unknown-option",
+        "no-command", "upsilon-then-kappa", "n0-then-k0",
+        "sql-ratio-then-budget", "tau-preset-then-config"])
 def test_bad_rate_names_its_option(tmp_path, monkeypatch, capsys, argv, message):
     # A rate that does not parse or is not finite is refused by the option
-    # it was given to, before anything is computed or written.
+    # it was given to, before anything is computed or written; so is any
+    # refusal that argparse makes.
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
@@ -130,10 +148,15 @@ def test_memory_error_exits_2_with_one_line(tmp_path, monkeypatch, capsys):
     assert not list(tmp_path.iterdir())
 
 
-def test_invalid_case_exits_2(tmp_path):
-    with pytest.raises(SystemExit) as err:
-        cli.main(["spectrum", "--case", "bogus", "--out", str(tmp_path / "x.csv")])
-    assert err.value.code == 2
+def test_invalid_case_exits_2(tmp_path, capsys):
+    assert cli.main(["spectrum", "--case", "bogus",
+                     "--out", str(tmp_path / "x.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("error: argument --case: invalid choice: 'bogus'")
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", [
@@ -327,10 +350,11 @@ def test_stability_error_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("points", ["0", "-3"])
 def test_points_below_one_exits_2(tmp_path, monkeypatch, capsys, command, points):
     monkeypatch.chdir(tmp_path)
-    with pytest.raises(SystemExit) as err:
-        cli.main(command + ["--points", points])
-    assert err.value.code == 2
-    assert "--points" in capsys.readouterr().err
+    assert cli.main(command + ["--points", points]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: argument --points: must be at least 1, "
+                            f"got {points}\n")
     assert not list(tmp_path.iterdir())
 
 
@@ -344,7 +368,10 @@ def test_conflicting_drive_options_exit_2(tmp_path, capsys, drives):
     code = cli.main(["spectrum", "--case", "baseline", "--out", str(out)]
                     + drives)
     assert code == 2
-    assert "at most one of --k0/--power/--n0" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: argument {drives[2]}: not allowed with "
+                            f"argument {drives[0]}\n")
     assert not list(tmp_path.iterdir())
     assert cli.main(["threshold"] + drives) == 2
 
@@ -358,16 +385,8 @@ def test_squeeze_options_are_the_rate_keys(capsys):
     assert cli.main(["threshold", "--kappa", "0.5g0", "--upsilon", "0.5g0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: give at most one of --kappa/--upsilon\n"
-
-
-def test_env_var_config(tmp_path, monkeypatch):
-    cfg_path = write_config(tmp_path, lossless=True)
-    monkeypatch.setenv(cli.ENV_CONFIG, str(cfg_path))
-    out = tmp_path / "env.csv"
-    assert cli.main(["spectrum", "--case", "baseline", "--out", str(out)]) == 0
-    doc = json.loads((tmp_path / "env.json").read_text())
-    assert doc["config"]["cavity"]["gamma_e"] == 0.0
+    assert captured.err == ("error: argument --upsilon: not allowed with "
+                            "argument --kappa\n")
 
 
 def test_figure_outputs(tmp_path):
@@ -533,22 +552,16 @@ def test_bad_power_names_input_power(capsys, option, value, message):
     assert captured.err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("by_env", [False, True], ids=["option", "env"])
-def test_tau_preset_with_config_file_exits_2(tmp_path, monkeypatch, capsys,
-                                             by_env):
-    # The preset shapes the built-in configuration only; a config file,
-    # given by option or by environment variable, sets its own tau.
+def test_tau_preset_with_config_file_exits_2(tmp_path, capsys):
+    # The preset shapes the built-in configuration only; a config file sets
+    # its own tau.
     path = write_config(tmp_path)
-    argv = ["threshold", "--tau-preset", "fig3"]
-    if by_env:
-        monkeypatch.setenv(cli.ENV_CONFIG, str(path))
-    else:
-        argv += ["--config", str(path)]
-    assert cli.main(argv) == 2
+    assert cli.main(["threshold", "--config", str(path),
+                     "--tau-preset", "fig3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: --tau-preset")
-    assert captured.err.count("\n") == 1
+    assert captured.err == ("error: argument --tau-preset: not allowed with "
+                            "argument --config/-c\n")
 
 
 def test_spectrum_budget_with_sql_ratio_exits_2(tmp_path, monkeypatch,
@@ -559,8 +572,8 @@ def test_spectrum_budget_with_sql_ratio_exits_2(tmp_path, monkeypatch,
                      "--sql-ratio", "--out", "s.csv"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: --budget and --sql-ratio")
-    assert captured.err.count("\n") == 1
+    assert captured.err == ("error: argument --sql-ratio: not allowed with "
+                            "argument --budget\n")
     assert not list(tmp_path.iterdir())
 
 
@@ -783,15 +796,26 @@ def test_validate_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_replay_reproduces_outputs(tmp_path, monkeypatch):
+@pytest.mark.parametrize("environ", [{}, {"TRIMOVA_CONFIG": "config.json"}],
+                         ids=["plain", "config-env-var"])
+def test_replay_reproduces_outputs(tmp_path, monkeypatch, environ):
+    # The manifest records every input of a run: an environment variable
+    # that names a (lossless) config file changes neither the run nor its
+    # replay.
     monkeypatch.chdir(tmp_path)
-    assert cli.main(["spectrum", "--case", "deg-raw", "--upsilon", "0.5g0",
-                     "--out", "replayme.csv"]) == 0
-    original = (tmp_path / "replayme.csv").read_bytes()
+    argv = ["spectrum", "--case", "deg-raw", "--upsilon", "0.5g0",
+            "--out", "replayme.csv"]
+    assert cli.main(argv[:-1] + ["plain.csv"]) == 0
+    plain = (tmp_path / "plain.csv").read_bytes()
+    write_config(tmp_path, lossless=True)
+    for name, value in environ.items():
+        monkeypatch.setenv(name, value)
+    assert cli.main(argv) == 0
+    assert (tmp_path / "replayme.csv").read_bytes() == plain
     manifest = tmp_path / "replayme.csv.manifest.json"
     (tmp_path / "replayme.csv").unlink()
     assert cli.main(["replay", str(manifest)]) == 0
-    assert (tmp_path / "replayme.csv").read_bytes() == original
+    assert (tmp_path / "replayme.csv").read_bytes() == plain
 
 
 @pytest.mark.parametrize("manifest", [
@@ -828,21 +852,27 @@ def test_replay_rejects_malformed_manifest(tmp_path, monkeypatch, capsys,
     assert len(lines) == 1 and lines[0].startswith(prefix), lines
 
 
-@pytest.mark.parametrize("argv", [
-    ["spectrum", "--case", "baseline", "--out", "afile/x.csv"],
-    ["figure", "fig3", "--out-dir", "afile"],
-    ["spectrum", "--case", "baseline", "--out", "d.csv"],
-    ["spectrum", "--case", "baseline", "--out", ""],
-    ["validate", "--case", "baseline", "--out", ""],
-    ["figure", "fig3", "--out-dir", ""],
-    ["threshold", "--config", ""],
+@pytest.mark.parametrize("argv, refusal", [
+    (["spectrum", "--case", "baseline", "--out", "afile/x.csv"], None),
+    (["figure", "fig3", "--out-dir", "afile"], None),
+    (["spectrum", "--case", "baseline", "--out", "d.csv"], None),
+    (["spectrum", "--case", "baseline", "--out", ""],
+     "argument --out/-o: must not be empty"),
+    (["validate", "--case", "baseline", "--out", ""],
+     "argument --out/-o: must not be empty"),
+    (["figure", "fig3", "--out-dir", ""], "argument --out-dir: must not be empty"),
+    (["threshold", "--config", ""], "argument --config/-c: must not be empty"),
+    (["spectrum", "--case", "baseline", "--out", "s.json"],
+     "--out s.json would be overwritten by the spectrum's JSON file: give "
+     "it another suffix"),
 ], ids=["spectrum-under-a-file", "figure-into-a-file", "spectrum-onto-a-dir",
         "spectrum-out-empty", "validate-out-empty", "figure-out-dir-empty",
-        "threshold-config-empty"])
-def test_unwritable_output_path_exits_2(tmp_path, monkeypatch, capsys, argv):
+        "threshold-config-empty", "spectrum-out-is-its-json"])
+def test_unwritable_output_path_exits_2(tmp_path, monkeypatch, capsys, argv,
+                                        refusal):
     # A path that cannot be written is one error line and exit 2, and
-    # nothing else is written.  An empty path names no file: argparse
-    # refuses it by its option, as it does --points 0, before any config is
+    # nothing else is written.  A path that names no file, or whose JSON
+    # sibling is itself, is refused by its option before any config is
     # resolved.
     def no_config(*args, **kwargs):
         raise AssertionError("config resolved")
@@ -850,21 +880,14 @@ def test_unwritable_output_path_exits_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "afile").write_text("")
     (tmp_path / "d.csv").mkdir()
-    if argv[-1]:
-        assert cli.main(argv) == 2
-        captured = capsys.readouterr()
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: "), lines
-    else:
+    if refusal:
         monkeypatch.setattr(cli, "_base_config", no_config)
-        with pytest.raises(SystemExit) as err:
-            cli.main(argv)
-        assert err.value.code == 2
-        captured = capsys.readouterr()
-        error = captured.err.splitlines()[-1]
-        assert error.startswith(f"trimova {argv[0]}: error: argument "
-                                f"{argv[-2]}"), error
-        assert error.endswith(": must not be empty"), error
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    if refusal:
+        assert lines[0] == f"error: {refusal}"
     assert captured.out == ""
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["afile", "d.csv"]
     assert (tmp_path / "afile").read_text() == ""
