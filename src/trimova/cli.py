@@ -71,6 +71,20 @@ def nonempty(text: str) -> str:
     return text
 
 
+def out_file(text: str) -> str:
+    """argparse type for output files: nonempty, no existing directory."""
+    if Path(nonempty(text)).is_dir():
+        raise argparse.ArgumentTypeError(f"{text} is a directory")
+    return text
+
+
+def out_dir(text: str) -> str:
+    """argparse type for output directories: nonempty, no existing file."""
+    if Path(nonempty(text)).exists() and not Path(text).is_dir():
+        raise argparse.ArgumentTypeError(f"{text} is not a directory")
+    return text
+
+
 def _base_config(args) -> SystemConfig:
     if args.config is not None:
         if not Path(args.config).is_file():
@@ -230,10 +244,11 @@ def cmd_replay(args, argv) -> int:
             and all(isinstance(item, str) for item in command)):
         raise UsageError("manifest has no recorded command: a JSON object "
                          "whose 'command' is a non-empty list of strings")
-    if command[0] == "replay":
+    replayed = build_parser().parse_args(command)
+    if replayed.func is cmd_replay:
         raise UsageError("manifest records a replay, which is not re-run")
     print(f"replaying: trimova {' '.join(command)}")
-    return main(command)
+    return replayed.func(replayed, command)
 
 
 def _add_config_options(p: argparse.ArgumentParser):
@@ -278,13 +293,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="add per-channel noise columns")
     columns.add_argument("--sql-ratio", action="store_true",
                          help="emit the ratio to the SQL instead of the PSD")
-    p.add_argument("--out", "-o", type=nonempty, default="spectrum.csv")
+    p.add_argument("--out", "-o", type=out_file, default="spectrum.csv")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("figure", help="reproduce a published-figure dataset")
     p.add_argument("id", choices=sorted(spectra.FIGURES))
     p.add_argument("--points", type=positive_int, default=400)
-    p.add_argument("--out-dir", type=nonempty, default=".")
+    p.add_argument("--out-dir", type=out_dir, default=".")
     p.set_defaults(func=cmd_figure)
 
     p = sub.add_parser("threshold", help="detection thresholds and scales")
@@ -313,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perturb-kappa", type=float, default=0.0,
                    help="scale the simulated squeeze rate by (1+x): "
                         "negative control")
-    p.add_argument("--out", "-o", type=nonempty,
+    p.add_argument("--out", "-o", type=out_file,
                    default="validation_report.json")
     p.set_defaults(func=cmd_validate)
 

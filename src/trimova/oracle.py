@@ -4,8 +4,8 @@ The model, stated and derived in the transfer module (``StateSpace``,
 ``build_state_space``, both importable from here too), is a three-state
 linear Langevin system of the amplitude quadratures (the sum pair, which
 drives the mechanics; the difference pair, which is measured; the
-mechanics) forced by five white channels: the two input-port vacua, the two
-loss vacua and the mechanical bath.  ``simulate`` integrates the
+mechanics) forced by the white noise channels of transfer.CHANNELS: the
+input-port and loss vacua and the mechanical bath.  ``simulate`` integrates the
 ``StateSpace`` it is given, noise only (no signal force enters), and forms
 the two output time series through that model's own output map
 y = C x + D w (the reflected input D w must be built from the *same* noise
@@ -198,7 +198,7 @@ def _discretize(ss: StateSpace, dt: float):
     A[:3, :3] = ss.drift
     A[3, 0] = 1.0
     A[4, 1] = 1.0
-    B = np.zeros((n_aug, 5))
+    B = np.zeros((n_aug, ss.noise_gain.shape[1]))
     B[:3, :] = ss.noise_gain
     B[5, 0] = 1.0
     B[6, 1] = 1.0
@@ -426,10 +426,10 @@ def simulate(ss: StateSpace, *, segments: int = 1, samples: int, dt: float,
 
 def _add_periodograms(sums: np.ndarray, records: np.ndarray, hop: int,
                       dt: float, band: slice, weight, sig2: np.ndarray,
-                      bounds: np.ndarray, windows: int | None = None) -> None:
+                      bounds: np.ndarray, windows: int) -> None:
     """Add the log-binned periodograms of the records' first ``windows``
-    Hann windows (all by default), record by record, into sums[0] and their
-    squares into sums[1], one column a log bin.
+    Hann windows, record by record, into sums[0] and their squares into
+    sums[1], one column a log bin.
 
     A window is 2*hop samples long and the next starts hop samples later, so
     a record of (m + 1)*hop samples holds m windows, each overlapping its
@@ -443,8 +443,6 @@ def _add_periodograms(sums: np.ndarray, records: np.ndarray, hop: int,
     """
     size = 2 * hop
     per_record = records.shape[1] // hop - 1
-    if windows is None:
-        windows = records.shape[0] * per_record
     win = np.hanning(size)
     norm = float(np.sum(win**2))
     groups = -(-windows // _FFT_GROUP)

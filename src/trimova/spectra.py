@@ -31,8 +31,8 @@ import numpy as np
 from .model import (HBAR, RATE_KEY, TAU_PRESETS, Squeezing, SystemConfig,
                     braginsky_factor, config_snapshot, json_text, k0_for_n0,
                     reference_config, reference_rates, write_text)
-from .transfer import (Channel, VACUUM_CHANNELS, channel_psd,
-                       guard_subtraction, transfer_coefficients)
+from .transfer import (CHANNELS, channel_psd, guard_subtraction,
+                       transfer_coefficients)
 
 # Measured case -> (squeeze kind it belongs to, transfer port it reads);
 # raw cases precede their subtracted partners.
@@ -132,12 +132,9 @@ class SpectrumSeries:
         return write_text(path, json_text(self.to_json_dict()))
 
     def csv_text(self) -> str:
-        cols = ["omega_rad_s", "value"]
-        arrays = [self.grid, self.values]
-        if self.budget is not None:
-            for name in sorted(self.budget):
-                cols.append(name)
-                arrays.append(self.budget[name])
+        budget = sorted((self.budget or {}).items())
+        cols = ["omega_rad_s", "value"] + [name for name, _ in budget]
+        arrays = [self.grid, self.values] + [array for _, array in budget]
         for name, array in zip(cols, arrays):
             if not np.all(np.isfinite(array)):
                 raise ValueError(f"{self.case} {name}: every value must be "
@@ -162,10 +159,9 @@ def spectrum_series(config: SystemConfig, case: str, omega,
     """
     grid = np.asarray(omega, dtype=float)
     coeffs = transfer_coefficients(config, check_case(config, case), grid)
-    psd = channel_psd(config)
     with np.errstate(over="ignore"):
-        parts = {ch.value: np.abs(coeffs[ch]) ** 2 * psd[i] for i, ch
-                 in enumerate(VACUUM_CHANNELS + (Channel.THERMAL,))}
+        parts = {ch: np.abs(coeffs[ch]) ** 2 * p
+                 for ch, p in zip(CHANNELS, channel_psd(config))}
         values = sum(parts.values())
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{case}: the assembled spectrum must be finite")

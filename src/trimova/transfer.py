@@ -12,9 +12,9 @@ once, as a ``StateSpace``, with two outputs:
   forces, and the back action fed into the mechanics by the sum-pair vacua.
 
 ``StateSpace.port_response`` owns the measured PORTS: from one response it
-forms the coefficient of every input channel (input-port vacuum,
-internal-loss vacuum, thermal force, signal force) in "difference", or in
-"subtracted", the difference port plus the sum port times the nulling
+forms the coefficient of every input channel of CHANNELS (input-port
+vacuum, internal-loss vacuum, thermal force, signal force) in "difference",
+or in "subtracted", the difference port plus the sum port times the nulling
 weight, which cancels the input-vacuum back action exactly.  It alone forms
 that weight, behind the pole guard: where the sum port reflects no input
 vacuum (upsilon = gamma0 - gamma_e at Omega = 0) it raises PoleError.  The
@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import ClassVar
 
 import numpy as np
@@ -60,21 +59,11 @@ class PoleError(ArithmeticError):
     """Evaluation at a pole of a coefficient or of the subtraction filter."""
 
 
-class Channel(str, Enum):
-    """Input channels of the amplitude quadratures; the set is closed."""
-
-    ALPHA_PLUS = "alpha_plus"    # input vacuum, sum combination
-    ALPHA_MINUS = "alpha_minus"  # input vacuum, difference combination
-    EPS_PLUS = "eps_plus"        # loss vacuum, sum combination
-    EPS_MINUS = "eps_minus"      # loss vacuum, difference combination
-    THERMAL = "thermal"          # mechanical bath force
-    SIGNAL = "signal"            # signal force
-
-
-VACUUM_CHANNELS = (Channel.ALPHA_PLUS, Channel.ALPHA_MINUS,
-                   Channel.EPS_PLUS, Channel.EPS_MINUS)
-# Noise channels of the StateSpace in column order, then the signal force.
-_INPUTS = VACUUM_CHANNELS + (Channel.THERMAL, Channel.SIGNAL)
+# The StateSpace input columns in order: the input-port (alpha) and the
+# internal-loss (eps) vacua of the quadrature sum and difference and the
+# mechanical bath, whose PSDs channel_psd gives, then the signal force.
+CHANNELS = ("alpha_plus", "alpha_minus", "eps_plus", "eps_minus", "thermal",
+            "signal")
 CASCADE = (0, 2, 1)   # state order sum pair -> mechanics -> difference pair
 
 
@@ -128,10 +117,9 @@ class StateSpace:
     """Linear Langevin model x' = A x + B w + e_f f(t), y = C x + D w.
 
     State order (g_sum, g_diff, d); outputs (sum port, difference port);
-    noise channels (alpha_sum, alpha_diff, eps_sum, eps_diff, thermal), which
-    are VACUUM_CHANNELS + (THERMAL,), with single-sided PSDs channel_psd.
-    The difference port is measured, the sum port is the subtraction
-    reference.
+    noise channels CHANNELS[:-1] (the last is the signal force), of
+    single-sided PSDs channel_psd.  The difference port is measured, the
+    sum port is the subtraction reference.
     """
 
     drift: np.ndarray
@@ -143,7 +131,7 @@ class StateSpace:
     measured_port: ClassVar[int] = 1
 
     def response(self, omega) -> np.ndarray:
-        """H[frequency, output, input] over _INPUTS, the noise channels then
+        """H[frequency, output, input] over CHANNELS, the noise channels then
         the signal force (Fourier kernel exp(-i*Omega*t))."""
         s = -1j * np.atleast_1d(np.asarray(omega, dtype=float))
         gain = np.c_[self.noise_gain, self.signal_gain]
@@ -156,7 +144,7 @@ class StateSpace:
 
     def port_response(self, omega, port: str):
         """(row, weight) of a measured port (see PORTS) from one response:
-        row[frequency, input] over _INPUTS, and the sum port's nulling
+        row[frequency, input] over CHANNELS, and the sum port's nulling
         weight, None for "difference".  Subtracted, alpha+ is 0 by the
         weight's definition, and eps+, which like alpha+ enters through the
         sum-pair state only, is alpha+'s reflection scaled by their gain
@@ -244,11 +232,11 @@ def guard_subtraction(reflection) -> None:
 
 
 def transfer_coefficients(config: SystemConfig, port: str, omega) -> dict:
-    """Signal-referred coefficient map Channel -> complex array over
-    ``omega`` of one port (see PORTS): the row of StateSpace.port_response
-    divided by its signal coefficient, which leaves exactly 1 in the signal
-    slot; ValueError where a quotient is not finite (a signal coefficient 0
-    or too small)."""
+    """Signal-referred coefficient map, channel name (CHANNELS) -> complex
+    array over ``omega``, of one port (see PORTS): the row of
+    StateSpace.port_response divided by its signal coefficient, which leaves
+    exactly 1 in the signal slot; ValueError where a quotient is not finite
+    (a signal coefficient 0 or too small)."""
     row = build_state_space(config).port_response(omega, port)[0]
     sig = row[:, -1]
     with np.errstate(all="ignore"):   # refused below, without warnings
@@ -259,4 +247,4 @@ def transfer_coefficients(config: SystemConfig, port: str, omega) -> dict:
         raise ValueError(f"{port} port at Omega = {np.ravel(omega)[i]:.3g} rad/s: the "
                          f"noise over signal coefficient {abs(sig[i]):.3g} is not finite")
     row[:, -1] = 1.0
-    return {ch: row[:, i] for i, ch in enumerate(_INPUTS)}
+    return dict(zip(CHANNELS, row.T))

@@ -119,9 +119,12 @@ def test_spectrum_budget_columns(tmp_path):
     code = cli.main(["spectrum", "--case", "nondeg-sub", "--kappa", "0.9g0",
                      "--budget", "--out", str(out)])
     assert code == 0
-    header = out.read_text().splitlines()[0].split(",")
-    assert header[:2] == ["omega_rad_s", "value"]
-    assert "alpha_plus" in header and "thermal" in header
+    # The budget columns and keys are the noise channels, sorted.
+    columns = ["alpha_minus", "alpha_plus", "eps_minus", "eps_plus", "thermal"]
+    assert out.read_text().splitlines()[0] == \
+        ",".join(["omega_rad_s", "value"] + columns)
+    budget = json.loads(out.with_suffix(".json").read_text())["budget"]
+    assert list(budget) == columns
 
 
 def test_missing_config_no_partial_output(tmp_path, capsys):
@@ -826,14 +829,16 @@ def test_replay_reproduces_outputs(tmp_path, monkeypatch, environ):
     "[" * 100_000 + "]" * 100_000,
     "{",
     b"\xff",
+    {"command": ["spectrum", "--case", "bogus"]},
 ], ids=["names-itself", "list", "string-command", "directory", "nested",
-        "truncated", "not-utf8"])
+        "truncated", "not-utf8", "refused-command"])
 def test_replay_rejects_malformed_manifest(tmp_path, monkeypatch, capsys,
                                            manifest):
     # A replay of a replay would recurse; a list or a string is no command;
     # a directory is no manifest, nor is JSON nested past the parser's
     # depth, nor text that is not JSON or not UTF-8: the error of a manifest
-    # that cannot be read names it.
+    # that cannot be read names it.  A recorded command that the parser
+    # refuses is refused before the replay prints anything.
     monkeypatch.chdir(tmp_path)
     if manifest is None:
         (tmp_path / "loop.json").mkdir()
@@ -854,8 +859,18 @@ def test_replay_rejects_malformed_manifest(tmp_path, monkeypatch, capsys,
 
 @pytest.mark.parametrize("argv, refusal", [
     (["spectrum", "--case", "baseline", "--out", "afile/x.csv"], None),
-    (["figure", "fig3", "--out-dir", "afile"], None),
-    (["spectrum", "--case", "baseline", "--out", "d.csv"], None),
+    (["figure", "fig3", "--out-dir", "afile"],
+     "argument --out-dir: afile is not a directory"),
+    (["spectrum", "--case", "baseline", "--out", "d.csv"],
+     "argument --out/-o: d.csv is a directory"),
+    (["spectrum", "--case", "baseline", "--out", "."],
+     "argument --out/-o: . is a directory"),
+    (["spectrum", "--case", "baseline", "--out", "/"],
+     "argument --out/-o: / is a directory"),
+    (["spectrum", "--case", "baseline", "--out", ".."],
+     "argument --out/-o: .. is a directory"),
+    (["validate", "--case", "baseline", "--out", "."],
+     "argument --out/-o: . is a directory"),
     (["spectrum", "--case", "baseline", "--out", ""],
      "argument --out/-o: must not be empty"),
     (["validate", "--case", "baseline", "--out", ""],
@@ -866,14 +881,17 @@ def test_replay_rejects_malformed_manifest(tmp_path, monkeypatch, capsys,
      "--out s.json would be overwritten by the spectrum's JSON file: give "
      "it another suffix"),
 ], ids=["spectrum-under-a-file", "figure-into-a-file", "spectrum-onto-a-dir",
-        "spectrum-out-empty", "validate-out-empty", "figure-out-dir-empty",
-        "threshold-config-empty", "spectrum-out-is-its-json"])
+        "spectrum-out-dot", "spectrum-out-root", "spectrum-out-dotdot",
+        "validate-out-dot", "spectrum-out-empty", "validate-out-empty",
+        "figure-out-dir-empty", "threshold-config-empty",
+        "spectrum-out-is-its-json"])
 def test_unwritable_output_path_exits_2(tmp_path, monkeypatch, capsys, argv,
                                         refusal):
     # A path that cannot be written is one error line and exit 2, and
-    # nothing else is written.  A path that names no file, or whose JSON
-    # sibling is itself, is refused by its option before any config is
-    # resolved.
+    # nothing else is written.  An output file that is empty, a directory or
+    # its own JSON sibling, and an output directory that is a file, are
+    # refused by their option before any config is resolved or any curve
+    # computed.
     def no_config(*args, **kwargs):
         raise AssertionError("config resolved")
 
@@ -882,6 +900,7 @@ def test_unwritable_output_path_exits_2(tmp_path, monkeypatch, capsys, argv,
     (tmp_path / "d.csv").mkdir()
     if refusal:
         monkeypatch.setattr(cli, "_base_config", no_config)
+        monkeypatch.setattr(spectra, "figure_curves", no_config)
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     lines = captured.err.splitlines()

@@ -58,9 +58,9 @@ def estimate(records, dt, weight=None, band=slice(None), hop=None,
     grid = (2 * math.pi * np.fft.rfftfreq(2 * hop, dt))[band]
     bounds = np.arange(grid.size + 1) if bounds is None else bounds
     sums = np.zeros((2, bounds.size - 1))
-    oracle._add_periodograms(sums, records, hop, dt, band, weight,
-                             np.ones(grid.size), bounds)
     windows = count * (samples // hop - 1)
+    oracle._add_periodograms(sums, records, hop, dt, band, weight,
+                             np.ones(grid.size), bounds, windows)
     return (grid, *oracle._window_mean(sums, windows, count, hop,
                                        np.diff(bounds)))
 
@@ -337,7 +337,8 @@ def test_overlap_correlation_matches_white_noise():
     for r, j in itertools.product(range(count), range(per_record)):
         sums = np.zeros((2, counts.size))
         oracle._add_periodograms(sums, data[r:r + 1, j * hop:(j + 2) * hop],
-                                 hop, dt, band, None, np.ones(hop - 8), bounds)
+                                 hop, dt, band, None, np.ones(hop - 8), bounds,
+                                 1)
         values[r, j] = sums[0]
     wide = counts >= 2
     assert wide.sum() >= 40
@@ -361,12 +362,12 @@ def test_adjacent_window_correlation():
     for r, j in itertools.product(range(count), range(per_record)):
         sums = np.zeros((2, hop - 1))
         oracle._add_periodograms(sums, data[r:r + 1, j * hop:(j + 2) * hop],
-                                 hop, dt, band, None, np.ones(hop - 1), bins)
+                                 hop, dt, band, None, np.ones(hop - 1), bins, 1)
         powers[r, j] = sums[0]
     # The estimator cuts the same windows from a whole record.
     sums = np.zeros((2, hop - 1))
     oracle._add_periodograms(sums, data[:1], hop, dt, band, None,
-                             np.ones(hop - 1), bins)
+                             np.ones(hop - 1), bins, per_record)
     assert np.allclose(sums[0], powers[0].sum(axis=0), rtol=1e-12)
     z = (powers - powers.mean()) / powers.std()
     assert abs(np.mean(z[:, 1:] * z[:, :-1]) - 1.0 / 36.0) < 0.005
@@ -1177,10 +1178,10 @@ def test_add_periodograms_first_windows():
     sums, want = np.zeros((2, hop - 2)), np.zeros((2, hop - 2))
     args = (hop, dt, slice(1, hop), None, np.ones(hop - 1), bins)
     oracle._add_periodograms(sums, records, *args, 5)
-    oracle._add_periodograms(want, records[:1], *args)
-    oracle._add_periodograms(want, records[1:, :3 * hop], *args)
+    oracle._add_periodograms(want, records[:1], *args, 3)
+    oracle._add_periodograms(want, records[1:, :3 * hop], *args, 2)
     assert np.allclose(sums, want, rtol=1e-12)
-    oracle._add_periodograms(want, records[1:, 2 * hop:], *args)
+    oracle._add_periodograms(want, records[1:, 2 * hop:], *args, 1)
     assert not np.allclose(sums, want, rtol=1e-12)
 
 
